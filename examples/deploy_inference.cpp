@@ -1,8 +1,8 @@
 // Deployment: load a trained checkpoint (from ./quickstart) into a fresh
 // model and classify clips through its compiled XNOR-popcount inference
-// plan (BN -> Binarize -> BinaryConv folded into threshold compares,
-// DESIGN.md §14) — the workflow of shipping the detector into a
-// physical-verification flow.
+// plan (each BN -> Binarize -> BinaryConv block packs the sign bits of the
+// BN output, evaluated inline, DESIGN.md §14) — the workflow of shipping
+// the detector into a physical-verification flow.
 //
 //   ./examples/quickstart && ./examples/deploy_inference quickstart_model.bin
 //

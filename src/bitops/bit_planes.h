@@ -1,4 +1,4 @@
-// Per-(sample, channel) activation bit planes and binarize thresholds.
+// Per-(sample, channel) activation bit planes.
 //
 // A BitPlanes holds one bitmap row per (n*C + c, y) of an NCHW tensor with
 // bit x describing input[n,c,y,x]; bits at x >= W are zero. The packers in
@@ -6,51 +6,32 @@
 // instead of kh*kw float loads per output position, so every input float is
 // read exactly once during packing.
 //
-// Two binarization rules produce the bits:
-//   - sign:      bit = (v >= 0), matching tensor::sign (sign(0) = +1);
-//   - threshold: bit = (v >= bound) != flip, one BinarizeThreshold per
-//     channel. This is how the inference plan's BN->Binarize fold consumes a
-//     batch-norm: instead of materializing y = gamma*xhat + beta and taking
-//     sign(y), the fold computes a per-channel bound on the *raw* input
-//     such that the comparison gives the same bit for every finite float
-//     (core/threshold.h derives the bound by bisection; flip is set for
-//     negative-gamma channels, where y is a decreasing function of x).
+// Both constructors binarize with the sign rule bit = (v >= 0), matching
+// tensor::sign (sign(0) = +1). The affine one applies it to the batch-norm
+// output bn_eval(x) (channel_affine.h), evaluated inline from the raw
+// input: this is how the inference plan binarizes BN -> Binarize without
+// materializing the BN tensor, with the same bits as
+// BitPlanes(BatchNorm2d eval forward(x)).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "bitops/channel_affine.h"
 #include "tensor/tensor.h"
 
 namespace hotspot::bitops {
-
-// bit(v) = (v >= bound) != flip. The default is the sign rule. A constant
-// channel is expressed with an infinite bound: bound = -inf always fires,
-// bound = +inf never does (for finite v).
-struct BinarizeThreshold {
-  float bound = 0.0f;
-  bool flip = false;
-};
-
-inline bool apply(const BinarizeThreshold& t, float v) {
-  return (v >= t.bound) != t.flip;
-}
 
 class BitPlanes {
  public:
   BitPlanes() = default;
 
-  // Sign rule: bit = (v >= 0).
+  // bit = (v >= 0).
   explicit BitPlanes(const tensor::Tensor& input);
 
-  // Threshold rule: `thresholds` has one entry per channel (input.dim(1)).
-  BitPlanes(const tensor::Tensor& input, const BinarizeThreshold* thresholds);
-
-  // All-zero planes for direct bit emission (the inference plan's
-  // integer-threshold popcount-compare path writes conv outputs here
-  // without ever producing a float tensor).
-  BitPlanes(std::int64_t n, std::int64_t channels, std::int64_t h,
-            std::int64_t w);
+  // bit = (bn_eval(v) >= 0) with channel c's parameters from `affine`
+  // (arrays sized to input.dim(1)).
+  BitPlanes(const tensor::Tensor& input, const ChannelAffine& affine);
 
   std::int64_t batch() const { return n_; }
   std::int64_t channels() const { return c_; }
@@ -60,9 +41,6 @@ class BitPlanes {
 
   // Bitmap row y of plane (n*channels + c); caller guarantees bounds.
   const std::uint64_t* row(std::int64_t plane, std::int64_t y) const {
-    return words_.data() + (plane * h_ + y) * row_words_;
-  }
-  std::uint64_t* row(std::int64_t plane, std::int64_t y) {
     return words_.data() + (plane * h_ + y) * row_words_;
   }
 
@@ -91,6 +69,11 @@ class BitPlanes {
   }
 
  private:
+  // Sizes the planes to `input` and sets bit = rule_for(c)(v) for every
+  // element v of channel c.
+  template <typename RuleFor>
+  void binarize(const tensor::Tensor& input, RuleFor rule_for);
+
   std::int64_t n_ = 0;
   std::int64_t c_ = 0;
   std::int64_t h_ = 0;

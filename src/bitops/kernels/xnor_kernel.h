@@ -30,10 +30,10 @@
 //            alpha[c] == 0 contribute exactly +0.0f, so padding channels
 //            (zero words, zero alpha) never change the result.
 //
-// This dispatch seam is also the backend plug point for the Graph-IR
-// work: a backend provides an XnorKernel (name, layout requirement, the
-// three primitives) and everything downstream — packing geometry included —
-// follows from the table entry.
+// This dispatch seam is also the backend plug point for the compiled
+// inference plan (core/inference_plan.h): a backend provides an XnorKernel
+// (name, layout requirement, the three primitives) and everything
+// downstream — packing geometry included — follows from the table entry.
 #pragma once
 
 #include <cstdint>
@@ -116,7 +116,7 @@ const XnorKernel& active_xnor_kernel();
 // code must rely on HOTSPOT_SIMD. Matrices packed under the previous
 // kernel remain correct — kernels accept any word count — but new packing
 // follows the new kernel's padding, so callers that cache packed data keyed
-// on the kernel (BinaryConv2d does) re-pack automatically.
+// on the kernel (BrnnModel's inference plan is) re-pack automatically.
 void set_active_xnor_kernel(const XnorKernel& kernel);
 
 namespace detail {

@@ -100,18 +100,42 @@ tensor::Tensor box_filter_abs_mean_impl(const tensor::Tensor& input,
   return out;
 }
 
-// BatchNorm2d's inference expression, float op for float op.
-inline float affine_eval(const ChannelAffine& a, float v, std::int64_t c) {
-  const float xhat = (v - a.mean[c]) * a.inv_std[c];
-  return a.gamma[c] * xhat + a.beta[c];
+// Channel mean of |transform(v, c)| -> [N,1,H,W], box filtered: the
+// XNOR-Net scalar alpha_T. Like box_filter_abs_mean_impl, one loop serves
+// the plain and the batch-norm-affine entry points.
+template <typename TransformFn>
+tensor::Tensor input_scales_scalar_impl(const tensor::Tensor& input,
+                                        const tensor::ConvSpec& spec,
+                                        TransformFn&& transform) {
+  HOTSPOT_CHECK_EQ(input.rank(), 4);
+  const std::int64_t n = input.dim(0);
+  const std::int64_t c = input.dim(1);
+  const std::int64_t h = input.dim(2);
+  const std::int64_t w = input.dim(3);
+  tensor::Tensor mean_abs({n, 1, h, w});
+  for (std::int64_t ni = 0; ni < n; ++ni) {
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t x = 0; x < w; ++x) {
+        double total = 0.0;
+        for (std::int64_t ci = 0; ci < c; ++ci) {
+          total += std::fabs(static_cast<double>(
+              transform(input.at4(ni, ci, y, x), ci)));
+        }
+        mean_abs.at4(ni, 0, y, x) =
+            static_cast<float>(total / static_cast<double>(c));
+      }
+    }
+  }
+  return box_filter_abs_mean(mean_abs, spec);
 }
+
+constexpr auto kIdentity = [](float v, std::int64_t) { return v; };
 
 }  // namespace
 
 tensor::Tensor box_filter_abs_mean(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec) {
-  return box_filter_abs_mean_impl(
-      input, spec, [](float v, std::int64_t) { return v; });
+  return box_filter_abs_mean_impl(input, spec, kIdentity);
 }
 
 tensor::Tensor input_scales_per_channel_affine(const tensor::Tensor& input,
@@ -125,28 +149,9 @@ tensor::Tensor input_scales_per_channel_affine(const tensor::Tensor& input,
 tensor::Tensor input_scales_scalar_affine(const tensor::Tensor& input,
                                           const tensor::ConvSpec& spec,
                                           const ChannelAffine& affine) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  // Channel mean of |bn(x)| -> [N,1,H,W], same double accumulation as
-  // input_scales_scalar over the materialized BN output.
-  tensor::Tensor mean_abs({n, 1, h, w});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t y = 0; y < h; ++y) {
-      for (std::int64_t x = 0; x < w; ++x) {
-        double total = 0.0;
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          total += std::fabs(static_cast<double>(
-              affine_eval(affine, input.at4(ni, ci, y, x), ci)));
-        }
-        mean_abs.at4(ni, 0, y, x) =
-            static_cast<float>(total / static_cast<double>(c));
-      }
-    }
-  }
-  return box_filter_abs_mean(mean_abs, spec);
+  return input_scales_scalar_impl(
+      input, spec,
+      [&affine](float v, std::int64_t c) { return affine_eval(affine, v, c); });
 }
 
 tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
@@ -156,26 +161,7 @@ tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
 
 tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  // A = mean over channels of |T_in| -> [N,1,H,W].
-  tensor::Tensor mean_abs({n, 1, h, w});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t y = 0; y < h; ++y) {
-      for (std::int64_t x = 0; x < w; ++x) {
-        double total = 0.0;
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          total += std::fabs(static_cast<double>(input.at4(ni, ci, y, x)));
-        }
-        mean_abs.at4(ni, 0, y, x) =
-            static_cast<float>(total / static_cast<double>(c));
-      }
-    }
-  }
-  return box_filter_abs_mean(mean_abs, spec);
+  return input_scales_scalar_impl(input, spec, kIdentity);
 }
 
 }  // namespace hotspot::bitops

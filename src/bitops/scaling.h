@@ -7,6 +7,7 @@
 // optimization.
 #pragma once
 
+#include "bitops/channel_affine.h"
 #include "tensor/conv.h"
 #include "tensor/tensor.h"
 
@@ -32,25 +33,11 @@ tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
 tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec);
 
-// Per-channel inference-mode batch-norm affine, evaluated in exactly
-// BatchNorm2d's forward op order: y = gamma[c] * ((x - mean[c]) *
-// inv_std[c]) + beta[c], all float. The *_affine scale variants below
-// compute alpha_T of the BN *output* directly from the BN *input* without
-// materializing the normalized tensor — the inference plan's BN->BinaryConv
-// fusion needs those scales to match the unfused path bit-for-bit, which
-// they do because the same float expression feeds the same double
-// accumulation. Pointers must stay valid for the call; arrays are sized to
-// input.dim(1).
-struct ChannelAffine {
-  const float* mean = nullptr;
-  const float* inv_std = nullptr;
-  const float* gamma = nullptr;
-  const float* beta = nullptr;
-};
-
-// alpha_T of the affine-transformed input: equals
-// input_scales_per_channel(bn(input), spec) with bn evaluated in inference
-// mode, without the intermediate tensor.
+// alpha_T of the batch-norm output, evaluated inline from the BN input
+// (affine_eval per element, channel_affine.h): equals
+// input_scales_per_channel(bn(input), spec) bit for bit, because the same
+// float values feed the same double accumulation, without the intermediate
+// tensor.
 tensor::Tensor input_scales_per_channel_affine(const tensor::Tensor& input,
                                                const tensor::ConvSpec& spec,
                                                const ChannelAffine& affine);

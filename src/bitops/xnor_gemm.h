@@ -17,9 +17,9 @@ BitMatrix pack_patches(const tensor::Tensor& input,
                        const tensor::ConvSpec& spec);
 
 // Same patch assembly from pre-binarized planes. The tensor overload above
-// is pack_patches(BitPlanes(input), spec); the inference plan passes planes
-// it binarized with per-channel thresholds (or emitted directly as bits)
-// instead, skipping the float sign pass entirely.
+// is pack_patches(BitPlanes(input), spec); the inference plan passes the
+// sign bits of its batch-norm output, evaluated inline from the raw input
+// (BitPlanes(input, affine)), so no BN tensor is materialized.
 BitMatrix pack_patches(const BitPlanes& planes, const tensor::ConvSpec& spec);
 
 // Packs conv weights [Cout,Cin,kh,kw] into rows of Cin*kh*kw bits.

@@ -33,11 +33,10 @@ BinaryConv2d::BinaryConv2d(std::int64_t in_channels, std::int64_t out_channels,
 Tensor BinaryConv2d::forward(const Tensor& input) {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(input.dim(1), in_channels_);
-  if (!span_label_.empty() && obs::trace_enabled()) {
-    obs::TraceSpan span(span_label_);
-    add_profile_samples(static_cast<std::uint64_t>(input.dim(0)));
+  if (span_label_.empty()) {
     return forward_float_sim(input);
   }
+  obs::TraceSpan span(span_label_);
   return forward_float_sim(input);
 }
 

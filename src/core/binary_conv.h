@@ -20,7 +20,7 @@
 // the two agree to float rounding (tests/core/packed_equivalence_test.cpp).
 #pragma once
 
-#include <atomic>
+#include <string>
 #include <vector>
 
 #include "bitops/scaling.h"
@@ -47,24 +47,12 @@ class BinaryConv2d : public nn::Module {
   std::int64_t out_channels() const { return out_channels_; }
   nn::Parameter& weight() { return weight_; }
 
-  // Roofline profiling (src/core/roofline.h). The model builder assigns a
-  // stable per-instance span label ("brnn.conv.block1a", ...); while tracing
-  // is enabled, every forward() and every run of the layer's plan step opens
-  // a span under that label and counts the samples it processed, so
-  // build_roofline() can join measured per-layer time with the analytic
-  // cost model. With tracing disabled neither the span nor the counter is
-  // touched.
+  // Roofline span label, assigned by the model builder
+  // ("brnn.conv.block1a", ...). While tracing is enabled, forward() and the
+  // layer's plan step open a span under it, so build_roofline() can join
+  // measured per-layer time with the analytic cost model.
   void set_span_label(std::string label) { span_label_ = std::move(label); }
   const std::string& span_label() const { return span_label_; }
-  std::uint64_t profile_samples() const {
-    return profile_samples_.load(std::memory_order_relaxed);
-  }
-  void add_profile_samples(std::uint64_t samples) const {
-    profile_samples_.fetch_add(samples, std::memory_order_relaxed);
-  }
-  void reset_profile() {
-    profile_samples_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   Tensor forward_float_sim(const Tensor& input);
@@ -75,7 +63,6 @@ class BinaryConv2d : public nn::Module {
   bitops::InputScaling scaling_;
   nn::Parameter weight_;
   std::string span_label_;
-  mutable std::atomic<std::uint64_t> profile_samples_{0};
 
   // Forward caches for backward.
   Tensor cached_input_;

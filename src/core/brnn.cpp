@@ -85,12 +85,6 @@ nn::ModulePtr BrnnModel::conv_block(std::int64_t in, std::int64_t out,
   return block;
 }
 
-void BrnnModel::reset_profile() {
-  for (BinaryConv2d* conv : binary_convs_) {
-    conv->reset_profile();
-  }
-}
-
 tensor::Tensor BrnnModel::forward(const Tensor& input) {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(input.dim(1), config_.input_channels);
@@ -100,6 +94,10 @@ tensor::Tensor BrnnModel::forward(const Tensor& input) {
   // backward still runs through net_.backward(), which is equivalent
   // because each module caches its own forward state.
   HOTSPOT_TRACE_SPAN("brnn.forward");
+  if (obs::trace_enabled()) {
+    profile_samples_.fetch_add(static_cast<std::uint64_t>(input.dim(0)),
+                               std::memory_order_relaxed);
+  }
   if (!training_ && backend_ == Backend::kPacked) {
     return plan()->run(input);
   }

@@ -9,6 +9,7 @@
 // + the fully connected classifier head.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -102,13 +103,18 @@ class BrnnModel : public nn::Module {
   // the caller). Reentrant on kPacked.
   std::vector<int> predict(const Tensor& images);
 
-  // Zeroes every binary convolution's roofline sample counter. Pair with
+  // Roofline sample counter: samples forwarded while tracing was enabled,
+  // on either backend. Every conv sees every sample, so one count serves
+  // every roofline row. reset_profile() zeroes it; pair with
   // obs::reset_spans() so build_roofline() joins matching windows.
-  void reset_profile();
+  std::uint64_t profile_samples() const {
+    return profile_samples_.load(std::memory_order_relaxed);
+  }
+  void reset_profile() { profile_samples_.store(0, std::memory_order_relaxed); }
 
  private:
   // Builds BN -> BinaryConv with the given geometry, registering the conv
-  // for backend switching under the given roofline span label
+  // in binary_convs() under the given roofline span label
   // ("brnn.conv.stem", "brnn.conv.block<i>{a,b,sc}").
   nn::ModulePtr conv_block(std::int64_t in, std::int64_t out,
                            std::int64_t kernel, std::int64_t stride,
@@ -122,6 +128,7 @@ class BrnnModel : public nn::Module {
   std::vector<nn::Parameter*> parameters_;
   Backend backend_ = Backend::kPacked;
   std::uint64_t statistics_updates_ = 0;  // training-mode forwards
+  std::atomic<std::uint64_t> profile_samples_{0};
   // Guards the plan_ pointer only: callers copy it out and compile and run
   // plans outside the lock, so concurrent forwards never wait on each
   // other's inference (the same pattern as serve::ModelRegistry::active).

@@ -1,10 +1,10 @@
 #include "core/inference_plan.h"
 
+#include "bitops/bit_planes.h"
 #include "bitops/xnor_gemm.h"
 #include "core/binary_conv.h"
 #include "core/brnn.h"
 #include "core/packed_conv.h"
-#include "core/threshold.h"
 #include "nn/batchnorm_layer.h"
 #include "nn/linear_layer.h"
 #include "nn/pool_layers.h"
@@ -12,13 +12,12 @@
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace hotspot::core {
 namespace {
 
 // The BN and conv of one conv block (BatchNorm2d + BinaryConv2d).
-ConvStep compile_conv_block(nn::Module& module, bool fold) {
+ConvStep compile_conv_block(nn::Module& module) {
   auto* block = dynamic_cast<nn::Sequential*>(&module);
   HOTSPOT_CHECK(block != nullptr && block->size() == 2u)
       << "conv blocks are BatchNorm2d + BinaryConv2d";
@@ -26,23 +25,17 @@ ConvStep compile_conv_block(nn::Module& module, bool fold) {
   auto* conv = dynamic_cast<BinaryConv2d*>(&block->at(1));
   HOTSPOT_CHECK(bn != nullptr && conv != nullptr)
       << "unexpected conv block layout";
-  return ConvStep(*bn, *conv, fold);
+  return ConvStep(*bn, *conv);
 }
 
-ResidualStep compile_residual(nn::ResidualBlock& residual, bool fold) {
+ResidualStep compile_residual(nn::ResidualBlock& residual) {
   auto* main_path = dynamic_cast<nn::Sequential*>(&residual.main_path());
   HOTSPOT_CHECK(main_path != nullptr && main_path->size() == 2u)
       << "residual main path layout";
-  ResidualStep step{compile_conv_block(main_path->at(0), fold),
-                    compile_conv_block(main_path->at(1), fold), std::nullopt};
+  ResidualStep step{compile_conv_block(main_path->at(0)),
+                    compile_conv_block(main_path->at(1)), std::nullopt};
   if (residual.shortcut() != nullptr) {
-    step.shortcut = compile_conv_block(*residual.shortcut(), fold);
-  }
-  // conv a's only consumer is conv b, so an all-binary pair can skip a's
-  // float epilogue and b's binarize (the residual add still needs floats
-  // from b and from the block input).
-  if (ConvStep::can_chain(step.a, step.b)) {
-    step.a.chain_to(step.b);
+    step.shortcut = compile_conv_block(*residual.shortcut());
   }
   return step;
 }
@@ -71,7 +64,7 @@ Tensor BnStep::run(const Tensor& input) const {
     const float* in = input.data() + plane * hw;
     float* out = output.data() + plane * hw;
     for (std::int64_t i = 0; i < hw; ++i) {
-      out[i] = bn_eval(in[i], mean[c], inv_std[c], gamma[c], beta[c]);
+      out[i] = bitops::bn_eval(in[i], mean[c], inv_std[c], gamma[c], beta[c]);
     }
   }
   return output;
@@ -81,7 +74,6 @@ Tensor BnStep::run(const Tensor& input) const {
 
 ConvStep::ConvStep(BinaryConv2d& conv)
     : label_(conv.span_label()),
-      conv_(&conv),
       spec_(conv.spec()),
       in_channels_(conv.in_channels()),
       out_channels_(conv.out_channels()),
@@ -93,136 +85,65 @@ ConvStep::ConvStep(BinaryConv2d& conv)
                    : bitops::pack_filters(conv.weight().value)),
       alpha_w_(bitops::weight_scales(conv.weight().value)) {}
 
-ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv, bool fold)
-    : ConvStep(conv) {
+ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv) : ConvStep(conv) {
   HOTSPOT_CHECK_EQ(bn.channels(), in_channels_);
   bn_.emplace(bn);
-  if (!fold) {
-    return;
-  }
-  std::vector<bitops::BinarizeThreshold> thresholds;
-  thresholds.reserve(static_cast<std::size_t>(in_channels_));
-  for (std::size_t c = 0; c < bn_->mean.size(); ++c) {
-    const auto t = fold_bn_sign_threshold(bn_->gamma[c], bn_->beta[c],
-                                          bn_->mean[c], bn_->inv_std[c]);
-    if (!t.has_value()) {
-      return;  // non-finite statistics: keep the unfolded stage
-    }
-    thresholds.push_back(*t);
-  }
-  thresholds_ = std::move(thresholds);
-}
-
-bool ConvStep::can_chain(const ConvStep& producer, const ConvStep& consumer) {
-  // Only kNone convs can trade floats for bits: the alpha_T scales of the
-  // other modes need the real BN outputs.
-  return producer.folded() && consumer.folded() &&
-         producer.scaling_ == bitops::InputScaling::kNone &&
-         consumer.scaling_ == bitops::InputScaling::kNone &&
-         consumer.in_channels_ == producer.out_channels_;
-}
-
-void ConvStep::chain_to(const ConvStep& consumer) {
-  HOTSPOT_CHECK(can_chain(*this, consumer));
-  // Popcount counts live in [-max_count, max_count].
-  const std::int64_t max_count =
-      in_channels_ * spec_.kernel_h * spec_.kernel_w;
-  emit_bounds_.resize(static_cast<std::size_t>(out_channels_));
-  emit_flips_.resize(static_cast<std::size_t>(out_channels_));
-  for (std::int64_t co = 0; co < out_channels_; ++co) {
-    const auto i = static_cast<std::size_t>(co);
-    const CountThreshold ct =
-        fold_count_threshold(consumer.thresholds_[i], alpha_w_[co], max_count);
-    emit_bounds_[i] = ct.bound;
-    emit_flips_[i] = ct.flip ? 1 : 0;
-  }
 }
 
 Tensor ConvStep::run(const Tensor& input) const {
-  HOTSPOT_CHECK(!emits_bits()) << label_ << " emits bits; use run_to_bits";
-  return forward(&input, nullptr, nullptr);
-}
-
-bitops::BitPlanes ConvStep::run_to_bits(const Tensor& input) const {
-  HOTSPOT_CHECK(emits_bits()) << label_ << " is not chained";
-  bitops::BitPlanes bits;
-  forward(&input, nullptr, &bits);
-  return bits;
-}
-
-Tensor ConvStep::run_from_bits(const bitops::BitPlanes& bits) const {
-  return forward(nullptr, &bits, nullptr);
-}
-
-Tensor ConvStep::forward(const Tensor* input, const bitops::BitPlanes* bits_in,
-                         bitops::BitPlanes* bits_out) const {
-  // Same span + sample protocol the module chain had, so the roofline join
-  // and timelines keep working per conv label.
-  if (!label_.empty() && obs::trace_enabled()) {
-    obs::TraceSpan span(label_);
-    conv_->add_profile_samples(static_cast<std::uint64_t>(
-        input != nullptr ? input->dim(0) : bits_in->batch()));
-    return compute(input, bits_in, bits_out);
+  // Same span label the module chain opens, so the roofline join and
+  // timelines keep working per conv.
+  if (label_.empty()) {
+    return compute(input);
   }
-  return compute(input, bits_in, bits_out);
+  obs::TraceSpan span(label_);
+  return compute(input);
 }
 
-ConvStep::PackedInput ConvStep::pack_input(
-    const Tensor* input, const bitops::BitPlanes* bits_in) const {
+ConvStep::PackedInput ConvStep::pack_input(const Tensor& input) const {
   HOTSPOT_TRACE_SPAN("binary_conv.pack");
-  const bool per_channel = scaling_ == bitops::InputScaling::kPerChannel;
-  auto pack = [&](const bitops::BitPlanes& bits) {
-    return per_channel ? bitops::pack_patches_channel_blocked(bits, spec_)
-                       : bitops::pack_patches(bits, spec_);
-  };
+  HOTSPOT_CHECK_EQ(input.rank(), 4);
+  HOTSPOT_CHECK_EQ(input.dim(1), in_channels_);
+  // Sign bits and alpha_T of the BN output, evaluated inline per element.
+  const bitops::BitPlanes bits = bn_.has_value()
+                                     ? bitops::BitPlanes(input, bn_->affine())
+                                     : bitops::BitPlanes(input);
   PackedInput packed;
-  if (bits_in != nullptr) {
-    HOTSPOT_CHECK(scaling_ == bitops::InputScaling::kNone);
-    packed.patches = pack(*bits_in);
-    return packed;
-  }
-  HOTSPOT_CHECK_EQ(input->rank(), 4);
-  HOTSPOT_CHECK_EQ(input->dim(1), in_channels_);
-  if (folded()) {
-    // Thresholds on the raw input give the BN-then-sign bits; the *_affine
-    // scales see the BN output without materializing it.
-    packed.patches = pack(bitops::BitPlanes(*input, thresholds_.data()));
-    if (scaling_ == bitops::InputScaling::kPerChannel) {
-      packed.alpha = bitops::input_scales_per_channel_affine(*input, spec_,
-                                                             bn_->affine());
-    } else if (scaling_ == bitops::InputScaling::kScalar) {
+  switch (scaling_) {
+    case bitops::InputScaling::kPerChannel:
+      packed.patches = bitops::pack_patches_channel_blocked(bits, spec_);
       packed.alpha =
-          bitops::input_scales_scalar_affine(*input, spec_, bn_->affine());
-    }
-    return packed;
-  }
-  // Unfolded: binarize the (materialized) BN output by sign.
-  const Tensor normalized = bn_.has_value() ? bn_->run(*input) : Tensor();
-  const Tensor& source = bn_.has_value() ? normalized : *input;
-  packed.patches = pack(bitops::BitPlanes(source));
-  if (scaling_ == bitops::InputScaling::kPerChannel) {
-    packed.alpha = bitops::input_scales_per_channel(source, spec_);
-  } else if (scaling_ == bitops::InputScaling::kScalar) {
-    packed.alpha = bitops::input_scales_scalar(source, spec_);
+          bn_.has_value()
+              ? bitops::input_scales_per_channel_affine(input, spec_,
+                                                        bn_->affine())
+              : bitops::input_scales_per_channel(input, spec_);
+      break;
+    case bitops::InputScaling::kScalar:
+      packed.patches = bitops::pack_patches(bits, spec_);
+      packed.alpha =
+          bn_.has_value()
+              ? bitops::input_scales_scalar_affine(input, spec_, bn_->affine())
+              : bitops::input_scales_scalar(input, spec_);
+      break;
+    case bitops::InputScaling::kNone:
+      packed.patches = bitops::pack_patches(bits, spec_);
+      break;
   }
   return packed;
 }
 
-Tensor ConvStep::compute(const Tensor* input, const bitops::BitPlanes* bits_in,
-                         bitops::BitPlanes* bits_out) const {
-  const std::int64_t n = input != nullptr ? input->dim(0) : bits_in->batch();
-  const std::int64_t in_h = input != nullptr ? input->dim(2) : bits_in->height();
-  const std::int64_t in_w = input != nullptr ? input->dim(3) : bits_in->width();
-  const std::int64_t out_h =
-      tensor::conv_out_extent(in_h, spec_.kernel_h, spec_.stride, spec_.pad);
-  const std::int64_t out_w =
-      tensor::conv_out_extent(in_w, spec_.kernel_w, spec_.stride, spec_.pad);
-  const PackedInput packed = pack_input(input, bits_in);
+Tensor ConvStep::compute(const Tensor& input) const {
+  const std::int64_t n = input.dim(0);
+  const std::int64_t out_h = tensor::conv_out_extent(
+      input.dim(2), spec_.kernel_h, spec_.stride, spec_.pad);
+  const std::int64_t out_w = tensor::conv_out_extent(
+      input.dim(3), spec_.kernel_w, spec_.stride, spec_.pad);
+  const PackedInput packed = pack_input(input);
+  Tensor output({n, out_channels_, out_h, out_w});
 
   if (scaling_ == bitops::InputScaling::kPerChannel) {
     // Channel-blocked lanes: one word per channel so each per-channel dot
     // is a single XOR + popcount, scaled by alpha_T(c, position).
-    Tensor output({n, out_channels_, out_h, out_w});
     HOTSPOT_TRACE_SPAN(gemm_span_);
     packed_conv_per_channel(*kernel_, packed.patches, filters_, packed.alpha,
                             alpha_w_, in_channels_, out_channels_,
@@ -236,53 +157,12 @@ Tensor ConvStep::compute(const Tensor* input, const bitops::BitPlanes* bits_in,
     HOTSPOT_TRACE_SPAN(gemm_span_);
     counts = bitops::xnor_gemm(packed.patches, filters_);
   }
-  if (bits_out != nullptr) {
-    HOTSPOT_TRACE_SPAN("binary_conv.emit_bits");
-    *bits_out = bitops::BitPlanes(n, out_channels_, out_h, out_w);
-    emit_bits(counts, *bits_out);
-    return Tensor();
-  }
   HOTSPOT_TRACE_SPAN("binary_conv.unpack");
-  Tensor output({n, out_channels_, out_h, out_w});
   packed_conv_epilogue(
       counts, alpha_w_,
       scaling_ == bitops::InputScaling::kScalar ? &packed.alpha : nullptr,
       out_channels_, output);
   return output;
-}
-
-void ConvStep::emit_bits(const Tensor& counts, bitops::BitPlanes& out) const {
-  // The count compares against the folded bound and the bit goes straight
-  // into the consumer's planes: no float epilogue, no sign pass.
-  const std::int64_t out_h = out.height();
-  const std::int64_t out_w = out.width();
-  const std::int64_t positions = out_h * out_w;
-  const float* count_data = counts.data();
-  util::parallel_for(
-      0, out.batch() * out_channels_, /*grain=*/1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-          const std::int64_t ni = plane / out_channels_;
-          const std::int64_t co = plane % out_channels_;
-          // float(bound) is exact (|bound| <= patch bits + 1), so the float
-          // compare equals the integer compare on integer counts.
-          const float bound =
-              static_cast<float>(emit_bounds_[static_cast<std::size_t>(co)]);
-          const std::uint64_t flip =
-              emit_flips_[static_cast<std::size_t>(co)];
-          for (std::int64_t y = 0; y < out_h; ++y) {
-            std::uint64_t* bm = out.row(plane, y);
-            const float* row = count_data +
-                               (ni * positions + y * out_w) * out_channels_ +
-                               co;
-            for (std::int64_t col = 0; col < out_w; ++col) {
-              bm[col >> 6] |=
-                  (std::uint64_t{row[col * out_channels_] >= bound} ^ flip)
-                  << (col & 63);
-            }
-          }
-        }
-      });
 }
 
 // --- Pure tensor steps -------------------------------------------------
@@ -292,8 +172,7 @@ Tensor MaxPoolStep::run(const Tensor& input) const {
 }
 
 Tensor ResidualStep::run(const Tensor& input) const {
-  const Tensor main_out = a.emits_bits() ? b.run_from_bits(a.run_to_bits(input))
-                                         : b.run(a.run(input));
+  const Tensor main_out = b.run(a.run(input));
   // Operand order matches ResidualBlock::forward, so the float sum is
   // identical to the module chain's.
   return tensor::add(main_out, shortcut.has_value() ? shortcut->run(input)
@@ -323,8 +202,7 @@ Tensor LinearStep::run(const Tensor& input) const {
 
 // --- InferencePlan -----------------------------------------------------
 
-std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model,
-                                                            Options options) {
+std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model) {
   HOTSPOT_TRACE_SPAN("brnn.compile_plan");
   std::shared_ptr<InferencePlan> plan(new InferencePlan());
   plan->input_channels_ = model.config().input_channels;
@@ -342,11 +220,11 @@ std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model,
       plan->layers_.push_back(Layer{labels[i], std::move(step)});
     };
     if (dynamic_cast<nn::Sequential*>(&layer) != nullptr) {
-      add(compile_conv_block(layer, options.fold));
+      add(compile_conv_block(layer));
     } else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&layer)) {
       add(MaxPoolStep{pool->spec()});
     } else if (auto* residual = dynamic_cast<nn::ResidualBlock*>(&layer)) {
-      add(compile_residual(*residual, options.fold));
+      add(compile_residual(*residual));
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
       add(BnStep(*bn));
     } else if (dynamic_cast<nn::GlobalAvgPool*>(&layer) != nullptr) {
@@ -373,26 +251,6 @@ Tensor InferencePlan::run(const Tensor& input) const {
         layer.step);
   }
   return current;
-}
-
-const ConvStep* InferencePlan::find_conv(const std::string& label) const {
-  for (const Layer& layer : layers_) {
-    if (const auto* conv = std::get_if<ConvStep>(&layer.step)) {
-      if (conv->label() == label) {
-        return conv;
-      }
-    } else if (const auto* block = std::get_if<ResidualStep>(&layer.step)) {
-      for (const ConvStep* step : {&block->a, &block->b}) {
-        if (step->label() == label) {
-          return step;
-        }
-      }
-      if (block->shortcut.has_value() && block->shortcut->label() == label) {
-        return &*block->shortcut;
-      }
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace hotspot::core

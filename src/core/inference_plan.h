@@ -3,29 +3,23 @@
 //
 // InferencePlan::compile walks the model's modules once and lowers them into
 // fixed stage objects that own everything inference needs: the packed
-// filters and alpha_W for the dispatched XNOR kernel, per-channel thresholds
-// that fold each BN -> Binarize pair into one comparison on the raw
-// activations (core/threshold.h), the BN affine the alpha_T scales still
-// need, integer emit bounds for all-binary chains, and copies of the head's
-// BN and fc parameters. A compiled plan is immutable: run() uses only
-// call-local scratch and never calls nn::Module::forward, so any number of
-// threads may run one plan at once. BrnnModel publishes a fresh plan
-// whenever a parameter version, the XNOR kernel, or the BN statistics change
-// (see BrnnModel::plan()).
+// filters and alpha_W for the dispatched XNOR kernel, each conv's BN affine,
+// and copies of the head's BN and fc parameters. A compiled plan is
+// immutable: run() uses only call-local scratch and never calls
+// nn::Module::forward, so any number of threads may run one plan at once.
+// BrnnModel publishes a fresh plan whenever a parameter version, the XNOR
+// kernel, or the BN statistics change (see BrnnModel::plan()).
 //
-// Each conv step is built from three stages chosen at compile time, in the
+// Each conv step is built from two stages chosen at compile time, in the
 // style of lib_nn's Filter2D (SNIPPETS.md snippet 1):
-//   input     - threshold bits on the raw input (BN folded), sign bits of
-//               the materialized BN output (unfolded), or the bits emitted
-//               by the producing conv;
+//   input     - sign bits of the BN output and its alpha_T scales, both
+//               evaluated inline from the raw input (bitops/channel_affine.h)
+//               so no BN tensor is materialized;
 //   aggregate - per-channel weighted popcount (kPerChannel) or a dense
-//               XNOR GEMM (kScalar / kNone);
-//   output    - the float alpha_W epilogue, or integer-threshold bits that
-//               feed a consuming kNone conv directly.
-// The unfolded input stage exists once, here: compile(model, {.fold =
-// false}) runs every conv through it as the exact reference, and a folded
-// plan falls back to it for any conv whose BN has non-finite statistics.
-// Folded and unfolded plans give bit-identical logits on every kernel.
+//               XNOR GEMM with the float alpha_W epilogue (kScalar / kNone).
+// The input stage evaluates the layer's own float expression, so the plan
+// binarizes exactly what the BN layer would output, for every statistic,
+// and its logits are bit-identical on every kernel.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +30,6 @@
 #include <vector>
 
 #include "bitops/bit_matrix.h"
-#include "bitops/bit_planes.h"
 #include "bitops/kernels/xnor_kernel.h"
 #include "bitops/scaling.h"
 #include "tensor/conv.h"
@@ -56,7 +49,7 @@ class BrnnModel;
 using tensor::Tensor;
 
 // Inference-mode batch norm, copied out of a BatchNorm2d. run() evaluates
-// exactly the layer's eval forward (core/threshold.h bn_eval per element).
+// exactly the layer's eval forward (bitops::bn_eval per element).
 struct BnStep {
   explicit BnStep(nn::BatchNorm2d& bn);
 
@@ -77,26 +70,11 @@ class ConvStep {
  public:
   // Packed conv on the sign of its own input (no batch norm in front).
   explicit ConvStep(BinaryConv2d& conv);
-  // BN -> Binarize -> conv. With `fold`, the BN becomes per-channel
-  // thresholds; without it, or when any channel's BN parameters are
-  // non-finite, the BN output is materialized and binarized by sign (the
-  // reference stage).
-  ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv, bool fold);
+  // BN -> Binarize -> conv: bits and alpha_T of the BN output.
+  ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv);
 
   // Float in, float out.
   Tensor run(const Tensor& input) const;
-
-  // All-binary chain: this conv compares its popcounts against integer
-  // bounds derived from `consumer`'s thresholds and writes bits, which
-  // `consumer` packs directly. Both steps must be folded kNone convs.
-  static bool can_chain(const ConvStep& producer, const ConvStep& consumer);
-  void chain_to(const ConvStep& consumer);
-  bitops::BitPlanes run_to_bits(const Tensor& input) const;
-  Tensor run_from_bits(const bitops::BitPlanes& bits) const;
-
-  const std::string& label() const { return label_; }
-  bool folded() const { return !thresholds_.empty(); }
-  bool emits_bits() const { return !emit_bounds_.empty(); }
 
  private:
   struct PackedInput {
@@ -104,16 +82,10 @@ class ConvStep {
     Tensor alpha;  // alpha_T for kPerChannel / kScalar, empty for kNone
   };
 
-  Tensor forward(const Tensor* input, const bitops::BitPlanes* bits_in,
-                 bitops::BitPlanes* bits_out) const;
-  Tensor compute(const Tensor* input, const bitops::BitPlanes* bits_in,
-                 bitops::BitPlanes* bits_out) const;
-  PackedInput pack_input(const Tensor* input,
-                         const bitops::BitPlanes* bits_in) const;
-  void emit_bits(const Tensor& counts, bitops::BitPlanes& out) const;
+  PackedInput pack_input(const Tensor& input) const;
+  Tensor compute(const Tensor& input) const;
 
   std::string label_;
-  const BinaryConv2d* conv_;  // roofline sample counter only
   tensor::ConvSpec spec_;
   std::int64_t in_channels_;
   std::int64_t out_channels_;
@@ -123,11 +95,6 @@ class ConvStep {
   bitops::BitMatrix filters_;
   Tensor alpha_w_;
   std::optional<BnStep> bn_;
-  // Folded input stage: bit = apply(thresholds_[c], x) on the raw input.
-  std::vector<bitops::BinarizeThreshold> thresholds_;
-  // Bit output stage: bit = (count >= emit_bounds_[co]) != emit_flips_[co].
-  std::vector<std::int64_t> emit_bounds_;
-  std::vector<std::uint8_t> emit_flips_;
 };
 
 struct MaxPoolStep {
@@ -157,30 +124,18 @@ struct LinearStep {
 
 class InferencePlan {
  public:
-  struct Options {
-    bool fold = true;  // false: every conv runs the unfolded reference stage
-  };
-
-  // Lowers `model` (read only; its modules are not retained beyond the
-  // per-conv roofline counters) into a fresh immutable plan for the XNOR
-  // kernel active now.
-  static std::shared_ptr<const InferencePlan> compile(BrnnModel& model,
-                                                      Options options);
-  static std::shared_ptr<const InferencePlan> compile(BrnnModel& model) {
-    return compile(model, Options());
-  }
+  // Lowers `model` (read only; no module is retained) into a fresh
+  // immutable plan for the XNOR kernel active now.
+  static std::shared_ptr<const InferencePlan> compile(BrnnModel& model);
 
   // One inference forward: logits [N, 2] for [N, C, ls, ls] images. Opens
   // the model chain's span labels (brnn.layer.*, brnn.conv.*,
-  // binary_conv.*) and bumps each conv's roofline sample counter while
-  // tracing is enabled. Reentrant.
+  // binary_conv.*) while tracing is enabled. Reentrant.
   Tensor run(const Tensor& input) const;
 
   const bitops::XnorKernel& kernel() const { return *kernel_; }
   // BrnnModel::state_version() at compile time.
   std::uint64_t state_version() const { return state_version_; }
-  // The conv step with span label `label` ("brnn.conv.block1a"), or null.
-  const ConvStep* find_conv(const std::string& label) const;
 
  private:
   using Step = std::variant<ConvStep, MaxPoolStep, ResidualStep, BnStep,

@@ -1,11 +1,9 @@
 // Shared inner loops of the packed XNOR-popcount convolution.
 //
 // Every conv step of the inference plan (core/inference_plan.h) reduces to
-// these two routines, folded or not; keeping them in one place is what
-// makes "folded plan bit-identical to the unfolded reference" hold by
-// construction rather than by re-implementation. The float accumulation
-// order inside is pinned by the XnorKernel contract
-// (kernels/xnor_kernel.h), so outputs are also identical across
+// these two routines, so each aggregate stage is written once. The float
+// accumulation order inside is pinned by the XnorKernel contract
+// (kernels/xnor_kernel.h), so outputs are identical across
 // scalar/AVX2/AVX-512.
 #pragma once
 
@@ -20,8 +18,8 @@ namespace hotspot::core {
 // kernel's weighted_sum(_x4) across the channel-blocked patch/filter rows,
 // then applies the alpha_W epilogue. `patches` is the channel-blocked
 // layout (one word per input channel), `alpha_t` is [N,Cin,outH,outW],
-// `alpha_w` is [Cout]. Writes [N,Cout,outH,outW] into `output` (allocated
-// by the caller so executors can reuse scratch).
+// `alpha_w` is [Cout]. Writes [N,Cout,outH,outW] into `output`, which the
+// caller allocates.
 void packed_conv_per_channel(const bitops::XnorKernel& kern,
                              const bitops::BitMatrix& patches,
                              const bitops::BitMatrix& filters,

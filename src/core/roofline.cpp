@@ -73,12 +73,9 @@ RooflineReport build_roofline(const BrnnModel& model,
   const std::vector<bool> flags = main_path_flags(config);
   HOTSPOT_CHECK_EQ(flags.size(), convs.size());
 
-  // Fused rows are labelled from the plan kPacked forwards run.
-  const std::shared_ptr<const InferencePlan> plan =
-      model.backend() == Backend::kPacked ? model.published_plan() : nullptr;
-
   RooflineReport report;
   report.kernel = bitops::active_xnor_kernel().name;
+  report.samples = model.profile_samples();
   report.layers.reserve(convs.size() + 1);
   for (std::size_t i = 0; i < convs.size(); ++i) {
     const BinaryConv2d* conv = convs[i];
@@ -86,13 +83,8 @@ RooflineReport build_roofline(const BrnnModel& model,
     RooflineLayer layer;
     layer.label = conv->span_label();
     layer.geometry = layer_cost.name;
-    if (const ConvStep* step =
-            plan != nullptr ? plan->find_conv(layer.label) : nullptr;
-        step != nullptr && step->folded()) {
-      layer.geometry += step->emits_bits() ? " (fused, emits bits)" : " (fused)";
-    }
     layer.main_path = flags[i];
-    layer.samples = conv->profile_samples();
+    layer.samples = report.samples;
     if (const obs::SpanStat* stat = spans.find(layer.label)) {
       layer.seconds = stat->total_seconds;
     }
@@ -104,10 +96,9 @@ RooflineReport build_roofline(const BrnnModel& model,
         static_cast<double>(layer_cost.packed_float_ops) * samples;
     report.layers.push_back(std::move(layer));
   }
-  report.samples = convs.empty() ? 0 : convs.front()->profile_samples();
 
   // Classifier head: dense float layer, timed by the per-layer span the
-  // model's forward already opens. It sees the same samples as the stem.
+  // model's forward already opens.
   const std::int64_t head_channels = config.block_filters.back();
   RooflineLayer head;
   head.label = "brnn.layer.head_fc";

@@ -3,13 +3,10 @@
 // Joins two things the repo already produces separately:
 //   - measured per-layer wall time, from the "brnn.conv.*" /
 //     "brnn.layer.head_fc" trace spans (obs/trace.h), together with the
-//     per-conv sample counters BinaryConv2d keeps while tracing is enabled;
+//     sample counter BrnnModel keeps while tracing is enabled;
 //   - analytic per-layer work, from core/cost_model.h (XNOR+popcount word
 //     ops and float epilogue ops for binary convolutions, dense MACs for
 //     the classifier head).
-//
-// On kPacked, rows of convs whose batch norm the inference plan folded are
-// annotated "(fused)" / "(fused, emits bits)" in their geometry.
 //
 // The result is one row per weight layer: time, operations executed
 // (bitops = 64 binary MACs per packed word op), achieved Gops/s, and the
@@ -46,7 +43,7 @@ struct RooflineLayer {
 struct RooflineReport {
   std::vector<RooflineLayer> layers;  // model order: convs, then head fc
   double total_seconds = 0.0;         // sum of per-layer seconds
-  std::uint64_t samples = 0;          // samples seen by the stem conv
+  std::uint64_t samples = 0;          // BrnnModel::profile_samples()
   // Active XNOR kernel when the report was built ("scalar"/"avx2"/...):
   // achieved Gops/s is only comparable between reports with equal kernels.
   std::string kernel;

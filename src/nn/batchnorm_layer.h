@@ -33,9 +33,9 @@ class BatchNorm2d : public Module {
   float epsilon() const { return epsilon_; }
 
   // Per-channel 1/sqrt(var + eps) exactly as the inference forward computes
-  // it, including the negative-variance clamp. The inference plan's
-  // BN->Binarize fold evaluates its thresholds against these floats, so
-  // folded and unfused paths normalize with bit-identical factors.
+  // it, including the negative-variance clamp. The inference plan copies
+  // these floats and evaluates the BN inline with them, so its bits and
+  // scales equal those of this layer's materialized eval output.
   Tensor inference_inv_std() const;
 
  private:

@@ -37,6 +37,10 @@ ServableModel::ServableModel(std::string path, std::int64_t image_size,
   load_result_ = nn::load_checkpoint(path_, *model_);
   if (load_result_.ok()) {
     model_->set_training(false);
+    // Compile the inference plan here, on the loading thread, so the first
+    // request after a load or hot swap does not pay for it on the batch
+    // worker.
+    model_->plan();
   } else {
     model_.reset();
   }

@@ -75,8 +75,7 @@ TEST_F(RooflineTest, ListsAllPaperLayersWithTimeAndOps) {
         layer.bitops,
         64.0 * static_cast<double>(cost.layers[i].packed_word_ops) * kBatch)
         << layer.label;
-    // kPacked runs the inference plan, which folds every conv's BN.
-    EXPECT_EQ(layer.geometry, cost.layers[i].name + " (fused)");
+    EXPECT_EQ(layer.geometry, cost.layers[i].name);
   }
 
   // The fc head is the last row: dense float work, no bitops.
@@ -149,14 +148,18 @@ TEST_F(RooflineTest, ProfilingOnlyCountsWhileTracingEnabled) {
 
   obs::set_trace_enabled(false);
   model.forward(make_batch(2, config.image_size, data_rng));
-  EXPECT_EQ(model.binary_convs().front()->profile_samples(), 0u);
+  EXPECT_EQ(model.profile_samples(), 0u);
 
+  // One count per traced forward, on either backend.
   obs::set_trace_enabled(true);
   model.forward(make_batch(3, config.image_size, data_rng));
-  EXPECT_EQ(model.binary_convs().front()->profile_samples(), 3u);
+  EXPECT_EQ(model.profile_samples(), 3u);
+  model.set_backend(Backend::kFloatSim);
+  model.forward(make_batch(2, config.image_size, data_rng));
+  EXPECT_EQ(model.profile_samples(), 5u);
 
   model.reset_profile();
-  EXPECT_EQ(model.binary_convs().front()->profile_samples(), 0u);
+  EXPECT_EQ(model.profile_samples(), 0u);
 }
 
 TEST_F(RooflineTest, TableAndJsonRenderEveryLayer) {

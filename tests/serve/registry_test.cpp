@@ -15,6 +15,7 @@
 
 #include "core/brnn.h"
 #include "nn/serialize.h"
+#include "obs/trace.h"
 #include "tensor/tensor.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -109,6 +110,25 @@ TEST(ModelRegistry, SwapBumpsVersionAndChangesAnswers) {
   // batch that resolved before the swap is unaffected by it.
   EXPECT_EQ(model_a->predict(probe_batch(3)),
             model_a->predict(probe_batch(3)));
+}
+
+TEST(ModelRegistry, PlanIsCompiledAtLoadNotOnFirstPredict) {
+  const std::string a = save_model("registry_compile_a.bin", 41);
+  const std::string b = save_model("registry_compile_b.bin", 42);
+  const bool was_tracing = obs::trace_enabled();
+  obs::set_trace_enabled(true);
+  ModelRegistry registry;
+  // The first load, then a hot swap: neither leaves the inference plan's
+  // compile to the first request on the batch worker.
+  for (const std::string& path : {a, b}) {
+    ASSERT_TRUE(registry.load(path, kGrid).ok());
+    obs::reset_spans();
+    registry.active()->predict(probe_batch(5));
+    const obs::SpanReport spans = obs::collect_span_report();
+    EXPECT_NE(spans.find("brnn.forward"), nullptr) << path;
+    EXPECT_EQ(spans.find("brnn.compile_plan"), nullptr) << path;
+  }
+  obs::set_trace_enabled(was_tracing);
 }
 
 TEST(ModelRegistry, StateFileRestoresAfterRestart) {
