@@ -20,13 +20,14 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace hotspot::bench {
 
 // Bench knobs are parsed strictly: a typo'd HOTSPOT_BENCH_SCALE must not
-// silently fall back (atof("0,5") == 0 would emit a garbage BENCH_*.json
-// that poisons the regression baselines). Exit 2 mirrors bench_compare's
-// "broken invocation" code.
+// silently fall back (atof("0,5") == 0 would run a garbage scale and record
+// it in BENCH_*.json). Exit 2 is the CLIs' usage-error code (kExitUsage in
+// examples/cli_util.h).
 inline double env_double(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') {
@@ -65,8 +66,8 @@ inline long bench_image_size() { return env_long("HOTSPOT_BENCH_LS", 32); }
 
 // Minimal machine-readable result emitter shared by the bench harnesses.
 // Builds one JSON object of scalar fields plus optional nested arrays, so
-// each bench can drop a BENCH_<name>.json next to its stdout table and the
-// perf trajectory can be tracked run over run.
+// each bench can drop a BENCH_<name>.json next to its stdout table as the
+// provenance record of that run.
 class JsonObject {
  public:
   JsonObject& set(const std::string& key, double value) {
@@ -75,8 +76,7 @@ class JsonObject {
     }
     char buffer[64];
     // Integers exactly, everything else with round-trip precision, so the
-    // regression gate compares the measured value rather than a %.6g
-    // truncation of it.
+    // file records the measured value rather than a %.6g truncation of it.
     if (value == std::floor(value) && std::fabs(value) < 9007199254740992.0) {
       std::snprintf(buffer, sizeof(buffer), "%.0f", value);
     } else {
@@ -94,15 +94,7 @@ class JsonObject {
     return set_raw(key, value ? "true" : "false");
   }
   JsonObject& set(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (const char c : value) {
-      if (c == '"' || c == '\\') {
-        quoted += '\\';
-      }
-      quoted += c;
-    }
-    quoted += '"';
-    return set_raw(key, quoted);
+    return set_raw(key, "\"" + util::json_escape(value) + "\"");
   }
   JsonObject& set(const std::string& key, const char* value) {
     return set(key, std::string(value));
@@ -145,10 +137,10 @@ inline std::string json_array(const std::vector<JsonObject>& items) {
 
 // Writes the object to `path` and reports the emission on stdout so bench
 // logs record where the machine-readable copy went. Every emission carries
-// a "manifest" section (build/runtime provenance; bench_compare refuses
-// files without one) and a "metrics" section — the process-wide registry
-// snapshot plus any collected trace spans — so BENCH_*.json records cache
-// behaviour and layer timing alongside the headline numbers.
+// a "manifest" section (the build/runtime provenance of obs/manifest.h)
+// and a "metrics" section — the process-wide registry snapshot plus any
+// collected trace spans — so BENCH_*.json records cache behaviour and
+// layer timing alongside the headline numbers.
 inline bool write_json_result(const std::string& path, JsonObject result) {
   result.set_raw("manifest",
                  obs::manifest_json(obs::collect_manifest()));

@@ -4,7 +4,7 @@
 // backend and the float-sim reference) plus the raw xnor_gemm kernel,
 // checking that logits and predicted labels stay bit-identical at every
 // thread count — the determinism guarantee of util::parallel_for — and
-// emits BENCH_parallel.json so the perf trajectory is tracked run to run.
+// writes BENCH_parallel.json for provenance.
 //
 // Scale knobs: HOTSPOT_BENCH_SCALE / HOTSPOT_BENCH_LS (shared with the other
 // benches), HOTSPOT_BENCH_REPEATS (timing repeats, best-of), and

@@ -1,7 +1,8 @@
 // XNOR kernel micro-benchmark: raw word throughput of each compiled +
 // CPU-supported kernel's three primitives, reported as words/sec (one word
 // = one 64-bit XOR + popcount + accumulate) plus the speedup over the
-// scalar reference. Emits BENCH_kernels.json for the bench_compare gate.
+// scalar reference. Writes BENCH_xnor_kernels.json for provenance. To
+// compare kernels, run it under HOTSPOT_SIMD=scalar and HOTSPOT_SIMD=auto.
 //
 // The workload mirrors the paper-config hot loops: 72-word rows for the
 // GEMM primitives (a 512-channel 3x3 patch = 4608 bits) and 256 one-word
@@ -186,6 +187,6 @@ int main() {
   result.set("kernels_measured", measured);
   std::printf("%s\n", table.to_string().c_str());
 
-  hotspot::bench::write_json_result("BENCH_kernels.json", result);
+  hotspot::bench::write_json_result("BENCH_xnor_kernels.json", result);
   return 0;
 }

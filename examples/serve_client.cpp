@@ -2,7 +2,7 @@
 //
 // Default mode: N client threads each round-trip R predict requests of C
 // clips and the run reports sustained clips/sec plus p50/p95/p99 request
-// latency — the numbers BENCH_serve.json pins.
+// latency — what the serve_open workload of bench/e2e measures.
 //
 //   ./examples/serve_client $(cat /tmp/serve.port) --clients 4 \
 //       --requests 50 --clips 8 --grid 32

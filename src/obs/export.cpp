@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace hotspot::obs {
@@ -14,10 +15,10 @@ namespace {
 
 std::string format_double(double value) {
   if (!std::isfinite(value)) {
-    // JSON has no inf/nan literals; the strict util/json parser (and thus
-    // bench_compare) rejects them. Instrument values are kept finite at the
-    // source (finite histogram bounds, clamped quantiles, guarded sums) —
-    // this is the last line of defense for a gauge someone set to inf.
+    // JSON has no inf/nan literals; the strict util/json parser rejects
+    // them. Instrument values are kept finite at the source (finite
+    // histogram bounds, clamped quantiles, guarded sums) — this is the last
+    // line of defense for a gauge someone set to inf.
     return "0";
   }
   char buffer[64];
@@ -31,18 +32,6 @@ std::string format_micros(std::uint64_t nanos) {
   std::snprintf(buffer, sizeof(buffer), "%.3f",
                 static_cast<double>(nanos) / 1e3);
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
 }
 
 // Prometheus label values allow anything, but `\`, `"`, and newlines must
@@ -135,19 +124,19 @@ void append_json_body(std::ostringstream& out,
   out << "\"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     const CounterSample& sample = snapshot.counters[i];
-    out << (i > 0 ? ", " : "") << "\"" << json_escape(sample.name)
+    out << (i > 0 ? ", " : "") << "\"" << util::json_escape(sample.name)
         << "\": " << sample.value;
   }
   out << "}, \"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     const GaugeSample& sample = snapshot.gauges[i];
-    out << (i > 0 ? ", " : "") << "\"" << json_escape(sample.name)
+    out << (i > 0 ? ", " : "") << "\"" << util::json_escape(sample.name)
         << "\": " << format_double(sample.value);
   }
   out << "}, \"histograms\": {";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSample& sample = snapshot.histograms[i];
-    out << (i > 0 ? ", " : "") << "\"" << json_escape(sample.name)
+    out << (i > 0 ? ", " : "") << "\"" << util::json_escape(sample.name)
         << "\": {\"bounds\": [";
     for (std::size_t b = 0; b < sample.bounds.size(); ++b) {
       out << (b > 0 ? ", " : "") << format_double(sample.bounds[b]);
@@ -165,7 +154,7 @@ void append_json_body(std::ostringstream& out,
   out << "}, \"spans\": {";
   for (std::size_t i = 0; i < spans.spans.size(); ++i) {
     const auto& [name, stat] = spans.spans[i];
-    out << (i > 0 ? ", " : "") << "\"" << json_escape(name)
+    out << (i > 0 ? ", " : "") << "\"" << util::json_escape(name)
         << "\": {\"count\": " << stat.count
         << ", \"total_seconds\": " << format_double(stat.total_seconds)
         << ", \"self_seconds\": " << format_double(stat.self_seconds) << "}";
@@ -260,7 +249,8 @@ bool append_timeline_rows(std::ostringstream& out,
     first = false;
   }
   for (const TimelineEvent& event : report.events) {
-    out << (first ? "" : ", ") << "{\"name\": \"" << json_escape(event.name)
+    out << (first ? "" : ", ") << "{\"name\": \""
+        << util::json_escape(event.name)
         << "\", \"cat\": \"hotspot\", \"ph\": \"X\", \"ts\": "
         << format_micros(event.start_ns)
         << ", \"dur\": " << format_micros(event.duration_ns)
@@ -321,7 +311,7 @@ std::string to_chrome_trace(const TimelineReport& report,
           << ", \"pid\": 2, \"tid\": " << lane;
       if (p == 0) {
         out << ", \"args\": {\"request_id\": " << request.request_id
-            << ", \"tenant\": \"" << json_escape(request.tenant)
+            << ", \"tenant\": \"" << util::json_escape(request.tenant)
             << "\", \"clips\": " << request.clips << ", \"outcome\": \""
             << request_outcome_name(request.outcome)
             << "\", \"model_version\": " << request.model_version << "}";

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "util/json.h"
 #include "util/parallel.h"
 
 // Baked in by src/obs/CMakeLists.txt; fall back cleanly when built by hand.
@@ -30,18 +31,6 @@ std::string compiler_string() {
 #else
   return "unknown";
 #endif
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
 }
 
 std::mutex& notes_mutex() {
@@ -94,24 +83,27 @@ RunManifest collect_manifest(const std::string& timestamp) {
 std::string manifest_json(const RunManifest& manifest) {
   std::ostringstream out;
   out << "{\"schema_version\": " << manifest.schema_version
-      << ", \"git_sha\": \"" << json_escape(manifest.git_sha)
-      << "\", \"compiler\": \"" << json_escape(manifest.compiler)
-      << "\", \"build_type\": \"" << json_escape(manifest.build_type)
+      << ", \"git_sha\": \"" << util::json_escape(manifest.git_sha)
+      << "\", \"compiler\": \"" << util::json_escape(manifest.compiler)
+      << "\", \"build_type\": \"" << util::json_escape(manifest.build_type)
       << "\", \"threads\": " << manifest.threads
       << ", \"hardware_concurrency\": " << manifest.hardware_concurrency
       << ", \"env\": {";
   for (std::size_t i = 0; i < manifest.env.size(); ++i) {
-    out << (i > 0 ? ", " : "") << "\"" << json_escape(manifest.env[i].first)
-        << "\": \"" << json_escape(manifest.env[i].second) << "\"";
+    out << (i > 0 ? ", " : "") << "\""
+        << util::json_escape(manifest.env[i].first)
+        << "\": \"" << util::json_escape(manifest.env[i].second) << "\"";
   }
   out << "}, \"notes\": {";
   for (std::size_t i = 0; i < manifest.notes.size(); ++i) {
-    out << (i > 0 ? ", " : "") << "\"" << json_escape(manifest.notes[i].first)
-        << "\": \"" << json_escape(manifest.notes[i].second) << "\"";
+    out << (i > 0 ? ", " : "") << "\""
+        << util::json_escape(manifest.notes[i].first)
+        << "\": \"" << util::json_escape(manifest.notes[i].second) << "\"";
   }
   out << "}";
   if (!manifest.timestamp.empty()) {
-    out << ", \"timestamp\": \"" << json_escape(manifest.timestamp) << "\"";
+    out << ", \"timestamp\": \"" << util::json_escape(manifest.timestamp)
+        << "\"";
   }
   out << "}";
   return out.str();

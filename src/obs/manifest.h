@@ -1,8 +1,7 @@
 // Run manifest: the build/runtime provenance block every metrics export and
 // BENCH_*.json carries (DESIGN.md §10), so a recorded number can always be
 // traced back to the commit, compiler, build type, thread count, and
-// HOTSPOT_* knobs that produced it. bench_compare refuses to gate files
-// without one.
+// HOTSPOT_* knobs that produced it.
 //
 // The git sha and build type are baked in at CMake configure time (stale
 // until the next reconfigure — that is recorded, not inferred at runtime).

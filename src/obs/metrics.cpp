@@ -19,13 +19,12 @@ double histogram_quantile(const std::vector<double>& bounds,
     return 0.0;
   }
   // The result must always be finite: the estimate flows through
-  // format_double into JSON exports, and the strict util/json parser (and
-  // therefore bench_compare) rejects inf/nan literals. Bounds sampled from
-  // the registry are finite by construction (the Histogram constructor
-  // enforces it), but this free function also serves hand-built samples —
-  // Prometheus-style bounds legally end in +Inf — so ranks landing in or
-  // above a non-finite bound clamp to the last finite one (0 when there is
-  // none).
+  // format_double into JSON exports, and the strict util/json parser
+  // rejects inf/nan literals. Bounds sampled from the registry are finite by
+  // construction (the Histogram constructor enforces it), but this free
+  // function also serves hand-built samples — Prometheus-style bounds
+  // legally end in +Inf — so ranks landing in or above a non-finite bound
+  // clamp to the last finite one (0 when there is none).
   double last_finite = 0.0;
   for (std::size_t i = bounds.size(); i-- > 0;) {
     if (std::isfinite(bounds[i])) {

@@ -8,6 +8,7 @@
 
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
+#include "util/json.h"
 
 namespace hotspot::obs {
 namespace {
@@ -27,18 +28,6 @@ std::string format_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9g", value);
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
 }
 
 }  // namespace
@@ -62,7 +51,7 @@ std::string request_trace_json(const RequestTrace& trace) {
   out.reserve(320);
   out += "{\"request_id\": " + std::to_string(trace.request_id);
   out += ", \"client_request_id\": " + std::to_string(trace.client_request_id);
-  out += ", \"tenant\": \"" + json_escape(trace.tenant) + "\"";
+  out += ", \"tenant\": \"" + util::json_escape(trace.tenant) + "\"";
   out += ", \"clips\": " + std::to_string(trace.clips);
   out += ", \"outcome\": \"";
   out += request_outcome_name(trace.outcome);

@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace hotspot::serve {
 namespace {
@@ -26,22 +27,6 @@ namespace {
 // A scrape request has no business being bigger than this; anything longer
 // is garbage (or not HTTP) and the connection is dropped.
 constexpr std::size_t kMaxRequestBytes = 8192;
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    if (c == '\n') {
-      escaped += "\\n";
-      continue;
-    }
-    escaped += c;
-  }
-  return escaped;
-}
 
 const char* status_reason(int status) {
   switch (status) {
@@ -251,11 +236,12 @@ AdminServer::Response AdminServer::handle(const std::string& method,
     body += ", \"model_registered\": ";
     body += swap.model_registered ? "true" : "false";
     body += ", \"model_version\": " + std::to_string(swap.active_version);
-    body += ", \"model_path\": \"" + json_escape(swap.active_path) + "\"";
+    body += ", \"model_path\": \"" + util::json_escape(swap.active_path) + "\"";
     body += ", \"image_size\": " + std::to_string(swap.image_size);
     body += ", \"last_swap_ok\": ";
     body += swap.last_ok ? "true" : "false";
-    body += ", \"last_swap_error\": \"" + json_escape(swap.last_error) + "\"";
+    body += ", \"last_swap_error\": \"" + util::json_escape(swap.last_error) +
+            "\"";
     body += ", \"swap_failures\": " + std::to_string(swap.failures);
     body +=
         ", \"queue_depth_clips\": " + std::to_string(
@@ -299,11 +285,11 @@ AdminServer::Response AdminServer::handle(const std::string& method,
     const bool ok =
         server_->flight_recorder().dump(config_.flight_dump_path, &dump_error);
     std::string body = "{\"dump_path\": \"" +
-                       json_escape(config_.flight_dump_path) +
+                       util::json_escape(config_.flight_dump_path) +
                        "\", \"dump_ok\": ";
     body += ok ? "true" : "false";
     if (!ok) {
-      body += ", \"dump_error\": \"" + json_escape(dump_error) + "\"";
+      body += ", \"dump_error\": \"" + util::json_escape(dump_error) + "\"";
     }
     body += ", \"flight\": " + flight + "}\n";
     return {ok ? 200 : 500, "application/json", std::move(body)};

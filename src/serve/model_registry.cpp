@@ -9,21 +9,6 @@
 #include "util/rng.h"
 
 namespace hotspot::serve {
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
-}  // namespace
 
 ServableModel::ServableModel(std::string path, std::int64_t image_size,
                              std::uint64_t version)
@@ -177,7 +162,7 @@ bool ModelRegistry::write_state(const ServableModel& model,
                     util::FaultPoint::kCheckpointRename});
   const std::string text =
       "{\"schema_version\": 1, \"model_path\": \"" +
-      json_escape(model.path()) +
+      util::json_escape(model.path()) +
       "\", \"image_size\": " + std::to_string(model.image_size()) +
       ", \"version\": " + std::to_string(model.version()) + "}\n";
   if (!writer.ok() || !writer.write(text.data(), text.size()) ||

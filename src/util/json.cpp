@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -418,6 +419,32 @@ bool parse_json_file(const std::string& path, JsonValue& out,
     return false;
   }
   return parse_json(contents.str(), out, error);
+}
+
+std::string json_escape(const std::string& text) {
+  std::string escaped;
+  escaped.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': escaped += "\\\""; break;
+      case '\\': escaped += "\\\\"; break;
+      case '\b': escaped += "\\b"; break;
+      case '\f': escaped += "\\f"; break;
+      case '\n': escaped += "\\n"; break;
+      case '\r': escaped += "\\r"; break;
+      case '\t': escaped += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned int>(c));
+          escaped += buffer;
+        } else {
+          escaped += c;
+        }
+    }
+  }
+  return escaped;
 }
 
 }  // namespace hotspot::util

@@ -1,5 +1,5 @@
-// Minimal JSON parser for the repo's own machine-written files (metrics
-// exports, BENCH_*.json, Chrome traces).
+// Minimal JSON reader and string escaper for the repo's own machine-written
+// files (metrics exports, run manifests, serve state files, Chrome traces).
 //
 // Full JSON value model (null / bool / number / string / array / object)
 // with strict parsing: trailing garbage, unterminated containers, and bad
@@ -74,5 +74,11 @@ bool parse_json(const std::string& text, JsonValue& out, std::string& error);
 // unreadable or malformed.
 bool parse_json_file(const std::string& path, JsonValue& out,
                      std::string& error);
+
+// `text` as the body of a JSON string literal (no surrounding quotes):
+// `"` and `\` are backslash-escaped, \b \f \n \r \t use their short forms
+// and every other byte below 0x20 becomes \u00XX. Bytes 0x20 and above pass
+// through unchanged, so parse_json round-trips every string.
+std::string json_escape(const std::string& text);
 
 }  // namespace hotspot::util

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <string>
+
+#include "obs/manifest.h"
+#include "util/json.h"
 
 namespace hotspot::obs {
 namespace {
@@ -162,6 +166,21 @@ TEST(ExportJson, ManifestSectionLeads) {
             0u);
   EXPECT_NE(json.find("\"HOTSPOT_NUM_THREADS\": \"2\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\": {}"), std::string::npos);
+}
+
+TEST(ExportJson, ManifestWithControlCharactersInEnvParses) {
+  // HOTSPOT_* values are copied verbatim from the environment; a tab or a
+  // newline in one must still leave every manifest block valid JSON.
+  ASSERT_EQ(::setenv("HOTSPOT_TEST_MANIFEST_NOTE", "a\tb\nc\x01", 1), 0);
+  const std::string json = manifest_json(collect_manifest());
+  ::unsetenv("HOTSPOT_TEST_MANIFEST_NOTE");
+  util::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(util::parse_json(json, doc, error)) << error;
+  const util::JsonValue* value =
+      doc.find("env")->find("HOTSPOT_TEST_MANIFEST_NOTE");
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(value->as_string(), "a\tb\nc\x01");
 }
 
 TEST(WriteMetricsJson, RoundTripsThroughFile) {

@@ -42,8 +42,8 @@ TEST(HistogramQuantile, OverflowBucketClampsToLastBound) {
 
 TEST(HistogramQuantile, AlwaysFiniteRegressions) {
   // These four shapes used to leak inf/nan through format_double into
-  // strict-JSON exports, which util/json (and therefore bench_compare)
-  // rejects. Every result must now be finite.
+  // strict-JSON exports, which util/json rejects. Every result must now be
+  // finite.
   // Empty bounds + only an overflow count: no bound to clamp to → 0.
   EXPECT_EQ(histogram_quantile({}, {5}, 0.5), 0.0);
   // Empty sample over empty bounds.

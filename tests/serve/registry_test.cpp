@@ -154,6 +154,23 @@ TEST(ModelRegistry, StateFileRestoresAfterRestart) {
   }
 }
 
+TEST(ModelRegistry, StateFileRestoresPathWithControlCharacters) {
+  // A hot-swap path arrives from the wire, and POSIX file names may hold
+  // tabs and newlines: the state file must still parse on restart.
+  const std::string model_path = save_model("registry\tcontrol\nname.bin", 32);
+  const std::string state_path = temp_path("registry_control_state.json");
+  std::remove(state_path.c_str());
+  {
+    ModelRegistry registry(state_path);
+    ASSERT_TRUE(registry.load(model_path, kGrid).ok());
+  }
+  ModelRegistry registry(state_path);
+  const nn::LoadResult restored = registry.restore();
+  ASSERT_TRUE(restored.ok()) << restored.message;
+  ASSERT_NE(registry.active(), nullptr);
+  EXPECT_EQ(registry.active()->path(), model_path);
+}
+
 TEST(ModelRegistry, RestoreWithoutStateIsMissing) {
   ModelRegistry no_persistence;
   EXPECT_EQ(no_persistence.restore().status, nn::IoStatus::kMissing);

@@ -95,6 +95,31 @@ TEST(JsonParser, RejectsUnescapedControlCharacters) {
   expect_parse_fails("\"a\nb\"");
 }
 
+// `text` as a JSON string literal, parsed back.
+std::string escape_and_parse(const std::string& text) {
+  std::string literal = "\"";
+  literal += json_escape(text);
+  literal += '"';
+  return parse_ok(literal).as_string();
+}
+
+TEST(JsonEscape, EveryAsciiByteRoundTripsThroughParse) {
+  std::string all;
+  for (int byte = 0x00; byte <= 0x7F; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    all += text;
+    EXPECT_EQ(escape_and_parse(text), text) << "byte " << byte;
+  }
+  EXPECT_EQ(escape_and_parse(all), all);
+}
+
+TEST(JsonEscape, ShortFormsAndPrintableBytesUnchanged) {
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x00\x1f", 2)), "\\u0000\\u001f");
+  EXPECT_EQ(json_escape("plain /path-1.bin \x7f"), "plain /path-1.bin \x7f");
+}
+
 TEST(JsonParser, DeepNestingIsBounded) {
   std::string deep;
   for (int i = 0; i < 500; ++i) {
