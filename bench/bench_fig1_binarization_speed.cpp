@@ -8,13 +8,15 @@
 //   * storage: 32x weight compression.
 // Both input-scaling variants are measured: the paper's per-channel alpha_T
 // (Eq. 14) and XNOR-Net's scalar alpha. The packed side is the inference
-// plan's conv step (core/inference_plan.h) on a lone layer: patch packing,
-// alpha_T, the XNOR kernel and the alpha_W epilogue.
+// plan's conv step (core/inference_plan.h) on a lone BN -> conv block with
+// default statistics: inline BN with patch packing, alpha_T, the XNOR
+// kernel and the alpha_W epilogue.
 #include <benchmark/benchmark.h>
 
 #include "bitops/xnor_gemm.h"
 #include "core/binary_conv.h"
 #include "core/inference_plan.h"
+#include "nn/batchnorm_layer.h"
 #include "nn/conv_layer.h"
 #include "tensor/conv.h"
 
@@ -48,7 +50,9 @@ void BM_BinaryConvPerChannel(benchmark::State& state) {
   util::Rng rng(1);
   core::BinaryConv2d conv(channels, channels, 3, 1, 1,
                           bitops::InputScaling::kPerChannel, rng);
-  const core::ConvStep packed(conv);
+  nn::BatchNorm2d bn(channels);
+  bn.set_training(false);
+  const core::ConvStep packed(bn, conv);
   const tensor::Tensor x = make_input(channels);
   for (auto _ : state) {
     benchmark::DoNotOptimize(packed.run(x));
@@ -62,7 +66,9 @@ void BM_BinaryConvScalar(benchmark::State& state) {
   util::Rng rng(1);
   core::BinaryConv2d conv(channels, channels, 3, 1, 1,
                           bitops::InputScaling::kScalar, rng);
-  const core::ConvStep packed(conv);
+  nn::BatchNorm2d bn(channels);
+  bn.set_training(false);
+  const core::ConvStep packed(bn, conv);
   const tensor::Tensor x = make_input(channels);
   for (auto _ : state) {
     benchmark::DoNotOptimize(packed.run(x));

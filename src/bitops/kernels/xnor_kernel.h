@@ -86,7 +86,8 @@ struct XnorKernel {
 };
 
 // The always-available reference kernel every other kernel must match
-// bit-for-bit (tests/bitops/kernel_identity_test.cpp sweeps this).
+// bit-for-bit. Every kernel, this one included, is checked against plain
+// definitions of the three primitives in tests/core/conv_reference_test.cpp.
 const XnorKernel& xnor_kernel_scalar();
 
 // Every kernel compiled into this binary, scalar first, widest last. An

@@ -90,16 +90,6 @@ tensor::Tensor xnor_gemm(const BitMatrix& a, const BitMatrix& b) {
   return out;
 }
 
-BitMatrix pack_patches(const tensor::Tensor& input,
-                       const tensor::ConvSpec& spec) {
-  // Packs sign bits straight from the input tensor — equivalent to
-  // pack_rows(im2col(input, spec, -1)) but without materializing the float
-  // patch matrix, which would dominate the packed path's runtime. Padding
-  // is -1 (bit 0) so padded positions stay in the +/-1 alphabet.
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  return pack_patches(BitPlanes(input), spec);
-}
-
 BitMatrix pack_patches(const BitPlanes& planes, const tensor::ConvSpec& spec) {
   const std::int64_t n = planes.batch();
   const std::int64_t cin = planes.channels();
@@ -237,42 +227,6 @@ BitMatrix pack_filters_channel_blocked(const tensor::Tensor& weight) {
     }
   }
   return packed;
-}
-
-tensor::Tensor binary_conv_counts(const tensor::Tensor& input,
-                                  const tensor::Tensor& weight,
-                                  const tensor::ConvSpec& spec) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  HOTSPOT_CHECK_EQ(weight.rank(), 4);
-  HOTSPOT_CHECK_EQ(weight.dim(1), input.dim(1));
-  const std::int64_t n = input.dim(0);
-  const std::int64_t cout = weight.dim(0);
-  const std::int64_t out_h = tensor::conv_out_extent(
-      input.dim(2), spec.kernel_h, spec.stride, spec.pad);
-  const std::int64_t out_w = tensor::conv_out_extent(
-      input.dim(3), spec.kernel_w, spec.stride, spec.pad);
-
-  const BitMatrix patches = pack_patches(input, spec);
-  const BitMatrix filters = pack_filters(weight);
-  const tensor::Tensor counts = xnor_gemm(patches, filters);  // [n*oh*ow, cout]
-
-  tensor::Tensor out({n, cout, out_h, out_w});
-  const std::int64_t positions = out_h * out_w;
-  // Transpose [n*positions, cout] rows into NCHW planes; rows are disjoint
-  // per chunk so the scatter is safe and order-independent.
-  util::parallel_for(0, n * positions, /*grain=*/64, [&](std::int64_t lo,
-                                                         std::int64_t hi) {
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t ni = row / positions;
-      const std::int64_t p = row % positions;
-      const float* src = counts.data() + row * cout;
-      float* dst = out.data() + ni * cout * positions + p;
-      for (std::int64_t co = 0; co < cout; ++co) {
-        dst[co * positions] = src[co];
-      }
-    }
-  });
-  return out;
 }
 
 }  // namespace hotspot::bitops

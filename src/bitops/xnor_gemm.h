@@ -11,15 +11,11 @@ namespace hotspot::bitops {
 // b is [n,k] bits, result is [m,n] float (integer-valued).
 tensor::Tensor xnor_gemm(const BitMatrix& a, const BitMatrix& b);
 
-// Packs the im2col patches of sign(input) (padding = -1) for the given conv
-// spec. Rows are output positions (n*outH*outW), columns are Cin*kh*kw bits.
-BitMatrix pack_patches(const tensor::Tensor& input,
-                       const tensor::ConvSpec& spec);
-
-// Same patch assembly from pre-binarized planes. The tensor overload above
-// is pack_patches(BitPlanes(input), spec); the inference plan passes the
-// sign bits of its batch-norm output, evaluated inline from the raw input
-// (BitPlanes(input, affine)), so no BN tensor is materialized.
+// Packs the im2col patches of the binarized planes (padding = -1) for the
+// given conv spec. Rows are output positions (n*outH*outW), columns are
+// Cin*kh*kw bits. The inference plan passes the sign bits of its batch-norm
+// output, evaluated inline from the raw input (BitPlanes(input, affine)),
+// so no BN tensor is materialized.
 BitMatrix pack_patches(const BitPlanes& planes, const tensor::ConvSpec& spec);
 
 // Packs conv weights [Cout,Cin,kh,kw] into rows of Cin*kh*kw bits.
@@ -34,12 +30,5 @@ BitMatrix pack_patches_channel_blocked(const tensor::Tensor& input,
 BitMatrix pack_patches_channel_blocked(const BitPlanes& planes,
                                        const tensor::ConvSpec& spec);
 BitMatrix pack_filters_channel_blocked(const tensor::Tensor& weight);
-
-// Dense binary convolution: counts[n, Cout, outH, outW] of +/-1 products
-// over the whole patch (no scaling applied). Equivalent to
-// conv2d(sign(input), sign(weight)) with -1 padding.
-tensor::Tensor binary_conv_counts(const tensor::Tensor& input,
-                                  const tensor::Tensor& weight,
-                                  const tensor::ConvSpec& spec);
 
 }  // namespace hotspot::bitops

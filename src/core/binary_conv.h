@@ -17,7 +17,8 @@
 // reference. The deployment path, with weights and activations packed into
 // uint64 lanes and the convolution reduced to XNOR + popcount, is the
 // layer's ConvStep in the compiled inference plan (core/inference_plan.h);
-// the two agree to float rounding (tests/core/packed_equivalence_test.cpp).
+// the plan equals the Eq. 15 reference bit for bit and forward() agrees
+// with it to float rounding (tests/core/conv_reference_test.cpp).
 #pragma once
 
 #include <string>

@@ -72,7 +72,7 @@ Tensor BnStep::run(const Tensor& input) const {
 
 // --- ConvStep ----------------------------------------------------------
 
-ConvStep::ConvStep(BinaryConv2d& conv)
+ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv)
     : label_(conv.span_label()),
       spec_(conv.spec()),
       in_channels_(conv.in_channels()),
@@ -83,11 +83,9 @@ ConvStep::ConvStep(BinaryConv2d& conv)
       filters_(scaling_ == bitops::InputScaling::kPerChannel
                    ? bitops::pack_filters_channel_blocked(conv.weight().value)
                    : bitops::pack_filters(conv.weight().value)),
-      alpha_w_(bitops::weight_scales(conv.weight().value)) {}
-
-ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv) : ConvStep(conv) {
+      alpha_w_(bitops::weight_scales(conv.weight().value)),
+      bn_(bn) {
   HOTSPOT_CHECK_EQ(bn.channels(), in_channels_);
-  bn_.emplace(bn);
 }
 
 Tensor ConvStep::run(const Tensor& input) const {
@@ -105,25 +103,18 @@ ConvStep::PackedInput ConvStep::pack_input(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(input.dim(1), in_channels_);
   // Sign bits and alpha_T of the BN output, evaluated inline per element.
-  const bitops::BitPlanes bits = bn_.has_value()
-                                     ? bitops::BitPlanes(input, bn_->affine())
-                                     : bitops::BitPlanes(input);
+  const bitops::ChannelAffine affine = bn_.affine();
+  const bitops::BitPlanes bits(input, affine);
   PackedInput packed;
   switch (scaling_) {
     case bitops::InputScaling::kPerChannel:
       packed.patches = bitops::pack_patches_channel_blocked(bits, spec_);
       packed.alpha =
-          bn_.has_value()
-              ? bitops::input_scales_per_channel_affine(input, spec_,
-                                                        bn_->affine())
-              : bitops::input_scales_per_channel(input, spec_);
+          bitops::input_scales_per_channel_affine(input, spec_, affine);
       break;
     case bitops::InputScaling::kScalar:
       packed.patches = bitops::pack_patches(bits, spec_);
-      packed.alpha =
-          bn_.has_value()
-              ? bitops::input_scales_scalar_affine(input, spec_, bn_->affine())
-              : bitops::input_scales_scalar(input, spec_);
+      packed.alpha = bitops::input_scales_scalar_affine(input, spec_, affine);
       break;
     case bitops::InputScaling::kNone:
       packed.patches = bitops::pack_patches(bits, spec_);

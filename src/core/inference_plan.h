@@ -64,13 +64,10 @@ struct BnStep {
   std::vector<float> beta;
 };
 
-// One (BN ->) Binarize -> BinaryConv block, compiled for the XNOR kernel
-// active at construction.
+// One BN -> Binarize -> BinaryConv block, compiled for the XNOR kernel
+// active at construction: the bits and alpha_T of the BN output.
 class ConvStep {
  public:
-  // Packed conv on the sign of its own input (no batch norm in front).
-  explicit ConvStep(BinaryConv2d& conv);
-  // BN -> Binarize -> conv: bits and alpha_T of the BN output.
   ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv);
 
   // Float in, float out.
@@ -94,7 +91,7 @@ class ConvStep {
   std::string gemm_span_;  // "binary_conv.gemm.<kernel>"
   bitops::BitMatrix filters_;
   Tensor alpha_w_;
-  std::optional<BnStep> bn_;
+  BnStep bn_;
 };
 
 struct MaxPoolStep {

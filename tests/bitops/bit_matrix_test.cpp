@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitops/kernels/xnor_kernel.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::bitops {
@@ -81,6 +82,18 @@ TEST(BitMatrix, StorageIs32xSmallerThanFloat) {
   const BitMatrix bits(rows, cols);
   const auto float_bytes = rows * cols * static_cast<std::int64_t>(sizeof(float));
   EXPECT_LE(bits.storage_bytes() * 30, float_bytes);
+}
+
+TEST(KernelIdentity, PaddedMatrixKeepsLogicalGeometry) {
+  for (const XnorKernel* kernel : compiled_xnor_kernels()) {
+    const BitMatrix padded(3, 130, kernel->word_multiple);
+    EXPECT_EQ(padded.words_per_row(), 3) << kernel->name;
+    EXPECT_EQ(padded.word_stride() % kernel->word_multiple, 0)
+        << kernel->name;
+    EXPECT_GE(padded.word_stride(), padded.words_per_row()) << kernel->name;
+    // Fig.-1 model size counts logical words only.
+    EXPECT_EQ(padded.storage_bytes(), 3 * 3 * 8) << kernel->name;
+  }
 }
 
 TEST(BitMatrixDeath, OutOfRangeAccess) {

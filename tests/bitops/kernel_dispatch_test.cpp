@@ -9,20 +9,12 @@
 
 #include "bitops/kernels/xnor_kernel.h"
 #include "core/brnn.h"
+#include "support/test_support.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
 namespace hotspot::bitops {
 namespace {
-
-class ActiveKernelGuard {
- public:
-  ActiveKernelGuard() : previous_(&active_xnor_kernel()) {}
-  ~ActiveKernelGuard() { set_active_xnor_kernel(*previous_); }
-
- private:
-  const XnorKernel* previous_;
-};
 
 // Scoped HOTSPOT_SIMD value; restores the prior state on exit.
 class SimdEnvGuard {
@@ -117,7 +109,7 @@ TEST(KernelDispatchDeathTest, EmptyEnvIsAutoNotAnError) {
 }
 
 TEST(KernelDispatch, ForcedScalarEqualsAutoOnPackedModel) {
-  ActiveKernelGuard guard;
+  test_support::KernelGuard guard;
   std::string error;
   const XnorKernel* auto_kernel = resolve_xnor_kernel("auto", error);
   ASSERT_NE(auto_kernel, nullptr) << error;
@@ -139,12 +131,9 @@ TEST(KernelDispatch, ForcedScalarEqualsAutoOnPackedModel) {
   set_active_xnor_kernel(*auto_kernel);
   const tensor::Tensor auto_logits = model.forward(batch);
 
-  ASSERT_EQ(scalar_logits.numel(), auto_logits.numel());
-  for (std::int64_t i = 0; i < scalar_logits.numel(); ++i) {
-    // Bit-identical logits: the whole packed path is exact across kernels.
-    ASSERT_EQ(scalar_logits[i], auto_logits[i])
-        << "auto kernel " << auto_kernel->name << " logit " << i;
-  }
+  // Bit-identical logits: the whole packed path is exact across kernels.
+  test_support::expect_bit_identical(auto_logits, scalar_logits,
+                                     std::string("auto ") + auto_kernel->name);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Randomized property sweeps over the binarization pipeline: for many
 // random shapes, the packed kernels must agree exactly with their float
-// sign-arithmetic definitions. These are the invariants the whole speedup
-// story rests on.
+// sign-arithmetic definitions, and the alpha_T box filter's integral-image
+// fast path with the depthwise box-kernel convolution it replaces. (The
+// packed conv paths are swept against the Eq. 15 reference in
+// tests/core/conv_reference_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdlib>
 
+#include "bitops/bit_planes.h"
 #include "bitops/scaling.h"
 #include "bitops/xnor_gemm.h"
 #include "tensor/tensor_ops.h"
@@ -34,6 +37,11 @@ TEST_P(RandomShapeSweep, XnorGemmEqualsSignMatmul) {
       << "m=" << m << " n=" << n << " k=" << k;
 }
 
+// The dense XNOR conv counts of a single image: [positions, Cout].
+Tensor dense_counts(const Tensor& x, const Tensor& w, const ConvSpec& spec) {
+  return xnor_gemm(pack_patches(BitPlanes(x), spec), pack_filters(w));
+}
+
 TEST_P(RandomShapeSweep, BinaryConvCountsParity) {
   // Every +/-1 dot over p bits has the same parity as p: counts and patch
   // size are congruent mod 2. A cheap oracle-free invariant catching any
@@ -47,7 +55,7 @@ TEST_P(RandomShapeSweep, BinaryConvCountsParity) {
                       kernel == 3 ? 1L : 0L};
   const Tensor x = Tensor::normal({1, cin, hw, hw}, rng, 0.0f, 1.0f);
   const Tensor w = Tensor::normal({cout, cin, kernel, kernel}, rng, 0.0f, 1.0f);
-  const Tensor counts = binary_conv_counts(x, w, spec);
+  const Tensor counts = dense_counts(x, w, spec);
   const std::int64_t patch = cin * kernel * kernel;
   for (std::int64_t i = 0; i < counts.numel(); ++i) {
     const auto value = static_cast<std::int64_t>(counts[i]);
@@ -69,7 +77,7 @@ TEST_P(RandomShapeSweep, ChannelBlockedAgreesWithDenseSum) {
 
   const BitMatrix blocked_p = pack_patches_channel_blocked(x, spec);
   const BitMatrix blocked_f = pack_filters_channel_blocked(w);
-  const Tensor dense = binary_conv_counts(x, w, spec);
+  const Tensor dense = dense_counts(x, w, spec);
 
   const std::int64_t positions = hw * hw;
   for (std::int64_t p = 0; p < positions; ++p) {
@@ -79,8 +87,7 @@ TEST_P(RandomShapeSweep, ChannelBlockedAgreesWithDenseSum) {
         total += 9 - 2 * std::popcount(blocked_p.row(p)[ci] ^
                                        blocked_f.row(co)[ci]);
       }
-      ASSERT_EQ(total,
-                static_cast<std::int64_t>(dense.at4(0, co, p / hw, p % hw)))
+      ASSERT_EQ(total, static_cast<std::int64_t>(dense[p * 2 + co]))
           << "p=" << p << " co=" << co << " cin=" << cin;
     }
   }

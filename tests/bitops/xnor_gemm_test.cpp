@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitops/bit_planes.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::bitops {
@@ -26,7 +27,7 @@ TEST(PackPatches, MatchesFloatIm2colSigns) {
   const Tensor x = Tensor::normal({2, 3, 6, 6}, rng, 0.0f, 1.0f);
   for (const ConvSpec spec : {ConvSpec{3, 3, 1, 1}, ConvSpec{3, 3, 2, 1},
                               ConvSpec{1, 1, 2, 0}, ConvSpec{5, 5, 1, 2}}) {
-    const BitMatrix packed = pack_patches(x, spec);
+    const BitMatrix packed = pack_patches(BitPlanes(x), spec);
     const Tensor reference =
         tensor::im2col(tensor::sign(x), spec, -1.0f);
     EXPECT_TRUE(tensor::allclose(packed.unpack(), reference, 0.0))
@@ -39,14 +40,17 @@ TEST(BinaryConvCounts, MatchesFloatSignConv) {
   const Tensor x = Tensor::normal({1, 4, 8, 8}, rng, 0.0f, 1.0f);
   const Tensor w = Tensor::normal({6, 4, 3, 3}, rng, 0.0f, 1.0f);
   const ConvSpec spec{3, 3, 1, 1};
-  const Tensor counts = binary_conv_counts(x, w, spec);
+  // The dense XNOR conv: packed patches against packed filters,
+  // [positions, Cout].
+  const Tensor counts =
+      xnor_gemm(pack_patches(BitPlanes(x), spec), pack_filters(w));
   // Reference: float conv of signs with -1 padding via im2col + matmul.
   const Tensor cols = tensor::im2col(tensor::sign(x), spec, -1.0f);
   const Tensor wmat = tensor::sign(w).reshaped({6, 4 * 9});
   const Tensor rows = tensor::matmul(cols, tensor::transpose2d(wmat));
   for (std::int64_t co = 0; co < 6; ++co) {
     for (std::int64_t p = 0; p < 64; ++p) {
-      EXPECT_FLOAT_EQ(counts.at4(0, co, p / 8, p % 8), rows.at2(p, co));
+      EXPECT_FLOAT_EQ(counts.at2(p, co), rows.at2(p, co));
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/inference_plan.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::core {
@@ -13,108 +12,6 @@ namespace {
 
 using bitops::InputScaling;
 using tensor::Tensor;
-
-// Slow direct implementation of Eq. 15 used as the specification the layer
-// is checked against: out(co,p) = alpha_W(co) * sum_c alpha(c,p) *
-// sum_k sign(x)(c,k,p) * sign(w)(co,c,k), with -1 padding.
-Tensor reference_forward(const Tensor& x, const Tensor& w,
-                         const tensor::ConvSpec& spec, InputScaling mode) {
-  const std::int64_t n = x.dim(0);
-  const std::int64_t cin = x.dim(1);
-  const std::int64_t h = x.dim(2);
-  const std::int64_t width = x.dim(3);
-  const std::int64_t cout = w.dim(0);
-  const std::int64_t oh =
-      tensor::conv_out_extent(h, spec.kernel_h, spec.stride, spec.pad);
-  const std::int64_t ow =
-      tensor::conv_out_extent(width, spec.kernel_w, spec.stride, spec.pad);
-  const Tensor alpha_w = bitops::weight_scales(w);
-  Tensor alpha;
-  if (mode == InputScaling::kPerChannel) {
-    alpha = bitops::input_scales_per_channel(x, spec);
-  } else if (mode == InputScaling::kScalar) {
-    alpha = bitops::input_scales_scalar(x, spec);
-  }
-  Tensor out({n, cout, oh, ow});
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t co = 0; co < cout; ++co)
-      for (std::int64_t oy = 0; oy < oh; ++oy)
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          double acc = 0.0;
-          for (std::int64_t ci = 0; ci < cin; ++ci) {
-            double dot = 0.0;
-            for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky)
-              for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
-                const std::int64_t iy = oy * spec.stride - spec.pad + ky;
-                const std::int64_t ix = ox * spec.stride - spec.pad + kx;
-                const double sx = (iy < 0 || iy >= h || ix < 0 || ix >= width)
-                                      ? -1.0
-                                      : (x.at4(ni, ci, iy, ix) >= 0 ? 1 : -1);
-                const double sw = w.at4(co, ci, ky, kx) >= 0 ? 1.0 : -1.0;
-                dot += sx * sw;
-              }
-            double a = 1.0;
-            if (mode == InputScaling::kPerChannel) {
-              a = alpha.at4(ni, ci, oy, ox);
-            } else if (mode == InputScaling::kScalar) {
-              a = alpha.at4(ni, 0, oy, ox);
-            }
-            acc += a * dot;
-          }
-          out.at4(ni, co, oy, ox) = static_cast<float>(acc * alpha_w[co]);
-        }
-  return out;
-}
-
-class ScalingModeTest : public ::testing::TestWithParam<InputScaling> {};
-
-TEST_P(ScalingModeTest, FloatSimMatchesEq15Reference) {
-  util::Rng rng(1);
-  BinaryConv2d conv(3, 4, 3, 1, 1, GetParam(), rng);
-  conv.set_training(true);
-  const Tensor x = Tensor::normal({2, 3, 6, 6}, rng, 0.0f, 0.8f);
-  const Tensor got = conv.forward(x);
-  const Tensor want =
-      reference_forward(x, conv.weight().value, conv.spec(), GetParam());
-  EXPECT_TRUE(tensor::allclose(got, want, 1e-3))
-      << "max diff " << tensor::max_abs_diff(got, want);
-}
-
-TEST_P(ScalingModeTest, PackedMatchesFloatSim) {
-  util::Rng rng(2);
-  BinaryConv2d conv(4, 5, 3, 2, 1, GetParam(), rng);
-  const Tensor x = Tensor::normal({2, 4, 8, 8}, rng, 0.0f, 0.8f);
-  conv.set_training(true);
-  const Tensor float_out = conv.forward(x);
-  const Tensor packed_out = ConvStep(conv).run(x);
-  EXPECT_TRUE(tensor::allclose(packed_out, float_out, 1e-3))
-      << "max diff " << tensor::max_abs_diff(packed_out, float_out);
-}
-
-TEST_P(ScalingModeTest, OneByOneKernelAgrees) {
-  util::Rng rng(3);
-  BinaryConv2d conv(3, 2, 1, 2, 0, GetParam(), rng);
-  const Tensor x = Tensor::normal({1, 3, 6, 6}, rng, 0.0f, 0.8f);
-  conv.set_training(true);
-  const Tensor float_out = conv.forward(x);
-  const Tensor packed_out = ConvStep(conv).run(x);
-  EXPECT_TRUE(tensor::allclose(packed_out, float_out, 1e-3));
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, ScalingModeTest,
-                         ::testing::Values(InputScaling::kPerChannel,
-                                           InputScaling::kScalar,
-                                           InputScaling::kNone),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case InputScaling::kPerChannel:
-                               return "PerChannel";
-                             case InputScaling::kScalar:
-                               return "Scalar";
-                             default:
-                               return "None";
-                           }
-                         });
 
 TEST(BinaryConv, OutputInvariantToInputMagnitudeWithoutScaling) {
   // With kNone, only input signs matter: scaling the input leaves the

@@ -4,13 +4,14 @@
 // materializes in eval mode. These tests pin that on the primitives over a
 // sweep of BN edge statistics and edge inputs: zero and negative running
 // variance, gamma = 0 and negative gamma, signed zeros, denormals, inputs
-// whose xhat overflows, and NaN/inf parameters and inputs.
+// whose xhat overflows, and NaN/inf parameters and inputs. The Eq. 15
+// reference the whole plan is compared against
+// (tests/core/conv_reference_test.cpp) starts from that materialized output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -20,12 +21,14 @@
 #include "bitops/scaling.h"
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
+#include "support/test_support.h"
 #include "util/rng.h"
 
 namespace hotspot::core {
 namespace {
 
 using tensor::Tensor;
+using test_support::expect_bit_identical;
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
@@ -105,17 +108,6 @@ Tensor make_input(std::int64_t channels, util::Rng& rng) {
   return x;
 }
 
-// Compares float bit patterns, so NaN outputs compare too.
-void expect_bitwise_equal(const Tensor& got, const Tensor& want,
-                          const std::string& context) {
-  ASSERT_EQ(got.shape(), want.shape()) << context;
-  for (std::int64_t i = 0; i < got.numel(); ++i) {
-    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(float)), 0)
-        << context << " diverges at flat index " << i << ": " << got[i]
-        << " vs " << want[i];
-  }
-}
-
 // Runs `check(bn, step, x, context)` over the whole sweep, four channels
 // per layer (`step` is the plan's copy of `bn`): small groups keep one
 // non-finite channel from turning every scalar-mode mean in the layer into
@@ -177,7 +169,7 @@ TEST(BnAffineIdentity, PerChannelScalesMatchMaterialized) {
                          const Tensor& x, const std::string& context) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
-      expect_bitwise_equal(
+      expect_bit_identical(
           bitops::input_scales_per_channel_affine(x, spec, step.affine()),
           bitops::input_scales_per_channel(y, spec), context);
     }
@@ -189,7 +181,7 @@ TEST(BnAffineIdentity, ScalarScalesMatchMaterialized) {
                          const Tensor& x, const std::string& context) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
-      expect_bitwise_equal(
+      expect_bit_identical(
           bitops::input_scales_scalar_affine(x, spec, step.affine()),
           bitops::input_scales_scalar(y, spec), context);
     }
@@ -199,7 +191,7 @@ TEST(BnAffineIdentity, ScalarScalesMatchMaterialized) {
 TEST(BnAffineIdentity, BnStepMatchesBatchNormForward) {
   for_each_edge_group([](nn::BatchNorm2d& bn, const BnStep& step,
                          const Tensor& x, const std::string& context) {
-    expect_bitwise_equal(step.run(x), bn.forward(x), context);
+    expect_bit_identical(step.run(x), bn.forward(x), context);
   });
 }
 

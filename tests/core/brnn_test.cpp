@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/serialize.h"
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::core {
@@ -89,8 +90,7 @@ TEST(BrnnModel, CheckpointRoundTrip) {
   model.set_backend(Backend::kFloatSim);
   const Tensor logits_before = model.forward(x);
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "/brnn_checkpoint.bin";
+  const std::string path = test_support::test_path("brnn_checkpoint.bin");
   ASSERT_TRUE(nn::save_checkpoint(path, model));
 
   util::Rng rng_b(999);  // different init
@@ -131,6 +131,25 @@ TEST(BrnnModel, PredictReturnsBinaryLabels) {
   for (const int label : labels) {
     EXPECT_TRUE(label == 0 || label == 1);
   }
+}
+
+TEST(FusionPasses, PipelineIsIdempotent) {
+  BrnnConfig config = BrnnConfig::compact(32);
+  config.scaling = bitops::InputScaling::kNone;
+  util::Rng rng(31);
+  BrnnModel model(config, rng);
+  model.set_training(false);
+  const Tensor x = Tensor::uniform({3, 1, 32, 32}, rng, 0.0f, 1.0f);
+
+  // Compiling is a pure function of the model state and kernel.
+  test_support::expect_bit_identical(InferencePlan::compile(model)->run(x),
+                                     InferencePlan::compile(model)->run(x),
+                                     "recompile");
+  // And change-detecting: an unchanged model keeps its published plan.
+  const std::shared_ptr<const InferencePlan> first = model.plan();
+  EXPECT_EQ(model.plan(), first);
+  model.forward(x);
+  EXPECT_EQ(model.published_plan(), first);
 }
 
 }  // namespace

@@ -16,16 +16,14 @@
 #include "nn/linear_layer.h"
 #include "nn/sequential.h"
 #include "nn/serialize.h"
+#include "support/test_support.h"
 #include "util/fault_injection.h"
 
 namespace hotspot::core {
 namespace {
 
 using tensor::Tensor;
-
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test_support::test_path;
 
 // Same easy task the trainer tests use: label = "more than half the pixels
 // set"; learnable by a linear probe in a few epochs.
@@ -100,7 +98,7 @@ std::string train_until_killed(const dataset::HotspotDataset& data,
   } else {
     partial.finetune_epochs = kill_after - full.epochs;
   }
-  partial.checkpoint_path = temp_path(file_name);
+  partial.checkpoint_path = test_path(file_name);
   partial.checkpoint_every = 1;
   nn::Sequential net = linear_probe(1);
   Trainer trainer(net, partial);
@@ -156,7 +154,7 @@ TEST(CheckpointResume, ResumeFromFinishedRunReplaysHistoryWithoutTraining) {
   util::Rng data_rng(6);
   const auto data = coverage_dataset(80, data_rng);
   TrainerConfig config = full_schedule();
-  config.checkpoint_path = temp_path("resume_finished.ckpt");
+  config.checkpoint_path = test_path("resume_finished.ckpt");
   config.checkpoint_every = 1;
 
   nn::Sequential net = linear_probe(1);
@@ -177,12 +175,12 @@ TEST(CheckpointResume, TypedErrorsForBadCheckpoints) {
   const auto data = coverage_dataset(60, data_rng);
   nn::Sequential net = linear_probe(1);
   Trainer trainer(net, full_schedule());
-  EXPECT_EQ(trainer.resume_from(temp_path("no_such.ckpt")).status,
+  EXPECT_EQ(trainer.resume_from(test_path("no_such.ckpt")).status,
             nn::IoStatus::kMissing);
 
   // A model-only checkpoint is not a training snapshot: the blob section is
   // missing, which must surface as a typed mismatch, not a crash.
-  const std::string model_only = temp_path("model_only.ckpt");
+  const std::string model_only = test_path("model_only.ckpt");
   ASSERT_TRUE(nn::save_checkpoint(model_only, net).ok());
   EXPECT_EQ(trainer.resume_from(model_only).status,
             nn::IoStatus::kShapeMismatch);
@@ -196,7 +194,7 @@ TEST(CheckpointResume, ModelOnlyLoadReadsTrainingCheckpoint) {
   TrainerConfig config = full_schedule();
   config.epochs = 2;
   config.finetune_epochs = 0;
-  config.checkpoint_path = temp_path("deployable.ckpt");
+  config.checkpoint_path = test_path("deployable.ckpt");
   nn::Sequential net = linear_probe(1);
   Trainer trainer(net, config);
   trainer.train(data);
@@ -212,7 +210,7 @@ TEST(CheckpointResume, BestModelSnapshotTracksLowestValidationLoss) {
   util::Rng data_rng(9);
   const auto data = coverage_dataset(120, data_rng);
   TrainerConfig config = full_schedule();
-  config.checkpoint_path = temp_path("with_best.ckpt");
+  config.checkpoint_path = test_path("with_best.ckpt");
   nn::Sequential net = linear_probe(1);
   Trainer trainer(net, config);
   const auto history = trainer.train(data);
@@ -239,7 +237,7 @@ std::vector<nn::NamedBlob> one_blob(const char* name, std::size_t size) {
 
 TEST(CheckpointFaultInjection, EveryWriteInterruptionLeavesOldFileIntact) {
   util::ScopedFaultInjection guard;
-  const std::string path = temp_path("fault_atomic.ckpt");
+  const std::string path = test_path("fault_atomic.ckpt");
 
   Tensor old_value({4, 4}, 1.5f);
   Tensor new_value({4, 4}, -2.25f);
@@ -251,7 +249,7 @@ TEST(CheckpointFaultInjection, EveryWriteInterruptionLeavesOldFileIntact) {
 
   // Discover how many write() calls one save issues, then crash at each.
   util::fault_clear_all();
-  ASSERT_TRUE(nn::save_archive(temp_path("fault_probe.ckpt"), new_tensors,
+  ASSERT_TRUE(nn::save_archive(test_path("fault_probe.ckpt"), new_tensors,
                                blobs)
                   .ok());
   const int write_probes =
@@ -283,7 +281,7 @@ TEST(CheckpointFaultInjection, EveryWriteInterruptionLeavesOldFileIntact) {
 
 TEST(CheckpointFaultInjection, FlushAndRenameFaultsLeaveOldFileIntact) {
   util::ScopedFaultInjection guard;
-  const std::string path = temp_path("fault_flush_rename.ckpt");
+  const std::string path = test_path("fault_flush_rename.ckpt");
 
   Tensor old_value({8}, 3.0f);
   Tensor new_value({8}, 4.0f);
@@ -320,7 +318,7 @@ TEST(CheckpointFaultInjection, FlushAndRenameFaultsLeaveOldFileIntact) {
 
 TEST(CheckpointFaultInjection, FirstSaveFailureLeavesNoFileBehind) {
   util::ScopedFaultInjection guard;
-  const std::string path = temp_path("fault_first_save.ckpt");
+  const std::string path = test_path("fault_first_save.ckpt");
   std::remove(path.c_str());
   Tensor value({4}, 1.0f);
   const std::vector<nn::NamedTensor> tensors = {{"w", &value}};
@@ -341,7 +339,7 @@ TEST(CheckpointFaultInjection, TrainingSurvivesCheckpointFaults) {
   TrainerConfig config = full_schedule();
   config.epochs = 3;
   config.finetune_epochs = 0;
-  config.checkpoint_path = temp_path("fault_training.ckpt");
+  config.checkpoint_path = test_path("fault_training.ckpt");
   config.checkpoint_every = 1;
 
   nn::Sequential net = linear_probe(1);
@@ -444,7 +442,7 @@ TEST(NumericHealth, RollbackPolicyRestoresLastCheckpointWeights) {
   const auto data = coverage_dataset(100, data_rng);
   nn::Sequential net = linear_probe(1);
   TrainerConfig config = guard_config(NumericPolicy::kRollback);
-  config.checkpoint_path = temp_path("rollback.ckpt");
+  config.checkpoint_path = test_path("rollback.ckpt");
   config.checkpoint_every = 1;
   // Poison a batch in epoch 2, after a checkpoint exists.
   Trainer trainer(net, config, poisoning_builder({4}));

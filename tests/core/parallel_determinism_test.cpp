@@ -4,10 +4,13 @@
 // arithmetic runs in a fixed order within its chunk.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "bitops/bit_planes.h"
 #include "bitops/xnor_gemm.h"
 #include "core/brnn.h"
+#include "support/test_support.h"
 #include "tensor/conv.h"
 #include "tensor/tensor_ops.h"
 #include "util/parallel.h"
@@ -23,17 +26,13 @@ using tensor::Tensor;
 const std::vector<int> kThreadCounts{1, 2, 4, 7};
 
 class ParallelDeterminismTest : public ::testing::Test {
- protected:
-  void TearDown() override { util::set_parallel_threads(previous_); }
-  int previous_ = util::parallel_threads();
+  test_support::ThreadsGuard threads_;
 };
 
-void expect_bit_identical(const Tensor& a, const Tensor& b,
+void expect_bit_identical(const Tensor& got, const Tensor& want,
                           const char* label, int threads) {
-  ASSERT_TRUE(a.same_shape(b)) << label << " threads=" << threads;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << label << " threads=" << threads << " i=" << i;
-  }
+  test_support::expect_bit_identical(
+      got, want, std::string(label) + " threads=" + std::to_string(threads));
 }
 
 TEST_F(ParallelDeterminismTest, XnorGemmBitIdenticalAcrossThreadCounts) {
@@ -58,13 +57,18 @@ TEST_F(ParallelDeterminismTest, BinaryConvCountsBitIdentical) {
   const Tensor input = Tensor::uniform({3, 4, 9, 9}, rng, -1.0f, 1.0f);
   const Tensor weight = Tensor::uniform({6, 4, 3, 3}, rng, -1.0f, 1.0f);
   const tensor::ConvSpec spec{3, 3, 1, 1};
+  // The dense XNOR conv: sign planes, patch packing and the GEMM.
+  const auto counts = [&] {
+    return bitops::xnor_gemm(
+        bitops::pack_patches(bitops::BitPlanes(input), spec),
+        bitops::pack_filters(weight));
+  };
 
   util::set_parallel_threads(1);
-  const Tensor reference = bitops::binary_conv_counts(input, weight, spec);
+  const Tensor reference = counts();
   for (const int threads : kThreadCounts) {
     util::set_parallel_threads(threads);
-    expect_bit_identical(bitops::binary_conv_counts(input, weight, spec),
-                         reference, "binary_conv_counts", threads);
+    expect_bit_identical(counts(), reference, "binary conv counts", threads);
   }
 }
 

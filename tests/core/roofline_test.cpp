@@ -189,5 +189,33 @@ TEST_F(RooflineTest, TableAndJsonRenderEveryLayer) {
                    report.total_seconds);
 }
 
+using GraphRoofline = RooflineTest;  // tracing on, spans reset
+
+TEST_F(GraphRoofline, OneRowPerFusedConvPlusHead) {
+  util::Rng rng(19);
+  BrnnModel model(BrnnConfig::compact(32), rng);
+  model.set_training(false);
+  util::Rng data_rng(43);
+  model.forward(make_batch(4, 32, data_rng));
+  const RooflineReport report =
+      build_roofline(model, obs::collect_span_report());
+
+  // 9 conv rows + 1 fc row, each timed by the plan's spans over the same
+  // samples.
+  ASSERT_EQ(report.layers.size(), 10u);
+  EXPECT_EQ(report.samples, 4u);
+  int shortcut_rows = 0;
+  for (const RooflineLayer& layer : report.layers) {
+    EXPECT_EQ(layer.samples, 4u) << layer.label;
+    EXPECT_GT(layer.seconds, 0.0) << layer.label;
+    if (layer.label != "brnn.layer.head_fc") {
+      EXPECT_GT(layer.bitops, 0.0) << layer.label;
+    }
+    shortcut_rows += !layer.main_path;
+  }
+  EXPECT_EQ(shortcut_rows, 2);  // the two projection shortcuts
+  EXPECT_FALSE(to_table(report).empty());
+}
+
 }  // namespace
 }  // namespace hotspot::core

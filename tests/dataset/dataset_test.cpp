@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::dataset {
@@ -91,8 +92,7 @@ TEST(Dataset, SaveLoadRoundTrip) {
   HotspotDataset data;
   data.add(make_sample(1, Family::kTipToTip));
   data.add(make_sample(0, Family::kComb, 0.0f));
-  const std::string path =
-      std::string(::testing::TempDir()) + "/dataset_roundtrip.bin";
+  const std::string path = test_support::test_path("dataset_roundtrip.bin");
   ASSERT_TRUE(data.save(path));
   const auto loaded = HotspotDataset::load(path);
   ASSERT_TRUE(loaded.has_value());

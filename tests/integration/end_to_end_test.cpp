@@ -9,6 +9,7 @@
 #include "dataset/generator.h"
 #include "eval/evaluation.h"
 #include "nn/serialize.h"
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot {
@@ -63,8 +64,7 @@ TEST(EndToEnd, TrainedModelSurvivesCheckpointAndPackedDeployment) {
   util::Rng rng(2);
   detector.fit(bench.train, rng);
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "/e2e_model.bin";
+  const std::string path = test_support::test_path("e2e_model.bin");
   ASSERT_TRUE(nn::save_checkpoint(path, detector.model()));
 
   util::Rng fresh_rng(77);

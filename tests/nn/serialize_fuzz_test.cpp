@@ -15,15 +15,14 @@
 #include "nn/linear_layer.h"
 #include "nn/sequential.h"
 #include "nn/serialize.h"
+#include "support/test_support.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace hotspot::nn {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test_support::test_path;
 
 Sequential make_net(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -50,7 +49,7 @@ void write_file(const std::string& path, const char* data, std::size_t size) {
 class SerializeFuzz : public ::testing::Test {
  protected:
   void SetUp() override {
-    reference_path_ = temp_path("fuzz_reference.bin");
+    reference_path_ = test_path("fuzz_reference.bin");
     Sequential net = make_net(1);
     ASSERT_TRUE(save_checkpoint(reference_path_, net).ok());
     reference_bytes_ = read_file(reference_path_);
@@ -71,12 +70,12 @@ TEST_F(SerializeFuzz, IntactFileLoads) {
 TEST_F(SerializeFuzz, MissingFileIsTyped) {
   Sequential net = make_net(2);
   const LoadResult result =
-      load_checkpoint(temp_path("fuzz_never_written.bin"), net);
+      load_checkpoint(test_path("fuzz_never_written.bin"), net);
   EXPECT_EQ(result.status, IoStatus::kMissing);
 }
 
 TEST_F(SerializeFuzz, TruncationAtEvery64ByteBoundaryIsTyped) {
-  const std::string path = temp_path("fuzz_truncated.bin");
+  const std::string path = test_path("fuzz_truncated.bin");
   for (std::size_t keep = 0; keep < reference_bytes_.size(); keep += 64) {
     write_file(path, reference_bytes_.data(), keep);
     Sequential net = make_net(3);
@@ -99,7 +98,7 @@ TEST_F(SerializeFuzz, TruncationAtEvery64ByteBoundaryIsTyped) {
 }
 
 TEST_F(SerializeFuzz, SingleBitFlipsAreAlwaysRejected) {
-  const std::string path = temp_path("fuzz_bitflip.bin");
+  const std::string path = test_path("fuzz_bitflip.bin");
   util::Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
     const auto byte = rng.uniform_int(
@@ -122,7 +121,7 @@ TEST_F(SerializeFuzz, SixteenByteGarbageFailsCleanly) {
   // Regression for the unbounded `text.resize(length)` in the v1 loader: a
   // tiny garbage file whose bytes decode as a huge length must be rejected
   // by bounds validation before any allocation happens.
-  const std::string path = temp_path("fuzz_garbage16.bin");
+  const std::string path = test_path("fuzz_garbage16.bin");
   const char garbage[16] = {'\x54', '\x50', '\x53', '\x48',  // bad magic
                             '\xff', '\xff', '\xff', '\xff', '\xff', '\xff',
                             '\xff', '\xff', '\xff', '\xff', '\xff', '\xff'};
@@ -133,7 +132,7 @@ TEST_F(SerializeFuzz, SixteenByteGarbageFailsCleanly) {
 }
 
 TEST_F(SerializeFuzz, RandomGarbageFilesAreTyped) {
-  const std::string path = temp_path("fuzz_garbage.bin");
+  const std::string path = test_path("fuzz_garbage.bin");
   util::Rng rng(7);
   const std::size_t sizes[] = {0, 3, 19, 20, 64, 1024, 8192};
   for (const std::size_t size : sizes) {
@@ -152,7 +151,7 @@ TEST_F(SerializeFuzz, RandomGarbageFilesAreTyped) {
 TEST_F(SerializeFuzz, GarbageWithValidHeaderIsTyped) {
   // Correct magic/version but hostile counts and lengths after it: the caps
   // and remaining-bytes checks must reject before trusting any field.
-  const std::string path = temp_path("fuzz_hostile_header.bin");
+  const std::string path = test_path("fuzz_hostile_header.bin");
   std::vector<char> hostile(reference_bytes_.begin(),
                             reference_bytes_.begin() + 8);
   for (int i = 0; i < 64; ++i) {
@@ -168,7 +167,7 @@ TEST_F(SerializeFuzz, GarbageWithValidHeaderIsTyped) {
 }
 
 TEST_F(SerializeFuzz, TrailingBytesAreCorrupt) {
-  const std::string path = temp_path("fuzz_trailing.bin");
+  const std::string path = test_path("fuzz_trailing.bin");
   std::vector<char> padded = reference_bytes_;
   padded.insert(padded.end(), 128, '\0');
   write_file(path, padded.data(), padded.size());
@@ -177,7 +176,7 @@ TEST_F(SerializeFuzz, TrailingBytesAreCorrupt) {
 }
 
 TEST_F(SerializeFuzz, PreCrcFormatVersionRejected) {
-  const std::string path = temp_path("fuzz_v1.bin");
+  const std::string path = test_path("fuzz_v1.bin");
   std::vector<char> old_version = reference_bytes_;
   old_version[4] = '\x01';  // version field
   write_file(path, old_version.data(), old_version.size());

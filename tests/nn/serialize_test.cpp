@@ -8,14 +8,13 @@
 #include "nn/batchnorm_layer.h"
 #include "nn/linear_layer.h"
 #include "nn/sequential.h"
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::nn {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test_support::test_path;
 
 Sequential make_net(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -27,7 +26,7 @@ Sequential make_net(std::uint64_t seed) {
 
 TEST(Serialize, RoundTripRestoresParameters) {
   Sequential net = make_net(1);
-  const std::string path = temp_path("roundtrip.bin");
+  const std::string path = test_path("roundtrip.bin");
   ASSERT_TRUE(save_checkpoint(path, net));
 
   Sequential other = make_net(2);  // different init
@@ -57,7 +56,7 @@ TEST(Serialize, IncludesBatchNormRunningStats) {
 
 TEST(Serialize, RejectsArchitectureMismatch) {
   Sequential net = make_net(4);
-  const std::string path = temp_path("mismatch.bin");
+  const std::string path = test_path("mismatch.bin");
   ASSERT_TRUE(save_checkpoint(path, net));
 
   util::Rng rng(5);
@@ -69,11 +68,11 @@ TEST(Serialize, RejectsArchitectureMismatch) {
 
 TEST(Serialize, MissingFileFailsGracefully) {
   Sequential net = make_net(6);
-  EXPECT_FALSE(load_checkpoint(temp_path("does-not-exist.bin"), net));
+  EXPECT_FALSE(load_checkpoint(test_path("does-not-exist.bin"), net));
 }
 
 TEST(Serialize, CorruptMagicRejected) {
-  const std::string path = temp_path("corrupt.bin");
+  const std::string path = test_path("corrupt.bin");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);

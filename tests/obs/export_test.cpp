@@ -7,6 +7,7 @@
 #include <string>
 
 #include "obs/manifest.h"
+#include "support/test_support.h"
 #include "util/json.h"
 
 namespace hotspot::obs {
@@ -184,8 +185,7 @@ TEST(ExportJson, ManifestWithControlCharactersInEnvParses) {
 }
 
 TEST(WriteMetricsJson, RoundTripsThroughFile) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/metrics_export.json";
+  const std::string path = test_support::test_path("metrics_export.json");
   ASSERT_TRUE(write_metrics_json(path, make_snapshot(), make_spans()));
   std::ifstream in(path, std::ios::binary);
   const std::string contents(std::istreambuf_iterator<char>(in), {});

@@ -12,15 +12,12 @@
 #include <thread>
 #include <vector>
 
+#include "support/test_support.h"
 #include "util/fault_injection.h"
 #include "util/json.h"
 
 namespace hotspot::obs {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 RequestTrace make_trace(std::uint64_t id) {
   RequestTrace trace;
@@ -113,7 +110,7 @@ TEST(FlightRecorder, DumpWritesStrictJsonFile) {
   for (std::uint64_t id = 1; id <= 3; ++id) {
     recorder.record(make_trace(id));
   }
-  const std::string path = temp_path("flight_dump_ok.json");
+  const std::string path = test_support::test_path("flight_dump_ok.json");
   std::string error;
   ASSERT_TRUE(recorder.dump(path, &error)) << error;
   util::JsonValue parsed;
@@ -125,7 +122,7 @@ TEST(FlightRecorder, DumpWritesStrictJsonFile) {
 TEST(FlightRecorder, DumpWriteFaultFailsWithoutPublishing) {
   FlightRecorder recorder(4);
   recorder.record(make_trace(1));
-  const std::string path = temp_path("flight_dump_fault.json");
+  const std::string path = test_support::test_path("flight_dump_fault.json");
   util::fault_arm(util::FaultPoint::kJournalWrite, 1);
   std::string error;
   EXPECT_FALSE(recorder.dump(path, &error));

@@ -8,6 +8,7 @@
 
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "support/test_support.h"
 #include "util/json.h"
 
 // Counts every global allocation so tests can pin the "disabled spans do
@@ -151,8 +152,7 @@ TEST_F(TimelineTest, WriteChromeTraceRoundTrips) {
   {
     HOTSPOT_TRACE_SPAN("write.me");
   }
-  const std::string path =
-      std::string(::testing::TempDir()) + "/timeline_trace.json";
+  const std::string path = test_support::test_path("timeline_trace.json");
   ASSERT_TRUE(write_chrome_trace(path, collect_timeline()));
   util::JsonValue doc;
   std::string error;

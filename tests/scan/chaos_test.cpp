@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "scan/journal.h"
 #include "scan/pipeline.h"
+#include "support/test_support.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -34,7 +35,7 @@ using layout::Pattern;
 std::string chaos_dir() {
   const char* dir = std::getenv("HOTSPOT_CHAOS_DIR");
   return dir != nullptr && *dir != '\0' ? std::string(dir)
-                                        : std::string(::testing::TempDir());
+                                        : test_support::test_dir();
 }
 
 std::string journal_path(const char* name) {

@@ -12,14 +12,13 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "support/test_support.h"
 #include "util/fault_injection.h"
 
 namespace hotspot::scan {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using test_support::test_path;
 
 void remove_journal(const std::string& path) {
   std::remove(path.c_str());
@@ -79,7 +78,7 @@ void expect_two_batches(const JournalState& state) {
 }
 
 TEST(ScanJournal, AppendThenRecoverRoundTrips) {
-  const std::string path = temp_path("journal_roundtrip.bin");
+  const std::string path = test_path("journal_roundtrip.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -116,7 +115,7 @@ TEST(ScanJournal, AppendPublishesDurabilityMetrics) {
       find_counter("scan.journal.bytes_written");
   const std::uint64_t appends_before =
       histogram_count("scan.journal.append_seconds");
-  const std::string path = temp_path("journal_metrics.bin");
+  const std::string path = test_path("journal_metrics.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -133,7 +132,7 @@ TEST(ScanJournal, AppendPublishesDurabilityMetrics) {
 }
 
 TEST(ScanJournal, ResumeRecoversAndAppendsChain) {
-  const std::string path = temp_path("journal_resume.bin");
+  const std::string path = test_path("journal_resume.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -157,7 +156,7 @@ TEST(ScanJournal, ResumeRecoversAndAppendsChain) {
 }
 
 TEST(ScanJournal, ResumeWithNothingToRecoverIsMissing) {
-  const std::string path = temp_path("journal_missing.bin");
+  const std::string path = test_path("journal_missing.bin");
   remove_journal(path);
   ScanJournal journal;
   JournalState state;
@@ -170,7 +169,7 @@ TEST(ScanJournal, ResumeWithNothingToRecoverIsMissing) {
 }
 
 TEST(ScanJournal, MetaMismatchIsRejected) {
-  const std::string path = temp_path("journal_mismatch.bin");
+  const std::string path = test_path("journal_mismatch.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -191,7 +190,7 @@ TEST(ScanJournal, MetaMismatchIsRejected) {
 }
 
 TEST(ScanJournal, FreshOpenDiscardsPriorStateAndSnapshot) {
-  const std::string path = temp_path("journal_fresh.bin");
+  const std::string path = test_path("journal_fresh.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -215,7 +214,7 @@ TEST(ScanJournal, FreshOpenDiscardsPriorStateAndSnapshot) {
 }
 
 TEST(ScanJournal, TornTailRecoversLongestValidPrefix) {
-  const std::string path = temp_path("journal_torn.bin");
+  const std::string path = test_path("journal_torn.bin");
   const std::int64_t full_size = [&] {
     remove_journal(path);
     ScanJournal journal;
@@ -252,7 +251,7 @@ TEST(ScanJournal, TornTailRecoversLongestValidPrefix) {
 }
 
 TEST(ScanJournal, TornTailIsTruncatedOnResumeThenChains) {
-  const std::string path = temp_path("journal_torn_resume.bin");
+  const std::string path = test_path("journal_torn_resume.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -279,7 +278,7 @@ TEST(ScanJournal, TornTailIsTruncatedOnResumeThenChains) {
 }
 
 TEST(ScanJournal, BitFlipsNeverRecoverGarbage) {
-  const std::string path = temp_path("journal_bitflip.bin");
+  const std::string path = test_path("journal_bitflip.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -312,7 +311,7 @@ TEST(ScanJournal, BitFlipsNeverRecoverGarbage) {
 }
 
 TEST(ScanJournal, ReplayAppliesOnlyRecordsPastTheSnapshot) {
-  const std::string path = temp_path("journal_snapshot.bin");
+  const std::string path = test_path("journal_snapshot.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -339,7 +338,7 @@ TEST(ScanJournal, ReplayAppliesOnlyRecordsPastTheSnapshot) {
 }
 
 TEST(ScanJournal, SnapshotAloneRecoversWhenJournalBodyIsGone) {
-  const std::string path = temp_path("journal_snap_only.bin");
+  const std::string path = test_path("journal_snap_only.bin");
   remove_journal(path);
   std::int64_t header_size = 0;
   {
@@ -361,7 +360,7 @@ TEST(ScanJournal, SnapshotAloneRecoversWhenJournalBodyIsGone) {
 }
 
 TEST(ScanJournal, CorruptSnapshotFallsBackToJournalReplay) {
-  const std::string path = temp_path("journal_bad_snap.bin");
+  const std::string path = test_path("journal_bad_snap.bin");
   remove_journal(path);
   {
     ScanJournal journal;
@@ -381,7 +380,7 @@ TEST(ScanJournal, CorruptSnapshotFallsBackToJournalReplay) {
 
 TEST(ScanJournal, InjectedAppendFaultLeavesRecoverableTornTail) {
   util::ScopedFaultInjection guard;
-  const std::string path = temp_path("journal_fault.bin");
+  const std::string path = test_path("journal_fault.bin");
   remove_journal(path);
   ScanJournal journal;
   JournalState fresh;
@@ -401,7 +400,7 @@ TEST(ScanJournal, InjectedAppendFaultLeavesRecoverableTornTail) {
 }
 
 TEST(ScanJournal, BadMagicIsBadFormat) {
-  const std::string path = temp_path("journal_bad_magic.bin");
+  const std::string path = test_path("journal_bad_magic.bin");
   remove_journal(path);
   {
     ScanJournal journal;

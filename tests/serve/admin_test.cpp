@@ -25,6 +25,7 @@
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
+#include "support/test_support.h"
 #include "tensor/tensor.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -34,20 +35,14 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using test_support::test_path;
 
 constexpr std::int64_t kGrid = 16;
-
-std::string temp_path(const std::string& name) {
-  // ctest -j runs each TEST as its own process against a shared TempDir;
-  // the pid keeps concurrent fixtures from clobbering each other's files.
-  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
-         "_" + name;
-}
 
 std::string save_model(const std::string& name, std::uint64_t seed) {
   util::Rng rng(seed);
   core::BrnnModel model(core::BrnnConfig::compact(kGrid), rng);
-  const std::string path = temp_path(name);
+  const std::string path = test_path(name);
   EXPECT_TRUE(nn::save_checkpoint(path, model).ok());
   return path;
 }
@@ -207,7 +202,7 @@ TEST(ServeAdmin, HealthzReportsFailedSwap) {
   AdminFixture fixture;
   // A bogus swap must flip last_swap_ok without unregistering the model.
   EXPECT_FALSE(
-      fixture.registry().load(temp_path("no_such_model.bin"), kGrid).ok());
+      fixture.registry().load(test_path("no_such_model.bin"), kGrid).ok());
   const AdminServer::Response response =
       fixture.admin().handle("GET", "/healthz");
   EXPECT_EQ(response.status, 503);
@@ -289,7 +284,7 @@ TEST(ServeAdmin, TracezListsRecentRequestsAndHonorsLimit) {
 }
 
 TEST(ServeAdmin, TracezDumpWritesConfiguredFile) {
-  const std::string dump_path = temp_path("tracez_dump.json");
+  const std::string dump_path = test_path("tracez_dump.json");
   AdminFixture fixture(/*load_model=*/true, dump_path);
   ServeClient client;
   std::string error;

@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "bitops/kernels/xnor_kernel.h"
@@ -21,6 +20,7 @@
 #include "nn/serialize.h"
 #include "optim/sgd.h"
 #include "serve/model_registry.h"
+#include "support/test_support.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -76,11 +76,6 @@ std::unique_ptr<BrnnModel> calibrated_model(unsigned seed) {
   return model;
 }
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
-         "_" + name;
-}
-
 bool bit_identical(const Tensor& a, const Tensor& b) {
   return a.same_shape(b) &&
          std::memcmp(a.data(), b.data(),
@@ -91,7 +86,7 @@ bool bit_identical(const Tensor& a, const Tensor& b) {
 // brand-new deployment of the same weights and statistics would compile.
 Tensor fresh_logits(BrnnModel& model, const Tensor& images,
                     const std::string& name) {
-  const std::string path = temp_path(name);
+  const std::string path = test_support::test_path(name);
   EXPECT_TRUE(nn::save_checkpoint(path, model).ok());
   util::Rng rng(0);
   BrnnModel fresh(model.config(), rng);
@@ -202,7 +197,7 @@ TEST(ConcurrentPredict, LockFreeForwardHammerIsBitIdentical) {
 }
 
 TEST(ConcurrentPredict, ServableModelHammerIsBitIdentical) {
-  const std::string path = temp_path("servable_hammer.bin");
+  const std::string path = test_support::test_path("servable_hammer.bin");
   ASSERT_TRUE(nn::save_checkpoint(path, *calibrated_model(47)).ok());
   serve::ServableModel servable(path, kGrid, 1);
   ASSERT_TRUE(servable.load_result().ok());
@@ -260,7 +255,7 @@ TEST(ConcurrentPredict, PlanRecompiledAfterCheckpointLoad) {
   std::unique_ptr<BrnnModel> other = calibrated_model(10);
   const Tensor probe = random_batch(11, 4);
   model->forward(probe);  // publishes a plan for the old weights
-  const std::string path = temp_path("other.bin");
+  const std::string path = test_support::test_path("other.bin");
   ASSERT_TRUE(nn::save_checkpoint(path, *other).ok());
   ASSERT_TRUE(nn::load_checkpoint(path, *model).ok());
   std::remove(path.c_str());
@@ -281,20 +276,16 @@ TEST(ConcurrentPredict, PlanRecompiledAfterTrainingForward) {
 }
 
 TEST(ConcurrentPredict, PlanRecompiledAfterKernelSwitch) {
-  const bitops::XnorKernel& saved = bitops::active_xnor_kernel();
+  test_support::KernelGuard guard;
   std::unique_ptr<BrnnModel> model = calibrated_model(15);
   const Tensor probe = random_batch(16, 4);
-  for (const bitops::XnorKernel* kernel : bitops::compiled_xnor_kernels()) {
-    if (!bitops::xnor_kernel_cpu_supported(*kernel)) {
-      continue;
-    }
+  for (const bitops::XnorKernel* kernel : test_support::runnable_kernels()) {
     bitops::set_active_xnor_kernel(*kernel);
     const Tensor logits = model->forward(probe);
     EXPECT_EQ(&model->published_plan()->kernel(), kernel) << kernel->name;
     EXPECT_TRUE(bit_identical(logits, fresh_logits(*model, probe, "k.bin")))
         << kernel->name;
   }
-  bitops::set_active_xnor_kernel(saved);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "serve/model_registry.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -16,6 +15,7 @@
 #include "core/brnn.h"
 #include "nn/serialize.h"
 #include "obs/trace.h"
+#include "support/test_support.h"
 #include "tensor/tensor.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -25,15 +25,9 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using test_support::test_path;
 
 constexpr std::int64_t kGrid = 16;
-
-std::string temp_path(const std::string& name) {
-  // ctest -j runs each TEST as its own process against a shared TempDir;
-  // the pid keeps concurrent fixtures from clobbering each other's files.
-  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
-         "_" + name;
-}
 
 // Saves a compact(kGrid) model with seed-dependent random weights. Distinct
 // seeds give models with (generically) distinct logits — enough to tell
@@ -41,7 +35,7 @@ std::string temp_path(const std::string& name) {
 std::string save_model(const std::string& name, std::uint64_t seed) {
   util::Rng rng(seed);
   core::BrnnModel model(core::BrnnConfig::compact(kGrid), rng);
-  const std::string path = temp_path(name);
+  const std::string path = test_path(name);
   EXPECT_TRUE(nn::save_checkpoint(path, model).ok());
   return path;
 }
@@ -90,7 +84,7 @@ TEST(ModelRegistry, FailedLoadLeavesActiveModelServing) {
   EXPECT_EQ(registry.version(), 1u);
   EXPECT_EQ(registry.active()->predict(probe_batch(2)), reference);
   // Missing file likewise.
-  EXPECT_FALSE(registry.load(temp_path("nonexistent.bin"), kGrid).ok());
+  EXPECT_FALSE(registry.load(test_path("nonexistent.bin"), kGrid).ok());
   EXPECT_EQ(registry.active(), before);
 }
 
@@ -133,7 +127,7 @@ TEST(ModelRegistry, PlanIsCompiledAtLoadNotOnFirstPredict) {
 
 TEST(ModelRegistry, StateFileRestoresAfterRestart) {
   const std::string model_path = save_model("registry_persist.bin", 31);
-  const std::string state_path = temp_path("registry_state.json");
+  const std::string state_path = test_path("registry_state.json");
   std::remove(state_path.c_str());
   std::vector<int> reference;
   {
@@ -158,7 +152,7 @@ TEST(ModelRegistry, StateFileRestoresPathWithControlCharacters) {
   // A hot-swap path arrives from the wire, and POSIX file names may hold
   // tabs and newlines: the state file must still parse on restart.
   const std::string model_path = save_model("registry\tcontrol\nname.bin", 32);
-  const std::string state_path = temp_path("registry_control_state.json");
+  const std::string state_path = test_path("registry_control_state.json");
   std::remove(state_path.c_str());
   {
     ModelRegistry registry(state_path);
@@ -174,7 +168,7 @@ TEST(ModelRegistry, StateFileRestoresPathWithControlCharacters) {
 TEST(ModelRegistry, RestoreWithoutStateIsMissing) {
   ModelRegistry no_persistence;
   EXPECT_EQ(no_persistence.restore().status, nn::IoStatus::kMissing);
-  ModelRegistry registry(temp_path("registry_never_written.json"));
+  ModelRegistry registry(test_path("registry_never_written.json"));
   EXPECT_EQ(registry.restore().status, nn::IoStatus::kMissing);
 }
 

@@ -6,7 +6,6 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +21,7 @@
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
+#include "support/test_support.h"
 #include "tensor/tensor.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
@@ -35,17 +35,10 @@ using tensor::Tensor;
 
 constexpr std::int64_t kGrid = 16;
 
-std::string temp_path(const std::string& name) {
-  // ctest -j runs each TEST as its own process against a shared TempDir;
-  // the pid keeps concurrent fixtures from clobbering each other's files.
-  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
-         "_" + name;
-}
-
 std::string save_model(const std::string& name, std::uint64_t seed) {
   util::Rng rng(seed);
   core::BrnnModel model(core::BrnnConfig::compact(kGrid), rng);
-  const std::string path = temp_path(name);
+  const std::string path = test_support::test_path(name);
   EXPECT_TRUE(nn::save_checkpoint(path, model).ok());
   return path;
 }
@@ -392,7 +385,7 @@ TEST(ServeServer, StateFileLetsARestartedServerResume) {
   // The acceptance path: register a model with persistence on, tear the
   // whole server down (the "crash"), and bring up a fresh registry+server
   // from the state file. The restarted server serves identical answers.
-  const std::string state = temp_path("server_state.json");
+  const std::string state = test_support::test_path("server_state.json");
   std::remove(state.c_str());
   const std::string model_path = save_model("server_resume.bin", 91);
   const Tensor probe = probe_batch(13);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "support/test_support.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
 
@@ -144,8 +145,7 @@ TEST(FaultInjection, PointNamesAreStable) {
 }
 
 TEST(CorruptionHelpers, TruncateAndFlipBit) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/corruption_helpers.bin";
+  const std::string path = test_support::test_path("corruption_helpers.bin");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     const std::vector<char> data(100, '\x10');

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <string>
 
+#include "support/test_support.h"
+
 namespace hotspot::util {
 namespace {
 
@@ -148,7 +150,7 @@ TEST(JsonParser, ParsesOwnExportFormat) {
 }
 
 TEST(JsonParserFile, ReadsFromDisk) {
-  const std::string path = std::string(::testing::TempDir()) + "/doc.json";
+  const std::string path = test_support::test_path("doc.json");
   {
     std::ofstream out(path);
     out << "{\"ok\": true}\n";

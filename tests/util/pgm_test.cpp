@@ -5,6 +5,8 @@
 #include <fstream>
 #include <string>
 
+#include "support/test_support.h"
+
 namespace hotspot::util {
 namespace {
 
@@ -17,7 +19,7 @@ TEST(Pgm, HeaderAndPayload) {
   tensor::Tensor image({2, 3});
   image.at2(0, 0) = 1.0f;
   image.at2(1, 2) = 0.5f;
-  const std::string path = std::string(::testing::TempDir()) + "/img.pgm";
+  const std::string path = test_support::test_path("img.pgm");
   ASSERT_TRUE(write_pgm(path, image));
   const std::string contents = read_file(path);
   EXPECT_EQ(contents.substr(0, 3), "P5\n");
@@ -37,7 +39,7 @@ TEST(Pgm, RoundsToNearestNotTruncates) {
   image.at2(0, 0) = 254.9f / 255.0f;
   image.at2(0, 1) = 0.4f / 255.0f;
   image.at2(0, 2) = 0.6f / 255.0f;
-  const std::string path = std::string(::testing::TempDir()) + "/round.pgm";
+  const std::string path = test_support::test_path("round.pgm");
   ASSERT_TRUE(write_pgm(path, image));
   const std::string contents = read_file(path);
   const auto header_end = contents.find("255\n") + 4;
@@ -49,7 +51,7 @@ TEST(Pgm, RoundsToNearestNotTruncates) {
 
 TEST(Pgm, ClampsOutOfRange) {
   tensor::Tensor image({1, 2}, {-5.0f, 9.0f});
-  const std::string path = std::string(::testing::TempDir()) + "/clamp.pgm";
+  const std::string path = test_support::test_path("clamp.pgm");
   ASSERT_TRUE(write_pgm(path, image));
   const std::string contents = read_file(path);
   const auto header_end = contents.find("255\n") + 4;
