@@ -60,6 +60,19 @@ void handle_fatal(int signum) {
   std::raise(signum);
 }
 
+// Writes "<port>\n" to the file named by `flag` (--port-file or
+// --admin-port-file); false, with the error printed, when it cannot.
+bool write_port_file(const char* flag, const std::string& path, int port) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) {
+    std::fprintf(stderr, "error: cannot write %s %s\n", flag, path.c_str());
+    return false;
+  }
+  std::fprintf(file, "%d\n", port);
+  std::fclose(file);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -264,16 +277,9 @@ int main(int argc, char** argv) {
   }
   std::printf("serving on 127.0.0.1:%d\n", server.bound_port());
   std::fflush(stdout);
-  if (!port_file.empty()) {
-    std::FILE* file = std::fopen(port_file.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "error: cannot write --port-file %s\n",
-                   port_file.c_str());
-      server.stop();
-      return kExitRuntime;
-    }
-    std::fprintf(file, "%d\n", server.bound_port());
-    std::fclose(file);
+  if (!port_file.empty() &&
+      !write_port_file("--port-file", port_file, server.bound_port())) {
+    return kExitRuntime;
   }
 
   admin_config.port = static_cast<int>(admin_port < 0 ? 0 : admin_port);
@@ -282,21 +288,14 @@ int main(int argc, char** argv) {
   if (admin_port >= 0) {
     if (!admin.start(&error)) {
       std::fprintf(stderr, "error: admin endpoint: %s\n", error.c_str());
-      server.stop();
       return kExitRuntime;
     }
     std::printf("admin endpoint on 127.0.0.1:%d\n", admin.bound_port());
     std::fflush(stdout);
-    if (!admin_port_file.empty()) {
-      std::FILE* file = std::fopen(admin_port_file.c_str(), "w");
-      if (file == nullptr) {
-        std::fprintf(stderr, "error: cannot write --admin-port-file %s\n",
-                     admin_port_file.c_str());
-        server.stop();
-        return kExitRuntime;
-      }
-      std::fprintf(file, "%d\n", admin.bound_port());
-      std::fclose(file);
+    if (!admin_port_file.empty() &&
+        !write_port_file("--admin-port-file", admin_port_file,
+                         admin.bound_port())) {
+      return kExitRuntime;
     }
   }
 

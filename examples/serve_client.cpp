@@ -24,6 +24,7 @@
 //                     unreachable/unhealthy — monitoring branches on which.
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -34,14 +35,10 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "cli_util.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/socket.h"
 #include "tensor/tensor.h"
 #include "util/json.h"
 
@@ -67,62 +64,6 @@ double percentile(std::vector<double> sorted_seconds, double q) {
   const double rank = q * static_cast<double>(sorted_seconds.size() - 1);
   const auto index = static_cast<std::size_t>(rank);
   return sorted_seconds[std::min(index, sorted_seconds.size() - 1)];
-}
-
-// Minimal HTTP/1.0 GET against the admin endpoint: one request, read to
-// EOF, split status line from body. No HTTP library — the admin server
-// speaks the same dialect.
-bool http_get(const std::string& host, int port, const std::string& path,
-              int* status, std::string* body, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = "socket failed";
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    *error = "cannot connect to " + host + ":" + std::to_string(port);
-    ::close(fd);
-    return false;
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      *error = "send failed";
-      ::close(fd);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;
-    }
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  // "HTTP/1.0 200 OK\r\n...headers...\r\n\r\n<body>"
-  const std::size_t space = response.find(' ');
-  const std::size_t header_end = response.find("\r\n\r\n");
-  if (space == std::string::npos || header_end == std::string::npos) {
-    *error = "response is not HTTP";
-    return false;
-  }
-  *status = std::atoi(response.c_str() + space + 1);
-  *body = response.substr(header_end + 4);
-  return true;
 }
 
 // Validates one Prometheus sample line: `name{labels} value` or
@@ -268,16 +209,26 @@ int main(int argc, char** argv) {
   if (admin_port >= 0) {
     // Admin probe: the endpoint must answer AND the payloads must be
     // well-formed. A scrape pipeline that swallows garbage is worse than a
-    // down endpoint, hence the dedicated malformed exit code.
-    std::string error;
-    int status = 0;
-    std::string body;
-    if (!http_get(host, static_cast<int>(admin_port), "/healthz", &status,
-                  &body, &error)) {
-      std::fprintf(stderr, "error: /healthz: %s\n", error.c_str());
-      return kExitRuntime;
+    // down endpoint, hence the dedicated malformed exit code: no answer is
+    // kExitRuntime, an answer that is not HTTP is kExitMalformed.
+    serve::HttpResponse response;
+    const auto get = [&](const char* path) {
+      std::string error;
+      const serve::HttpGetResult result = serve::http_get(
+          host, static_cast<int>(admin_port), path, &response, &error);
+      if (result != serve::HttpGetResult::kOk) {
+        std::fprintf(stderr, "error: %s: %s\n", path, error.c_str());
+      }
+      return result == serve::HttpGetResult::kOk          ? kExitOk
+             : result == serve::HttpGetResult::kMalformed ? kExitMalformed
+                                                          : kExitRuntime;
+    };
+    if (const int rc = get("/healthz"); rc != kExitOk) {
+      return rc;
     }
+    const std::string& body = response.body;
     util::JsonValue health;
+    std::string error;
     if (!util::parse_json(body, health, error)) {
       std::fprintf(stderr, "error: /healthz is not strict JSON: %s\n%s",
                    error.c_str(), body.c_str());
@@ -288,18 +239,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: /healthz lacks a boolean \"healthy\"\n");
       return kExitMalformed;
     }
-    if (status != 200 || !healthy->as_bool()) {
+    if (response.status != 200 || !healthy->as_bool()) {
       std::fprintf(stderr, "error: server unhealthy (HTTP %d): %s",
-                   status, body.c_str());
+                   response.status, body.c_str());
       return kExitRuntime;
     }
-    if (!http_get(host, static_cast<int>(admin_port), "/metrics", &status,
-                  &body, &error)) {
-      std::fprintf(stderr, "error: /metrics: %s\n", error.c_str());
-      return kExitRuntime;
+    if (const int rc = get("/metrics"); rc != kExitOk) {
+      return rc;
     }
-    if (status != 200 || body.empty()) {
-      std::fprintf(stderr, "error: /metrics answered HTTP %d\n", status);
+    if (response.status != 200 || body.empty()) {
+      std::fprintf(stderr, "error: /metrics answered HTTP %d\n",
+                   response.status);
       return kExitMalformed;
     }
     long samples = 0;

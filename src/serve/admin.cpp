@@ -1,14 +1,11 @@
 #include "serve/admin.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,24 +62,8 @@ void split_target(const std::string& target, std::string* path,
   }
 }
 
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd, data + sent, size - sent, 0);
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+// /tracez?limit= cap on the entries returned.
+constexpr std::size_t kMaxTracezLimit = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -94,92 +75,34 @@ AdminServer::AdminServer(const AdminConfig& config, Server* server)
 AdminServer::~AdminServer() { stop(); }
 
 bool AdminServer::start(std::string* error) {
-  HOTSPOT_CHECK(!running_.load()) << "start() called twice";
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int enable = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    *error = std::string("bind: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::listen(listen_fd_, 16) < 0) {
-    *error = std::string("listen: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  bound_port_ = ntohs(addr.sin_port);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return true;
-}
-
-void AdminServer::stop() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void AdminServer::accept_loop() {
   // Connections are handled inline: a scrape is a single bounded read and
   // one write, so serializing them keeps the endpoint to one thread. A
   // stalled client can hold the loop for at most the 2 s receive timeout.
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;  // listen socket shut down — stopping
-    }
-    if (!running_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    timeval timeout{};
-    timeout.tv_sec = 2;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    serve_connection(fd);
-    ::close(fd);
-  }
+  return listener_.start(
+      config_.port, /*backlog=*/16,
+      [this](int fd) {
+        timeval timeout{};
+        timeout.tv_sec = 2;
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+        serve_connection(fd);
+        ::close(fd);
+      },
+      error);
 }
 
+void AdminServer::stop() { listener_.stop(); }
+
 void AdminServer::serve_connection(int fd) {
+  const ReadFn read = socket_reader(fd);
   std::string request;
-  char buffer[1024];
+  std::uint8_t buffer[1024];
   while (request.find("\r\n") == std::string::npos &&
          request.size() < kMaxRequestBytes) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
+    const std::size_t n = read(buffer, sizeof(buffer));
+    if (n == 0) {
       return;  // timeout, reset, or EOF before a full request line
     }
-    request.append(buffer, static_cast<std::size_t>(n));
+    request.append(reinterpret_cast<const char*>(buffer), n);
   }
   // "GET /path HTTP/1.0" — the headers that may follow are ignored.
   const std::size_t line_end = request.find("\r\n");
@@ -267,8 +190,14 @@ AdminServer::Response AdminServer::handle(const std::string& method,
     bool dump = false;
     for (const auto& [key, value] : params) {
       if (key == "limit") {
-        limit = static_cast<std::size_t>(
-            std::strtoull(value.c_str(), nullptr, 10));
+        // A decimal integer and nothing else: no sign, space or suffix.
+        const char* end = value.data() + value.size();
+        const auto [stop, ec] = std::from_chars(value.data(), end, limit);
+        if (ec != std::errc() || stop != end || limit > kMaxTracezLimit) {
+          return {400, "application/json",
+                  "{\"error\": \"limit must be a decimal integer in [0, " +
+                      std::to_string(kMaxTracezLimit) + "]\"}\n"};
+        }
       } else if (key == "dump") {
         dump = value == "1";
       }

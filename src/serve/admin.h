@@ -1,8 +1,9 @@
 // Admin/observability endpoint for the detection server (DESIGN.md §16).
 //
-// A second listener on 127.0.0.1 speaking just enough HTTP/1.0 for scrape
-// tooling — no external HTTP library, request = one GET line + headers we
-// ignore, response = status line, two headers, blank line, body, close.
+// A second listener on 127.0.0.1 (serve/socket.h) speaking just enough
+// HTTP/1.0 for scrape tooling — no external HTTP library, request = one GET
+// line + headers we ignore, response = status line, two headers, blank
+// line, body, close.
 // Routes:
 //   /metrics  Prometheus text exposition of the global registry (SLO and
 //             timeline gauges are refreshed immediately before the scrape).
@@ -11,7 +12,8 @@
 //             succeeded, 503 otherwise (load balancers key off the code).
 //   /varz     Full JSON metrics snapshot with the run manifest embedded.
 //   /tracez   Flight-recorder dump of recent completed requests
-//             (?limit=N caps entries, ?dump=1 also writes the configured
+//             (?limit=N caps entries, N a decimal integer in [0, 2^20],
+//             anything else is a 400; ?dump=1 also writes the configured
 //             dump file and reports the path/outcome).
 //
 // The endpoint is read-only by design: nothing served here mutates model
@@ -21,9 +23,9 @@
 // flight-recorder slot locks, registry mutex).
 #pragma once
 
-#include <atomic>
 #include <string>
-#include <thread>
+
+#include "serve/socket.h"
 
 namespace hotspot::serve {
 
@@ -49,7 +51,7 @@ class AdminServer {
 
   bool start(std::string* error);
   void stop();
-  int bound_port() const { return bound_port_; }
+  int bound_port() const { return listener_.bound_port(); }
 
   // One routed response. Public so tests can exercise routing and payload
   // shape without sockets; serve-path state is read at call time.
@@ -61,15 +63,11 @@ class AdminServer {
   Response handle(const std::string& method, const std::string& target);
 
  private:
-  void accept_loop();
   void serve_connection(int fd);
 
   AdminConfig config_;
   Server* server_;
-  int listen_fd_ = -1;
-  int bound_port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
+  Listener listener_;
 };
 
 }  // namespace hotspot::serve

@@ -1,8 +1,5 @@
 #include "serve/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,54 +8,8 @@
 #include "util/check.h"
 
 namespace hotspot::serve {
-namespace {
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd, data + sent, size - sent, 0);
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 ServeClient::~ServeClient() { close(); }
-
-bool ServeClient::connect(const std::string& host, int port,
-                          std::string* error) {
-  close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    *error = "bad host address: " + host;
-    close();
-    return false;
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    *error = std::string("connect: ") + std::strerror(errno);
-    close();
-    return false;
-  }
-  return true;
-}
 
 void ServeClient::close() {
   if (fd_ >= 0) {
@@ -81,17 +32,7 @@ bool ServeClient::send_bytes(const std::vector<std::uint8_t>& bytes,
 }
 
 bool ServeClient::read_one(Frame* frame, std::string* error) {
-  const ReadFn reader = [this](std::uint8_t* out,
-                               std::size_t size) -> std::size_t {
-    for (;;) {
-      const ssize_t n = ::recv(fd_, out, size, 0);
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return n > 0 ? static_cast<std::size_t>(n) : 0;
-    }
-  };
-  const FrameStatus status = read_frame(reader, frame);
+  const FrameStatus status = read_frame(socket_reader(fd_), frame);
   if (status != FrameStatus::kOk) {
     *error = std::string("response frame: ") + frame_status_name(status);
     return false;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "serve/protocol.h"
+#include "serve/socket.h"
 #include "tensor/tensor.h"
 
 namespace hotspot::serve {
@@ -40,7 +41,11 @@ class ServeClient {
 
   // Connects to 127.0.0.1:<port> (`host` must be a dotted quad). False
   // with `error` set on failure.
-  bool connect(const std::string& host, int port, std::string* error);
+  bool connect(const std::string& host, int port, std::string* error) {
+    close();
+    fd_ = connect_loopback(host, port, error);
+    return fd_ >= 0;
+  }
   bool connected() const { return fd_ >= 0; }
   void close();
 

@@ -1,11 +1,8 @@
 #include "serve/server.h"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <future>
 
 #include "obs/export.h"
@@ -40,37 +37,6 @@ struct ServeCounters {
   }
 };
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd, data + sent, size - sent, 0);
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-ReadFn socket_reader(int fd) {
-  return [fd](std::uint8_t* out, std::size_t size) -> std::size_t {
-    for (;;) {
-      const ssize_t n = ::recv(fd, out, size, 0);
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return n > 0 ? static_cast<std::size_t>(n) : 0;
-    }
-  };
-}
-
 }  // namespace
 
 Server::Server(const ServerConfig& config, ModelRegistry* registry)
@@ -88,36 +54,10 @@ Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
   HOTSPOT_CHECK(!running()) << "start() called twice";
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int enable = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    *error = std::string("bind: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::listen(listen_fd_, config_.max_connections) < 0) {
-    *error = std::string("listen: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  bound_port_ = ntohs(addr.sin_port);
   // The batcher resolves the active model once per fused batch: every
   // request rides exactly one model version, and a hot-swap mid-load only
-  // affects batches formed after the swap.
+  // affects batches formed after the swap. It exists before the first
+  // connection is accepted.
   batcher_ = std::make_unique<MicroBatcher>(
       config_.batcher, [this](const tensor::Tensor& images) {
         std::shared_ptr<ServableModel> model = registry_->active();
@@ -125,9 +65,14 @@ bool Server::start(std::string* error) {
             << "batch scheduled with no active model";
         return BatchResult(model->predict(images), model->version());
       });
-  running_.store(true, std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  if (!listener_.start(config_.port, config_.max_connections,
+                       [this](int fd) { accept_connection(fd); }, error)) {
+    batcher_->stop();
+    batcher_.reset();
+    return false;
+  }
+  running_.store(true, std::memory_order_release);
   return true;
 }
 
@@ -143,38 +88,19 @@ void Server::stop() {
     return;
   }
   signal_stopping();
-  // Unblock the accept loop and every connection reader: shutdown() makes
-  // their blocking calls return without racing the fd close.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
+  // Stop accepting first: once the accept thread is joined the connection
+  // list is final. shutdown() then unblocks every reader without racing
+  // the fd close.
+  listener_.stop();
+  for (Connection& connection : connections_) {
+    ::shutdown(connection.fd, SHUT_RDWR);
   }
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto& [fd, thread] : connections_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
+  for (Connection& connection : connections_) {
+    connection.thread.join();
+    ::close(connection.fd);
   }
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  std::vector<std::pair<int, std::thread>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& [fd, thread] : connections) {
-    if (thread.joinable()) {
-      thread.join();
-    }
-    ::close(fd);
-  }
-  if (batcher_ != nullptr) {
-    batcher_->stop();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  connections_.clear();
+  batcher_->stop();
 }
 
 void Server::signal_stopping() {
@@ -187,44 +113,34 @@ void Server::signal_stopping() {
   stop_cv_.notify_all();
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;  // listen socket shut down — server stopping
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    ServeCounters::get().connections.increment();
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Reap finished connections opportunistically so a long-lived server
-    // does not accumulate joinable threads. A finished reader has shut
-    // down its socket; join is immediate.
-    if (static_cast<int>(connections_.size()) >= config_.max_connections) {
-      for (auto it = connections_.begin(); it != connections_.end();) {
-        // Readers exit by closing their read side; joinable() stays true
-        // until joined, so track liveness via a zero-byte peek.
-        char probe;
-        const ssize_t n =
-            ::recv(it->first, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (n == 0) {  // peer closed and reader drained: safe to join
-          it->second.join();
-          ::close(it->first);
-          it = connections_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    connections_.emplace_back(fd, std::thread([this, fd] {
-                                serve_connection(fd);
-                              }));
+void Server::accept_connection(int fd) {
+  if (stopping_.load(std::memory_order_acquire)) {
+    ::close(fd);
+    return;
   }
+  ServeCounters::get().connections.increment();
+  // Reap finished readers so a long-lived server does not accumulate
+  // joinable threads or count them against the cap.
+  connections_.remove_if([](Connection& connection) {
+    if (!connection.done.load(std::memory_order_acquire)) {
+      return false;
+    }
+    connection.thread.join();
+    ::close(connection.fd);
+    return true;
+  });
+  if (static_cast<int>(connections_.size()) >= config_.max_connections) {
+    ServeCounters::get().rejects.increment();
+    send_reject(fd, 0, RejectReason::kQueueFull, "connection limit");
+    ::close(fd);
+    return;
+  }
+  Connection& connection = connections_.emplace_back();
+  connection.fd = fd;
+  connection.thread = std::thread([this, &connection] {
+    serve_connection(connection.fd);
+    connection.done.store(true, std::memory_order_release);
+  });
 }
 
 void Server::serve_connection(int fd) {

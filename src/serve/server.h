@@ -1,7 +1,8 @@
 // Persistent hotspot-detection server (DESIGN.md §15).
 //
-// Socket front end on 127.0.0.1: an accept thread hands each connection to
-// its own reader thread, which decodes CRC-framed requests (protocol.h),
+// Socket front end on 127.0.0.1 (serve/socket.h): the listener's accept
+// thread hands each connection to its own reader thread, up to
+// max_connections at once, which decodes CRC-framed requests (protocol.h),
 // unpacks the bit-packed rasters, and submits them to the shared
 // MicroBatcher. The batcher's single worker fuses requests across clients
 // into one classifier call; per-request futures carry the sliced labels
@@ -12,6 +13,7 @@
 //     (framing is lost, so the stream cannot be trusted further);
 //   * structurally invalid request -> typed Reject, connection stays open;
 //   * admission queue full         -> Reject(kQueueFull) — load shed;
+//   * connection cap reached       -> Reject(kQueueFull), connection closed;
 //   * no model registered          -> Reject(kModelUnavailable).
 //
 // Hot-swap: a SwapModel frame drives ModelRegistry::load. The batcher's
@@ -28,11 +30,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/request_trace.h"
@@ -40,13 +42,15 @@
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
+#include "serve/socket.h"
 
 namespace hotspot::serve {
 
 struct ServerConfig {
   // 0 binds an ephemeral port; bound_port() reports the real one.
   int port = 0;
-  // Accept backlog and the cap on simultaneously served connections.
+  // Accept backlog and the cap on simultaneously served connections; a
+  // connection beyond the cap gets Reject(kQueueFull) and is closed.
   int max_connections = 32;
   // Per-request clip cap, enforced before unpacking. Must not exceed
   // batcher.max_batch_clips (a request is never split).
@@ -75,7 +79,7 @@ class Server {
   bool start(std::string* error);
 
   // Port actually bound (resolves port 0); 0 before start().
-  int bound_port() const { return bound_port_; }
+  int bound_port() const { return listener_.bound_port(); }
 
   // Blocks until stop() is called (by a Shutdown frame or another thread).
   void wait();
@@ -105,7 +109,9 @@ class Server {
  private:
   // Sets stopping_ under stop_mutex_ and wakes wait()ers.
   void signal_stopping();
-  void accept_loop();
+  // Listener handler: reaps finished readers, then either spawns a reader
+  // thread for `fd` or, at the connection cap, rejects and closes it.
+  void accept_connection(int fd);
   void serve_connection(int fd);
   // One request, already decoded. `trace` was allocated at frame decode
   // (decode_seconds filled, identity fields set). Returns false when the
@@ -128,15 +134,20 @@ class Server {
   obs::SloMonitor slo_monitor_;
   std::atomic<std::uint64_t> next_trace_id_{1};
   std::unique_ptr<MicroBatcher> batcher_;
-  int listen_fd_ = -1;
-  int bound_port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::pair<int, std::thread>> connections_;
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
+  // One reader thread per served connection; `done` is set as the reader
+  // returns, so its join is immediate. Touched only by the accept thread,
+  // and by stop() once that thread is joined.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections_;
+  Listener listener_;
 };
 
 }  // namespace hotspot::serve

@@ -3,15 +3,9 @@
 // predict traffic is in flight — via a real listener.
 #include "serve/admin.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +19,7 @@
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
+#include "serve/socket.h"
 #include "support/test_support.h"
 #include "tensor/tensor.h"
 #include "util/json.h"
@@ -90,50 +85,6 @@ class AdminFixture {
   std::unique_ptr<Server> server_;
   std::unique_ptr<AdminServer> admin_;
 };
-
-// Blocking HTTP/1.0 GET against the fixture's admin port.
-bool http_get(int port, const std::string& path, int* status,
-              std::string* body) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return false;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return false;
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return false;
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;
-    }
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t space = response.find(' ');
-  const std::size_t header_end = response.find("\r\n\r\n");
-  if (space == std::string::npos || header_end == std::string::npos) {
-    return false;
-  }
-  *status = std::atoi(response.c_str() + space + 1);
-  *body = response.substr(header_end + 4);
-  return true;
-}
 
 // Every Prometheus sample line must carry a finite value and a name in the
 // exporter's charset; returns the count of samples checked.
@@ -281,6 +232,22 @@ TEST(ServeAdmin, TracezListsRecentRequestsAndHonorsLimit) {
       fixture.admin().handle("GET", "/tracez?limit=2");
   ASSERT_TRUE(util::parse_json(limited.body, parsed, error)) << error;
   EXPECT_EQ(parsed.find("entries")->as_array().size(), 2u);
+  const AdminServer::Response widest =
+      fixture.admin().handle("GET", "/tracez?limit=1048576");
+  EXPECT_EQ(widest.status, 200);
+
+  // Anything but a decimal integer in [0, 2^20] is a typed 400, never a
+  // silently reinterpreted limit.
+  for (const char* bad : {"abc", "5x", "", "-1", "+5", " 5", "0x10",
+                          "1048577", "99999999999999999999999"}) {
+    const AdminServer::Response refused =
+        fixture.admin().handle("GET", std::string("/tracez?limit=") + bad);
+    EXPECT_EQ(refused.status, 400) << "limit=" << bad;
+    ASSERT_TRUE(util::parse_json(refused.body, parsed, error))
+        << error << "\n" << refused.body;
+    ASSERT_NE(parsed.find("error"), nullptr) << refused.body;
+    EXPECT_TRUE(parsed.find("error")->is_string());
+  }
 }
 
 TEST(ServeAdmin, TracezDumpWritesConfiguredFile) {
@@ -347,17 +314,19 @@ TEST(ServeAdmin, ConcurrentScrapeUnderLoad) {
   std::vector<std::thread> scrapers;
   for (int s = 0; s < 3; ++s) {
     scrapers.emplace_back([&fixture] {
+      const auto scrape = [&fixture](const char* path) {
+        HttpResponse response;
+        std::string error;
+        EXPECT_EQ(http_get("127.0.0.1", fixture.admin().bound_port(), path,
+                           &response, &error),
+                  HttpGetResult::kOk)
+            << error;
+        EXPECT_EQ(response.status, 200) << path;
+        return response.body;
+      };
       for (int i = 0; i < 20; ++i) {
-        int status = 0;
-        std::string body;
-        ASSERT_TRUE(http_get(fixture.admin().bound_port(), "/metrics",
-                             &status, &body));
-        ASSERT_EQ(status, 200);
-        EXPECT_GT(check_prometheus_payload(body), 0);
-
-        ASSERT_TRUE(http_get(fixture.admin().bound_port(), "/tracez",
-                             &status, &body));
-        ASSERT_EQ(status, 200);
+        EXPECT_GT(check_prometheus_payload(scrape("/metrics")), 0);
+        const std::string body = scrape("/tracez");
         util::JsonValue parsed;
         std::string error;
         ASSERT_TRUE(util::parse_json(body, parsed, error))

@@ -350,6 +350,48 @@ TEST(ServeServer, CrossClientRequestsFuseWithBitIdenticalAnswers) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(ServeServer, ConnectionsBeyondCapGetTypedReject) {
+  ServerConfig config;
+  config.max_connections = 2;
+  ServerFixture fixture(config);  // the fixture's client is connection 1
+  const int port = fixture.server().bound_port();
+  std::string error;
+  ServeClient second;
+  ASSERT_TRUE(second.connect("127.0.0.1", port, &error)) << error;
+  // A round trip proves connection 2 is served before the third arrives.
+  ASSERT_TRUE(second.ping(2, &error)) << error;
+
+  ServeClient third;
+  ASSERT_TRUE(third.connect("127.0.0.1", port, &error)) << error;
+  Frame response;
+  ASSERT_TRUE(third.send_raw(encode_frame(MessageType::kPing, encode_token(3)),
+                             &response, &error))
+      << error;
+  ASSERT_EQ(response.type, MessageType::kReject);
+  Reject reject;
+  ASSERT_TRUE(decode_reject(response.payload, &reject));
+  EXPECT_EQ(reject.reason, RejectReason::kQueueFull);
+  EXPECT_EQ(reject.request_id, 0u);
+  EXPECT_EQ(reject.detail, "connection limit");
+
+  // The two served connections are untouched.
+  EXPECT_TRUE(fixture.client().ping(1, &error)) << error;
+  EXPECT_TRUE(second.ping(4, &error)) << error;
+
+  // A closed connection frees its slot once its reader has returned.
+  second.close();
+  bool served = false;
+  for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+    ServeClient next;
+    ASSERT_TRUE(next.connect("127.0.0.1", port, &error)) << error;
+    served = next.ping(5, &error);
+    if (!served) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  EXPECT_TRUE(served) << error;
+}
+
 TEST(ServeServer, StatsReportServeMetrics) {
   ServerFixture fixture;
   PredictOutcome outcome;
