@@ -9,8 +9,9 @@
 // Both input-scaling variants are measured: the paper's per-channel alpha_T
 // (Eq. 14) and XNOR-Net's scalar alpha. The packed side is the inference
 // plan's conv step (core/inference_plan.h) on a lone BN -> conv block with
-// default statistics: inline BN with patch packing, alpha_T, the XNOR
-// kernel and the alpha_W epilogue.
+// default statistics: inline BN sign bits and alpha_T, then the direct
+// binary conv (per-channel) or patch packing, the XNOR GEMM and the
+// alpha_W epilogue (scalar).
 #include <benchmark/benchmark.h>
 
 #include "bitops/xnor_gemm.h"

@@ -1,8 +1,9 @@
 // Fig. 3: the BNN convolution block (BatchNorm -> Binarize -> BinaryConv).
 //
 // Two measurements:
-//  1. Stage cost breakdown of one block in the packed path (BN, alpha_T,
-//     bit packing, popcount GEMM): where the time actually goes.
+//  1. Stage cost breakdown of one block in the deployed path (sign bits of
+//     the BN output evaluated inline, alpha_T, the direct XNOR conv): where
+//     the time actually goes.
 //  2. The information-loss rationale for placing BN *before* the binarize
 //     layer (Sec. 3.1, following XNOR-Net): binarizing centred activations
 //     keeps far more per-pixel information than binarizing raw ones. We
@@ -11,9 +12,10 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "bitops/bit_planes.h"
 #include "bitops/scaling.h"
-#include "bitops/xnor_gemm.h"
-#include "core/binary_conv.h"
+#include "core/inference_plan.h"
+#include "core/packed_conv.h"
 #include "nn/batchnorm_layer.h"
 #include "tensor/tensor_ops.h"
 #include "util/stopwatch.h"
@@ -76,36 +78,35 @@ int main() {
   util::Stopwatch timer;
   const tensor::Tensor normed = bn.forward(x);
   costs.add_row({"BatchNorm", util::format_double(timer.milliseconds(), 2)});
+  // The deployed block evaluates the BN inline (core::ConvStep).
+  const core::BnStep bn_step(bn);
+  const bitops::ChannelAffine affine = bn_step.affine();
   timer.restart();
-  const tensor::Tensor alpha = bitops::input_scales_per_channel(normed, spec);
+  const bitops::BitPlanes bits(x, affine);
+  costs.add_row({"Binarize (BN inline, sign planes)",
+                 util::format_double(timer.milliseconds(), 2)});
+  timer.restart();
+  const tensor::Tensor alpha =
+      bitops::input_scales_per_channel_affine_lanes(x, spec, affine);
   costs.add_row({"alpha_T (Eq. 14 box filter)",
                  util::format_double(timer.milliseconds(), 2)});
   timer.restart();
-  const bitops::BitMatrix patches =
-      bitops::pack_patches_channel_blocked(normed, spec);
-  costs.add_row({"Binarize + pack patches",
-                 util::format_double(timer.milliseconds(), 2)});
-  timer.restart();
-  const bitops::BitMatrix filters = bitops::pack_filters_channel_blocked(w);
+  const core::DirectFilters filters = core::pack_direct_filters(w);
+  const tensor::Tensor alpha_w = bitops::weight_scales(w);
   costs.add_row({"Pack filters (cached at deploy)",
                  util::format_double(timer.milliseconds(), 2)});
   timer.restart();
-  // Popcount sweep: the actual binary convolution arithmetic.
-  std::int64_t checksum = 0;
-  for (std::int64_t p = 0; p < patches.rows(); ++p) {
-    for (std::int64_t co = 0; co < channels; ++co) {
-      checksum ^= bitops::xnor_dot(patches.row(p), filters.row(co),
-                                   patches.words_per_row(), 9 * channels);
-    }
-  }
-  costs.add_row({"XNOR + popcount sweep",
+  // The binary convolution arithmetic: tap words, XNOR, adder tree, alpha.
+  tensor::Tensor out({x.dim(0), channels, spatial, spatial});
+  core::direct_conv(bitops::active_xnor_kernel(), bits, spec, filters, alpha,
+                    alpha_w, out);
+  costs.add_row({"Direct XNOR conv",
                  util::format_double(timer.milliseconds(), 2)});
-  std::printf("Block stage costs (C=%lld, %lldx%lld, batch 8; checksum %lld):\n%s\n",
-              static_cast<long long>(channels),
-              static_cast<long long>(spatial),
-              static_cast<long long>(spatial),
-              static_cast<long long>(checksum),
-              costs.to_string().c_str());
+  std::printf(
+      "Block stage costs (C=%lld, %lldx%lld, batch 8; out[0] %g):\n%s\n",
+      static_cast<long long>(channels), static_cast<long long>(spatial),
+      static_cast<long long>(spatial), static_cast<double>(out[0]),
+      costs.to_string().c_str());
 
   // 2. BN-before-binarize information retention.
   // Raw activations with a strong positive offset (typical post-conv):

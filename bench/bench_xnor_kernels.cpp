@@ -1,12 +1,16 @@
-// XNOR kernel micro-benchmark: raw word throughput of each compiled +
-// CPU-supported kernel's three primitives, reported as words/sec (one word
-// = one 64-bit XOR + popcount + accumulate) plus the speedup over the
-// scalar reference. Writes BENCH_xnor_kernels.json for provenance. To
-// compare kernels, run it under HOTSPOT_SIMD=scalar and HOTSPOT_SIMD=auto.
+// XNOR kernel micro-benchmark: throughput of each compiled + CPU-supported
+// kernel's three primitives — words/sec for the GEMM primitives (one word =
+// one 64-bit XOR + popcount + accumulate) and (lane, channel) updates/sec
+// for direct_accumulate (one update = nine XNOR bits counted, one float
+// multiply + add of the direct conv) — plus the speedup over the scalar
+// reference. Writes
+// BENCH_xnor_kernels.json for provenance. To compare kernels, run it under
+// HOTSPOT_SIMD=scalar and HOTSPOT_SIMD=auto.
 //
 // The workload mirrors the paper-config hot loops: 72-word rows for the
-// GEMM primitives (a 512-channel 3x3 patch = 4608 bits) and 256 one-word
-// channels for weighted_sum (the channel-blocked Eq. 14/15 path).
+// GEMM primitives (a 512-channel 3x3 patch = 4608 bits) and 256 input
+// channels of 3x3 tap words for direct_accumulate (the direct Eq. 14/15
+// path).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -23,7 +27,7 @@ namespace {
 using hotspot::bitops::XnorKernel;
 
 constexpr std::int64_t kGemmWords = 72;       // 512ch x 3x3 = 4608 bits
-constexpr std::int64_t kWeightedChannels = 256;
+constexpr std::int64_t kLaneChannels = 256;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -40,9 +44,9 @@ std::vector<std::uint64_t> random_words(hotspot::util::Rng& rng,
   return words;
 }
 
-// Runs `body` (which processes `words_per_call` word ops and returns a
-// value folded into the sink) until ~0.25 s elapsed, after a warmup;
-// returns words/sec.
+// Runs `body` (which processes `words_per_call` word ops or updates and
+// returns a value folded into the sink) until ~0.25 s elapsed, after a
+// warmup; returns words (updates)/sec.
 template <typename Body>
 double measure_words_per_sec(std::int64_t words_per_call, Body body,
                              std::int64_t& sink) {
@@ -66,8 +70,7 @@ double measure_words_per_sec(std::int64_t words_per_call, Body body,
 struct KernelRates {
   double dot = 0.0;          // xor_popcount
   double gemm = 0.0;         // xor_popcount_2x4 (8 dots per call)
-  double weighted = 0.0;     // weighted_sum
-  double weighted_x4 = 0.0;  // weighted_sum_x4 (4 filters per call)
+  double lanes = 0.0;        // direct_accumulate, (lane, channel) updates
 };
 
 KernelRates measure_kernel(const XnorKernel& kernel) {
@@ -78,16 +81,16 @@ KernelRates measure_kernel(const XnorKernel& kernel) {
   const auto b1 = random_words(rng, kGemmWords);
   const auto b2 = random_words(rng, kGemmWords);
   const auto b3 = random_words(rng, kGemmWords);
-  // Weighted path: channel count padded the way BinaryConv2d pads it.
-  const std::int64_t padded =
-      (kWeightedChannels + kernel.word_multiple - 1) / kernel.word_multiple *
-      kernel.word_multiple;
-  const auto wa = random_words(rng, padded);
-  const auto wb = random_words(rng, padded);
-  std::vector<float> alpha(static_cast<std::size_t>(padded), 0.0f);
-  for (std::int64_t c = 0; c < kWeightedChannels; ++c) {
-    alpha[static_cast<std::size_t>(c)] =
-        static_cast<float>(rng.uniform(0.1, 1.0));
+  // Direct-conv path: nine tap words and a 9-bit filter per channel, alpha
+  // rows as wide as the 64 lanes.
+  const auto taps = random_words(rng, 9 * kLaneChannels);
+  std::vector<std::uint16_t> weights(static_cast<std::size_t>(kLaneChannels));
+  for (auto& w : weights) {
+    w = static_cast<std::uint16_t>(rng.next_u64() & 0x1FFu);
+  }
+  std::vector<float> alpha(static_cast<std::size_t>(64 * kLaneChannels));
+  for (float& a : alpha) {
+    a = static_cast<float>(rng.uniform(0.1, 1.0));
   }
 
   KernelRates rates;
@@ -105,23 +108,14 @@ KernelRates measure_kernel(const XnorKernel& kernel) {
         return acc[0] + acc[7];
       },
       sink);
-  rates.weighted = measure_words_per_sec(
-      padded,
+  rates.lanes = measure_words_per_sec(
+      64 * kLaneChannels,
       [&] {
-        return static_cast<std::int64_t>(kernel.weighted_sum(
-            wa.data(), wb.data(), alpha.data(), padded, 9.0f));
-      },
-      sink);
-  const auto wb1 = random_words(rng, padded);
-  const auto wb2 = random_words(rng, padded);
-  const auto wb3 = random_words(rng, padded);
-  rates.weighted_x4 = measure_words_per_sec(
-      4 * padded,
-      [&] {
-        float quad[4];
-        kernel.weighted_sum_x4(wa.data(), wb.data(), wb1.data(), wb2.data(),
-                               wb3.data(), alpha.data(), padded, 9.0f, quad);
-        return static_cast<std::int64_t>(quad[0] + quad[3]);
+        float out[64];
+        kernel.direct_accumulate(taps.data(), weights.data(), alpha.data(),
+                                 64, kLaneChannels, kLaneChannels, 9, 0.5f,
+                                 out);
+        return static_cast<std::int64_t>(out[0] + out[63]);
       },
       sink);
   if (sink == 42) {  // defeats dead-code elimination of the timed bodies
@@ -140,11 +134,11 @@ int main() {
 
   const auto& kernels = hotspot::bitops::compiled_xnor_kernels();
   hotspot::util::Table table(
-      {"kernel", "simd_bits", "dot Gw/s", "gemm2x4 Gw/s", "weighted Gw/s",
-       "weighted_x4 Gw/s", "gemm speedup"});
+      {"kernel", "simd_bits", "dot Gw/s", "gemm2x4 Gw/s", "lanes Gupd/s",
+       "gemm speedup", "lanes speedup"});
   JsonObject result;
   result.set("gemm_words", static_cast<long>(kGemmWords));
-  result.set("weighted_channels", static_cast<long>(kWeightedChannels));
+  result.set("lane_channels", static_cast<long>(kLaneChannels));
 
   KernelRates scalar_rates;
   int measured = 0;
@@ -160,27 +154,20 @@ int main() {
     }
     const double speedup =
         scalar_rates.gemm > 0.0 ? rates.gemm / scalar_rates.gemm : 0.0;
+    const double lanes_speedup =
+        scalar_rates.lanes > 0.0 ? rates.lanes / scalar_rates.lanes : 0.0;
     table.add_row({kernel->name, std::to_string(kernel->simd_bits),
                    std::to_string(rates.dot / 1e9),
                    std::to_string(rates.gemm / 1e9),
-                   std::to_string(rates.weighted / 1e9),
-                   std::to_string(rates.weighted_x4 / 1e9),
-                   std::to_string(speedup)});
+                   std::to_string(rates.lanes / 1e9), std::to_string(speedup),
+                   std::to_string(lanes_speedup)});
     const std::string prefix = kernel->name;
     result.set(prefix + "_dot_words_per_sec", rates.dot);
     result.set(prefix + "_gemm_words_per_sec", rates.gemm);
-    result.set(prefix + "_weighted_words_per_sec", rates.weighted);
-    result.set(prefix + "_weighted_x4_words_per_sec", rates.weighted_x4);
+    result.set(prefix + "_lane_updates_per_sec", rates.lanes);
     if (std::string(kernel->name) != "scalar") {
       result.set(prefix + "_gemm_speedup", speedup);
-      result.set(prefix + "_weighted_speedup",
-                 scalar_rates.weighted > 0.0
-                     ? rates.weighted / scalar_rates.weighted
-                     : 0.0);
-      result.set(prefix + "_weighted_x4_speedup",
-                 scalar_rates.weighted_x4 > 0.0
-                     ? rates.weighted_x4 / scalar_rates.weighted_x4
-                     : 0.0);
+      result.set(prefix + "_lanes_speedup", lanes_speedup);
     }
     ++measured;
   }

@@ -6,6 +6,12 @@
 // instead of kh*kw float loads per output position, so every input float is
 // read exactly once during packing.
 //
+// Stride-2 consumers (the direct binary conv, core/packed_conv.h) ask for
+// the column-parity layout instead: each bitmap row is stored as its even
+// columns (bit i = column 2i) followed by its odd columns (bit i = column
+// 2i + 1), so the taps of every second output column are contiguous bits.
+// Both layouts are written by the same binarize loop.
+//
 // Both constructors binarize with the sign rule bit = (v >= 0), matching
 // tensor::sign (sign(0) = +1). The affine one applies it to the batch-norm
 // output bn_eval(x) (channel_affine.h), evaluated inline from the raw
@@ -22,6 +28,8 @@
 
 namespace hotspot::bitops {
 
+enum class BitLayout { kRows, kColumnParity };
+
 class BitPlanes {
  public:
   BitPlanes() = default;
@@ -31,22 +39,39 @@ class BitPlanes {
 
   // bit = (bn_eval(v) >= 0) with channel c's parameters from `affine`
   // (arrays sized to input.dim(1)).
-  BitPlanes(const tensor::Tensor& input, const ChannelAffine& affine);
+  BitPlanes(const tensor::Tensor& input, const ChannelAffine& affine,
+            BitLayout layout = BitLayout::kRows);
 
   std::int64_t batch() const { return n_; }
   std::int64_t channels() const { return c_; }
   std::int64_t height() const { return h_; }
   std::int64_t width() const { return w_; }
+  BitLayout layout() const { return layout_; }
+  // Words per stored row: a full row (kRows) or one parity half
+  // (kColumnParity, ceil(ceil(width / 2) / 64) words each).
   std::int64_t row_words() const { return row_words_; }
 
-  // Bitmap row y of plane (n*channels + c); caller guarantees bounds.
+  // Bitmap row y of plane (n*channels + c); kRows only, caller guarantees
+  // bounds.
   const std::uint64_t* row(std::int64_t plane, std::int64_t y) const {
     return words_.data() + (plane * h_ + y) * row_words_;
   }
 
+  // Even (parity 0) or odd (parity 1) columns of bitmap row y of plane
+  // (n*channels + c); kColumnParity only.
+  const std::uint64_t* parity_row(std::int64_t plane, std::int64_t y,
+                                  std::int64_t parity) const {
+    return words_.data() + ((plane * h_ + y) * 2 + parity) * row_words_;
+  }
+
   bool get(std::int64_t n, std::int64_t c, std::int64_t y,
            std::int64_t x) const {
-    return (row(n * c_ + c, y)[x >> 6] >> (x & 63)) & 1u;
+    const std::int64_t plane = n * c_ + c;
+    if (layout_ == BitLayout::kColumnParity) {
+      return (parity_row(plane, y, x & 1)[(x >> 1) >> 6] >> ((x >> 1) & 63)) &
+             1u;
+    }
+    return (row(plane, y)[x >> 6] >> (x & 63)) & 1u;
   }
 
   // kw bits of bitmap row `bm` starting at column ix0 (bit i = column
@@ -74,6 +99,7 @@ class BitPlanes {
   template <typename RuleFor>
   void binarize(const tensor::Tensor& input, RuleFor rule_for);
 
+  BitLayout layout_ = BitLayout::kRows;
   std::int64_t n_ = 0;
   std::int64_t c_ = 0;
   std::int64_t h_ = 0;

@@ -1,9 +1,9 @@
 // XNOR-GEMM kernel family behind a runtime CPU-dispatch table.
 //
 // Every kernel implements the same three primitives over the same explicit
-// data layout, so the rest of the system (BitMatrix, xnor_gemm, the packed
-// binary-conv paths) is written once against this interface and the widest
-// ISA the running CPU supports is selected at process start:
+// data layout, so the rest of the system (BitMatrix, xnor_gemm, the direct
+// binary conv) is written once against this interface and the widest ISA
+// the running CPU supports is selected at process start:
 //
 //   layout   Packed rows are arrays of uint64 words, little-endian bit
 //            order (bit b of word w covers column 64*w + b), with all tail
@@ -12,23 +12,27 @@
 //            finish the remainder scalar, so unpadded rows are always
 //            correct. Rows padded to a multiple of `word_multiple`
 //            (BitMatrix does this by construction) take the tail-free path.
+//            A lane word of the direct conv holds one bit per output
+//            position: bit j is lane j.
 //
 //   exactness  xor_popcount / xor_popcount_2x4 accumulate in integers, so
 //            every kernel returns the same value on the same input by
-//            construction. weighted_sum involves float accumulation, whose
-//            result depends on evaluation order — the interface therefore
-//            pins a canonical order (below) that every kernel implements
-//            exactly, making all kernels bit-identical to scalar. The
-//            kernel translation units are compiled with -ffp-contract=off
-//            so no kernel silently fuses the multiply-add into an FMA.
+//            construction. direct_accumulate involves float accumulation,
+//            whose result depends on evaluation order — the interface
+//            therefore pins a canonical order (below) that every kernel
+//            implements exactly, making all kernels bit-identical to
+//            scalar. The kernel translation units are compiled with
+//            -ffp-contract=off so no kernel silently fuses the
+//            multiply-add into an FMA.
 //
-//   canonical weighted order  Eight float lanes; channel c contributes
-//            alpha[c] * (dot_bits - 2*popcount(a[c] ^ b[c])) to lane c % 8,
-//            blocks of eight channels in ascending order, one multiply and
-//            one add per contribution (two roundings), then the tree
-//            reduction ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). Channels with
-//            alpha[c] == 0 contribute exactly +0.0f, so padding channels
-//            (zero words, zero alpha) never change the result.
+//   canonical weighted order  Position-major: every output position (lane)
+//            owns one float accumulator, starting from +0.0f. Input
+//            channels are added in ascending order, each as
+//            acc = acc + alpha_T(c, lane) * float(k*k - 2*mismatches(c,
+//            lane)), one multiply and one add (two roundings); the result
+//            is acc * alpha_W. There is no cross-lane reduction: a vector
+//            kernel runs independent lanes side by side, so the order is
+//            the same at every vector width.
 //
 // This dispatch seam is also the backend plug point for the compiled
 // inference plan (core/inference_plan.h): a backend provides an XnorKernel
@@ -64,25 +68,25 @@ struct XnorKernel {
                            const std::uint64_t* b2, const std::uint64_t* b3,
                            std::int64_t words, std::int64_t acc[8]);
 
-  // Per-channel weighted reduction for the Eq. 14/15 packed path: returns
-  //   sum_c alpha[c] * (dot_bits - 2*popcount(a[c] ^ b[c]))
-  // over `channels` single-word channels, in the canonical weighted order
-  // documented above. dot_bits is kh*kw as float (exact for <= 64).
-  float (*weighted_sum)(const std::uint64_t* a, const std::uint64_t* b,
-                        const float* alpha, std::int64_t channels,
-                        float dot_bits);
-
-  // Four-filter batch of weighted_sum over one patch row: out[f] must equal
-  // weighted_sum(a, bf, alpha, channels, dot_bits) bit-for-bit. The batch
-  // exists purely for speed — the canonical order is per-filter, so sharing
-  // the a/alpha loads across four independent accumulator chains changes
-  // nothing about the result but hides the per-block add latency that
-  // bounds the single-filter form and amortizes the per-call setup/reduce.
-  void (*weighted_sum_x4)(const std::uint64_t* a, const std::uint64_t* b0,
-                          const std::uint64_t* b1, const std::uint64_t* b2,
-                          const std::uint64_t* b3, const float* alpha,
-                          std::int64_t channels, float dot_bits,
-                          float out[4]);
+  // Aggregate of the position-sliced direct binary conv (Eq. 14/15,
+  // core::direct_conv) for one 64-lane word and one filter.
+  // taps[t * channel_stride + c] is the lane word of tap t (< ntaps <= 15)
+  // in input channel c, and bit t of weights[c] is the filter's sign bit
+  // for that tap; both are readable, zero past `channels`, up to
+  // `channel_stride` (a multiple of 8). For every lane j, with
+  // mismatches(c) the number of taps whose bit j differs from the weight
+  // bit (XOR, then a carry-save adder tree):
+  //   acc = +0.0f
+  //   for c in [0, channels):
+  //     acc = acc + alpha[c * alpha_stride + j] * float(ntaps -
+  //                                                    2 * mismatches(c))
+  //   out[j] = acc * scale
+  // in the canonical weighted order above.
+  void (*direct_accumulate)(const std::uint64_t* taps,
+                            const std::uint16_t* weights, const float* alpha,
+                            std::int64_t alpha_stride, std::int64_t channels,
+                            std::int64_t channel_stride, std::int64_t ntaps,
+                            float scale, float out[64]);
 };
 
 // The always-available reference kernel every other kernel must match

@@ -34,13 +34,17 @@ tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec);
 
 // alpha_T of the batch-norm output, evaluated inline from the BN input
-// (affine_eval per element, channel_affine.h): equals
+// (affine_eval per element, channel_affine.h), in the lane layout of the
+// direct binary conv (core::direct_conv): [Cin, lanes] with
+// alpha_T(n, c, oy, ox) at row c, column n*outH*outW + oy*outW + ox.
+// `lanes` is N*outH*outW rounded up to a multiple of 64; the columns past
+// N*outH*outW are zero. The values equal
 // input_scales_per_channel(bn(input), spec) bit for bit, because the same
 // float values feed the same double accumulation, without the intermediate
 // tensor.
-tensor::Tensor input_scales_per_channel_affine(const tensor::Tensor& input,
-                                               const tensor::ConvSpec& spec,
-                                               const ChannelAffine& affine);
+tensor::Tensor input_scales_per_channel_affine_lanes(
+    const tensor::Tensor& input, const tensor::ConvSpec& spec,
+    const ChannelAffine& affine);
 
 // Scalar-mode counterpart of the above (channel mean of |bn(input)| box
 // filtered): equals input_scales_scalar(bn(input), spec).

@@ -72,6 +72,11 @@ Tensor BnStep::run(const Tensor& input) const {
 
 // --- ConvStep ----------------------------------------------------------
 
+std::string conv_stage_span(const std::string& conv_label,
+                            const std::string& stage) {
+  return conv_label.empty() ? stage : conv_label + "/" + stage;
+}
+
 ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv)
     : label_(conv.span_label()),
       spec_(conv.spec()),
@@ -79,13 +84,21 @@ ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv)
       out_channels_(conv.out_channels()),
       scaling_(conv.scaling()),
       kernel_(&bitops::active_xnor_kernel()),
-      gemm_span_(std::string("binary_conv.gemm.") + kernel_->name),
-      filters_(scaling_ == bitops::InputScaling::kPerChannel
-                   ? bitops::pack_filters_channel_blocked(conv.weight().value)
-                   : bitops::pack_filters(conv.weight().value)),
+      input_span_(conv_stage_span(label_, "binary_conv.pack")),
+      aggregate_span_(conv_stage_span(
+          label_, std::string(scaling_ == bitops::InputScaling::kPerChannel
+                                  ? "binary_conv.direct."
+                                  : "binary_conv.gemm.") +
+                      kernel_->name)),
+      unpack_span_(conv_stage_span(label_, "binary_conv.unpack")),
       alpha_w_(bitops::weight_scales(conv.weight().value)),
       bn_(bn) {
   HOTSPOT_CHECK_EQ(bn.channels(), in_channels_);
+  if (scaling_ == bitops::InputScaling::kPerChannel) {
+    direct_filters_ = pack_direct_filters(conv.weight().value);
+  } else {
+    filters_ = bitops::pack_filters(conv.weight().value);
+  }
 }
 
 Tensor ConvStep::run(const Tensor& input) const {
@@ -98,60 +111,59 @@ Tensor ConvStep::run(const Tensor& input) const {
   return compute(input);
 }
 
-ConvStep::PackedInput ConvStep::pack_input(const Tensor& input) const {
-  HOTSPOT_TRACE_SPAN("binary_conv.pack");
+Tensor ConvStep::compute(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(input.dim(1), in_channels_);
-  // Sign bits and alpha_T of the BN output, evaluated inline per element.
-  const bitops::ChannelAffine affine = bn_.affine();
-  const bitops::BitPlanes bits(input, affine);
-  PackedInput packed;
-  switch (scaling_) {
-    case bitops::InputScaling::kPerChannel:
-      packed.patches = bitops::pack_patches_channel_blocked(bits, spec_);
-      packed.alpha =
-          bitops::input_scales_per_channel_affine(input, spec_, affine);
-      break;
-    case bitops::InputScaling::kScalar:
-      packed.patches = bitops::pack_patches(bits, spec_);
-      packed.alpha = bitops::input_scales_scalar_affine(input, spec_, affine);
-      break;
-    case bitops::InputScaling::kNone:
-      packed.patches = bitops::pack_patches(bits, spec_);
-      break;
-  }
-  return packed;
+  Tensor output({input.dim(0), out_channels_,
+                 tensor::conv_out_extent(input.dim(2), spec_.kernel_h,
+                                         spec_.stride, spec_.pad),
+                 tensor::conv_out_extent(input.dim(3), spec_.kernel_w,
+                                         spec_.stride, spec_.pad)});
+  return scaling_ == bitops::InputScaling::kPerChannel
+             ? compute_direct(input, std::move(output))
+             : compute_dense(input, std::move(output));
 }
 
-Tensor ConvStep::compute(const Tensor& input) const {
-  const std::int64_t n = input.dim(0);
-  const std::int64_t out_h = tensor::conv_out_extent(
-      input.dim(2), spec_.kernel_h, spec_.stride, spec_.pad);
-  const std::int64_t out_w = tensor::conv_out_extent(
-      input.dim(3), spec_.kernel_w, spec_.stride, spec_.pad);
-  const PackedInput packed = pack_input(input);
-  Tensor output({n, out_channels_, out_h, out_w});
-
-  if (scaling_ == bitops::InputScaling::kPerChannel) {
-    // Channel-blocked lanes: one word per channel so each per-channel dot
-    // is a single XOR + popcount, scaled by alpha_T(c, position).
-    HOTSPOT_TRACE_SPAN(gemm_span_);
-    packed_conv_per_channel(*kernel_, packed.patches, filters_, packed.alpha,
-                            alpha_w_, in_channels_, out_channels_,
-                            spec_.kernel_h * spec_.kernel_w, output);
-    return output;
+Tensor ConvStep::compute_direct(const Tensor& input, Tensor output) const {
+  // Sign bits (the column-parity layout at stride 2) and alpha_T in lane
+  // layout, both of the BN output evaluated inline per element.
+  const bitops::ChannelAffine affine = bn_.affine();
+  bitops::BitPlanes bits;
+  Tensor alpha;
+  {
+    obs::TraceSpan span(input_span_);
+    bits = bitops::BitPlanes(input, affine,
+                             spec_.stride == 2
+                                 ? bitops::BitLayout::kColumnParity
+                                 : bitops::BitLayout::kRows);
+    alpha = bitops::input_scales_per_channel_affine_lanes(input, spec_, affine);
   }
+  obs::TraceSpan span(aggregate_span_);
+  direct_conv(*kernel_, bits, spec_, direct_filters_, alpha, alpha_w_, output);
+  return output;
+}
 
+Tensor ConvStep::compute_dense(const Tensor& input, Tensor output) const {
+  const bitops::ChannelAffine affine = bn_.affine();
+  bitops::BitMatrix patches;
+  Tensor alpha;  // kScalar only
+  {
+    obs::TraceSpan span(input_span_);
+    patches = bitops::pack_patches(bitops::BitPlanes(input, affine), spec_);
+    if (scaling_ == bitops::InputScaling::kScalar) {
+      alpha = bitops::input_scales_scalar_affine(input, spec_, affine);
+    }
+  }
   // Dense lanes: one popcount chain per (position, filter) pair.
   Tensor counts;
   {
-    HOTSPOT_TRACE_SPAN(gemm_span_);
-    counts = bitops::xnor_gemm(packed.patches, filters_);
+    obs::TraceSpan span(aggregate_span_);
+    counts = bitops::xnor_gemm(patches, filters_);
   }
-  HOTSPOT_TRACE_SPAN("binary_conv.unpack");
+  obs::TraceSpan span(unpack_span_);
   packed_conv_epilogue(
       counts, alpha_w_,
-      scaling_ == bitops::InputScaling::kScalar ? &packed.alpha : nullptr,
+      scaling_ == bitops::InputScaling::kScalar ? &alpha : nullptr,
       out_channels_, output);
   return output;
 }

@@ -15,8 +15,10 @@
 //   input     - sign bits of the BN output and its alpha_T scales, both
 //               evaluated inline from the raw input (bitops/channel_affine.h)
 //               so no BN tensor is materialized;
-//   aggregate - per-channel weighted popcount (kPerChannel) or a dense
-//               XNOR GEMM with the float alpha_W epilogue (kScalar / kNone).
+//   aggregate - the position-sliced direct binary conv (kPerChannel,
+//               core::direct_conv: no patch matrix), or im2col patches and a
+//               dense XNOR GEMM with the float alpha_W epilogue (kScalar /
+//               kNone).
 // The input stage evaluates the layer's own float expression, so the plan
 // binarizes exactly what the BN layer would output, for every statistic,
 // and its logits are bit-identical on every kernel.
@@ -32,6 +34,7 @@
 #include "bitops/bit_matrix.h"
 #include "bitops/kernels/xnor_kernel.h"
 #include "bitops/scaling.h"
+#include "core/packed_conv.h"
 #include "tensor/conv.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
@@ -47,6 +50,15 @@ class BinaryConv2d;
 class BrnnModel;
 
 using tensor::Tensor;
+
+// Trace span of one stage of a conv step, qualified by the conv's span
+// label so the roofline attributes every stage to its layer:
+// "brnn.conv.stem/binary_conv.pack". The stages are binary_conv.pack (the
+// input stage), binary_conv.direct.<kernel> or binary_conv.gemm.<kernel>
+// (the aggregate) and binary_conv.unpack (the dense epilogue). An
+// unlabelled conv opens the bare stage names.
+std::string conv_stage_span(const std::string& conv_label,
+                            const std::string& stage);
 
 // Inference-mode batch norm, copied out of a BatchNorm2d. run() evaluates
 // exactly the layer's eval forward (bitops::bn_eval per element).
@@ -74,13 +86,9 @@ class ConvStep {
   Tensor run(const Tensor& input) const;
 
  private:
-  struct PackedInput {
-    bitops::BitMatrix patches;
-    Tensor alpha;  // alpha_T for kPerChannel / kScalar, empty for kNone
-  };
-
-  PackedInput pack_input(const Tensor& input) const;
   Tensor compute(const Tensor& input) const;
+  Tensor compute_direct(const Tensor& input, Tensor output) const;
+  Tensor compute_dense(const Tensor& input, Tensor output) const;
 
   std::string label_;
   tensor::ConvSpec spec_;
@@ -88,8 +96,11 @@ class ConvStep {
   std::int64_t out_channels_;
   bitops::InputScaling scaling_;
   const bitops::XnorKernel* kernel_;
-  std::string gemm_span_;  // "binary_conv.gemm.<kernel>"
-  bitops::BitMatrix filters_;
+  std::string input_span_;      // conv_stage_span(label, binary_conv.pack)
+  std::string aggregate_span_;  // ... binary_conv.{direct,gemm}.<kernel>
+  std::string unpack_span_;     // ... binary_conv.unpack
+  DirectFilters direct_filters_;  // kPerChannel
+  bitops::BitMatrix filters_;     // kScalar / kNone
   Tensor alpha_w_;
   BnStep bn_;
 };

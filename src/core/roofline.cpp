@@ -5,6 +5,7 @@
 
 #include "bitops/kernels/xnor_kernel.h"
 #include "core/cost_model.h"
+#include "core/inference_plan.h"
 #include "util/check.h"
 #include "util/table.h"
 
@@ -88,6 +89,20 @@ RooflineReport build_roofline(const BrnnModel& model,
     if (const obs::SpanStat* stat = spans.find(layer.label)) {
       layer.seconds = stat->total_seconds;
     }
+    if (const obs::SpanStat* stat = spans.find(
+            conv_stage_span(layer.label, "binary_conv.pack"))) {
+      layer.input_seconds = stat->total_seconds;
+    }
+    // The aggregate span names the kernel it ran on.
+    const std::string direct =
+        conv_stage_span(layer.label, "binary_conv.direct.");
+    const std::string gemm =
+        conv_stage_span(layer.label, "binary_conv.gemm.");
+    for (const auto& [name, stat] : spans.spans) {
+      if (name.rfind(direct, 0) == 0 || name.rfind(gemm, 0) == 0) {
+        layer.aggregate_seconds += stat.total_seconds;
+      }
+    }
     const double samples = static_cast<double>(layer.samples);
     // One packed word op stands in for 64 binary multiply-accumulates.
     layer.bitops =
@@ -133,7 +148,8 @@ RooflineReport build_roofline(const BrnnModel& model,
 
 std::string to_table(const RooflineReport& report) {
   util::Table table({"layer", "geometry", "path", "samples", "time_ms",
-                     "bitops", "float_ops", "Gops/s", "time_%"});
+                     "input_ms", "aggregate_ms", "bitops", "float_ops",
+                     "Gops/s", "time_%"});
   double total_bitops = 0.0;
   double total_float_ops = 0.0;
   for (const RooflineLayer& layer : report.layers) {
@@ -141,6 +157,8 @@ std::string to_table(const RooflineReport& report) {
                    layer.main_path ? "main" : "shortcut",
                    std::to_string(layer.samples),
                    format_fixed(layer.seconds * 1e3, 3),
+                   format_fixed(layer.input_seconds * 1e3, 3),
+                   format_fixed(layer.aggregate_seconds * 1e3, 3),
                    format_double(layer.bitops), format_double(layer.float_ops),
                    format_fixed(layer.gops_per_second, 2),
                    format_fixed(layer.time_fraction * 100.0, 1)});
@@ -152,7 +170,7 @@ std::string to_table(const RooflineReport& report) {
           ? (total_bitops + total_float_ops) / report.total_seconds / 1e9
           : 0.0;
   table.add_row({"total", "", "", std::to_string(report.samples),
-                 format_fixed(report.total_seconds * 1e3, 3),
+                 format_fixed(report.total_seconds * 1e3, 3), "", "",
                  format_double(total_bitops), format_double(total_float_ops),
                  format_fixed(total_gops, 2), "100.0"});
   return "xnor kernel: " + report.kernel + "\n" + table.to_string();
@@ -168,6 +186,9 @@ std::string to_json(const RooflineReport& report) {
         << (layer.main_path ? "true" : "false")
         << ", \"samples\": " << layer.samples
         << ", \"seconds\": " << format_double(layer.seconds)
+        << ", \"input_seconds\": " << format_double(layer.input_seconds)
+        << ", \"aggregate_seconds\": "
+        << format_double(layer.aggregate_seconds)
         << ", \"bitops\": " << format_double(layer.bitops)
         << ", \"float_ops\": " << format_double(layer.float_ops)
         << ", \"gops_per_second\": " << format_double(layer.gops_per_second)

@@ -8,7 +8,8 @@
 //     ops and float epilogue ops for binary convolutions, dense MACs for
 //     the classifier head).
 //
-// The result is one row per weight layer: time, operations executed
+// The result is one row per weight layer: time (split, for convs, into the
+// input stage and the aggregate), operations executed
 // (bitops = 64 binary MACs per packed word op), achieved Gops/s, and the
 // share of total profiled time — the numbers needed to see which layer is
 // compute-bound and how far each sits from the kernel's peak.
@@ -34,6 +35,11 @@ struct RooflineLayer {
                           // paper's 12-layer count)
   std::uint64_t samples = 0;  // forward samples profiled through this layer
   double seconds = 0.0;       // total span wall time
+  // The two stages inside `seconds` (convs only; conv_stage_span spans):
+  // the input stage (binary_conv.pack: sign bits, even/odd split, alpha_T)
+  // and the aggregate (binary_conv.direct.* / binary_conv.gemm.*).
+  double input_seconds = 0.0;
+  double aggregate_seconds = 0.0;
   double bitops = 0.0;        // binary MACs executed (64 per word op)
   double float_ops = 0.0;     // float epilogue ops (convs) or MACs*2 (fc)
   double gops_per_second = 0.0;  // (bitops + float_ops) / seconds / 1e9

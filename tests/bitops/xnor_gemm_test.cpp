@@ -55,6 +55,41 @@ TEST(BinaryConvCounts, MatchesFloatSignConv) {
   }
 }
 
+// The column-parity layout holds the same bits as the row layout, even
+// columns then odd columns, with every bit past each half's width zero (the
+// direct conv reads those as right padding), at widths around the 64- and
+// 128-column word boundaries.
+TEST(BitPlanesLayout, ColumnParityMatchesRows) {
+  util::Rng rng(8);
+  for (const std::int64_t width :
+       {1, 2, 3, 7, 63, 64, 65, 127, 128, 129, 130, 200, 257}) {
+    const Tensor x = Tensor::normal({2, 3, 3, width}, rng, 0.0f, 1.0f);
+    const BitPlanes rows(x);
+    const std::vector<float> zero(3, 0.0f), one(3, 1.0f);
+    const BitPlanes parity(x, ChannelAffine{zero.data(), one.data(),
+                                            one.data(), zero.data()},
+                           BitLayout::kColumnParity);
+    ASSERT_EQ(parity.row_words(), ((width + 1) / 2 + 63) / 64);
+    for (std::int64_t plane = 0; plane < 6; ++plane) {
+      for (std::int64_t y = 0; y < 3; ++y) {
+        for (std::int64_t col = 0; col < width; ++col) {
+          ASSERT_EQ(parity.get(plane / 3, plane % 3, y, col),
+                    rows.get(plane / 3, plane % 3, y, col))
+              << "width=" << width << " col=" << col;
+        }
+        for (std::int64_t half = 0; half < 2; ++half) {
+          const std::int64_t valid = (width + 1 - half) / 2;
+          const std::uint64_t* bits = parity.parity_row(plane, y, half);
+          for (std::int64_t i = valid; i < parity.row_words() * 64; ++i) {
+            ASSERT_EQ((bits[i >> 6] >> (i & 63)) & 1u, 0u)
+                << "width=" << width << " half=" << half << " bit=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ChannelBlockedPacking, OneWordPerChannel) {
   util::Rng rng(4);
   const Tensor x = Tensor::normal({1, 3, 4, 4}, rng, 0.0f, 1.0f);

@@ -139,6 +139,9 @@ TEST(BnAffineIdentity, BitPlanesMatchBatchNormForward) {
                           const Tensor& x, const std::string& context) {
     const Tensor y = bn.forward(x);
     const bitops::BitPlanes inline_bits(x, step.affine());
+    // The column-parity layout the stride-2 direct conv reads.
+    const bitops::BitPlanes inline_parity(x, step.affine(),
+                                          bitops::BitLayout::kColumnParity);
     const bitops::BitPlanes materialized(y);
     for (std::int64_t n = 0; n < x.dim(0); ++n) {
       for (std::int64_t c = 0; c < x.dim(1); ++c) {
@@ -149,6 +152,10 @@ TEST(BnAffineIdentity, BitPlanesMatchBatchNormForward) {
                 << context << " at n=" << n << " c=" << c << " y=" << row
                 << " x=" << col << " input=" << x.at4(n, c, row, col)
                 << " bn=" << y.at4(n, c, row, col);
+            ASSERT_EQ(inline_parity.get(n, c, row, col),
+                      materialized.get(n, c, row, col))
+                << "column parity, " << context << " at n=" << n
+                << " c=" << c << " y=" << row << " x=" << col;
           }
         }
       }
@@ -164,14 +171,35 @@ TEST(BnAffineIdentity, BitPlanesMatchBatchNormForward) {
   EXPECT_TRUE(nan && pos_inf && neg_inf && pos_zero && neg_zero);
 }
 
+// The plan's per-channel alpha_T is written in the direct conv's lane
+// layout [C, lanes]: row c holds alpha_T(n, c, p) at column n * positions
+// + p, zero past N * positions.
+Tensor to_lane_layout(const Tensor& nchw) {
+  const std::int64_t n = nchw.dim(0);
+  const std::int64_t c = nchw.dim(1);
+  const std::int64_t positions = nchw.dim(2) * nchw.dim(3);
+  const std::int64_t lanes = (n * positions + 63) / 64 * 64;
+  Tensor out({c, lanes});
+  for (std::int64_t ni = 0; ni < n; ++ni) {
+    for (std::int64_t ci = 0; ci < c; ++ci) {
+      for (std::int64_t p = 0; p < positions; ++p) {
+        out.at2(ci, ni * positions + p) =
+            nchw.data()[(ni * c + ci) * positions + p];
+      }
+    }
+  }
+  return out;
+}
+
 TEST(BnAffineIdentity, PerChannelScalesMatchMaterialized) {
   for_each_edge_group([](nn::BatchNorm2d& bn, const BnStep& step,
                          const Tensor& x, const std::string& context) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
       expect_bit_identical(
-          bitops::input_scales_per_channel_affine(x, spec, step.affine()),
-          bitops::input_scales_per_channel(y, spec), context);
+          bitops::input_scales_per_channel_affine_lanes(x, spec,
+                                                        step.affine()),
+          to_lane_layout(bitops::input_scales_per_channel(y, spec)), context);
     }
   });
 }

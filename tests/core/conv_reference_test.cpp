@@ -64,8 +64,8 @@ const InputScaling kScalings[] = {InputScaling::kPerChannel,
 // scalar included, meets the same definition, so every kernel also matches
 // the scalar kernel bit for bit.
 
-// Random words holding `bits` valid low bits each: a packed row's tail word
-// or one channel word of the channel-blocked layout.
+// Random words holding `bits` valid low bits each, like a packed row's tail
+// word.
 std::vector<std::uint64_t> random_words(util::Rng& rng, std::int64_t count,
                                         int bits) {
   std::vector<std::uint64_t> words(static_cast<std::size_t>(count));
@@ -120,119 +120,74 @@ TEST(KernelIdentity, XorPopcount2x4MatchesScalar) {
   }
 }
 
-// One weighted-sum input: an activation row and four filter rows of
-// `channels` words, padded to whole 8-lane blocks with zero words and zero
-// scales, as BitMatrix and the plan's gathered scales pad them.
-struct WeightedCase {
-  std::int64_t channels, padded;
-  int bits;  // 9 for a 3x3 patch, 1 for a 1x1 patch
-  std::vector<std::vector<std::uint64_t>> rows;
-  std::vector<float> alpha;
-  float want[4];  // the canonical order, one per filter row
-};
-
-// Every 8-lane tail (0-37 channels) and widths above 64, for both patch
-// sizes; scales include exact zeros and denormals.
-std::vector<WeightedCase> weighted_cases(std::uint64_t seed) {
-  util::Rng rng(seed);
+// direct_accumulate against the canonical weighted order of the reference,
+// one lane at a time: every channel count 0-37 and counts above 64 (every
+// tail of the 8-channel and 4-channel adder-tree blocks), for 3x3 and 1x1
+// taps, alpha rows wider than the 64 lanes (as the plan's lane layout is)
+// with exact zeros and denormals, and random tap words and weight bits.
+TEST(KernelIdentity, DirectAccumulateMatchesCanonicalOrder) {
+  util::Rng rng(73);
   std::vector<std::int64_t> channel_counts;
   for (std::int64_t c = 0; c <= 37; ++c) {
     channel_counts.push_back(c);
   }
-  channel_counts.insert(channel_counts.end(), {63, 64, 65, 67, 70, 129, 131});
-  std::vector<WeightedCase> cases;
+  channel_counts.insert(channel_counts.end(), {63, 64, 65, 129});
+  constexpr std::int64_t kAlphaStride = 64 * 3;
   for (const std::int64_t channels : channel_counts) {
-    for (const int bits : {9, 1}) {
-      WeightedCase c{channels, (channels + 7) / 8 * 8, bits, {}, {}, {}};
-      for (int r = 0; r < 5; ++r) {
-        c.rows.push_back(random_words(rng, channels, bits));
-        c.rows.back().resize(static_cast<std::size_t>(c.padded), 0);
+    for (const std::int64_t ntaps : {9, 1}) {
+      // Padding channels up to the stride hold zero taps and weights.
+      const std::int64_t stride = (channels + 7) / 8 * 8;
+      std::vector<std::uint64_t> taps(static_cast<std::size_t>(ntaps * stride));
+      std::vector<std::uint16_t> weights(static_cast<std::size_t>(stride));
+      for (std::int64_t c = 0; c < channels; ++c) {
+        for (std::int64_t t = 0; t < ntaps; ++t) {
+          taps[static_cast<std::size_t>(t * stride + c)] = rng.next_u64();
+        }
+        weights[static_cast<std::size_t>(c)] = static_cast<std::uint16_t>(
+            rng.next_u64() & ((1u << ntaps) - 1));
       }
-      c.alpha.assign(static_cast<std::size_t>(c.padded), 0.0f);
-      for (std::int64_t i = 0; i < channels; ++i) {
+      std::vector<float> alpha(
+          static_cast<std::size_t>(channels * kAlphaStride));
+      for (float& a : alpha) {
         const double pick = rng.uniform();
-        c.alpha[static_cast<std::size_t>(i)] =
-            pick < 0.1    ? 0.0f
+        a = pick < 0.1    ? 0.0f
             : pick < 0.15 ? kDenorm
                           : static_cast<float>(rng.uniform(0.0, 2.0));
       }
-      for (std::size_t f = 0; f < 4; ++f) {
+      const auto scale = static_cast<float>(rng.uniform(0.1, 1.5));
+      // The reference, lane by lane: the +/-1 dot of each channel's taps
+      // with its weight signs.
+      float want[64];
+      for (int j = 0; j < 64; ++j) {
         std::vector<std::int64_t> dots;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(channels); ++i) {
-          dots.push_back(bits - 2 * eq15::differing_bits(&c.rows[0][i],
-                                                         &c.rows[1 + f][i], 1));
+        std::vector<float> lane_alpha;
+        for (std::int64_t c = 0; c < channels; ++c) {
+          std::int64_t dot = 0;
+          for (std::int64_t t = 0; t < ntaps; ++t) {
+            const bool x =
+                (taps[static_cast<std::size_t>(t * stride + c)] >> j) & 1u;
+            const bool w = (weights[static_cast<std::size_t>(c)] >> t) & 1u;
+            dot += x == w ? 1 : -1;
+          }
+          dots.push_back(dot);
+          lane_alpha.push_back(
+              alpha[static_cast<std::size_t>(c * kAlphaStride + j)]);
         }
-        c.want[f] =
-            eq15::canonical_weighted_sum(c.alpha.data(), dots.data(), channels);
+        want[j] = eq15::canonical_weighted_sum(lane_alpha.data(), dots.data(),
+                                               channels) *
+                  scale;
       }
-      cases.push_back(std::move(c));
-    }
-  }
-  return cases;
-}
-
-std::string weighted_context(const XnorKernel& kernel, const WeightedCase& c,
-                             std::size_t filter) {
-  return std::string(kernel.name) + " channels=" +
-         std::to_string(c.channels) + " bits=" + std::to_string(c.bits) +
-         " filter=" + std::to_string(filter);
-}
-
-void expect_same_float(float got, float want, const std::string& context) {
-  EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
-      << context << ": " << got << " vs " << want;
-}
-
-TEST(KernelIdentity, WeightedSumBitIdenticalToScalar) {
-  const std::vector<WeightedCase> cases = weighted_cases(73);
-  for (const XnorKernel* kernel : runnable_kernels()) {
-    for (const WeightedCase& c : cases) {
-      for (std::size_t f = 0; f < 4; ++f) {
-        expect_same_float(
-            kernel->weighted_sum(c.rows[0].data(), c.rows[1 + f].data(),
-                                 c.alpha.data(), c.channels,
-                                 static_cast<float>(c.bits)),
-            c.want[f], weighted_context(*kernel, c, f));
-      }
-    }
-  }
-}
-
-TEST(KernelIdentity, WeightedSumX4MatchesFourSingleCalls) {
-  const std::vector<WeightedCase> cases = weighted_cases(76);
-  for (const XnorKernel* kernel : runnable_kernels()) {
-    for (const WeightedCase& c : cases) {
-      const auto dot_bits = static_cast<float>(c.bits);
-      float x4[4] = {-1.0f, -1.0f, -1.0f, -1.0f};
-      kernel->weighted_sum_x4(c.rows[0].data(), c.rows[1].data(),
-                              c.rows[2].data(), c.rows[3].data(),
-                              c.rows[4].data(), c.alpha.data(), c.channels,
-                              dot_bits, x4);
-      for (std::size_t f = 0; f < 4; ++f) {
-        const std::string context = weighted_context(*kernel, c, f);
-        expect_same_float(
-            x4[f],
-            kernel->weighted_sum(c.rows[0].data(), c.rows[1 + f].data(),
-                                 c.alpha.data(), c.channels, dot_bits),
-            context);
-        expect_same_float(x4[f], c.want[f], context);
-      }
-    }
-  }
-}
-
-TEST(KernelIdentity, WeightedSumZeroAlphaPaddingIsExactNoop) {
-  const std::vector<WeightedCase> cases = weighted_cases(74);
-  for (const XnorKernel* kernel : runnable_kernels()) {
-    for (const WeightedCase& c : cases) {
-      // Summing over the padding channels too (zero words, zero scales)
-      // still gives the unpadded canonical sum.
-      for (std::size_t f = 0; f < 4; ++f) {
-        expect_same_float(
-            kernel->weighted_sum(c.rows[0].data(), c.rows[1 + f].data(),
-                                 c.alpha.data(), c.padded,
-                                 static_cast<float>(c.bits)),
-            c.want[f], "padded " + weighted_context(*kernel, c, f));
+      for (const XnorKernel* kernel : runnable_kernels()) {
+        float got[64];
+        kernel->direct_accumulate(taps.data(), weights.data(), alpha.data(),
+                                  kAlphaStride, channels, stride, ntaps, scale,
+                                  got);
+        for (int j = 0; j < 64; ++j) {
+          EXPECT_EQ(std::memcmp(&got[j], &want[j], sizeof(float)), 0)
+              << kernel->name << " channels=" << channels
+              << " ntaps=" << ntaps << " lane=" << j << ": " << got[j]
+              << " vs " << want[j];
+        }
       }
     }
   }
@@ -281,26 +236,36 @@ TEST(KernelIdentity, GemmMatchesScalarOnOddShapes) {
 struct BlockCase {
   std::int64_t cin, cout, height, width;
   std::int64_t kernel, stride;  // kernel 3 (pad 1) or 1 (pad 0)
+  std::int64_t batch;
   InputScaling scaling;
   bool edge_stats;  // BN edge statistics in eight of every nine channels
   std::uint64_t seed;
 };
 
+constexpr std::int64_t kDefaultBatch = 2;
+
 // Names the ctest entries (gtest would otherwise dump the struct's bytes).
 void PrintTo(const BlockCase& c, std::ostream* os) {
   *os << "c" << c.cin << "x" << c.cout << "_k" << c.kernel << "s" << c.stride
-      << "_" << c.height << "x" << c.width << "_" << scaling_name(c.scaling)
-      << (c.edge_stats ? "_Edge" : "");
+      << "_" << c.height << "x" << c.width;
+  if (c.batch != kDefaultBatch) {
+    *os << "_n" << c.batch;
+  }
+  *os << "_" << scaling_name(c.scaling) << (c.edge_stats ? "_Edge" : "");
 }
 
 // Fixed shapes covering a single input channel, odd widths at stride 2 (the
 // right-edge padding column is read), 1x1 shortcuts, and widths that are
-// not multiples of 4 above 64 channels; then seeded random shapes. Every
-// shape runs under all three scalings, with ordinary and with edge BN
-// statistics.
+// not multiples of 4 above 64 channels; shapes for the lane words of the
+// direct conv (output planes under 64 positions, so lane words span samples
+// and split them: 2x2, 3x3, 5x5; batches of 1, 3, 17 and 64; odd widths and
+// heights at stride 2; output rows wider than 64; 1x1 stride-2 shortcuts);
+// then seeded random shapes. Every shape runs under all three scalings,
+// with ordinary and with edge BN statistics.
 std::vector<BlockCase> block_cases() {
   struct Shape {
     std::int64_t cin, cout, height, width, kernel, stride;
+    std::int64_t batch = kDefaultBatch;
   };
   std::vector<Shape> shapes = {
       {1, 8, 9, 11, 3, 1},  {3, 5, 7, 7, 3, 2},   {13, 7, 8, 9, 3, 1},
@@ -313,13 +278,25 @@ std::vector<BlockCase> block_cases() {
                       rng.uniform_int(3, 12), rng.uniform_int(3, 12), kernel,
                       rng.uniform_int(1, 2)});
   }
+  const Shape lane_shapes[] = {
+      {9, 8, 4, 4, 3, 2, 17},     // 2x2 planes, 16 samples per lane word
+      {4, 7, 2, 2, 3, 1, 3},      // 2x2 planes, one partial word
+      {3, 5, 3, 3, 3, 1, 64},     // 3x3 planes, words split samples
+      {6, 4, 5, 5, 3, 1, 17},     // 5x5 planes, a partial last word
+      {2, 3, 10, 9, 3, 2, 1},     // odd width and height at stride 2
+      {7, 5, 9, 7, 3, 2, 3},      // odd width at stride 2
+      {1, 16, 256, 256, 3, 2, 1},  // the paper stem at 256 px: 128-wide rows
+      {1, 8, 3, 130, 3, 1, 1},    // 130-wide rows at stride 1
+      {24, 40, 8, 8, 1, 2, 17},   // 1x1 stride-2 shortcut, 4x4 planes
+      {5, 6, 7, 5, 1, 2, 3}};     // 1x1 stride-2 shortcut, odd sizes
+  shapes.insert(shapes.end(), std::begin(lane_shapes), std::end(lane_shapes));
   std::vector<BlockCase> cases;
   std::uint64_t seed = 100;
   for (const Shape& s : shapes) {
     for (const InputScaling scaling : kScalings) {
       for (const bool edge : {false, true}) {
         cases.push_back({s.cin, s.cout, s.height, s.width, s.kernel, s.stride,
-                         scaling, edge, seed++});
+                         s.batch, scaling, edge, seed++});
       }
     }
   }
@@ -371,7 +348,8 @@ std::unique_ptr<nn::BatchNorm2d> make_bn(std::int64_t channels,
 // +/- denormals.
 Tensor make_block_input(const BlockCase& c, const nn::BatchNorm2d& bn,
                         util::Rng& rng) {
-  Tensor x = Tensor::uniform({2, c.cin, c.height, c.width}, rng, -2.0f, 2.0f);
+  Tensor x =
+      Tensor::uniform({c.batch, c.cin, c.height, c.width}, rng, -2.0f, 2.0f);
   const std::int64_t plane = c.height * c.width;
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     const double pick = rng.uniform();

@@ -17,9 +17,16 @@ TEST(CostModel, SingleLayerFloatMacs) {
 TEST(CostModel, PerChannelWordOps) {
   const LayerCost cost = binary_conv_cost(
       16, 32, 3, 1, 1, 8, 8, bitops::InputScaling::kPerChannel);
-  // One word per (position, filter, channel).
-  EXPECT_EQ(cost.packed_word_ops, 64 * 32 * 16);
-  EXPECT_EQ(cost.packed_weight_bytes, 32 * 16 * 8);
+  // Direct layout: per (channel, filter) pair and 64 positions, 9 XNOR
+  // words and a 5-full-adder tree (25 word ops); filters at 9 bits each.
+  EXPECT_EQ(cost.packed_word_ops, 16 * 32 * (9 + 25) * 64 / 64);
+  EXPECT_EQ(cost.packed_float_ops, 2 * 64 * 32 * 16 + 64 * 16 * 4);
+  EXPECT_EQ(cost.packed_weight_bytes, 32 * 16 * 9 / 8);
+  // 1x1 shortcut: one word per pair and 64 positions, no adder tree.
+  const LayerCost shortcut = binary_conv_cost(
+      16, 32, 1, 2, 0, 16, 16, bitops::InputScaling::kPerChannel);
+  EXPECT_EQ(shortcut.packed_word_ops, 16 * 32 * 64 / 64);
+  EXPECT_EQ(shortcut.packed_weight_bytes, 32 * 16 / 8);
 }
 
 TEST(CostModel, DenseWordOpsForScalarMode) {

@@ -4,12 +4,15 @@
 // arithmetic runs in a fixed order within its chunk.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bitops/bit_planes.h"
+#include "bitops/scaling.h"
 #include "bitops/xnor_gemm.h"
 #include "core/brnn.h"
+#include "core/packed_conv.h"
 #include "support/test_support.h"
 #include "tensor/conv.h"
 #include "tensor/tensor_ops.h"
@@ -69,6 +72,104 @@ TEST_F(ParallelDeterminismTest, BinaryConvCountsBitIdentical) {
   for (const int threads : kThreadCounts) {
     util::set_parallel_threads(threads);
     expect_bit_identical(counts(), reference, "binary conv counts", threads);
+  }
+}
+
+// A seeded BN affine with negative gammas, as the plan evaluates inline.
+struct SeededAffine {
+  SeededAffine(std::int64_t channels, util::Rng& rng) {
+    for (std::int64_t c = 0; c < channels; ++c) {
+      mean.push_back(static_cast<float>(rng.uniform(-0.5, 0.5)));
+      inv_std.push_back(static_cast<float>(rng.uniform(0.5, 2.0)));
+      gamma.push_back(static_cast<float>(rng.uniform(-1.5, 1.5)));
+      beta.push_back(static_cast<float>(rng.uniform(-0.5, 0.5)));
+    }
+  }
+  bitops::ChannelAffine affine() const {
+    return {mean.data(), inv_std.data(), gamma.data(), beta.data()};
+  }
+  std::vector<float> mean, inv_std, gamma, beta;
+};
+
+TEST_F(ParallelDeterminismTest, AlphaTBitIdenticalAcrossThreadCounts) {
+  util::Rng rng(17);
+  const Tensor input = Tensor::uniform({5, 7, 13, 11}, rng, -2.0f, 2.0f);
+  const SeededAffine bn(7, rng);
+  for (const tensor::ConvSpec& spec :
+       {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1},
+        tensor::ConvSpec{1, 1, 2, 0}}) {
+    const auto scales = [&] {
+      return std::vector<Tensor>{
+          bitops::input_scales_per_channel_affine_lanes(input, spec,
+                                                        bn.affine()),
+          bitops::box_filter_abs_mean(input, spec)};
+    };
+    util::set_parallel_threads(1);
+    const std::vector<Tensor> reference = scales();
+    util::set_parallel_threads(4);
+    const std::vector<Tensor> got = scales();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].shape(), reference[i].shape());
+      EXPECT_EQ(std::memcmp(got[i].data(), reference[i].data(),
+                            static_cast<std::size_t>(got[i].numel()) *
+                                sizeof(float)),
+                0)
+          << "alpha_T variant " << i << " stride " << spec.stride;
+    }
+  }
+}
+
+// The direct binary conv at 1, 2 and 4 threads under every runnable
+// kernel, on the lane shapes of the Eq. 15 harness: planes under 64
+// positions (lane words span and split samples), odd widths at stride 2,
+// rows wider than 64 and the 1x1 stride-2 shortcut.
+TEST_F(ParallelDeterminismTest, DirectConvBitIdenticalAcrossThreadCounts) {
+  struct Shape {
+    std::int64_t batch, cin, cout, height, width, kernel, stride;
+  };
+  const Shape shapes[] = {{17, 9, 8, 4, 4, 3, 2},   {64, 3, 5, 3, 3, 3, 1},
+                          {3, 6, 4, 5, 5, 3, 1},    {1, 2, 3, 10, 9, 3, 2},
+                          {2, 1, 16, 6, 256, 3, 2}, {17, 24, 40, 8, 8, 1, 2}};
+  util::Rng rng(18);
+  for (const Shape& shape : shapes) {
+    const Tensor input = Tensor::uniform(
+        {shape.batch, shape.cin, shape.height, shape.width}, rng, -2.0f, 2.0f);
+    const Tensor weight = Tensor::uniform(
+        {shape.cout, shape.cin, shape.kernel, shape.kernel}, rng, -1.0f, 1.0f);
+    const SeededAffine bn(shape.cin, rng);
+    const tensor::ConvSpec spec{shape.kernel, shape.kernel, shape.stride,
+                                shape.kernel / 2};
+    const DirectFilters filters = pack_direct_filters(weight);
+    const Tensor alpha_w = bitops::weight_scales(weight);
+    const std::int64_t out_h = tensor::conv_out_extent(
+        shape.height, shape.kernel, shape.stride, spec.pad);
+    const std::int64_t out_w = tensor::conv_out_extent(
+        shape.width, shape.kernel, shape.stride, spec.pad);
+    for (const bitops::XnorKernel* kernel : test_support::runnable_kernels()) {
+      const auto conv = [&] {
+        const bitops::BitPlanes bits(input, bn.affine(),
+                                     shape.stride == 2
+                                         ? bitops::BitLayout::kColumnParity
+                                         : bitops::BitLayout::kRows);
+        Tensor output({shape.batch, shape.cout, out_h, out_w});
+        direct_conv(*kernel, bits, spec, filters,
+                    bitops::input_scales_per_channel_affine_lanes(
+                        input, spec, bn.affine()),
+                    alpha_w, output);
+        return output;
+      };
+      util::set_parallel_threads(1);
+      const Tensor reference = conv();
+      for (const int threads : {2, 4}) {
+        util::set_parallel_threads(threads);
+        expect_bit_identical(
+            conv(), reference,
+            (std::string("direct_conv ") + kernel->name + " w" +
+             std::to_string(shape.width))
+                .c_str(),
+            threads);
+      }
+    }
   }
 }
 

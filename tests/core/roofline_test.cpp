@@ -76,6 +76,11 @@ TEST_F(RooflineTest, ListsAllPaperLayersWithTimeAndOps) {
         64.0 * static_cast<double>(cost.layers[i].packed_word_ops) * kBatch)
         << layer.label;
     EXPECT_EQ(layer.geometry, cost.layers[i].name);
+    // Both stages are timed inside the conv's own span.
+    EXPECT_GT(layer.input_seconds, 0.0) << layer.label;
+    EXPECT_GT(layer.aggregate_seconds, 0.0) << layer.label;
+    EXPECT_LE(layer.input_seconds + layer.aggregate_seconds, layer.seconds)
+        << layer.label;
   }
 
   // The fc head is the last row: dense float work, no bitops.
@@ -83,6 +88,8 @@ TEST_F(RooflineTest, ListsAllPaperLayersWithTimeAndOps) {
   EXPECT_EQ(head.label, "brnn.layer.head_fc");
   EXPECT_TRUE(head.main_path);
   EXPECT_EQ(head.bitops, 0.0);
+  EXPECT_EQ(head.input_seconds, 0.0);
+  EXPECT_EQ(head.aggregate_seconds, 0.0);
   EXPECT_DOUBLE_EQ(
       head.float_ops,
       static_cast<double>(kBatch) * 2.0 *
@@ -185,6 +192,14 @@ TEST_F(RooflineTest, TableAndJsonRenderEveryLayer) {
   ASSERT_TRUE(util::parse_json(to_json(report), doc, error)) << error;
   ASSERT_NE(doc.find("layers"), nullptr);
   EXPECT_EQ(doc.find("layers")->size(), report.layers.size());
+  const util::JsonValue& first = doc.find("layers")->as_array().front();
+  ASSERT_NE(first.find("input_seconds"), nullptr);
+  EXPECT_DOUBLE_EQ(first.find("input_seconds")->as_number(),
+                   report.layers.front().input_seconds);
+  ASSERT_NE(first.find("aggregate_seconds"), nullptr);
+  EXPECT_DOUBLE_EQ(first.find("aggregate_seconds")->as_number(),
+                   report.layers.front().aggregate_seconds);
+  EXPECT_NE(table.find("aggregate_ms"), std::string::npos);
   EXPECT_DOUBLE_EQ(doc.find("total_seconds")->as_number(),
                    report.total_seconds);
 }
@@ -192,29 +207,44 @@ TEST_F(RooflineTest, TableAndJsonRenderEveryLayer) {
 using GraphRoofline = RooflineTest;  // tracing on, spans reset
 
 TEST_F(GraphRoofline, OneRowPerFusedConvPlusHead) {
-  util::Rng rng(19);
-  BrnnModel model(BrnnConfig::compact(32), rng);
-  model.set_training(false);
-  util::Rng data_rng(43);
-  model.forward(make_batch(4, 32, data_rng));
-  const RooflineReport report =
-      build_roofline(model, obs::collect_span_report());
+  // Every scaling mode: the direct aggregate (per-channel) and the dense
+  // GEMM (scalar, none) both report their input and aggregate stages.
+  for (const bitops::InputScaling scaling :
+       {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
+        bitops::InputScaling::kNone}) {
+    SCOPED_TRACE(bitops::to_string(scaling));
+    BrnnConfig config = BrnnConfig::compact(32);
+    config.scaling = scaling;
+    util::Rng rng(19);
+    BrnnModel model(config, rng);
+    model.set_training(false);
+    obs::reset_spans();
+    util::Rng data_rng(43);
+    model.forward(make_batch(4, 32, data_rng));
+    const RooflineReport report =
+        build_roofline(model, obs::collect_span_report());
 
-  // 9 conv rows + 1 fc row, each timed by the plan's spans over the same
-  // samples.
-  ASSERT_EQ(report.layers.size(), 10u);
-  EXPECT_EQ(report.samples, 4u);
-  int shortcut_rows = 0;
-  for (const RooflineLayer& layer : report.layers) {
-    EXPECT_EQ(layer.samples, 4u) << layer.label;
-    EXPECT_GT(layer.seconds, 0.0) << layer.label;
-    if (layer.label != "brnn.layer.head_fc") {
-      EXPECT_GT(layer.bitops, 0.0) << layer.label;
+    // 9 conv rows + 1 fc row, each timed by the plan's spans over the same
+    // samples.
+    ASSERT_EQ(report.layers.size(), 10u);
+    EXPECT_EQ(report.samples, 4u);
+    int shortcut_rows = 0;
+    for (const RooflineLayer& layer : report.layers) {
+      EXPECT_EQ(layer.samples, 4u) << layer.label;
+      EXPECT_GT(layer.seconds, 0.0) << layer.label;
+      if (layer.label != "brnn.layer.head_fc") {
+        EXPECT_GT(layer.bitops, 0.0) << layer.label;
+        EXPECT_GT(layer.input_seconds, 0.0) << layer.label;
+        EXPECT_GT(layer.aggregate_seconds, 0.0) << layer.label;
+        EXPECT_LE(layer.input_seconds + layer.aggregate_seconds,
+                  layer.seconds)
+            << layer.label;
+      }
+      shortcut_rows += !layer.main_path;
     }
-    shortcut_rows += !layer.main_path;
+    EXPECT_EQ(shortcut_rows, 2);  // the two projection shortcuts
+    EXPECT_FALSE(to_table(report).empty());
   }
-  EXPECT_EQ(shortcut_rows, 2);  // the two projection shortcuts
-  EXPECT_FALSE(to_table(report).empty());
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //   sign      +1 iff v >= 0 (-0 -> +1, NaN -> -1), padding -1;
 //   alpha_T   bitops::input_scales_* on that same tensor;
 //   aggregate per-channel: the canonical weighted order of
-//             kernels/xnor_kernel.h over the integer per-channel dots, times
+//             kernels/xnor_kernel.h (per output position, channels
+//             ascending from +0.0f) over the integer per-channel dots, times
 //             alpha_W; otherwise the integer patch count * alpha_W * post.
 // It shares no code with BitPlanes, BitMatrix, the XNOR GEMM, packed_conv,
 // the inference plan or any XnorKernel. The float order is part of the
@@ -42,19 +43,18 @@ inline std::int64_t differing_bits(const std::uint64_t* a,
   return count;
 }
 
-// The canonical weighted order: term c = alpha[c] * float(dots[c]) (one
-// rounding) is added to lane c % 8 in ascending c, then the lanes reduce as
-// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
+// The canonical weighted order: one accumulator from +0.0f, and for c
+// ascending acc = acc + alpha[c] * float(dots[c]) (a rounded multiply, then
+// a rounded add).
 inline float canonical_weighted_sum(const float* alpha,
                                     const std::int64_t* dots,
                                     std::int64_t channels) {
-  float lanes[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+  float acc = 0.0f;
   for (std::int64_t c = 0; c < channels; ++c) {
     const float term = alpha[c] * static_cast<float>(dots[c]);
-    lanes[c % 8] += term;
+    acc = acc + term;
   }
-  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  return acc;
 }
 
 // The dense epilogue: count * alpha_w * post, left to right.
