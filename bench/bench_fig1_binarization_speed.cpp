@@ -10,12 +10,13 @@
 // (Eq. 14) and XNOR-Net's scalar alpha. The packed side is the inference
 // plan's conv step (core/inference_plan.h) on a lone BN -> conv block with
 // default statistics: inline BN sign bits and alpha_T, then the direct
-// binary conv (per-channel) or patch packing, the XNOR GEMM and the
-// alpha_W epilogue (scalar).
+// binary conv (unit alpha_T and a post multiply by the scalar map in the
+// scalar mode). The packed weight bytes are the cost model's
+// (core/cost_model.h): k*k bits per (filter, channel).
 #include <benchmark/benchmark.h>
 
-#include "bitops/xnor_gemm.h"
 #include "core/binary_conv.h"
+#include "core/cost_model.h"
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
 #include "nn/conv_layer.h"
@@ -81,21 +82,18 @@ void BM_BinaryConvScalar(benchmark::State& state) {
 void BM_WeightStorage(benchmark::State& state) {
   // Model-size side of Fig. 1: bytes for one conv layer's weights.
   const std::int64_t channels = state.range(0);
-  util::Rng rng(1);
-  const tensor::Tensor w =
-      tensor::Tensor::normal({channels, channels, 3, 3}, rng, 0.0f, 1.0f);
-  std::int64_t packed_bytes = 0;
+  core::LayerCost cost;
   for (auto _ : state) {
-    const bitops::BitMatrix packed = bitops::pack_filters(w);
-    packed_bytes = packed.storage_bytes();
-    benchmark::DoNotOptimize(packed_bytes);
+    cost = core::binary_conv_cost(channels, channels, 3, 1, 1, kSpatial,
+                                  kSpatial, bitops::InputScaling::kPerChannel);
+    benchmark::DoNotOptimize(cost.packed_weight_bytes);
   }
-  state.counters["float_bytes"] =
-      static_cast<double>(w.numel() * static_cast<std::int64_t>(sizeof(float)));
-  state.counters["packed_bytes"] = static_cast<double>(packed_bytes);
+  state.counters["float_bytes"] = static_cast<double>(cost.float_weight_bytes);
+  state.counters["packed_bytes"] =
+      static_cast<double>(cost.packed_weight_bytes);
   state.counters["compression"] =
-      static_cast<double>(w.numel() * static_cast<std::int64_t>(sizeof(float))) /
-      static_cast<double>(packed_bytes);
+      static_cast<double>(cost.float_weight_bytes) /
+      static_cast<double>(cost.packed_weight_bytes);
 }
 
 }  // namespace

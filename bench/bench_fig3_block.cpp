@@ -98,8 +98,8 @@ int main() {
   timer.restart();
   // The binary convolution arithmetic: tap words, XNOR, adder tree, alpha.
   tensor::Tensor out({x.dim(0), channels, spatial, spatial});
-  core::direct_conv(bitops::active_xnor_kernel(), bits, spec, filters, alpha,
-                    alpha_w, out);
+  core::direct_conv(bitops::active_xnor_kernel(), bits, spec, filters, &alpha,
+                    alpha_w, nullptr, out);
   costs.add_row({"Direct XNOR conv",
                  util::format_double(timer.milliseconds(), 2)});
   std::printf(

@@ -1,10 +1,9 @@
 // Thread-scaling harness for the binary inference hot path.
 //
-// Sweeps the pool width over batched BRNN inference (packed XNOR-popcount
-// backend and the float-sim reference) plus the raw xnor_gemm kernel,
-// checking that logits and predicted labels stay bit-identical at every
-// thread count — the determinism guarantee of util::parallel_for — and
-// writes BENCH_parallel.json for provenance.
+// Sweeps the pool width over batched BRNN inference (packed XNOR backend
+// and the float-sim reference), checking that logits stay bit-identical at
+// every thread count — the determinism guarantee of util::parallel_for —
+// and writes BENCH_parallel.json for provenance.
 //
 // Scale knobs: HOTSPOT_BENCH_SCALE / HOTSPOT_BENCH_LS (shared with the other
 // benches), HOTSPOT_BENCH_REPEATS (timing repeats, best-of), and
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bitops/xnor_gemm.h"
 #include "core/brnn.h"
 #include "dataset/generator.h"
 #include "util/parallel.h"
@@ -89,26 +87,11 @@ int main() {
     widths.push_back(max_threads);
   }
 
-  // Raw kernel workload: a GEMM shaped like a mid-network binary conv layer.
-  const std::int64_t gemm_rows = 2048;
-  const std::int64_t gemm_filters = 64;
-  const std::int64_t gemm_bits = 576;  // 64 channels * 3x3 patch
-  tensor::Tensor patches_src({gemm_rows, gemm_bits});
-  tensor::Tensor filters_src({gemm_filters, gemm_bits});
-  for (std::int64_t i = 0; i < patches_src.numel(); ++i) {
-    patches_src[i] = rng.uniform() < 0.5 ? -1.0f : 1.0f;
-  }
-  for (std::int64_t i = 0; i < filters_src.numel(); ++i) {
-    filters_src[i] = rng.uniform() < 0.5 ? -1.0f : 1.0f;
-  }
-  const bitops::BitMatrix gemm_a = bitops::BitMatrix::pack_rows(patches_src);
-  const bitops::BitMatrix gemm_b = bitops::BitMatrix::pack_rows(filters_src);
-
   std::printf("Workload: %zu clips at %ldpx, repeats=%d (best-of), "
               "hardware_concurrency=%u\n\n",
               head.size(), ls, repeats, hardware);
-  std::printf("%8s %14s %14s %14s %10s\n", "threads", "packed (s)",
-              "float-sim (s)", "xnor_gemm (s)", "identical");
+  std::printf("%8s %14s %14s %10s\n", "threads", "packed (s)",
+              "float-sim (s)", "identical");
 
   tensor::Tensor reference_packed;
   tensor::Tensor reference_float;
@@ -131,9 +114,6 @@ int main() {
     const double float_s =
         best_of(repeats, [&] { float_logits = model.forward(images); });
 
-    const double gemm_s =
-        best_of(repeats, [&] { (void)bitops::xnor_gemm(gemm_a, gemm_b); });
-
     if (threads == widths.front()) {
       reference_packed = packed_logits;
       reference_float = float_logits;
@@ -143,14 +123,13 @@ int main() {
                            bit_identical(float_logits, reference_float);
     all_identical = all_identical && identical;
 
-    std::printf("%8ld %14.4f %14.4f %14.4f %10s\n", threads, packed_s,
-                float_s, gemm_s, identical ? "yes" : "NO");
+    std::printf("%8ld %14.4f %14.4f %10s\n", threads, packed_s, float_s,
+                identical ? "yes" : "NO");
 
     bench::JsonObject entry;
     entry.set("threads", threads)
         .set("packed_seconds", packed_s)
         .set("float_sim_seconds", float_s)
-        .set("xnor_gemm_seconds", gemm_s)
         .set("packed_speedup_vs_1t", packed_s > 0.0 ? packed_1t / packed_s
                                                     : 0.0)
         .set("bit_identical_vs_1t", identical);
@@ -172,9 +151,6 @@ int main() {
       .set("batch", static_cast<long>(head.size()))
       .set("repeats", repeats)
       .set("hardware_concurrency", static_cast<long>(hardware))
-      .set("gemm_rows", static_cast<long>(gemm_rows))
-      .set("gemm_filters", static_cast<long>(gemm_filters))
-      .set("gemm_bits", static_cast<long>(gemm_bits))
       .set("bit_identical", all_identical)
       .set_raw("sweep", bench::json_array(sweep));
   bench::write_json_result("BENCH_parallel.json", result);

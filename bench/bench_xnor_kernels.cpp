@@ -1,16 +1,12 @@
 // XNOR kernel micro-benchmark: throughput of each compiled + CPU-supported
-// kernel's three primitives — words/sec for the GEMM primitives (one word =
-// one 64-bit XOR + popcount + accumulate) and (lane, channel) updates/sec
-// for direct_accumulate (one update = nine XNOR bits counted, one float
-// multiply + add of the direct conv) — plus the speedup over the scalar
-// reference. Writes
+// kernel's primitive, direct_accumulate, in (lane, channel) updates/sec
+// (one update = nine XNOR bits counted, one float multiply + add of the
+// direct conv), plus the speedup over the scalar reference. Writes
 // BENCH_xnor_kernels.json for provenance. To compare kernels, run it under
 // HOTSPOT_SIMD=scalar and HOTSPOT_SIMD=auto.
 //
-// The workload mirrors the paper-config hot loops: 72-word rows for the
-// GEMM primitives (a 512-channel 3x3 patch = 4608 bits) and 256 input
-// channels of 3x3 tap words for direct_accumulate (the direct Eq. 14/15
-// path).
+// The workload mirrors the paper-config hot loop: 256 input channels of
+// 3x3 tap words (the direct Eq. 14/15 path).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -26,7 +22,6 @@ namespace {
 
 using hotspot::bitops::XnorKernel;
 
-constexpr std::int64_t kGemmWords = 72;       // 512ch x 3x3 = 4608 bits
 constexpr std::int64_t kLaneChannels = 256;
 
 double now_seconds() {
@@ -44,12 +39,12 @@ std::vector<std::uint64_t> random_words(hotspot::util::Rng& rng,
   return words;
 }
 
-// Runs `body` (which processes `words_per_call` word ops or updates and
-// returns a value folded into the sink) until ~0.25 s elapsed, after a
-// warmup; returns words (updates)/sec.
+// Runs `body` (which processes `updates_per_call` updates and returns a
+// value folded into the sink) until ~0.25 s elapsed, after a warmup;
+// returns updates/sec.
 template <typename Body>
-double measure_words_per_sec(std::int64_t words_per_call, Body body,
-                             std::int64_t& sink) {
+double measure_updates_per_sec(std::int64_t updates_per_call, Body body,
+                               std::int64_t& sink) {
   for (int i = 0; i < 100; ++i) {
     sink += body();
   }
@@ -63,26 +58,15 @@ double measure_words_per_sec(std::int64_t words_per_call, Body body,
     calls += 256;
     elapsed = now_seconds() - start;
   } while (elapsed < 0.25);
-  return static_cast<double>(calls) * static_cast<double>(words_per_call) /
+  return static_cast<double>(calls) * static_cast<double>(updates_per_call) /
          elapsed;
 }
 
-struct KernelRates {
-  double dot = 0.0;          // xor_popcount
-  double gemm = 0.0;         // xor_popcount_2x4 (8 dots per call)
-  double lanes = 0.0;        // direct_accumulate, (lane, channel) updates
-};
-
-KernelRates measure_kernel(const XnorKernel& kernel) {
+// direct_accumulate (lane, channel) updates/sec.
+double measure_kernel(const XnorKernel& kernel) {
   hotspot::util::Rng rng(2024);
-  const auto a0 = random_words(rng, kGemmWords);
-  const auto a1 = random_words(rng, kGemmWords);
-  const auto b0 = random_words(rng, kGemmWords);
-  const auto b1 = random_words(rng, kGemmWords);
-  const auto b2 = random_words(rng, kGemmWords);
-  const auto b3 = random_words(rng, kGemmWords);
-  // Direct-conv path: nine tap words and a 9-bit filter per channel, alpha
-  // rows as wide as the 64 lanes.
+  // Nine tap words and a 9-bit filter per channel, alpha rows as wide as
+  // the 64 lanes.
   const auto taps = random_words(rng, 9 * kLaneChannels);
   std::vector<std::uint16_t> weights(static_cast<std::size_t>(kLaneChannels));
   for (auto& w : weights) {
@@ -93,22 +77,8 @@ KernelRates measure_kernel(const XnorKernel& kernel) {
     a = static_cast<float>(rng.uniform(0.1, 1.0));
   }
 
-  KernelRates rates;
   std::int64_t sink = 0;
-  rates.dot = measure_words_per_sec(
-      kGemmWords,
-      [&] { return kernel.xor_popcount(a0.data(), b0.data(), kGemmWords); },
-      sink);
-  rates.gemm = measure_words_per_sec(
-      8 * kGemmWords,
-      [&] {
-        std::int64_t acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-        kernel.xor_popcount_2x4(a0.data(), a1.data(), b0.data(), b1.data(),
-                                b2.data(), b3.data(), kGemmWords, acc);
-        return acc[0] + acc[7];
-      },
-      sink);
-  rates.lanes = measure_words_per_sec(
+  const double lanes = measure_updates_per_sec(
       64 * kLaneChannels,
       [&] {
         float out[64];
@@ -121,7 +91,7 @@ KernelRates measure_kernel(const XnorKernel& kernel) {
   if (sink == 42) {  // defeats dead-code elimination of the timed bodies
     std::printf("sink %lld\n", static_cast<long long>(sink));
   }
-  return rates;
+  return lanes;
 }
 
 }  // namespace
@@ -129,18 +99,16 @@ KernelRates measure_kernel(const XnorKernel& kernel) {
 int main() {
   using hotspot::bench::JsonObject;
   hotspot::bench::print_header(
-      "XNOR kernel word throughput (dispatch table, per-kernel)",
-      "binarized conv runs as XNOR+popcount at SIMD width");
+      "XNOR kernel lane throughput (dispatch table, per-kernel)",
+      "binarized conv runs as XNOR + adder tree at SIMD width");
 
   const auto& kernels = hotspot::bitops::compiled_xnor_kernels();
   hotspot::util::Table table(
-      {"kernel", "simd_bits", "dot Gw/s", "gemm2x4 Gw/s", "lanes Gupd/s",
-       "gemm speedup", "lanes speedup"});
+      {"kernel", "simd_bits", "lanes Gupd/s", "lanes speedup"});
   JsonObject result;
-  result.set("gemm_words", static_cast<long>(kGemmWords));
   result.set("lane_channels", static_cast<long>(kLaneChannels));
 
-  KernelRates scalar_rates;
+  double scalar_lanes = 0.0;
   int measured = 0;
   for (const XnorKernel* kernel : kernels) {
     if (!hotspot::bitops::xnor_kernel_cpu_supported(*kernel)) {
@@ -148,26 +116,17 @@ int main() {
                   kernel->name);
       continue;
     }
-    const KernelRates rates = measure_kernel(*kernel);
+    const double lanes = measure_kernel(*kernel);
     if (std::string(kernel->name) == "scalar") {
-      scalar_rates = rates;
+      scalar_lanes = lanes;
     }
-    const double speedup =
-        scalar_rates.gemm > 0.0 ? rates.gemm / scalar_rates.gemm : 0.0;
-    const double lanes_speedup =
-        scalar_rates.lanes > 0.0 ? rates.lanes / scalar_rates.lanes : 0.0;
+    const double speedup = scalar_lanes > 0.0 ? lanes / scalar_lanes : 0.0;
     table.add_row({kernel->name, std::to_string(kernel->simd_bits),
-                   std::to_string(rates.dot / 1e9),
-                   std::to_string(rates.gemm / 1e9),
-                   std::to_string(rates.lanes / 1e9), std::to_string(speedup),
-                   std::to_string(lanes_speedup)});
+                   std::to_string(lanes / 1e9), std::to_string(speedup)});
     const std::string prefix = kernel->name;
-    result.set(prefix + "_dot_words_per_sec", rates.dot);
-    result.set(prefix + "_gemm_words_per_sec", rates.gemm);
-    result.set(prefix + "_lane_updates_per_sec", rates.lanes);
+    result.set(prefix + "_lane_updates_per_sec", lanes);
     if (std::string(kernel->name) != "scalar") {
-      result.set(prefix + "_gemm_speedup", speedup);
-      result.set(prefix + "_lanes_speedup", lanes_speedup);
+      result.set(prefix + "_lanes_speedup", speedup);
     }
     ++measured;
   }

@@ -2,23 +2,15 @@
 
 #include <algorithm>
 
-#include "bitops/kernels/xnor_kernel.h"
 #include "util/check.h"
 
 namespace hotspot::bitops {
 
 BitMatrix::BitMatrix(std::int64_t rows, std::int64_t cols)
-    : BitMatrix(rows, cols, active_xnor_kernel().word_multiple) {}
-
-BitMatrix::BitMatrix(std::int64_t rows, std::int64_t cols,
-                     std::int64_t word_multiple)
     : rows_(rows), cols_(cols), words_per_row_((cols + 63) / 64) {
   HOTSPOT_CHECK_GE(rows, 0);
   HOTSPOT_CHECK_GE(cols, 0);
-  HOTSPOT_CHECK_GE(word_multiple, 1);
-  word_stride_ =
-      (words_per_row_ + word_multiple - 1) / word_multiple * word_multiple;
-  words_.assign(static_cast<std::size_t>(rows * word_stride_), 0);
+  words_.assign(static_cast<std::size_t>(rows * words_per_row_), 0);
 }
 
 BitMatrix BitMatrix::pack_rows(const tensor::Tensor& source) {
@@ -65,11 +57,6 @@ tensor::Tensor BitMatrix::unpack() const {
     }
   }
   return out;
-}
-
-std::int64_t xnor_dot(const std::uint64_t* a, const std::uint64_t* b,
-                      std::int64_t words, std::int64_t bits) {
-  return bits - 2 * active_xnor_kernel().xor_popcount(a, b, words);
 }
 
 }  // namespace hotspot::bitops

@@ -1,18 +1,11 @@
 // Bit-packed {-1,+1} matrices.
 //
 // A BitMatrix stores one bit per element (+1 -> 1, -1 -> 0), rows padded to
-// 64-bit word boundaries with zero tail bits. The +/-1 inner product of two
-// rows is then n - 2*popcount(a XOR b): equal tail bits cancel, so rows can
-// be compared word-by-word without masking as long as both tails are zero,
-// which the class guarantees.
-//
-// Rows are stored `word_stride()` words apart: `words_per_row()` logical
-// words (ceil(cols / 64)) rounded up to the active XNOR kernel's
-// word_multiple, with the padding words zero. Inner loops that run over
-// word_stride() words therefore hit the SIMD kernels' tail-free path while
-// computing the same dot products (zero XOR zero adds nothing). Kernels
-// accept any word count, so iterating words_per_row() words of a padded
-// matrix is equally correct, just slower.
+// 64-bit word boundaries with zero tail bits and stored words_per_row()
+// words apart. The +/-1 inner product of two rows is then
+// n - 2*popcount(a XOR b): equal tail bits cancel, so rows can be compared
+// word-by-word without masking as long as both tails are zero, which the
+// class guarantees.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +18,7 @@ namespace hotspot::bitops {
 class BitMatrix {
  public:
   BitMatrix() = default;
-  // Pads rows to the active kernel's word_multiple.
   BitMatrix(std::int64_t rows, std::int64_t cols);
-  // Pads rows to an explicit word multiple (>= 1); used by tests to build
-  // unpadded matrices and by callers packing for a specific kernel.
-  BitMatrix(std::int64_t rows, std::int64_t cols, std::int64_t word_multiple);
 
   // Packs a rank-2 float tensor: bit = 1 iff value >= 0 (sign(0) = +1,
   // matching tensor::sign).
@@ -37,17 +26,14 @@ class BitMatrix {
 
   std::int64_t rows() const { return rows_; }
   std::int64_t cols() const { return cols_; }
-  // Logical words per row: ceil(cols / 64), independent of padding.
+  // Words per row: ceil(cols / 64); rows are this many words apart.
   std::int64_t words_per_row() const { return words_per_row_; }
-  // Allocated words per row: words_per_row() rounded up to the word
-  // multiple this matrix was built with; rows are word_stride() apart.
-  std::int64_t word_stride() const { return word_stride_; }
 
   const std::uint64_t* row(std::int64_t r) const {
-    return words_.data() + r * word_stride_;
+    return words_.data() + r * words_per_row_;
   }
   std::uint64_t* row(std::int64_t r) {
-    return words_.data() + r * word_stride_;
+    return words_.data() + r * words_per_row_;
   }
 
   void set(std::int64_t r, std::int64_t c, bool bit);
@@ -56,9 +42,8 @@ class BitMatrix {
   // Unpacks back to a float tensor of {-1,+1}; inverse of pack_rows.
   tensor::Tensor unpack() const;
 
-  // Logical storage in bytes (for the Fig.-1 model-size comparison):
-  // rows * ceil(cols/64) words. Excludes kernel-alignment padding, which is
-  // a runtime layout choice, not part of the stored model.
+  // Storage in bytes (for the Fig.-1 model-size comparison):
+  // rows * ceil(cols/64) words.
   std::int64_t storage_bytes() const {
     return static_cast<std::int64_t>(rows_ * words_per_row_ *
                                      static_cast<std::int64_t>(
@@ -69,14 +54,7 @@ class BitMatrix {
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   std::int64_t words_per_row_ = 0;
-  std::int64_t word_stride_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-// +/-1 inner product of two packed rows of `bits` valid bits spread over
-// `words` words (both tails must be zero): bits - 2*popcount(xor). Routed
-// through the active XNOR kernel.
-std::int64_t xnor_dot(const std::uint64_t* a, const std::uint64_t* b,
-                      std::int64_t words, std::int64_t bits);
 
 }  // namespace hotspot::bitops

@@ -1,15 +1,15 @@
 // Per-(sample, channel) activation bit planes.
 //
 // A BitPlanes holds one bitmap row per (n*C + c, y) of an NCHW tensor with
-// bit x describing input[n,c,y,x]; bits at x >= W are zero. The packers in
-// xnor_gemm.h assemble conv patch words from these bitmaps with shifts
-// instead of kh*kw float loads per output position, so every input float is
-// read exactly once during packing.
+// bit x describing input[n,c,y,x]; bits at x >= W are zero. The direct
+// binary conv (core/packed_conv.h) cuts its tap words from these bitmaps
+// with shifts instead of kh*kw float loads per output position, so every
+// input float is read exactly once during packing.
 //
-// Stride-2 consumers (the direct binary conv, core/packed_conv.h) ask for
-// the column-parity layout instead: each bitmap row is stored as its even
-// columns (bit i = column 2i) followed by its odd columns (bit i = column
-// 2i + 1), so the taps of every second output column are contiguous bits.
+// Stride-2 convs ask for the column-parity layout instead: each bitmap row
+// is stored as its even columns (bit i = column 2i) followed by its odd
+// columns (bit i = column 2i + 1), so the taps of every second output
+// column are contiguous bits.
 // Both layouts are written by the same binarize loop.
 //
 // Both constructors binarize with the sign rule bit = (v >= 0), matching

@@ -43,11 +43,7 @@ constexpr const char* kKnownKernelNames[] = {"scalar", "avx2", "avx512"};
 // per check instead of a string-parameterized one.
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-bool cpu_has_avx512() {
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512dq") != 0 &&
-         __builtin_cpu_supports("avx512vpopcntdq") != 0;
-}
+bool cpu_has_avx512() { return __builtin_cpu_supports("avx512f") != 0; }
 #else
 bool cpu_has_avx2() { return false; }
 bool cpu_has_avx512() { return false; }
@@ -122,7 +118,6 @@ bool xnor_kernel_cpu_supported(const XnorKernel& kernel) {
     return cpu_has_avx2();
   }
   if (std::strcmp(kernel.name, "avx512") == 0) {
-    // vpopcntq + vcvtqq2ps (dq) + the 512-bit foundation (f).
     return cpu_has_avx512();
   }
   return false;

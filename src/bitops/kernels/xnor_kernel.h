@@ -1,29 +1,20 @@
-// XNOR-GEMM kernel family behind a runtime CPU-dispatch table.
+// XNOR kernel family behind a runtime CPU-dispatch table.
 //
-// Every kernel implements the same three primitives over the same explicit
-// data layout, so the rest of the system (BitMatrix, xnor_gemm, the direct
-// binary conv) is written once against this interface and the widest ISA
-// the running CPU supports is selected at process start:
+// Every kernel implements the one primitive of the position-sliced direct
+// binary conv (core::direct_conv) over the same explicit data layout, so
+// the conv is written once against this interface and the widest ISA the
+// running CPU supports is selected at process start:
 //
-//   layout   Packed rows are arrays of uint64 words, little-endian bit
-//            order (bit b of word w covers column 64*w + b), with all tail
-//            bits beyond the logical column count zero. `words` may be any
-//            non-negative count: kernels vectorize full vector blocks and
-//            finish the remainder scalar, so unpadded rows are always
-//            correct. Rows padded to a multiple of `word_multiple`
-//            (BitMatrix does this by construction) take the tail-free path.
-//            A lane word of the direct conv holds one bit per output
-//            position: bit j is lane j.
+//   layout   A lane word is a uint64 holding one bit per output position:
+//            bit j is lane j. Tap words of one tap are `channel_stride`
+//            words apart, one per input channel.
 //
-//   exactness  xor_popcount / xor_popcount_2x4 accumulate in integers, so
-//            every kernel returns the same value on the same input by
-//            construction. direct_accumulate involves float accumulation,
-//            whose result depends on evaluation order — the interface
-//            therefore pins a canonical order (below) that every kernel
-//            implements exactly, making all kernels bit-identical to
-//            scalar. The kernel translation units are compiled with
-//            -ffp-contract=off so no kernel silently fuses the
-//            multiply-add into an FMA.
+//   exactness  direct_accumulate involves float accumulation, whose result
+//            depends on evaluation order — the interface therefore pins a
+//            canonical order (below) that every kernel implements exactly,
+//            making all kernels bit-identical to scalar. The kernel
+//            translation units are compiled with -ffp-contract=off so no
+//            kernel silently fuses the multiply-add into an FMA.
 //
 //   canonical weighted order  Position-major: every output position (lane)
 //            owns one float accumulator, starting from +0.0f. Input
@@ -32,12 +23,15 @@
 //            lane)), one multiply and one add (two roundings); the result
 //            is acc * alpha_W. There is no cross-lane reduction: a vector
 //            kernel runs independent lanes side by side, so the order is
-//            the same at every vector width.
+//            the same at every vector width. With alpha_T = 1 (the scalar
+//            and unscaled modes) every partial sum is an integer of
+//            magnitude at most Cin*k*k, exact in float, so acc is the
+//            integer +/-1 patch count.
 //
 // This dispatch seam is also the backend plug point for the compiled
 // inference plan (core/inference_plan.h): a backend provides an XnorKernel
-// (name, layout requirement, the three primitives) and everything
-// downstream — packing geometry included — follows from the table entry.
+// (name, register width, the primitive) and everything downstream follows
+// from the table entry.
 #pragma once
 
 #include <cstdint>
@@ -52,22 +46,6 @@ struct XnorKernel {
   const char* name;
   // SIMD register width in bits; reported by the bitops.kernel gauge.
   std::int64_t simd_bits;
-  // Pad packed rows to a multiple of this many 64-bit words for tail-free
-  // inner loops (1 for scalar, 4 for AVX2, 8 for AVX-512).
-  std::int64_t word_multiple;
-
-  // Sum of popcount(a[w] ^ b[w]) over `words` words.
-  std::int64_t (*xor_popcount)(const std::uint64_t* a, const std::uint64_t* b,
-                               std::int64_t words);
-
-  // Dense 2x4 register tile: acc[r*4 + c] += popcount(a_r[w] ^ b_c[w])
-  // summed over `words`, for r in {0,1} over {a0,a1} and c in {0..3} over
-  // {b0..b3}. The register-blocked heart of xnor_gemm.
-  void (*xor_popcount_2x4)(const std::uint64_t* a0, const std::uint64_t* a1,
-                           const std::uint64_t* b0, const std::uint64_t* b1,
-                           const std::uint64_t* b2, const std::uint64_t* b3,
-                           std::int64_t words, std::int64_t acc[8]);
-
   // Aggregate of the position-sliced direct binary conv (Eq. 14/15,
   // core::direct_conv) for one 64-lane word and one filter.
   // taps[t * channel_stride + c] is the lane word of tap t (< ntaps <= 15)
@@ -81,7 +59,9 @@ struct XnorKernel {
   //     acc = acc + alpha[c * alpha_stride + j] * float(ntaps -
   //                                                    2 * mismatches(c))
   //   out[j] = acc * scale
-  // in the canonical weighted order above.
+  // in the canonical weighted order above. alpha_stride may be 0: every
+  // channel then reads the same 64-float row (a row of 1.0f is the unit
+  // alpha_T of the scalar and unscaled modes).
   void (*direct_accumulate)(const std::uint64_t* taps,
                             const std::uint16_t* weights, const float* alpha,
                             std::int64_t alpha_stride, std::int64_t channels,
@@ -90,8 +70,8 @@ struct XnorKernel {
 };
 
 // The always-available reference kernel every other kernel must match
-// bit-for-bit. Every kernel, this one included, is checked against plain
-// definitions of the three primitives in tests/core/conv_reference_test.cpp.
+// bit-for-bit. Every kernel, this one included, is checked against a plain
+// definition of the primitive in tests/core/conv_reference_test.cpp.
 const XnorKernel& xnor_kernel_scalar();
 
 // Every kernel compiled into this binary, scalar first, widest last. An
@@ -118,10 +98,8 @@ const XnorKernel& active_xnor_kernel();
 
 // Replaces the active kernel for the rest of the process (gauge and
 // manifest note follow). For tests and benches that sweep kernels; regular
-// code must rely on HOTSPOT_SIMD. Matrices packed under the previous
-// kernel remain correct — kernels accept any word count — but new packing
-// follows the new kernel's padding, so callers that cache packed data keyed
-// on the kernel (BrnnModel's inference plan is) re-pack automatically.
+// code must rely on HOTSPOT_SIMD. Callers that cache compiled data keyed
+// on the kernel (BrnnModel's inference plan is) recompile automatically.
 void set_active_xnor_kernel(const XnorKernel& kernel);
 
 namespace detail {

@@ -1,109 +1,24 @@
-// AVX2 kernel: 256-bit XOR + vpshufb nibble-LUT popcount (Mula's
-// algorithm), accumulated through vpsadbw into four 64-bit lane sums per
-// 256-bit block. Compiled with -mavx2 on its own (this file only); never
-// executed unless cpuid reports AVX2 (kernels/dispatch.cpp), so the rest of
-// the binary stays portable.
+// AVX2 kernel: the direct conv's XNOR and carry-save adder tree four
+// channels per 256-bit register, the per-lane counts and the float
+// multiply-add eight lanes per register. Compiled with -mavx2 on its own
+// (this file only); never executed unless cpuid reports AVX2
+// (kernels/dispatch.cpp), so the rest of the binary stays portable.
 //
-// Bit-exactness: integer primitives are exact by construction (the direct
-// conv's adder tree counts four channels per register); direct_accumulate
-// realizes the canonical position-major order of xnor_kernel.h eight lanes
-// per register, with one vector multiply + add per channel
-// (-ffp-contract=off keeps them two rounded operations).
+// Bit-exactness: the counts are exact integers; direct_accumulate realizes
+// the canonical position-major order of xnor_kernel.h, with one vector
+// multiply + add per channel (-ffp-contract=off keeps them two rounded
+// operations).
 #include "bitops/kernels/xnor_kernel.h"
 
 #if defined(HOTSPOT_XNOR_AVX2)
 
 #include <immintrin.h>
 
-#include <bit>
-
 namespace hotspot::bitops {
 namespace {
 
-// Per-64-bit-lane popcount of a 256-bit register: nibble LUT via vpshufb,
-// byte sums horizontally folded by vpsadbw against zero.
-inline __m256i popcount_epi64(__m256i x) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(x, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), low_mask);
-  const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                         _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(counts, _mm256_setzero_si256());
-}
-
 inline __m256i load256(const std::uint64_t* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-inline std::int64_t reduce_epi64(__m256i v) {
-  const __m128i folded = _mm_add_epi64(_mm256_castsi256_si128(v),
-                                       _mm256_extracti128_si256(v, 1));
-  return _mm_cvtsi128_si64(folded) + _mm_extract_epi64(folded, 1);
-}
-
-std::int64_t avx2_xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                               std::int64_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    acc = _mm256_add_epi64(
-        acc, popcount_epi64(_mm256_xor_si256(load256(a + w), load256(b + w))));
-  }
-  std::int64_t mismatches = reduce_epi64(acc);
-  for (; w < words; ++w) {
-    mismatches += std::popcount(a[w] ^ b[w]);
-  }
-  return mismatches;
-}
-
-void avx2_xor_popcount_2x4(const std::uint64_t* a0, const std::uint64_t* a1,
-                           const std::uint64_t* b0, const std::uint64_t* b1,
-                           const std::uint64_t* b2, const std::uint64_t* b3,
-                           std::int64_t words, std::int64_t acc[8]) {
-  __m256i acc00 = _mm256_setzero_si256(), acc01 = _mm256_setzero_si256();
-  __m256i acc02 = _mm256_setzero_si256(), acc03 = _mm256_setzero_si256();
-  __m256i acc10 = _mm256_setzero_si256(), acc11 = _mm256_setzero_si256();
-  __m256i acc12 = _mm256_setzero_si256(), acc13 = _mm256_setzero_si256();
-  std::int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i av0 = load256(a0 + w);
-    const __m256i av1 = load256(a1 + w);
-    const __m256i bv0 = load256(b0 + w);
-    const __m256i bv1 = load256(b1 + w);
-    const __m256i bv2 = load256(b2 + w);
-    const __m256i bv3 = load256(b3 + w);
-    acc00 = _mm256_add_epi64(acc00, popcount_epi64(_mm256_xor_si256(av0, bv0)));
-    acc01 = _mm256_add_epi64(acc01, popcount_epi64(_mm256_xor_si256(av0, bv1)));
-    acc02 = _mm256_add_epi64(acc02, popcount_epi64(_mm256_xor_si256(av0, bv2)));
-    acc03 = _mm256_add_epi64(acc03, popcount_epi64(_mm256_xor_si256(av0, bv3)));
-    acc10 = _mm256_add_epi64(acc10, popcount_epi64(_mm256_xor_si256(av1, bv0)));
-    acc11 = _mm256_add_epi64(acc11, popcount_epi64(_mm256_xor_si256(av1, bv1)));
-    acc12 = _mm256_add_epi64(acc12, popcount_epi64(_mm256_xor_si256(av1, bv2)));
-    acc13 = _mm256_add_epi64(acc13, popcount_epi64(_mm256_xor_si256(av1, bv3)));
-  }
-  acc[0] += reduce_epi64(acc00);
-  acc[1] += reduce_epi64(acc01);
-  acc[2] += reduce_epi64(acc02);
-  acc[3] += reduce_epi64(acc03);
-  acc[4] += reduce_epi64(acc10);
-  acc[5] += reduce_epi64(acc11);
-  acc[6] += reduce_epi64(acc12);
-  acc[7] += reduce_epi64(acc13);
-  for (; w < words; ++w) {
-    const std::uint64_t aw0 = a0[w];
-    const std::uint64_t aw1 = a1[w];
-    acc[0] += std::popcount(aw0 ^ b0[w]);
-    acc[1] += std::popcount(aw0 ^ b1[w]);
-    acc[2] += std::popcount(aw0 ^ b2[w]);
-    acc[3] += std::popcount(aw0 ^ b3[w]);
-    acc[4] += std::popcount(aw1 ^ b0[w]);
-    acc[5] += std::popcount(aw1 ^ b1[w]);
-    acc[6] += std::popcount(aw1 ^ b2[w]);
-    acc[7] += std::popcount(aw1 ^ b3[w]);
-  }
 }
 
 inline void full_add(__m256i a, __m256i b, __m256i c, __m256i& sum,
@@ -229,11 +144,8 @@ void avx2_direct_accumulate(const std::uint64_t* taps,
 }  // namespace
 
 const XnorKernel& xnor_kernel_avx2() {
-  static const XnorKernel kernel{
-      "avx2",            /*simd_bits=*/256,
-      /*word_multiple=*/4, avx2_xor_popcount,
-      avx2_xor_popcount_2x4, avx2_direct_accumulate,
-  };
+  static const XnorKernel kernel{"avx2", /*simd_bits=*/256,
+                                 avx2_direct_accumulate};
   return kernel;
 }
 

@@ -1,98 +1,24 @@
-// AVX-512 kernel: 512-bit XOR + native per-qword popcount (VPOPCNTDQ).
-// Requires AVX512F + AVX512DQ + VPOPCNTDQ; kernels/dispatch.cpp checks all
-// three before this kernel is ever called. Compiled with -mavx512f
-// -mavx512dq -mavx512vpopcntdq on this file only.
+// AVX-512 kernel: the direct conv's XNOR and ternary-logic adder tree
+// eight channels per 512-bit register, the float multiply-add sixteen
+// lanes per register. Requires AVX512F only (no popcount instruction);
+// kernels/dispatch.cpp checks it before this kernel is ever called.
+// Compiled with -mavx512f on this file only.
 //
-// Bit-exactness: integer primitives are exact (direct_accumulate counts
-// eight channels per register with a ternary-logic adder tree);
-// direct_accumulate realizes the canonical position-major order of
-// xnor_kernel.h sixteen lanes per register: each count bit-plane is a lane
-// mask, the per-lane value is built by exact masked subtractions, and each
-// channel adds with an explicit mul + add (-ffp-contract=off).
+// Bit-exactness: the counts are exact integers; direct_accumulate realizes
+// the canonical position-major order of xnor_kernel.h: each count bit-plane
+// is a lane mask, the per-lane value is built by exact masked subtractions,
+// and each channel adds with an explicit mul + add (-ffp-contract=off).
 #include "bitops/kernels/xnor_kernel.h"
 
 #if defined(HOTSPOT_XNOR_AVX512)
 
 #include <immintrin.h>
 
-#include <bit>
-
 namespace hotspot::bitops {
 namespace {
 
 inline __m512i load512(const std::uint64_t* p) {
   return _mm512_loadu_si512(static_cast<const void*>(p));
-}
-
-std::int64_t avx512_xor_popcount(const std::uint64_t* a,
-                                 const std::uint64_t* b, std::int64_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::int64_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    acc = _mm512_add_epi64(
-        acc,
-        _mm512_popcnt_epi64(_mm512_xor_si512(load512(a + w), load512(b + w))));
-  }
-  std::int64_t mismatches = _mm512_reduce_add_epi64(acc);
-  for (; w < words; ++w) {
-    mismatches += std::popcount(a[w] ^ b[w]);
-  }
-  return mismatches;
-}
-
-void avx512_xor_popcount_2x4(const std::uint64_t* a0, const std::uint64_t* a1,
-                             const std::uint64_t* b0, const std::uint64_t* b1,
-                             const std::uint64_t* b2, const std::uint64_t* b3,
-                             std::int64_t words, std::int64_t acc[8]) {
-  __m512i acc00 = _mm512_setzero_si512(), acc01 = _mm512_setzero_si512();
-  __m512i acc02 = _mm512_setzero_si512(), acc03 = _mm512_setzero_si512();
-  __m512i acc10 = _mm512_setzero_si512(), acc11 = _mm512_setzero_si512();
-  __m512i acc12 = _mm512_setzero_si512(), acc13 = _mm512_setzero_si512();
-  std::int64_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i av0 = load512(a0 + w);
-    const __m512i av1 = load512(a1 + w);
-    const __m512i bv0 = load512(b0 + w);
-    const __m512i bv1 = load512(b1 + w);
-    const __m512i bv2 = load512(b2 + w);
-    const __m512i bv3 = load512(b3 + w);
-    acc00 = _mm512_add_epi64(
-        acc00, _mm512_popcnt_epi64(_mm512_xor_si512(av0, bv0)));
-    acc01 = _mm512_add_epi64(
-        acc01, _mm512_popcnt_epi64(_mm512_xor_si512(av0, bv1)));
-    acc02 = _mm512_add_epi64(
-        acc02, _mm512_popcnt_epi64(_mm512_xor_si512(av0, bv2)));
-    acc03 = _mm512_add_epi64(
-        acc03, _mm512_popcnt_epi64(_mm512_xor_si512(av0, bv3)));
-    acc10 = _mm512_add_epi64(
-        acc10, _mm512_popcnt_epi64(_mm512_xor_si512(av1, bv0)));
-    acc11 = _mm512_add_epi64(
-        acc11, _mm512_popcnt_epi64(_mm512_xor_si512(av1, bv1)));
-    acc12 = _mm512_add_epi64(
-        acc12, _mm512_popcnt_epi64(_mm512_xor_si512(av1, bv2)));
-    acc13 = _mm512_add_epi64(
-        acc13, _mm512_popcnt_epi64(_mm512_xor_si512(av1, bv3)));
-  }
-  acc[0] += _mm512_reduce_add_epi64(acc00);
-  acc[1] += _mm512_reduce_add_epi64(acc01);
-  acc[2] += _mm512_reduce_add_epi64(acc02);
-  acc[3] += _mm512_reduce_add_epi64(acc03);
-  acc[4] += _mm512_reduce_add_epi64(acc10);
-  acc[5] += _mm512_reduce_add_epi64(acc11);
-  acc[6] += _mm512_reduce_add_epi64(acc12);
-  acc[7] += _mm512_reduce_add_epi64(acc13);
-  for (; w < words; ++w) {
-    const std::uint64_t aw0 = a0[w];
-    const std::uint64_t aw1 = a1[w];
-    acc[0] += std::popcount(aw0 ^ b0[w]);
-    acc[1] += std::popcount(aw0 ^ b1[w]);
-    acc[2] += std::popcount(aw0 ^ b2[w]);
-    acc[3] += std::popcount(aw0 ^ b3[w]);
-    acc[4] += std::popcount(aw1 ^ b0[w]);
-    acc[5] += std::popcount(aw1 ^ b1[w]);
-    acc[6] += std::popcount(aw1 ^ b2[w]);
-    acc[7] += std::popcount(aw1 ^ b3[w]);
-  }
 }
 
 // Full adder over eight lane words at once.
@@ -193,11 +119,8 @@ void avx512_direct_accumulate(const std::uint64_t* taps,
 }  // namespace
 
 const XnorKernel& xnor_kernel_avx512() {
-  static const XnorKernel kernel{
-      "avx512",          /*simd_bits=*/512,
-      /*word_multiple=*/8, avx512_xor_popcount,
-      avx512_xor_popcount_2x4, avx512_direct_accumulate,
-  };
+  static const XnorKernel kernel{"avx512", /*simd_bits=*/512,
+                                 avx512_direct_accumulate};
   return kernel;
 }
 

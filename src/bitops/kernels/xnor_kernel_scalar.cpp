@@ -1,4 +1,5 @@
-// Scalar reference kernel: one uint64 word per step, std::popcount.
+// Scalar reference kernel: one lane word per step, lane counts spread to
+// bytes through a table.
 //
 // This is the always-available fallback and the bit-exactness reference for
 // the SIMD kernels, so the canonical weighted order (xnor_kernel.h) is
@@ -6,54 +7,12 @@
 // (src/bitops/CMakeLists.txt) so the multiply-add stays two rounded
 // operations, matching the vector kernels' explicit mul + add.
 #include <array>
-#include <bit>
 #include <cstring>
 
 #include "bitops/kernels/xnor_kernel.h"
 
 namespace hotspot::bitops {
 namespace {
-
-std::int64_t scalar_xor_popcount(const std::uint64_t* a,
-                                 const std::uint64_t* b, std::int64_t words) {
-  std::int64_t mismatches = 0;
-  for (std::int64_t w = 0; w < words; ++w) {
-    mismatches += std::popcount(a[w] ^ b[w]);
-  }
-  return mismatches;
-}
-
-void scalar_xor_popcount_2x4(const std::uint64_t* a0, const std::uint64_t* a1,
-                             const std::uint64_t* b0, const std::uint64_t* b1,
-                             const std::uint64_t* b2, const std::uint64_t* b3,
-                             std::int64_t words, std::int64_t acc[8]) {
-  std::int64_t acc00 = 0, acc01 = 0, acc02 = 0, acc03 = 0;
-  std::int64_t acc10 = 0, acc11 = 0, acc12 = 0, acc13 = 0;
-  for (std::int64_t w = 0; w < words; ++w) {
-    const std::uint64_t aw0 = a0[w];
-    const std::uint64_t aw1 = a1[w];
-    const std::uint64_t bw0 = b0[w];
-    const std::uint64_t bw1 = b1[w];
-    const std::uint64_t bw2 = b2[w];
-    const std::uint64_t bw3 = b3[w];
-    acc00 += std::popcount(aw0 ^ bw0);
-    acc01 += std::popcount(aw0 ^ bw1);
-    acc02 += std::popcount(aw0 ^ bw2);
-    acc03 += std::popcount(aw0 ^ bw3);
-    acc10 += std::popcount(aw1 ^ bw0);
-    acc11 += std::popcount(aw1 ^ bw1);
-    acc12 += std::popcount(aw1 ^ bw2);
-    acc13 += std::popcount(aw1 ^ bw3);
-  }
-  acc[0] += acc00;
-  acc[1] += acc01;
-  acc[2] += acc02;
-  acc[3] += acc03;
-  acc[4] += acc10;
-  acc[5] += acc11;
-  acc[6] += acc12;
-  acc[7] += acc13;
-}
 
 // Byte i of kSpread[b] is bit i of b: eight lanes of a bit-plane as bytes.
 constexpr auto kSpread = [] {
@@ -147,11 +106,8 @@ void scalar_direct_accumulate(const std::uint64_t* taps,
 }  // namespace
 
 const XnorKernel& xnor_kernel_scalar() {
-  static const XnorKernel kernel{
-      "scalar",          /*simd_bits=*/64,
-      /*word_multiple=*/1, scalar_xor_popcount,
-      scalar_xor_popcount_2x4, scalar_direct_accumulate,
-  };
+  static const XnorKernel kernel{"scalar", /*simd_bits=*/64,
+                                 scalar_direct_accumulate};
   return kernel;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/packed_conv.h"
 #include "nn/init.h"
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"
@@ -22,8 +23,8 @@ BinaryConv2d::BinaryConv2d(std::int64_t in_channels, std::int64_t out_channels,
       scaling_(scaling) {
   HOTSPOT_CHECK_GT(in_channels, 0);
   HOTSPOT_CHECK_GT(out_channels, 0);
-  HOTSPOT_CHECK_LE(kernel * kernel, 64)
-      << "packed per-channel path needs kh*kw <= 64";
+  HOTSPOT_CHECK_LE(kernel * kernel, kMaxDirectTaps)
+      << "the packed direct conv needs kh*kw <= " << kMaxDirectTaps;
   const tensor::Shape weight_shape{out_channels, in_channels, kernel, kernel};
   const auto [fan_in, fan_out] = nn::compute_fans(weight_shape);
   weight_ = nn::Parameter(

@@ -14,9 +14,9 @@ namespace hotspot::core {
 struct BnnDetectorConfig {
   BrnnConfig model;
   TrainerConfig trainer;
-  // Batch size used by predict(). Larger inference batches amortize patch
-  // packing and feed the XNOR-GEMM bigger tiles than the training batch
-  // size; 0 falls back to trainer.batch_size.
+  // Batch size used by predict(). Larger inference batches amortize sign
+  // packing and fill more 64-position lane words of the direct binary conv
+  // than the training batch size; 0 falls back to trainer.batch_size.
   int inference_batch_size = 64;
 
   // Sized for CI-scale benchmarks on `image_size` clips.
@@ -35,8 +35,9 @@ class BnnHotspotDetector : public eval::Detector {
   // directly, without materializing a HotspotDataset. This is what the
   // streaming scan pipeline feeds — the caller owns batching, so dedup and
   // double buffering happen upstream. Per-sample outputs are independent of
-  // batch composition (scaling, BN eval stats, and the packed GEMM are all
-  // per-sample), so any batching of the same images yields identical labels.
+  // batch composition (scaling, BN eval stats, and the packed conv's
+  // per-lane arithmetic are all per-sample), so any batching of the same
+  // images yields identical labels.
   //
   // Safe to call from multiple threads, and calls run in parallel:
   // inference runs the model's compiled plan, which is immutable and uses

@@ -43,38 +43,31 @@ LayerCost binary_conv_cost(std::int64_t in_channels, std::int64_t out_channels,
   cost.float_weight_bytes =
       out_channels * patch * static_cast<std::int64_t>(sizeof(float));
 
+  // Direct layout (core::direct_conv) for every scaling, output positions
+  // in the lanes: per (input channel, filter) pair and 64 positions, k*k
+  // XNOR words plus the carry-save adder tree that counts them
+  // (k*k - bit_width(k*k) full adders of 5 word ops each); per (channel,
+  // filter, position) one float multiply and one add. Per-channel and
+  // scalar alpha_T add their alpha map (O(1)/pixel via the integral image
+  // -> ~4 ops per channel and position, or per position), and the scalar
+  // map one post multiply per output. Filters stay at k*k bits per
+  // (filter, channel).
+  const std::int64_t taps = kernel * kernel;
+  const std::int64_t tree =
+      5 * (taps - static_cast<std::int64_t>(
+                      std::bit_width(static_cast<std::uint64_t>(taps))));
+  cost.packed_word_ops =
+      (in_channels * out_channels * (taps + tree) * cost.output_positions +
+       63) /
+      64;
+  cost.packed_float_ops =
+      2 * cost.output_positions * out_channels * in_channels;  // mul, add
   if (scaling == bitops::InputScaling::kPerChannel) {
-    // Direct layout (core::direct_conv), output positions in the lanes: per
-    // (input channel, filter) pair and 64 positions, k*k XNOR words plus
-    // the carry-save adder tree that counts them (k*k - bit_width(k*k)
-    // full adders of 5 word ops each); per (channel, filter, position) one
-    // float multiply and one add; plus the alpha map itself (O(1)/pixel via
-    // the integral image -> ~4 ops per (channel, position)). Filters stay
-    // at k*k bits per (filter, channel).
-    const std::int64_t taps = kernel * kernel;
-    const std::int64_t tree =
-        5 * (taps - static_cast<std::int64_t>(
-                        std::bit_width(static_cast<std::uint64_t>(taps))));
-    cost.packed_word_ops =
-        (in_channels * out_channels * (taps + tree) * cost.output_positions +
-         63) /
-        64;
-    cost.packed_float_ops =
-        2 * cost.output_positions * out_channels * in_channels +  // mul, add
-        cost.output_positions * in_channels * 4;                  // alpha map
-    cost.packed_weight_bytes = (out_channels * in_channels * taps + 7) / 8;
-  } else {
-    // Dense lanes: ceil(patch/64) words per pair; scalar mode adds one
-    // epilogue multiply per output plus the alpha map.
-    const std::int64_t words = (patch + 63) / 64;
-    cost.packed_word_ops = cost.output_positions * out_channels * words;
-    cost.packed_float_ops =
-        scaling == bitops::InputScaling::kScalar
-            ? cost.output_positions * (out_channels + 4)
-            : cost.output_positions * out_channels;
-    cost.packed_weight_bytes =
-        out_channels * words * static_cast<std::int64_t>(sizeof(std::uint64_t));
+    cost.packed_float_ops += cost.output_positions * in_channels * 4;
+  } else if (scaling == bitops::InputScaling::kScalar) {
+    cost.packed_float_ops += cost.output_positions * (4 + out_channels);
   }
+  cost.packed_weight_bytes = (out_channels * in_channels * taps + 7) / 8;
   return cost;
 }
 

@@ -4,8 +4,8 @@
 // storage of the two execution strategies:
 //   float:  32-bit MACs and 4-byte weights (what a conventional framework
 //           executes, and what the DAC'17 baseline pays),
-//   packed: XNOR+popcount word operations (for per-channel alpha_T, the
-//           direct conv's XNOR and adder-tree words), float ops (alpha
+//   packed: the direct conv's XNOR and adder-tree word operations, float
+//           ops (the alpha_T-weighted accumulation, alpha maps and
 //           scaling), and 1-bit weights.
 // This is the arithmetic behind Fig. 1's "32 bit vs 1 bit" contrast,
 // independent of any machine: the measured counterpart is
@@ -24,8 +24,8 @@ struct LayerCost {
   std::string name;
   std::int64_t output_positions = 0;  // outH * outW
   std::int64_t float_macs = 0;        // Cout * positions * Cin * k * k
-  std::int64_t packed_word_ops = 0;   // XOR+popcount / adder-tree words
-  std::int64_t packed_float_ops = 0;  // alpha application + alpha map
+  std::int64_t packed_word_ops = 0;   // XNOR + adder-tree words
+  std::int64_t packed_float_ops = 0;  // accumulation, alpha maps, scaling
   std::int64_t float_weight_bytes = 0;
   std::int64_t packed_weight_bytes = 0;
 };
@@ -39,7 +39,7 @@ struct NetworkCost {
   std::int64_t packed_weight_bytes = 0;
 
   // MACs per word-op: the ideal arithmetic reduction of binarization
-  // (64 binary MACs per XOR+popcount pair).
+  // (64 binary MACs per packed word op).
   double arithmetic_reduction() const;
   // Weight storage ratio (the Fig. 1 "32 bit float -> 1 bit" axis).
   double storage_reduction() const;

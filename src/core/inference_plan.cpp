@@ -1,7 +1,6 @@
 #include "core/inference_plan.h"
 
 #include "bitops/bit_planes.h"
-#include "bitops/xnor_gemm.h"
 #include "core/binary_conv.h"
 #include "core/brnn.h"
 #include "core/packed_conv.h"
@@ -86,19 +85,11 @@ ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv)
       kernel_(&bitops::active_xnor_kernel()),
       input_span_(conv_stage_span(label_, "binary_conv.pack")),
       aggregate_span_(conv_stage_span(
-          label_, std::string(scaling_ == bitops::InputScaling::kPerChannel
-                                  ? "binary_conv.direct."
-                                  : "binary_conv.gemm.") +
-                      kernel_->name)),
-      unpack_span_(conv_stage_span(label_, "binary_conv.unpack")),
+          label_, std::string("binary_conv.direct.") + kernel_->name)),
+      filters_(pack_direct_filters(conv.weight().value)),
       alpha_w_(bitops::weight_scales(conv.weight().value)),
       bn_(bn) {
   HOTSPOT_CHECK_EQ(bn.channels(), in_channels_);
-  if (scaling_ == bitops::InputScaling::kPerChannel) {
-    direct_filters_ = pack_direct_filters(conv.weight().value);
-  } else {
-    filters_ = bitops::pack_filters(conv.weight().value);
-  }
 }
 
 Tensor ConvStep::run(const Tensor& input) const {
@@ -119,52 +110,35 @@ Tensor ConvStep::compute(const Tensor& input) const {
                                          spec_.stride, spec_.pad),
                  tensor::conv_out_extent(input.dim(3), spec_.kernel_w,
                                          spec_.stride, spec_.pad)});
-  return scaling_ == bitops::InputScaling::kPerChannel
-             ? compute_direct(input, std::move(output))
-             : compute_dense(input, std::move(output));
-}
-
-Tensor ConvStep::compute_direct(const Tensor& input, Tensor output) const {
-  // Sign bits (the column-parity layout at stride 2) and alpha_T in lane
-  // layout, both of the BN output evaluated inline per element.
+  // Sign bits (the column-parity layout at stride 2) and the scaling's
+  // alpha_T, both of the BN output evaluated inline per element.
   const bitops::ChannelAffine affine = bn_.affine();
   bitops::BitPlanes bits;
-  Tensor alpha;
+  Tensor alpha;  // kPerChannel: [Cin, lanes]; kScalar: [N,1,outH,outW]
   {
     obs::TraceSpan span(input_span_);
     bits = bitops::BitPlanes(input, affine,
                              spec_.stride == 2
                                  ? bitops::BitLayout::kColumnParity
                                  : bitops::BitLayout::kRows);
-    alpha = bitops::input_scales_per_channel_affine_lanes(input, spec_, affine);
-  }
-  obs::TraceSpan span(aggregate_span_);
-  direct_conv(*kernel_, bits, spec_, direct_filters_, alpha, alpha_w_, output);
-  return output;
-}
-
-Tensor ConvStep::compute_dense(const Tensor& input, Tensor output) const {
-  const bitops::ChannelAffine affine = bn_.affine();
-  bitops::BitMatrix patches;
-  Tensor alpha;  // kScalar only
-  {
-    obs::TraceSpan span(input_span_);
-    patches = bitops::pack_patches(bitops::BitPlanes(input, affine), spec_);
-    if (scaling_ == bitops::InputScaling::kScalar) {
-      alpha = bitops::input_scales_scalar_affine(input, spec_, affine);
+    switch (scaling_) {
+      case bitops::InputScaling::kPerChannel:
+        alpha = bitops::input_scales_per_channel_affine_lanes(input, spec_,
+                                                              affine);
+        break;
+      case bitops::InputScaling::kScalar:
+        alpha = bitops::input_scales_scalar_affine(input, spec_, affine);
+        break;
+      case bitops::InputScaling::kNone:
+        break;
     }
   }
-  // Dense lanes: one popcount chain per (position, filter) pair.
-  Tensor counts;
-  {
-    obs::TraceSpan span(aggregate_span_);
-    counts = bitops::xnor_gemm(patches, filters_);
-  }
-  obs::TraceSpan span(unpack_span_);
-  packed_conv_epilogue(
-      counts, alpha_w_,
-      scaling_ == bitops::InputScaling::kScalar ? &alpha : nullptr,
-      out_channels_, output);
+  obs::TraceSpan span(aggregate_span_);
+  direct_conv(*kernel_, bits, spec_, filters_,
+              scaling_ == bitops::InputScaling::kPerChannel ? &alpha : nullptr,
+              alpha_w_,
+              scaling_ == bitops::InputScaling::kScalar ? &alpha : nullptr,
+              output);
   return output;
 }
 

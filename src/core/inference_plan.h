@@ -10,15 +10,14 @@
 // BrnnModel publishes a fresh plan whenever a parameter version, the XNOR
 // kernel, or the BN statistics change (see BrnnModel::plan()).
 //
-// Each conv step is built from two stages chosen at compile time, in the
-// style of lib_nn's Filter2D (SNIPPETS.md snippet 1):
-//   input     - sign bits of the BN output and its alpha_T scales, both
+// Each conv step runs two stages, in the style of lib_nn's Filter2D
+// (SNIPPETS.md snippet 1):
+//   input     - sign bits of the BN output and the alpha_T of the layer's
+//               scaling (per-channel lanes, the scalar map, or none), both
 //               evaluated inline from the raw input (bitops/channel_affine.h)
 //               so no BN tensor is materialized;
-//   aggregate - the position-sliced direct binary conv (kPerChannel,
-//               core::direct_conv: no patch matrix), or im2col patches and a
-//               dense XNOR GEMM with the float alpha_W epilogue (kScalar /
-//               kNone).
+//   aggregate - the position-sliced direct binary conv (core::direct_conv),
+//               the same for every scaling.
 // The input stage evaluates the layer's own float expression, so the plan
 // binarizes exactly what the BN layer would output, for every statistic,
 // and its logits are bit-identical on every kernel.
@@ -31,7 +30,6 @@
 #include <variant>
 #include <vector>
 
-#include "bitops/bit_matrix.h"
 #include "bitops/kernels/xnor_kernel.h"
 #include "bitops/scaling.h"
 #include "core/packed_conv.h"
@@ -54,8 +52,7 @@ using tensor::Tensor;
 // Trace span of one stage of a conv step, qualified by the conv's span
 // label so the roofline attributes every stage to its layer:
 // "brnn.conv.stem/binary_conv.pack". The stages are binary_conv.pack (the
-// input stage), binary_conv.direct.<kernel> or binary_conv.gemm.<kernel>
-// (the aggregate) and binary_conv.unpack (the dense epilogue). An
+// input stage) and binary_conv.direct.<kernel> (the aggregate). An
 // unlabelled conv opens the bare stage names.
 std::string conv_stage_span(const std::string& conv_label,
                             const std::string& stage);
@@ -87,8 +84,6 @@ class ConvStep {
 
  private:
   Tensor compute(const Tensor& input) const;
-  Tensor compute_direct(const Tensor& input, Tensor output) const;
-  Tensor compute_dense(const Tensor& input, Tensor output) const;
 
   std::string label_;
   tensor::ConvSpec spec_;
@@ -97,10 +92,8 @@ class ConvStep {
   bitops::InputScaling scaling_;
   const bitops::XnorKernel* kernel_;
   std::string input_span_;      // conv_stage_span(label, binary_conv.pack)
-  std::string aggregate_span_;  // ... binary_conv.{direct,gemm}.<kernel>
-  std::string unpack_span_;     // ... binary_conv.unpack
-  DirectFilters direct_filters_;  // kPerChannel
-  bitops::BitMatrix filters_;     // kScalar / kNone
+  std::string aggregate_span_;  // ... binary_conv.direct.<kernel>
+  DirectFilters filters_;
   Tensor alpha_w_;
   BnStep bn_;
 };

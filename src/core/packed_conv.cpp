@@ -1,6 +1,7 @@
 #include "core/packed_conv.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -10,6 +11,14 @@
 
 namespace hotspot::core {
 namespace {
+
+// The alpha row every channel reads (at alpha stride 0) when the scaling
+// has no per-channel alpha_T.
+alignas(64) constexpr std::array<float, 64> kUnitAlpha = [] {
+  std::array<float, 64> ones{};
+  ones.fill(1.0f);
+  return ones;
+}();
 
 // Shape of one direct conv call; lanes are the flattened output positions
 // (n, p), 64 per lane word.
@@ -98,7 +107,7 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight) {
   filters.in_channels = weight.dim(1);
   filters.channel_stride = (filters.in_channels + 7) / 8 * 8;
   filters.taps = weight.dim(2) * weight.dim(3);
-  HOTSPOT_CHECK_LE(filters.taps, 15)
+  HOTSPOT_CHECK_LE(filters.taps, kMaxDirectTaps)
       << "the direct conv counts mismatches in four bit-planes";
   filters.bits.assign(
       static_cast<std::size_t>(filters.out_channels * filters.channel_stride),
@@ -120,8 +129,9 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight) {
 void direct_conv(const bitops::XnorKernel& kern,
                  const bitops::BitPlanes& planes,
                  const tensor::ConvSpec& spec, const DirectFilters& filters,
-                 const tensor::Tensor& alpha_lanes,
-                 const tensor::Tensor& alpha_w, tensor::Tensor& output) {
+                 const tensor::Tensor* alpha_lanes,
+                 const tensor::Tensor& alpha_w, const tensor::Tensor* post,
+                 tensor::Tensor& output) {
   LaneGeometry geo{};
   geo.in_channels = planes.channels();
   geo.channel_stride = filters.channel_stride;
@@ -154,9 +164,15 @@ void direct_conv(const bitops::XnorKernel& kern,
   HOTSPOT_CHECK_EQ(output.dim(1), cout);
   HOTSPOT_CHECK_EQ(output.dim(2), out_h);
   HOTSPOT_CHECK_EQ(output.dim(3), geo.out_w);
-  HOTSPOT_CHECK_EQ(alpha_lanes.dim(0), cin);
-  HOTSPOT_CHECK_EQ(alpha_lanes.dim(1), geo.words * 64);
-  const std::int64_t alpha_stride = geo.words * 64;
+  std::int64_t alpha_stride = 0;  // kUnitAlpha without per-channel lanes
+  if (alpha_lanes != nullptr) {
+    HOTSPOT_CHECK_EQ(alpha_lanes->dim(0), cin);
+    HOTSPOT_CHECK_EQ(alpha_lanes->dim(1), geo.words * 64);
+    alpha_stride = geo.words * 64;
+  }
+  if (post != nullptr) {
+    HOTSPOT_CHECK_EQ(post->numel(), geo.lanes);
+  }
 
   // Lane words per block: the block's tap words (about 32 KB) stay in cache
   // while every filter reads them.
@@ -176,18 +192,29 @@ void direct_conv(const bitops::XnorKernel& kern,
           kern.direct_accumulate(
               taps.data() + (g - g0) * geo.taps * geo.channel_stride,
               filters.bits.data() + o * geo.channel_stride,
-              alpha_lanes.data() + g * 64, alpha_stride, cin,
-              geo.channel_stride, geo.taps, alpha_w[o], lane_out);
-          // Scatter the word's lanes to NCHW, one run per sample.
+              alpha_lanes != nullptr ? alpha_lanes->data() + g * 64
+                                     : kUnitAlpha.data(),
+              alpha_stride, cin, geo.channel_stride, geo.taps, alpha_w[o],
+              lane_out);
+          // Scatter the word's lanes to NCHW, one run per sample, times the
+          // post factor of the lane if there is one.
           const std::int64_t lane0 = g * 64;
           const std::int64_t end = std::min(lane0 + 64, geo.lanes);
           for (std::int64_t lane = lane0; lane < end;) {
             const std::int64_t ni = lane / geo.positions;
             const std::int64_t p = lane % geo.positions;
             const std::int64_t len = std::min(geo.positions - p, end - lane);
-            std::memcpy(output.data() + (ni * cout + o) * geo.positions + p,
-                        lane_out + (lane - lane0),
-                        static_cast<std::size_t>(len) * sizeof(float));
+            float* dst = output.data() + (ni * cout + o) * geo.positions + p;
+            const float* src = lane_out + (lane - lane0);
+            if (post != nullptr) {
+              const float* factor = post->data() + lane;
+              for (std::int64_t i = 0; i < len; ++i) {
+                dst[i] = src[i] * factor[i];
+              }
+            } else {
+              std::memcpy(dst, src,
+                          static_cast<std::size_t>(len) * sizeof(float));
+            }
             lane += len;
           }
         }
@@ -230,35 +257,6 @@ void packed_conv_per_channel(const bitops::XnorKernel& /*kern*/,
           acc = acc + term;
         }
         out_base[co * positions] = acc * alpha_w[co];
-      }
-    }
-  });
-}
-
-void packed_conv_epilogue(const tensor::Tensor& counts,
-                          const tensor::Tensor& alpha_w,
-                          const tensor::Tensor* post_alpha,
-                          std::int64_t out_channels, tensor::Tensor& output) {
-  const std::int64_t n = output.dim(0);
-  const std::int64_t out_h = output.dim(2);
-  const std::int64_t out_w = output.dim(3);
-  const std::int64_t positions = out_h * out_w;
-  HOTSPOT_CHECK_EQ(counts.dim(0), n * positions);
-  HOTSPOT_CHECK_EQ(counts.dim(1), out_channels);
-  util::parallel_for(0, n * positions, /*grain=*/64, [&](std::int64_t lo,
-                                                         std::int64_t hi) {
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t ni = row / positions;
-      const std::int64_t p = row % positions;
-      // post = 1.0f multiplies exactly, so the no-scaling path matches a
-      // hypothetical two-factor epilogue bit-for-bit.
-      const float post =
-          post_alpha != nullptr ? post_alpha->at4(ni, 0, p / out_w, p % out_w)
-                                : 1.0f;
-      const float* src = counts.data() + row * out_channels;
-      float* dst = output.data() + ni * out_channels * positions + p;
-      for (std::int64_t co = 0; co < out_channels; ++co) {
-        dst[co * positions] = src[co] * alpha_w[co] * post;
       }
     }
   });

@@ -96,10 +96,8 @@ RooflineReport build_roofline(const BrnnModel& model,
     // The aggregate span names the kernel it ran on.
     const std::string direct =
         conv_stage_span(layer.label, "binary_conv.direct.");
-    const std::string gemm =
-        conv_stage_span(layer.label, "binary_conv.gemm.");
     for (const auto& [name, stat] : spans.spans) {
-      if (name.rfind(direct, 0) == 0 || name.rfind(gemm, 0) == 0) {
+      if (name.rfind(direct, 0) == 0) {
         layer.aggregate_seconds += stat.total_seconds;
       }
     }

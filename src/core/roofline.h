@@ -4,9 +4,9 @@
 //   - measured per-layer wall time, from the "brnn.conv.*" /
 //     "brnn.layer.head_fc" trace spans (obs/trace.h), together with the
 //     sample counter BrnnModel keeps while tracing is enabled;
-//   - analytic per-layer work, from core/cost_model.h (XNOR+popcount word
-//     ops and float epilogue ops for binary convolutions, dense MACs for
-//     the classifier head).
+//   - analytic per-layer work, from core/cost_model.h (XNOR and
+//     adder-tree word ops and float ops for binary convolutions, dense MACs
+//     for the classifier head).
 //
 // The result is one row per weight layer: time (split, for convs, into the
 // input stage and the aggregate), operations executed
@@ -37,11 +37,11 @@ struct RooflineLayer {
   double seconds = 0.0;       // total span wall time
   // The two stages inside `seconds` (convs only; conv_stage_span spans):
   // the input stage (binary_conv.pack: sign bits, even/odd split, alpha_T)
-  // and the aggregate (binary_conv.direct.* / binary_conv.gemm.*).
+  // and the aggregate (binary_conv.direct.*).
   double input_seconds = 0.0;
   double aggregate_seconds = 0.0;
   double bitops = 0.0;        // binary MACs executed (64 per word op)
-  double float_ops = 0.0;     // float epilogue ops (convs) or MACs*2 (fc)
+  double float_ops = 0.0;     // float ops (convs) or MACs*2 (fc)
   double gops_per_second = 0.0;  // (bitops + float_ops) / seconds / 1e9
   double time_fraction = 0.0;    // seconds / report total_seconds
 };

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bitops/kernels/xnor_kernel.h"
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::bitops {
@@ -25,6 +25,11 @@ TEST(BitMatrix, WordsPerRowPadding) {
   EXPECT_EQ(BitMatrix(1, 1).words_per_row(), 1);
   EXPECT_EQ(BitMatrix(1, 64).words_per_row(), 1);
   EXPECT_EQ(BitMatrix(1, 65).words_per_row(), 2);
+  // Rows are words_per_row() words apart, and storage counts exactly those.
+  BitMatrix bits(3, 130);
+  EXPECT_EQ(bits.words_per_row(), 3);
+  EXPECT_EQ(bits.row(1) - bits.row(0), 3);
+  EXPECT_EQ(bits.storage_bytes(), 3 * 3 * 8);
 }
 
 TEST(BitMatrix, PackUnpackRoundTrip) {
@@ -47,10 +52,12 @@ TEST(BitMatrix, PackSignZeroIsPlusOne) {
 TEST(BitMatrix, TailBitsAreZero) {
   const Tensor source({1, 5}, {1, 1, 1, 1, 1});
   const BitMatrix packed = BitMatrix::pack_rows(source);
-  // Bits 5..63 must be zero so xnor_dot needs no tail mask.
+  // Bits 5..63 must be zero so a +/-1 dot needs no tail mask.
   EXPECT_EQ(packed.row(0)[0], 0b11111u);
 }
 
+// The +/-1 dot of two packed rows (bits - 2 * popcount(a XOR b), the
+// contract of bit_matrix.h) equals the float inner product of their signs.
 TEST(XnorDot, MatchesFloatInnerProduct) {
   util::Rng rng(2);
   for (int trial = 0; trial < 20; ++trial) {
@@ -61,7 +68,8 @@ TEST(XnorDot, MatchesFloatInnerProduct) {
     const BitMatrix pb = BitMatrix::pack_rows(b);
     const double expected =
         tensor::mul(tensor::sign(a), tensor::sign(b)).sum();
-    EXPECT_EQ(xnor_dot(pa.row(0), pb.row(0), pa.words_per_row(), n),
+    EXPECT_EQ(test_support::packed_dot(pa.row(0), pb.row(0),
+                                       pa.words_per_row(), n),
               static_cast<std::int64_t>(expected));
   }
 }
@@ -71,8 +79,8 @@ TEST(XnorDot, ExtremeCases) {
   const Tensor minus = tensor::scale(ones, -1.0f);
   const BitMatrix p = BitMatrix::pack_rows(ones);
   const BitMatrix m = BitMatrix::pack_rows(minus);
-  EXPECT_EQ(xnor_dot(p.row(0), p.row(0), 1, 64), 64);
-  EXPECT_EQ(xnor_dot(p.row(0), m.row(0), 1, 64), -64);
+  EXPECT_EQ(test_support::packed_dot(p.row(0), p.row(0), 1, 64), 64);
+  EXPECT_EQ(test_support::packed_dot(p.row(0), m.row(0), 1, 64), -64);
 }
 
 TEST(BitMatrix, StorageIs32xSmallerThanFloat) {
@@ -82,18 +90,6 @@ TEST(BitMatrix, StorageIs32xSmallerThanFloat) {
   const BitMatrix bits(rows, cols);
   const auto float_bytes = rows * cols * static_cast<std::int64_t>(sizeof(float));
   EXPECT_LE(bits.storage_bytes() * 30, float_bytes);
-}
-
-TEST(KernelIdentity, PaddedMatrixKeepsLogicalGeometry) {
-  for (const XnorKernel* kernel : compiled_xnor_kernels()) {
-    const BitMatrix padded(3, 130, kernel->word_multiple);
-    EXPECT_EQ(padded.words_per_row(), 3) << kernel->name;
-    EXPECT_EQ(padded.word_stride() % kernel->word_multiple, 0)
-        << kernel->name;
-    EXPECT_GE(padded.word_stride(), padded.words_per_row()) << kernel->name;
-    // Fig.-1 model size counts logical words only.
-    EXPECT_EQ(padded.storage_bytes(), 3 * 3 * 8) << kernel->name;
-  }
 }
 
 TEST(BitMatrixDeath, OutOfRangeAccess) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bitops/bit_planes.h"
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::bitops {
@@ -11,26 +12,41 @@ namespace {
 using tensor::ConvSpec;
 using tensor::Tensor;
 
+// The XNOR-popcount product of BitMatrix-packed rows (its row layout and
+// zero tails) equals the float matmul of the signs.
 TEST(XnorGemm, MatchesSignMatmul) {
   util::Rng rng(1);
   const Tensor a = Tensor::normal({5, 130}, rng, 0.0f, 1.0f);
   const Tensor b = Tensor::normal({7, 130}, rng, 0.0f, 1.0f);
-  const Tensor counts =
-      xnor_gemm(BitMatrix::pack_rows(a), BitMatrix::pack_rows(b));
+  const Tensor counts = test_support::packed_sign_product(
+      BitMatrix::pack_rows(a), BitMatrix::pack_rows(b));
   const Tensor expected = tensor::matmul(
       tensor::sign(a), tensor::transpose2d(tensor::sign(b)));
   EXPECT_TRUE(tensor::allclose(counts, expected, 1e-4));
 }
 
+// Channel-blocked patches hold each input channel's kh*kw im2col signs in
+// the low bits of the channel's own word, and zeros above them.
 TEST(PackPatches, MatchesFloatIm2colSigns) {
   util::Rng rng(2);
   const Tensor x = Tensor::normal({2, 3, 6, 6}, rng, 0.0f, 1.0f);
   for (const ConvSpec spec : {ConvSpec{3, 3, 1, 1}, ConvSpec{3, 3, 2, 1},
                               ConvSpec{1, 1, 2, 0}, ConvSpec{5, 5, 1, 2}}) {
-    const BitMatrix packed = pack_patches(BitPlanes(x), spec);
+    const BitMatrix packed = pack_patches_channel_blocked(x, spec);
     const Tensor reference =
         tensor::im2col(tensor::sign(x), spec, -1.0f);
-    EXPECT_TRUE(tensor::allclose(packed.unpack(), reference, 0.0))
+    const std::int64_t kk = spec.kernel_h * spec.kernel_w;
+    ASSERT_EQ(packed.rows(), reference.dim(0));
+    std::int64_t mismatches = 0;
+    for (std::int64_t row = 0; row < packed.rows(); ++row) {
+      for (std::int64_t ci = 0; ci < 3; ++ci) {
+        for (std::int64_t t = 0; t < 64; ++t) {
+          const bool want = t < kk && reference.at2(row, ci * kk + t) > 0.0f;
+          mismatches += packed.get(row, ci * 64 + t) != want ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0)
         << "kernel " << spec.kernel_h << " stride " << spec.stride;
   }
 }
@@ -40,17 +56,18 @@ TEST(BinaryConvCounts, MatchesFloatSignConv) {
   const Tensor x = Tensor::normal({1, 4, 8, 8}, rng, 0.0f, 1.0f);
   const Tensor w = Tensor::normal({6, 4, 3, 3}, rng, 0.0f, 1.0f);
   const ConvSpec spec{3, 3, 1, 1};
-  // The dense XNOR conv: packed patches against packed filters,
+  // Reference: float conv of signs with -1 padding via im2col + matmul,
   // [positions, Cout].
-  const Tensor counts =
-      xnor_gemm(pack_patches(BitPlanes(x), spec), pack_filters(w));
-  // Reference: float conv of signs with -1 padding via im2col + matmul.
   const Tensor cols = tensor::im2col(tensor::sign(x), spec, -1.0f);
   const Tensor wmat = tensor::sign(w).reshaped({6, 4 * 9});
   const Tensor rows = tensor::matmul(cols, tensor::transpose2d(wmat));
-  for (std::int64_t co = 0; co < 6; ++co) {
-    for (std::int64_t p = 0; p < 64; ++p) {
-      EXPECT_FLOAT_EQ(counts.at2(p, co), rows.at2(p, co));
+  for (const XnorKernel* kernel : test_support::runnable_kernels()) {
+    const Tensor counts = test_support::direct_conv_counts(*kernel, x, w, spec);
+    for (std::int64_t co = 0; co < 6; ++co) {
+      for (std::int64_t p = 0; p < 64; ++p) {
+        EXPECT_FLOAT_EQ(counts.at4(0, co, p / 8, p % 8), rows.at2(p, co))
+            << kernel->name;
+      }
     }
   }
 }

@@ -69,10 +69,14 @@ TEST(BinaryConv, ParameterCount) {
 }
 
 TEST(BinaryConvDeath, RejectsOversizedKernelForPackedPath) {
+  // The direct conv takes at most kMaxDirectTaps taps, in every scaling
+  // mode: 4x4 (16 taps) is the smallest kernel past the bound.
   util::Rng rng(9);
   EXPECT_DEATH(
       BinaryConv2d(1, 1, 9, 1, 4, InputScaling::kPerChannel, rng),
       "HOTSPOT_CHECK");
+  EXPECT_DEATH(BinaryConv2d(1, 1, 4, 1, 1, InputScaling::kScalar, rng),
+               "HOTSPOT_CHECK");
 }
 
 }  // namespace

@@ -17,9 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "bitops/bit_matrix.h"
 #include "bitops/kernels/xnor_kernel.h"
-#include "bitops/xnor_gemm.h"
 #include "core/brnn.h"
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
@@ -60,71 +58,18 @@ std::string scaling_name(InputScaling scaling) {
 const InputScaling kScalings[] = {InputScaling::kPerChannel,
                                   InputScaling::kScalar, InputScaling::kNone};
 
-// Kernel primitives against the plain definitions. Every runnable kernel,
-// scalar included, meets the same definition, so every kernel also matches
-// the scalar kernel bit for bit.
-
-// Random words holding `bits` valid low bits each, like a packed row's tail
-// word.
-std::vector<std::uint64_t> random_words(util::Rng& rng, std::int64_t count,
-                                        int bits) {
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(count));
-  for (auto& word : words) {
-    word = rng.next_u64() & (~std::uint64_t{0} >> (64 - bits));
-  }
-  return words;
-}
-
-std::int64_t plain_count(const std::vector<std::uint64_t>& a,
-                         const std::vector<std::uint64_t>& b) {
-  return eq15::differing_bits(a.data(), b.data(),
-                              static_cast<std::int64_t>(a.size()));
-}
-
-TEST(KernelIdentity, XorPopcountMatchesScalarAcrossTailCounts) {
-  util::Rng rng(71);
-  for (const XnorKernel* kernel : runnable_kernels()) {
-    // Every vector-block/tail split (tail 0-7 words) for every kernel.
-    for (std::int64_t words = 0; words <= 3 * kernel->word_multiple + 7;
-         ++words) {
-      for (int rep = 0; rep < 5; ++rep) {
-        const auto a = random_words(rng, words, 64 - rep);
-        const auto b = random_words(rng, words, 64 - rep);
-        EXPECT_EQ(kernel->xor_popcount(a.data(), b.data(), words),
-                  plain_count(a, b))
-            << kernel->name << " words=" << words;
-      }
-    }
-  }
-}
-
-TEST(KernelIdentity, XorPopcount2x4MatchesScalar) {
-  util::Rng rng(72);
-  for (const XnorKernel* kernel : runnable_kernels()) {
-    for (std::int64_t words = 0; words <= 3 * kernel->word_multiple + 7;
-         ++words) {
-      std::vector<std::vector<std::uint64_t>> rows;
-      for (int r = 0; r < 6; ++r) {
-        rows.push_back(random_words(rng, words, 64 - r % 5));
-      }
-      // Non-zero seeds pin the += contract (accumulate, not overwrite).
-      std::int64_t acc[8] = {5, 5, 5, 5, 5, 5, 5, 5};
-      kernel->xor_popcount_2x4(rows[0].data(), rows[1].data(), rows[2].data(),
-                               rows[3].data(), rows[4].data(), rows[5].data(),
-                               words, acc);
-      for (std::size_t i = 0; i < 8; ++i) {
-        EXPECT_EQ(acc[i], 5 + plain_count(rows[i / 4], rows[2 + i % 4]))
-            << kernel->name << " words=" << words << " acc=" << i;
-      }
-    }
-  }
-}
+// The kernel primitive against its plain definition. Every runnable
+// kernel, scalar included, meets the same definition, so every kernel also
+// matches the scalar kernel bit for bit.
 
 // direct_accumulate against the canonical weighted order of the reference,
 // one lane at a time: every channel count 0-37 and counts above 64 (every
 // tail of the 8-channel and 4-channel adder-tree blocks), for 3x3 and 1x1
 // taps, alpha rows wider than the 64 lanes (as the plan's lane layout is)
 // with exact zeros and denormals, and random tap words and weight bits.
+// Then the unit alpha of the scalar and unscaled modes (one row of 1.0f at
+// alpha_stride 0): the result is also the reference's dense epilogue of
+// the integer patch count, count * scale.
 TEST(KernelIdentity, DirectAccumulateMatchesCanonicalOrder) {
   util::Rng rng(73);
   std::vector<std::int64_t> channel_counts;
@@ -156,11 +101,17 @@ TEST(KernelIdentity, DirectAccumulateMatchesCanonicalOrder) {
       }
       const auto scale = static_cast<float>(rng.uniform(0.1, 1.5));
       // The reference, lane by lane: the +/-1 dot of each channel's taps
-      // with its weight signs.
+      // with its weight signs, weighted by alpha and by the unit alpha (a
+      // row of 1.0f read at alpha_stride 0).
+      const std::vector<float> unit(
+          static_cast<std::size_t>(std::max<std::int64_t>(channels, 64)),
+          1.0f);
       float want[64];
+      float want_unit[64];
       for (int j = 0; j < 64; ++j) {
         std::vector<std::int64_t> dots;
         std::vector<float> lane_alpha;
+        std::int64_t count = 0;
         for (std::int64_t c = 0; c < channels; ++c) {
           std::int64_t dot = 0;
           for (std::int64_t t = 0; t < ntaps; ++t) {
@@ -170,62 +121,40 @@ TEST(KernelIdentity, DirectAccumulateMatchesCanonicalOrder) {
             dot += x == w ? 1 : -1;
           }
           dots.push_back(dot);
+          count += dot;
           lane_alpha.push_back(
               alpha[static_cast<std::size_t>(c * kAlphaStride + j)]);
         }
         want[j] = eq15::canonical_weighted_sum(lane_alpha.data(), dots.data(),
                                                channels) *
                   scale;
+        want_unit[j] = eq15::canonical_weighted_sum(unit.data(), dots.data(),
+                                                    channels) *
+                       scale;
+        // With unit alpha every partial sum is an exact integer.
+        const float epilogue = eq15::dense_epilogue(count, scale, 1.0f);
+        ASSERT_EQ(std::memcmp(&want_unit[j], &epilogue, sizeof(float)), 0)
+            << "channels=" << channels << " lane=" << j;
       }
       for (const XnorKernel* kernel : runnable_kernels()) {
         float got[64];
         kernel->direct_accumulate(taps.data(), weights.data(), alpha.data(),
                                   kAlphaStride, channels, stride, ntaps, scale,
                                   got);
+        float got_unit[64];
+        kernel->direct_accumulate(taps.data(), weights.data(), unit.data(),
+                                  /*alpha_stride=*/0, channels, stride, ntaps,
+                                  scale, got_unit);
         for (int j = 0; j < 64; ++j) {
           EXPECT_EQ(std::memcmp(&got[j], &want[j], sizeof(float)), 0)
               << kernel->name << " channels=" << channels
               << " ntaps=" << ntaps << " lane=" << j << ": " << got[j]
               << " vs " << want[j];
+          EXPECT_EQ(std::memcmp(&got_unit[j], &want_unit[j], sizeof(float)), 0)
+              << kernel->name << " unit alpha, channels=" << channels
+              << " ntaps=" << ntaps << " lane=" << j << ": " << got_unit[j]
+              << " vs " << want_unit[j];
         }
-      }
-    }
-  }
-}
-
-TEST(KernelIdentity, GemmMatchesScalarOnOddShapes) {
-  KernelGuard kernel_guard;
-  ThreadsGuard threads_guard;
-  util::Rng rng(75);
-  // Odd rows/cols: every tail path (row remainder of the 2-row tile, column
-  // remainder of the 4-column tile, word tail of the packed row).
-  const struct {
-    std::int64_t m, n, k;
-  } shapes[] = {{1, 1, 1},     {3, 5, 63},   {7, 9, 64},    {5, 3, 65},
-                {17, 13, 127}, {2, 4, 576},  {11, 21, 200}, {37, 13, 130}};
-  for (const auto& shape : shapes) {
-    const Tensor a = Tensor::normal({shape.m, shape.k}, rng, 0.0f, 1.0f);
-    const Tensor b = Tensor::normal({shape.n, shape.k}, rng, 0.0f, 1.0f);
-    // The +/-1 inner products, exact in float at these widths.
-    const Tensor want =
-        tensor::matmul(tensor::sign(a), tensor::transpose2d(tensor::sign(b)));
-    bitops::set_active_xnor_kernel(bitops::xnor_kernel_scalar());
-    const bitops::BitMatrix a_unpadded = bitops::BitMatrix::pack_rows(a);
-    const bitops::BitMatrix b_unpadded = bitops::BitMatrix::pack_rows(b);
-    for (const XnorKernel* kernel : runnable_kernels()) {
-      bitops::set_active_xnor_kernel(*kernel);
-      const bitops::BitMatrix pa = bitops::BitMatrix::pack_rows(a);
-      const bitops::BitMatrix pb = bitops::BitMatrix::pack_rows(b);
-      for (const int threads : kThreadCounts) {
-        util::set_parallel_threads(threads);
-        const std::string context = std::string(kernel->name) + " k=" +
-                                    std::to_string(shape.k) + " threads=" +
-                                    std::to_string(threads);
-        // Packed for this kernel (padded rows), and unpadded: kernels
-        // accept any word count.
-        expect_bit_identical(bitops::xnor_gemm(pa, pb), want, context);
-        expect_bit_identical(bitops::xnor_gemm(a_unpadded, b_unpadded), want,
-                             "unpadded " + context);
       }
     }
   }

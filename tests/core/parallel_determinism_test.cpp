@@ -10,7 +10,6 @@
 
 #include "bitops/bit_planes.h"
 #include "bitops/scaling.h"
-#include "bitops/xnor_gemm.h"
 #include "core/brnn.h"
 #include "core/packed_conv.h"
 #include "support/test_support.h"
@@ -38,40 +37,29 @@ void expect_bit_identical(const Tensor& got, const Tensor& want,
       got, want, std::string(label) + " threads=" + std::to_string(threads));
 }
 
-TEST_F(ParallelDeterminismTest, XnorGemmBitIdenticalAcrossThreadCounts) {
-  util::Rng rng(11);
-  // Ragged shapes exercise both the 2x4 tile body and the scalar edges.
-  const Tensor a_src = Tensor::uniform({37, 130}, rng, -1.0f, 1.0f);
-  const Tensor b_src = Tensor::uniform({13, 130}, rng, -1.0f, 1.0f);
-  const bitops::BitMatrix a = bitops::BitMatrix::pack_rows(a_src);
-  const bitops::BitMatrix b = bitops::BitMatrix::pack_rows(b_src);
-
-  util::set_parallel_threads(1);
-  const Tensor reference = bitops::xnor_gemm(a, b);
-  for (const int threads : kThreadCounts) {
-    util::set_parallel_threads(threads);
-    expect_bit_identical(bitops::xnor_gemm(a, b), reference, "xnor_gemm",
-                         threads);
-  }
-}
-
 TEST_F(ParallelDeterminismTest, BinaryConvCountsBitIdentical) {
   util::Rng rng(12);
   const Tensor input = Tensor::uniform({3, 4, 9, 9}, rng, -1.0f, 1.0f);
   const Tensor weight = Tensor::uniform({6, 4, 3, 3}, rng, -1.0f, 1.0f);
-  const tensor::ConvSpec spec{3, 3, 1, 1};
-  // The dense XNOR conv: sign planes, patch packing and the GEMM.
-  const auto counts = [&] {
-    return bitops::xnor_gemm(
-        bitops::pack_patches(bitops::BitPlanes(input), spec),
-        bitops::pack_filters(weight));
-  };
-
-  util::set_parallel_threads(1);
-  const Tensor reference = counts();
-  for (const int threads : kThreadCounts) {
-    util::set_parallel_threads(threads);
-    expect_bit_identical(counts(), reference, "binary conv counts", threads);
+  // The unit-alpha direct conv of the scalar and unscaled modes, at both
+  // strides.
+  for (const tensor::ConvSpec& spec :
+       {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1}}) {
+    for (const bitops::XnorKernel* kernel : test_support::runnable_kernels()) {
+      util::set_parallel_threads(1);
+      const Tensor reference =
+          test_support::direct_conv_counts(*kernel, input, weight, spec);
+      for (const int threads : kThreadCounts) {
+        util::set_parallel_threads(threads);
+        expect_bit_identical(
+            test_support::direct_conv_counts(*kernel, input, weight, spec),
+            reference,
+            (std::string("binary conv counts ") + kernel->name + " stride " +
+             std::to_string(spec.stride))
+                .c_str(),
+            threads);
+      }
+    }
   }
 }
 
@@ -151,11 +139,12 @@ TEST_F(ParallelDeterminismTest, DirectConvBitIdenticalAcrossThreadCounts) {
                                      shape.stride == 2
                                          ? bitops::BitLayout::kColumnParity
                                          : bitops::BitLayout::kRows);
+        const Tensor alpha_lanes =
+            bitops::input_scales_per_channel_affine_lanes(input, spec,
+                                                          bn.affine());
         Tensor output({shape.batch, shape.cout, out_h, out_w});
-        direct_conv(*kernel, bits, spec, filters,
-                    bitops::input_scales_per_channel_affine_lanes(
-                        input, spec, bn.affine()),
-                    alpha_w, output);
+        direct_conv(*kernel, bits, spec, filters, &alpha_lanes, alpha_w,
+                    nullptr, output);
         return output;
       };
       util::set_parallel_threads(1);

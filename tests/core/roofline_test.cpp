@@ -207,8 +207,8 @@ TEST_F(RooflineTest, TableAndJsonRenderEveryLayer) {
 using GraphRoofline = RooflineTest;  // tracing on, spans reset
 
 TEST_F(GraphRoofline, OneRowPerFusedConvPlusHead) {
-  // Every scaling mode: the direct aggregate (per-channel) and the dense
-  // GEMM (scalar, none) both report their input and aggregate stages.
+  // Every scaling mode runs the direct aggregate and reports its input and
+  // aggregate stages.
   for (const bitops::InputScaling scaling :
        {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
         bitops::InputScaling::kNone}) {

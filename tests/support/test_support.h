@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -17,7 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bitops/bit_matrix.h"
+#include "bitops/bit_planes.h"
 #include "bitops/kernels/xnor_kernel.h"
+#include "core/packed_conv.h"
+#include "tensor/conv.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
 
@@ -85,6 +90,59 @@ inline std::vector<const bitops::XnorKernel*> runnable_kernels() {
     }
   }
   return out;
+}
+
+// The +/-1 inner product of two packed rows of `bits` valid bits over
+// `words` words: bits - 2 * popcount(a XOR b), counted in plain loops. The
+// zero tail bits BitMatrix guarantees cancel.
+inline std::int64_t packed_dot(const std::uint64_t* a, const std::uint64_t* b,
+                               std::int64_t words, std::int64_t bits) {
+  std::int64_t mismatches = 0;
+  for (std::int64_t w = 0; w < words; ++w) {
+    mismatches += std::popcount(a[w] ^ b[w]);
+  }
+  return bits - 2 * mismatches;
+}
+
+// packed_dot of every row pair of two packed matrices with equal column
+// counts: [a.rows(), b.rows()].
+inline tensor::Tensor packed_sign_product(const bitops::BitMatrix& a,
+                                          const bitops::BitMatrix& b) {
+  EXPECT_EQ(a.cols(), b.cols());
+  tensor::Tensor out({a.rows(), b.rows()});
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t j = 0; j < b.rows(); ++j) {
+      out.at2(i, j) = static_cast<float>(
+          packed_dot(a.row(i), b.row(j), a.words_per_row(), a.cols()));
+    }
+  }
+  return out;
+}
+
+// The integer +/-1 counts of the binary conv of sign(x) with sign(w)
+// (padding -1), [N, Cout, outH, outW]: the direct conv under `kernel` with
+// unit alpha_T and alpha_W = 1.
+inline tensor::Tensor direct_conv_counts(const bitops::XnorKernel& kernel,
+                                         const tensor::Tensor& x,
+                                         const tensor::Tensor& w,
+                                         const tensor::ConvSpec& spec) {
+  // The identity affine keeps every sign bit, and gives the stride-2
+  // column-parity layout.
+  const std::vector<float> zero(static_cast<std::size_t>(x.dim(1)), 0.0f);
+  const std::vector<float> one(static_cast<std::size_t>(x.dim(1)), 1.0f);
+  const bitops::BitPlanes planes(
+      x, {zero.data(), one.data(), one.data(), zero.data()},
+      spec.stride == 2 ? bitops::BitLayout::kColumnParity
+                       : bitops::BitLayout::kRows);
+  tensor::Tensor counts(
+      {x.dim(0), w.dim(0),
+       tensor::conv_out_extent(x.dim(2), spec.kernel_h, spec.stride, spec.pad),
+       tensor::conv_out_extent(x.dim(3), spec.kernel_w, spec.stride,
+                               spec.pad)});
+  core::direct_conv(kernel, planes, spec, core::pack_direct_filters(w),
+                    nullptr, tensor::Tensor({w.dim(0)}, 1.0f), nullptr,
+                    counts);
+  return counts;
 }
 
 // Restores the util::parallel pool width on scope exit.
