@@ -82,13 +82,9 @@ int main() {
   const core::BnStep bn_step(bn);
   const bitops::ChannelAffine affine = bn_step.affine();
   timer.restart();
-  const bitops::BitPlanes bits(x, affine);
-  costs.add_row({"Binarize (BN inline, sign planes)",
-                 util::format_double(timer.milliseconds(), 2)});
-  timer.restart();
-  const tensor::Tensor alpha =
-      bitops::input_scales_per_channel_affine_lanes(x, spec, affine);
-  costs.add_row({"alpha_T (Eq. 14 box filter)",
+  const bitops::ConvInput in = bitops::conv_input(
+      x, affine, spec, bitops::InputScaling::kPerChannel);
+  costs.add_row({"Input stage (BN inline, sign planes + alpha_T box filter)",
                  util::format_double(timer.milliseconds(), 2)});
   timer.restart();
   const core::DirectFilters filters = core::pack_direct_filters(w);
@@ -98,8 +94,8 @@ int main() {
   timer.restart();
   // The binary convolution arithmetic: tap words, XNOR, adder tree, alpha.
   tensor::Tensor out({x.dim(0), channels, spatial, spatial});
-  core::direct_conv(bitops::active_xnor_kernel(), bits, spec, filters, &alpha,
-                    alpha_w, nullptr, out);
+  core::direct_conv(bitops::active_xnor_kernel(), in.bits, spec, filters,
+                    &in.alpha, alpha_w, nullptr, out);
   costs.add_row({"Direct XNOR conv",
                  util::format_double(timer.milliseconds(), 2)});
   std::printf(

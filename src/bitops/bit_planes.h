@@ -10,20 +10,18 @@
 // is stored as its even columns (bit i = column 2i) followed by its odd
 // columns (bit i = column 2i + 1), so the taps of every second output
 // column are contiguous bits.
-// Both layouts are written by the same binarize loop.
-//
-// Both constructors binarize with the sign rule bit = (v >= 0), matching
-// tensor::sign (sign(0) = +1). The affine one applies it to the batch-norm
-// output bn_eval(x) (channel_affine.h), evaluated inline from the raw
-// input: this is how the inference plan binarizes BN -> Binarize without
-// materializing the BN tensor, with the same bits as
-// BitPlanes(BatchNorm2d eval forward(x)).
+// Both layouts are written by the same row packer, set_rows, with the sign
+// rule bit = (v >= 0), matching tensor::sign (sign(0) = +1; NaN -> 0). The
+// inference plan binarizes BN -> Binarize through bitops::conv_input
+// (scaling.h), which evaluates the BN output a few rows at a time and hands
+// each block of rows to set_rows, so its bits equal
+// BitPlanes(BatchNorm2d eval forward(x)) without materializing the BN
+// tensor.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "bitops/channel_affine.h"
 #include "tensor/tensor.h"
 
 namespace hotspot::bitops {
@@ -34,13 +32,21 @@ class BitPlanes {
  public:
   BitPlanes() = default;
 
-  // bit = (v >= 0).
-  explicit BitPlanes(const tensor::Tensor& input);
+  // All-zero planes for an [n, c, h, w] tensor; set_rows fills them.
+  BitPlanes(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w,
+            BitLayout layout);
 
-  // bit = (bn_eval(v) >= 0) with channel c's parameters from `affine`
-  // (arrays sized to input.dim(1)).
-  BitPlanes(const tensor::Tensor& input, const ChannelAffine& affine,
-            BitLayout layout = BitLayout::kRows);
+  // bit = (v >= 0) for every element of the rank-4 `input`.
+  explicit BitPlanes(const tensor::Tensor& input,
+                     BitLayout layout = BitLayout::kRows);
+
+  // Sets bitmap rows [y, y + count) of plane (n*channels + c) from the
+  // count * width() floats at `values` (row after row), bit = (v >= 0), in
+  // this planes' layout; every stored word of those rows is written, so
+  // bits past the width stay zero. Calls on distinct rows touch distinct
+  // words and may run concurrently.
+  void set_rows(std::int64_t plane, std::int64_t y, std::int64_t count,
+                const float* values);
 
   std::int64_t batch() const { return n_; }
   std::int64_t channels() const { return c_; }
@@ -94,11 +100,6 @@ class BitPlanes {
   }
 
  private:
-  // Sizes the planes to `input` and sets bit = rule_for(c)(v) for every
-  // element v of channel c.
-  template <typename RuleFor>
-  void binarize(const tensor::Tensor& input, RuleFor rule_for);
-
   BitLayout layout_ = BitLayout::kRows;
   std::int64_t n_ = 0;
   std::int64_t c_ = 0;

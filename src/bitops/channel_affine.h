@@ -4,11 +4,11 @@
 //   y = gamma[c] * ((x - mean[c]) * inv_std[c]) + beta[c]
 // in the layer's float op order (two roundings for xhat, two more for the
 // affine). The inference plan evaluates it inline wherever it consumes a BN
-// output — the sign bits (BitPlanes), the alpha_T scales (the *_affine
-// variants in scaling.h) and the head BN — so the bits and scales equal
-// those of the materialized BN output for every input and every statistic:
-// zero variance, gamma = 0, overflow, denormals and non-finite values
-// included, with no special cases.
+// output — the sign bits and alpha_T scales of every conv input
+// (bitops::conv_input in scaling.h) and the head BN — so the bits and scales
+// equal those of the materialized BN output for every input and every
+// statistic: zero variance, gamma = 0, overflow, denormals and non-finite
+// values included, with no special cases.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,5 @@ struct ChannelAffine {
   const float* gamma = nullptr;
   const float* beta = nullptr;
 };
-
-inline float affine_eval(const ChannelAffine& a, float x, std::int64_t c) {
-  return bn_eval(x, a.mean[c], a.inv_std[c], a.gamma[c], a.beta[c]);
-}
 
 }  // namespace hotspot::bitops

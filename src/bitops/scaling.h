@@ -7,6 +7,7 @@
 // optimization.
 #pragma once
 
+#include "bitops/bit_planes.h"
 #include "bitops/channel_affine.h"
 #include "tensor/conv.h"
 #include "tensor/tensor.h"
@@ -33,25 +34,6 @@ tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
 tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec);
 
-// alpha_T of the batch-norm output, evaluated inline from the BN input
-// (affine_eval per element, channel_affine.h), in the lane layout of the
-// direct binary conv (core::direct_conv): [Cin, lanes] with
-// alpha_T(n, c, oy, ox) at row c, column n*outH*outW + oy*outW + ox.
-// `lanes` is N*outH*outW rounded up to a multiple of 64; the columns past
-// N*outH*outW are zero. The values equal
-// input_scales_per_channel(bn(input), spec) bit for bit, because the same
-// float values feed the same double accumulation, without the intermediate
-// tensor.
-tensor::Tensor input_scales_per_channel_affine_lanes(
-    const tensor::Tensor& input, const tensor::ConvSpec& spec,
-    const ChannelAffine& affine);
-
-// Scalar-mode counterpart of the above (channel mean of |bn(input)| box
-// filtered): equals input_scales_scalar(bn(input), spec).
-tensor::Tensor input_scales_scalar_affine(const tensor::Tensor& input,
-                                          const tensor::ConvSpec& spec,
-                                          const ChannelAffine& affine);
-
 // Box-filtered channel means via integral images: O(1) per output pixel
 // regardless of kernel size. Each output position averages |input| over the
 // kernel window (zero padding). Exactly equals
@@ -60,5 +42,33 @@ tensor::Tensor input_scales_scalar_affine(const tensor::Tensor& input,
 // reference in tests.
 tensor::Tensor box_filter_abs_mean(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec);
+
+// The input stage of one conv step of the inference plan (DESIGN.md §14):
+// the sign bits and alpha_T of the batch-norm output y = bn(input), with
+// channel c's parameters from `affine` (arrays sized to input.dim(1)).
+// One pass over `input` evaluates bn_eval (channel_affine.h) once per
+// element, a few rows at a time into per-chunk scratch, and feeds each
+// block of rows both to the sign packer (BitPlanes::set_rows) and to the
+// integral image of the routine behind input_scales_per_channel /
+// input_scales_scalar, so
+//   bits   equals BitPlanes(y, layout), layout kColumnParity when
+//          spec.stride == 2 (what core::direct_conv reads) and kRows
+//          otherwise;
+//   alpha  kPerChannel: input_scales_per_channel(y, spec) in the direct
+//          conv's lane layout [Cin, lanes], alpha_T(n, c, oy, ox) at row c,
+//          column n*outH*outW + oy*outW + ox, with `lanes` N*outH*outW
+//          rounded up to a multiple of 64 and the columns past
+//          N*outH*outW zero;
+//          kScalar: input_scales_scalar(y, spec), [N,1,outH,outW];
+//          kNone: empty;
+// bit for bit, because the same float values feed the same double sums in
+// the same order, without the intermediate BN tensor.
+struct ConvInput {
+  BitPlanes bits;
+  tensor::Tensor alpha;
+};
+
+ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
+                     const tensor::ConvSpec& spec, InputScaling scaling);
 
 }  // namespace hotspot::bitops

@@ -1,6 +1,5 @@
 #include "core/inference_plan.h"
 
-#include "bitops/bit_planes.h"
 #include "core/binary_conv.h"
 #include "core/brnn.h"
 #include "core/packed_conv.h"
@@ -111,33 +110,18 @@ Tensor ConvStep::compute(const Tensor& input) const {
                  tensor::conv_out_extent(input.dim(3), spec_.kernel_w,
                                          spec_.stride, spec_.pad)});
   // Sign bits (the column-parity layout at stride 2) and the scaling's
-  // alpha_T, both of the BN output evaluated inline per element.
-  const bitops::ChannelAffine affine = bn_.affine();
-  bitops::BitPlanes bits;
-  Tensor alpha;  // kPerChannel: [Cin, lanes]; kScalar: [N,1,outH,outW]
+  // alpha_T, both of the BN output, from one pass over the input.
+  bitops::ConvInput in;
   {
     obs::TraceSpan span(input_span_);
-    bits = bitops::BitPlanes(input, affine,
-                             spec_.stride == 2
-                                 ? bitops::BitLayout::kColumnParity
-                                 : bitops::BitLayout::kRows);
-    switch (scaling_) {
-      case bitops::InputScaling::kPerChannel:
-        alpha = bitops::input_scales_per_channel_affine_lanes(input, spec_,
-                                                              affine);
-        break;
-      case bitops::InputScaling::kScalar:
-        alpha = bitops::input_scales_scalar_affine(input, spec_, affine);
-        break;
-      case bitops::InputScaling::kNone:
-        break;
-    }
+    in = bitops::conv_input(input, bn_.affine(), spec_, scaling_);
   }
   obs::TraceSpan span(aggregate_span_);
-  direct_conv(*kernel_, bits, spec_, filters_,
-              scaling_ == bitops::InputScaling::kPerChannel ? &alpha : nullptr,
+  direct_conv(*kernel_, in.bits, spec_, filters_,
+              scaling_ == bitops::InputScaling::kPerChannel ? &in.alpha
+                                                            : nullptr,
               alpha_w_,
-              scaling_ == bitops::InputScaling::kScalar ? &alpha : nullptr,
+              scaling_ == bitops::InputScaling::kScalar ? &in.alpha : nullptr,
               output);
   return output;
 }

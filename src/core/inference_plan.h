@@ -14,8 +14,9 @@
 // (SNIPPETS.md snippet 1):
 //   input     - sign bits of the BN output and the alpha_T of the layer's
 //               scaling (per-channel lanes, the scalar map, or none), both
-//               evaluated inline from the raw input (bitops/channel_affine.h)
-//               so no BN tensor is materialized;
+//               from one pass over the raw input (bitops::conv_input) that
+//               evaluates the BN expression (bitops/channel_affine.h) once
+//               per element, so no BN tensor is materialized;
 //   aggregate - the position-sliced direct binary conv (core::direct_conv),
 //               the same for every scaling.
 // The input stage evaluates the layer's own float expression, so the plan

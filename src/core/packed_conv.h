@@ -53,11 +53,11 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight);
 // stride is 2) and `alpha_w` is [Cout]. The three scalings differ only in
 // the alpha they pass:
 //   kPerChannel  `alpha_lanes` is the [Cin, lanes] alpha_T of
-//                bitops::input_scales_per_channel_affine_lanes; no `post`.
+//                bitops::conv_input; no `post`.
 //   kScalar      no `alpha_lanes` (unit alpha_T, so the accumulator is the
 //                integer patch count); `post` is the [N,1,outH,outW] alpha
-//                map of bitops::input_scales_scalar_affine, whose flat
-//                index is the lane, applied as out = (acc * alpha_W) * post.
+//                map of bitops::conv_input, whose flat index is the lane,
+//                applied as out = (acc * alpha_W) * post.
 //   kNone        neither.
 // Writes [N, Cout, outH, outW] into `output`, which the caller allocates.
 void direct_conv(const bitops::XnorKernel& kern,

@@ -82,10 +82,7 @@ TEST(BitPlanesLayout, ColumnParityMatchesRows) {
        {1, 2, 3, 7, 63, 64, 65, 127, 128, 129, 130, 200, 257}) {
     const Tensor x = Tensor::normal({2, 3, 3, width}, rng, 0.0f, 1.0f);
     const BitPlanes rows(x);
-    const std::vector<float> zero(3, 0.0f), one(3, 1.0f);
-    const BitPlanes parity(x, ChannelAffine{zero.data(), one.data(),
-                                            one.data(), zero.data()},
-                           BitLayout::kColumnParity);
+    const BitPlanes parity(x, BitLayout::kColumnParity);
     ASSERT_EQ(parity.row_words(), ((width + 1) / 2 + 63) / 64);
     for (std::int64_t plane = 0; plane < 6; ++plane) {
       for (std::int64_t y = 0; y < 3; ++y) {

@@ -1,11 +1,13 @@
-// The inference plan's conv input stage evaluates batch norm inline
-// (DESIGN.md §14): the sign bits and alpha_T scales it computes from the raw
-// input must equal, bit for bit, those of the BN output the layer itself
-// materializes in eval mode. These tests pin that on the primitives over a
-// sweep of BN edge statistics and edge inputs: zero and negative running
-// variance, gamma = 0 and negative gamma, signed zeros, denormals, inputs
-// whose xhat overflows, and NaN/inf parameters and inputs. The Eq. 15
-// reference the whole plan is compared against
+// The inference plan's conv input stage (bitops::conv_input) evaluates batch
+// norm inline (DESIGN.md §14): the sign bits and alpha_T scales it computes
+// from the raw input must equal, bit for bit, those of the BN output the
+// layer itself materializes in eval mode. These tests pin that over a sweep
+// of BN edge statistics and edge inputs: zero and negative running variance,
+// gamma = 0 and negative gamma, signed zeros, denormals, inputs whose xhat
+// overflows, and NaN/inf parameters and inputs, on plane shapes that reach
+// the SSE body of the sign packer, its scalar row tails, multi-word rows,
+// odd-width parity rows and the integral image's partial row blocks. The
+// Eq. 15 reference the whole plan is compared against
 // (tests/core/conv_reference_test.cpp) starts from that materialized output.
 #include <gtest/gtest.h>
 
@@ -17,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bitops/bit_planes.h"
 #include "bitops/scaling.h"
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
@@ -93,25 +94,37 @@ std::unique_ptr<nn::BatchNorm2d> make_bn(
   return bn;
 }
 
-// [2, C, 6, 8]: sample 0 holds the edge inputs in every channel (rotated
-// per channel), sample 1 uniform noise.
-Tensor make_input(std::int64_t channels, util::Rng& rng) {
+struct PlaneShape {
+  std::int64_t height, width;
+};
+
+// 6 x 8 fits one SSE-packed word per row; width 67 adds a second word of
+// three scalar-tail columns (one parity word, odd width); width 130 gives
+// two parity words per half; heights 5 and 7 end in partial row blocks.
+const PlaneShape kShapes[] = {{6, 8}, {5, 67}, {7, 130}};
+
+// [2, C, H, W]: sample 0 holds the edge inputs cycling through every
+// channel (rotated per channel, so each edge value lands in SSE bodies and
+// row tails), sample 1 uniform noise.
+Tensor make_input(std::int64_t channels, const PlaneShape& shape,
+                  util::Rng& rng) {
   const std::vector<float> edges = edge_inputs();
-  Tensor x({2, channels, 6, 8});
-  const std::int64_t hw = 48;
+  Tensor x({2, channels, shape.height, shape.width});
+  const std::int64_t hw = shape.height * shape.width;
+  const auto period = static_cast<std::int64_t>(edges.size());
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t i = 0; i < hw; ++i) {
-      x[c * hw + i] = edges[static_cast<std::size_t>((i + c) % hw)];
+      x[c * hw + i] = edges[static_cast<std::size_t>((i + c) % period)];
       x[(channels + c) * hw + i] = static_cast<float>(rng.uniform(-3.0, 3.0));
     }
   }
   return x;
 }
 
-// Runs `check(bn, step, x, context)` over the whole sweep, four channels
-// per layer (`step` is the plan's copy of `bn`): small groups keep one
-// non-finite channel from turning every scalar-mode mean in the layer into
-// NaN.
+// Runs `check(bn, step, x, context)` over the whole sweep, every shape for
+// each group of four channels per layer (`step` is the plan's copy of `bn`):
+// small groups keep one non-finite channel from turning every scalar-mode
+// mean in the layer into NaN.
 template <typename Check>
 void for_each_edge_group(Check&& check) {
   const std::vector<ChannelStats> channels = edge_channels();
@@ -123,41 +136,77 @@ void for_each_edge_group(Check&& check) {
             static_cast<std::ptrdiff_t>(std::min(first + 4, channels.size())));
     const std::unique_ptr<nn::BatchNorm2d> bn = make_bn(group);
     const BnStep step(*bn);
-    const Tensor x = make_input(bn->channels(), rng);
-    check(*bn, step, x, "channels from " + std::to_string(first));
+    for (const PlaneShape& shape : kShapes) {
+      const Tensor x = make_input(bn->channels(), shape, rng);
+      check(*bn, step, x,
+            "channels from " + std::to_string(first) + ", " +
+                std::to_string(shape.height) + "x" +
+                std::to_string(shape.width));
+    }
   }
 }
 
 const tensor::ConvSpec kSpecs[] = {{3, 3, 1, 1}, {3, 3, 2, 1}, {1, 1, 2, 0}};
+const bitops::InputScaling kScalings[] = {bitops::InputScaling::kPerChannel,
+                                          bitops::InputScaling::kScalar,
+                                          bitops::InputScaling::kNone};
+
+// The stored words of `bits` (both parity halves of a kColumnParity row)
+// against the sign rule applied to the materialized BN output `y`: bit
+// (y >= 0) at each column's place, every bit past the width zero.
+void expect_sign_words(const bitops::BitPlanes& bits, const Tensor& y,
+                       const std::string& context) {
+  const bool parity = bits.layout() == bitops::BitLayout::kColumnParity;
+  const std::int64_t w = y.dim(3);
+  ASSERT_EQ(bits.row_words(), parity ? ((w + 1) / 2 + 63) / 64 : (w + 63) / 64)
+      << context;
+  const std::int64_t stored = parity ? 2 * bits.row_words() : bits.row_words();
+  std::vector<std::uint64_t> want(static_cast<std::size_t>(stored));
+  for (std::int64_t n = 0; n < y.dim(0); ++n) {
+    for (std::int64_t c = 0; c < y.dim(1); ++c) {
+      const std::int64_t plane = n * y.dim(1) + c;
+      for (std::int64_t row = 0; row < y.dim(2); ++row) {
+        std::fill(want.begin(), want.end(), 0);
+        for (std::int64_t col = 0; col < w; ++col) {
+          const std::int64_t bit = parity ? col >> 1 : col;
+          const std::int64_t word =
+              (parity ? (col & 1) * bits.row_words() : 0) + (bit >> 6);
+          want[static_cast<std::size_t>(word)] |=
+              std::uint64_t{y.at4(n, c, row, col) >= 0.0f} << (bit & 63);
+        }
+        const std::uint64_t* got =
+            parity ? bits.parity_row(plane, row, 0) : bits.row(plane, row);
+        for (std::int64_t word = 0; word < stored; ++word) {
+          ASSERT_EQ(got[word], want[static_cast<std::size_t>(word)])
+              << context << " at n=" << n << " c=" << c << " y=" << row
+              << " stored word " << word;
+        }
+      }
+    }
+  }
+}
 
 TEST(BnAffineIdentity, BitPlanesMatchBatchNormForward) {
-  // The BN outputs must include NaN, both infinities and both signed zeros,
-  // so the sign rule is checked at every edge, not only on tame values.
+  // The BN outputs must include NaN, both infinities, both signed zeros and
+  // denormals, so the sign rule is checked at every edge, not only on tame
+  // values.
   bool nan = false, pos_inf = false, neg_inf = false, pos_zero = false,
-       neg_zero = false;
+       neg_zero = false, denormal = false;
   for_each_edge_group([&](nn::BatchNorm2d& bn, const BnStep& step,
                           const Tensor& x, const std::string& context) {
     const Tensor y = bn.forward(x);
-    const bitops::BitPlanes inline_bits(x, step.affine());
-    // The column-parity layout the stride-2 direct conv reads.
-    const bitops::BitPlanes inline_parity(x, step.affine(),
-                                          bitops::BitLayout::kColumnParity);
-    const bitops::BitPlanes materialized(y);
-    for (std::int64_t n = 0; n < x.dim(0); ++n) {
-      for (std::int64_t c = 0; c < x.dim(1); ++c) {
-        for (std::int64_t row = 0; row < x.dim(2); ++row) {
-          for (std::int64_t col = 0; col < x.dim(3); ++col) {
-            ASSERT_EQ(inline_bits.get(n, c, row, col),
-                      materialized.get(n, c, row, col))
-                << context << " at n=" << n << " c=" << c << " y=" << row
-                << " x=" << col << " input=" << x.at4(n, c, row, col)
-                << " bn=" << y.at4(n, c, row, col);
-            ASSERT_EQ(inline_parity.get(n, c, row, col),
-                      materialized.get(n, c, row, col))
-                << "column parity, " << context << " at n=" << n
-                << " c=" << c << " y=" << row << " x=" << col;
-          }
-        }
+    // Row layout at stride 1, the column-parity layout the stride-2 direct
+    // conv reads at stride 2; the bits must not depend on the scaling.
+    for (const tensor::ConvSpec& spec : kSpecs) {
+      for (const bitops::InputScaling scaling : kScalings) {
+        const bitops::ConvInput in =
+            bitops::conv_input(x, step.affine(), spec, scaling);
+        ASSERT_EQ(in.bits.layout(), spec.stride == 2
+                                        ? bitops::BitLayout::kColumnParity
+                                        : bitops::BitLayout::kRows);
+        expect_sign_words(in.bits, y,
+                          context + ", stride " + std::to_string(spec.stride) +
+                              ", " + bitops::to_string(scaling));
       }
     }
     for (std::int64_t i = 0; i < y.numel(); ++i) {
@@ -166,9 +215,10 @@ TEST(BnAffineIdentity, BitPlanesMatchBatchNormForward) {
       neg_inf |= y[i] == -kInf;
       pos_zero |= y[i] == 0.0f && !std::signbit(y[i]);
       neg_zero |= y[i] == 0.0f && std::signbit(y[i]);
+      denormal |= std::fpclassify(y[i]) == FP_SUBNORMAL;
     }
   });
-  EXPECT_TRUE(nan && pos_inf && neg_inf && pos_zero && neg_zero);
+  EXPECT_TRUE(nan && pos_inf && neg_inf && pos_zero && neg_zero && denormal);
 }
 
 // The plan's per-channel alpha_T is written in the direct conv's lane
@@ -197,8 +247,9 @@ TEST(BnAffineIdentity, PerChannelScalesMatchMaterialized) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
       expect_bit_identical(
-          bitops::input_scales_per_channel_affine_lanes(x, spec,
-                                                        step.affine()),
+          bitops::conv_input(x, step.affine(), spec,
+                             bitops::InputScaling::kPerChannel)
+              .alpha,
           to_lane_layout(bitops::input_scales_per_channel(y, spec)), context);
     }
   });
@@ -210,7 +261,9 @@ TEST(BnAffineIdentity, ScalarScalesMatchMaterialized) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
       expect_bit_identical(
-          bitops::input_scales_scalar_affine(x, spec, step.affine()),
+          bitops::conv_input(x, step.affine(), spec,
+                             bitops::InputScaling::kScalar)
+              .alpha,
           bitops::input_scales_scalar(y, spec), context);
     }
   });

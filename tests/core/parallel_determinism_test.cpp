@@ -4,7 +4,6 @@
 // arithmetic runs in a fixed order within its chunk.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -79,35 +78,53 @@ struct SeededAffine {
   std::vector<float> mean, inv_std, gamma, beta;
 };
 
+// The conv input stage (sign bits and alpha_T of the BN output, written
+// per plane or per sample under util::parallel_for with per-chunk scratch)
+// and the plain box filter.
 TEST_F(ParallelDeterminismTest, AlphaTBitIdenticalAcrossThreadCounts) {
   util::Rng rng(17);
-  const Tensor input = Tensor::uniform({5, 7, 13, 11}, rng, -2.0f, 2.0f);
+  const Tensor input = Tensor::uniform({5, 7, 13, 67}, rng, -2.0f, 2.0f);
   const SeededAffine bn(7, rng);
   for (const tensor::ConvSpec& spec :
        {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1},
         tensor::ConvSpec{1, 1, 2, 0}}) {
-    const auto scales = [&] {
-      return std::vector<Tensor>{
-          bitops::input_scales_per_channel_affine_lanes(input, spec,
-                                                        bn.affine()),
-          bitops::box_filter_abs_mean(input, spec)};
-    };
+    for (const bitops::InputScaling scaling :
+         {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
+          bitops::InputScaling::kNone}) {
+      const std::string label = std::string("conv_input ") +
+                                bitops::to_string(scaling) + " stride " +
+                                std::to_string(spec.stride);
+      util::set_parallel_threads(1);
+      const bitops::ConvInput reference =
+          bitops::conv_input(input, bn.affine(), spec, scaling);
+      for (const int threads : kThreadCounts) {
+        util::set_parallel_threads(threads);
+        const bitops::ConvInput got =
+            bitops::conv_input(input, bn.affine(), spec, scaling);
+        expect_bit_identical(got.alpha, reference.alpha, label.c_str(),
+                             threads);
+        for (std::int64_t plane = 0; plane < 5 * 7; ++plane) {
+          for (std::int64_t x = 0; x < input.dim(3); ++x) {
+            for (std::int64_t y = 0; y < input.dim(2); ++y) {
+              ASSERT_EQ(got.bits.get(plane / 7, plane % 7, y, x),
+                        reference.bits.get(plane / 7, plane % 7, y, x))
+                  << label << " threads=" << threads << " plane " << plane;
+            }
+          }
+        }
+      }
+    }
     util::set_parallel_threads(1);
-    const std::vector<Tensor> reference = scales();
-    util::set_parallel_threads(4);
-    const std::vector<Tensor> got = scales();
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].shape(), reference[i].shape());
-      EXPECT_EQ(std::memcmp(got[i].data(), reference[i].data(),
-                            static_cast<std::size_t>(got[i].numel()) *
-                                sizeof(float)),
-                0)
-          << "alpha_T variant " << i << " stride " << spec.stride;
+    const Tensor reference = bitops::box_filter_abs_mean(input, spec);
+    for (const int threads : kThreadCounts) {
+      util::set_parallel_threads(threads);
+      expect_bit_identical(bitops::box_filter_abs_mean(input, spec), reference,
+                           "box_filter_abs_mean", threads);
     }
   }
 }
 
-// The direct binary conv at 1, 2 and 4 threads under every runnable
+// The direct binary conv at 1, 2, 4 and 7 threads under every runnable
 // kernel, on the lane shapes of the Eq. 15 harness: planes under 64
 // positions (lane words span and split samples), odd widths at stride 2,
 // rows wider than 64 and the 1x1 stride-2 shortcut.
@@ -135,21 +152,16 @@ TEST_F(ParallelDeterminismTest, DirectConvBitIdenticalAcrossThreadCounts) {
         shape.width, shape.kernel, shape.stride, spec.pad);
     for (const bitops::XnorKernel* kernel : test_support::runnable_kernels()) {
       const auto conv = [&] {
-        const bitops::BitPlanes bits(input, bn.affine(),
-                                     shape.stride == 2
-                                         ? bitops::BitLayout::kColumnParity
-                                         : bitops::BitLayout::kRows);
-        const Tensor alpha_lanes =
-            bitops::input_scales_per_channel_affine_lanes(input, spec,
-                                                          bn.affine());
+        const bitops::ConvInput in = bitops::conv_input(
+            input, bn.affine(), spec, bitops::InputScaling::kPerChannel);
         Tensor output({shape.batch, shape.cout, out_h, out_w});
-        direct_conv(*kernel, bits, spec, filters, &alpha_lanes, alpha_w,
+        direct_conv(*kernel, in.bits, spec, filters, &in.alpha, alpha_w,
                     nullptr, output);
         return output;
       };
       util::set_parallel_threads(1);
       const Tensor reference = conv();
-      for (const int threads : {2, 4}) {
+      for (const int threads : kThreadCounts) {
         util::set_parallel_threads(threads);
         expect_bit_identical(
             conv(), reference,

@@ -126,14 +126,9 @@ inline tensor::Tensor direct_conv_counts(const bitops::XnorKernel& kernel,
                                          const tensor::Tensor& x,
                                          const tensor::Tensor& w,
                                          const tensor::ConvSpec& spec) {
-  // The identity affine keeps every sign bit, and gives the stride-2
-  // column-parity layout.
-  const std::vector<float> zero(static_cast<std::size_t>(x.dim(1)), 0.0f);
-  const std::vector<float> one(static_cast<std::size_t>(x.dim(1)), 1.0f);
   const bitops::BitPlanes planes(
-      x, {zero.data(), one.data(), one.data(), zero.data()},
-      spec.stride == 2 ? bitops::BitLayout::kColumnParity
-                       : bitops::BitLayout::kRows);
+      x, spec.stride == 2 ? bitops::BitLayout::kColumnParity
+                          : bitops::BitLayout::kRows);
   tensor::Tensor counts(
       {x.dim(0), w.dim(0),
        tensor::conv_out_extent(x.dim(2), spec.kernel_h, spec.stride, spec.pad),
