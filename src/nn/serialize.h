@@ -1,6 +1,7 @@
 // Crash-safe binary checkpoint format for model and training state.
 //
-// Archive layout (format version 2, little-endian host order):
+// Archive layout (format version 2; fields encoded with util/bytes.h, the
+// one place the byte layout lives):
 //
 //   u32 magic "HSPT" | u32 version | u32 tensor_count | u32 blob_count
 //   tensor_count x { u32 name_len, name, u32 rank, i64 extents[rank],

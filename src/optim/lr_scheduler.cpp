@@ -1,6 +1,5 @@
 #include "optim/lr_scheduler.h"
 
-#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -39,22 +38,6 @@ void PlateauDecay::load_state(const State& state) {
   HOTSPOT_CHECK_GE(state.stall_count, 0);
   best_metric_ = state.best_metric;
   stall_count_ = state.stall_count;
-}
-
-StepDecay::StepDecay(Optimizer& optimizer, int step_epochs, float gamma)
-    : optimizer_(optimizer),
-      initial_lr_(optimizer.learning_rate()),
-      step_epochs_(step_epochs),
-      gamma_(gamma) {
-  HOTSPOT_CHECK_GT(step_epochs, 0);
-  HOTSPOT_CHECK(gamma > 0.0f && gamma <= 1.0f) << "gamma=" << gamma;
-}
-
-void StepDecay::observe_epoch(int epoch) {
-  HOTSPOT_CHECK_GE(epoch, 0);
-  const auto exponent = static_cast<float>(epoch / step_epochs_);
-  optimizer_.set_learning_rate(initial_lr_ *
-                               std::pow(gamma_, exponent));
 }
 
 }  // namespace hotspot::optim

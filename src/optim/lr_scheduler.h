@@ -2,8 +2,7 @@
 //
 // The paper (Sec. 3.4.2, following Inception-v3 practice) decays the rate
 // exponentially each time the validation loss plateaus after an epoch;
-// PlateauDecay implements exactly that. Step and exponential schedules are
-// provided for the baselines.
+// PlateauDecay implements exactly that.
 #pragma once
 
 #include "optim/optimizer.h"
@@ -40,20 +39,6 @@ class PlateauDecay {
   float min_lr_;
   double best_metric_;
   int stall_count_ = 0;
-};
-
-// lr(epoch) = lr0 * gamma^floor(epoch / step).
-class StepDecay {
- public:
-  StepDecay(Optimizer& optimizer, int step_epochs, float gamma);
-
-  void observe_epoch(int epoch);
-
- private:
-  Optimizer& optimizer_;
-  float initial_lr_;
-  int step_epochs_;
-  float gamma_;
 };
 
 }  // namespace hotspot::optim

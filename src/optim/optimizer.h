@@ -1,7 +1,8 @@
 // Optimizer interface: updates a fixed set of parameters from their
 // accumulated gradients. The paper trains with mini-batch gradient descent
-// driven by NAdam (Sec. 3.3 / 3.4.2); SGD and Adam are provided for the
-// baselines and ablations.
+// driven by NAdam (Sec. 3.3 / 3.4.2), the one implementation (nadam.h);
+// every trained model here, the DAC'17 baseline included, uses it through
+// core::Trainer.
 #pragma once
 
 #include <vector>

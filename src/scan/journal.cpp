@@ -2,10 +2,9 @@
 
 #include <unistd.h>
 
-#include <cstring>
-
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
@@ -23,119 +22,47 @@ constexpr util::AtomicFileWriter::FaultPoints kSnapshotFaults{
     util::FaultPoint::kJournalWrite, util::FaultPoint::kJournalFlush,
     util::FaultPoint::kJournalRename};
 
+using util::ByteReader;
+using util::ByteWriter;
+
 std::int64_t packed_raster_bytes(std::int64_t grid) {
-  return (grid * grid + 7) / 8;
+  return static_cast<std::int64_t>(
+      util::packed_bytes(static_cast<std::size_t>(grid * grid)));
 }
 
-// --- byte-buffer encoding helpers --------------------------------------
-
-void append_bytes(std::vector<std::uint8_t>& out, const void* data,
-                  std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + size);
-}
-
-template <typename T>
-void append_value(std::vector<std::uint8_t>& out, T value) {
-  append_bytes(out, &value, sizeof(value));
-}
-
-void append_packed_raster(std::vector<std::uint8_t>& out,
-                          const RasterKey& pixels, std::int64_t grid) {
+// Journal rasters hold {0,1} bytes; any non-zero byte is a set pixel.
+void put_raster(ByteWriter& out, const RasterKey& pixels, std::int64_t grid) {
   HOTSPOT_CHECK_EQ(static_cast<std::int64_t>(pixels.size()), grid * grid)
       << "raster size does not match the journal's grid";
-  std::vector<std::uint8_t> packed(
-      static_cast<std::size_t>(packed_raster_bytes(grid)), 0);
-  for (std::size_t i = 0; i < pixels.size(); ++i) {
-    if (pixels[i] != 0) {
-      packed[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-    }
-  }
-  append_bytes(out, packed.data(), packed.size());
+  out.bits(pixels.data(), pixels.size(),
+           [](std::uint8_t pixel) { return pixel != 0; });
 }
 
-void append_meta(std::vector<std::uint8_t>& out, const JournalMeta& meta) {
-  append_value(out, meta.chip_fingerprint);
-  append_value(out, meta.window_nm);
-  append_value(out, meta.step_nm);
-  append_value(out, meta.grid);
-  append_value(out, meta.cols);
-  append_value(out, meta.rows);
-  append_value(out, meta.origin_x);
-  append_value(out, meta.origin_y);
-  append_value(out, meta.batch_size);
-  append_value(out, meta.dedup);
-  append_value(out, meta.dedup_max_entries);
-  append_value(out, meta.dedup_max_bytes);
-}
-
-// --- bounds-checked sequential decoding --------------------------------
-
-class ByteReader {
- public:
-  ByteReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::size_t remaining() const { return size_ - pos_; }
-  bool done() const { return pos_ == size_; }
-
-  bool read(void* out, std::size_t size) {
-    if (size > remaining()) {
-      return false;
-    }
-    std::memcpy(out, data_ + pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  template <typename T>
-  bool read_value(T& out) {
-    return read(&out, sizeof(out));
-  }
-
-  bool read_raster(RasterKey& out, std::int64_t grid) {
-    const auto packed_size =
-        static_cast<std::size_t>(packed_raster_bytes(grid));
-    if (packed_size > remaining()) {
-      return false;
-    }
-    out.assign(static_cast<std::size_t>(grid * grid), 0);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if ((data_[pos_ + i / 8] >> (i % 8)) & 1u) {
-        out[i] = 1;
-      }
-    }
-    pos_ += packed_size;
-    return true;
-  }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-bool read_meta(ByteReader& reader, JournalMeta& meta) {
-  return reader.read_value(meta.chip_fingerprint) &&
-         reader.read_value(meta.window_nm) &&
-         reader.read_value(meta.step_nm) && reader.read_value(meta.grid) &&
-         reader.read_value(meta.cols) && reader.read_value(meta.rows) &&
-         reader.read_value(meta.origin_x) &&
-         reader.read_value(meta.origin_y) &&
-         reader.read_value(meta.batch_size) &&
-         reader.read_value(meta.dedup) &&
-         reader.read_value(meta.dedup_max_entries) &&
-         reader.read_value(meta.dedup_max_bytes);
+bool read_raster(ByteReader& reader, std::int64_t grid, RasterKey& out) {
+  out.resize(static_cast<std::size_t>(grid * grid));
+  return reader.bits(out.size(), std::uint8_t{0}, std::uint8_t{1},
+                     out.data());
 }
 
 std::vector<std::uint8_t> encode_header(std::uint32_t magic,
                                         const JournalMeta& meta) {
-  std::vector<std::uint8_t> header;
-  append_value(header, magic);
-  append_value(header, kFormatVersion);
-  append_meta(header, meta);
-  append_value(header, util::crc32_of(header.data(), header.size()));
-  return header;
+  ByteWriter header;
+  header.put(magic)
+      .put(kFormatVersion)
+      .put(meta.chip_fingerprint)
+      .put(meta.window_nm)
+      .put(meta.step_nm)
+      .put(meta.grid)
+      .put(meta.cols)
+      .put(meta.rows)
+      .put(meta.origin_x)
+      .put(meta.origin_y)
+      .put(meta.batch_size)
+      .put(meta.dedup)
+      .put(meta.dedup_max_entries)
+      .put(meta.dedup_max_bytes);
+  header.put(util::crc32_of(header.data(), header.size()));
+  return header.take();
 }
 
 std::size_t header_size() {
@@ -143,30 +70,30 @@ std::size_t header_size() {
   return size;
 }
 
-// Reads `size` bytes from `file`, false on short read.
-bool read_exact(std::FILE* file, void* out, std::size_t size) {
-  return std::fread(out, 1, size, file) == size;
-}
-
-// Validates the header at the start of `file` against `expected`.
-JournalResult check_header(std::FILE* file, const std::string& path,
+// Validates the header_size() bytes at `header` against `expected`.
+JournalResult check_header(const std::uint8_t* header, const std::string& path,
                            std::uint32_t magic, const JournalMeta& expected) {
-  std::vector<std::uint8_t> header(header_size());
-  if (!read_exact(file, header.data(), header.size())) {
-    return JournalResult::failure(JournalStatus::kTruncated,
-                                  path + ": header is truncated");
-  }
-  const std::uint32_t stored_crc = util::crc32_of(
-      header.data(), header.size() - sizeof(std::uint32_t));
-  ByteReader reader(header.data(), header.size());
+  ByteReader reader(header, header_size());
   std::uint32_t file_magic = 0;
   std::uint32_t version = 0;
   JournalMeta meta;
   std::uint32_t crc = 0;
-  reader.read_value(file_magic);
-  reader.read_value(version);
-  read_meta(reader, meta);
-  reader.read_value(crc);
+  // The span is exactly one header long, so no read below can fail.
+  reader.read(&file_magic);
+  reader.read(&version);
+  reader.read(&meta.chip_fingerprint);
+  reader.read(&meta.window_nm);
+  reader.read(&meta.step_nm);
+  reader.read(&meta.grid);
+  reader.read(&meta.cols);
+  reader.read(&meta.rows);
+  reader.read(&meta.origin_x);
+  reader.read(&meta.origin_y);
+  reader.read(&meta.batch_size);
+  reader.read(&meta.dedup);
+  reader.read(&meta.dedup_max_entries);
+  reader.read(&meta.dedup_max_bytes);
+  reader.read(&crc);
   if (file_magic != magic) {
     return JournalResult::failure(JournalStatus::kBadFormat,
                                   path + ": not a scan journal (bad magic)");
@@ -176,7 +103,7 @@ JournalResult check_header(std::FILE* file, const std::string& path,
         JournalStatus::kBadFormat,
         path + ": unsupported journal version " + std::to_string(version));
   }
-  if (crc != stored_crc) {
+  if (crc != util::crc32_of(header, header_size() - sizeof(crc))) {
     return JournalResult::failure(JournalStatus::kCorrupt,
                                   path + ": header CRC mismatch");
   }
@@ -188,6 +115,11 @@ JournalResult check_header(std::FILE* file, const std::string& path,
   return JournalResult::success();
 }
 
+// Reads `size` bytes from `file`, false on short read.
+bool read_exact(std::FILE* file, void* out, std::size_t size) {
+  return std::fread(out, 1, size, file) == size;
+}
+
 // Upper bound on a legitimate record payload, derived from the (already
 // validated) scan identity — nothing a damaged length field claims can
 // drive an allocation past it.
@@ -197,6 +129,14 @@ std::int64_t max_record_payload(const JournalMeta& meta) {
       meta.batch_size > 0 ? meta.batch_size : span_cap;
   return 1 + 3 * 8 + 4 + span_cap * 8 +
          entries_cap * (4 + packed_raster_bytes(meta.grid));
+}
+
+// Upper bound on a legitimate snapshot file: every window done and one
+// entry per window.
+std::int64_t max_snapshot_bytes(const JournalMeta& meta) {
+  const std::int64_t windows = meta.cols * meta.rows;
+  return static_cast<std::int64_t>(header_size()) + 3 * 8 + windows * 8 +
+         windows * (4 + packed_raster_bytes(meta.grid)) + 4;
 }
 
 // Parses one batch-record payload and applies it to `state` when it chains
@@ -211,9 +151,9 @@ bool apply_record(const std::uint8_t* payload, std::size_t size,
   std::int64_t win_end = 0;
   std::int64_t base_entry = 0;
   std::uint32_t new_entries = 0;
-  if (!reader.read_value(type) || type != kRecordBatch ||
-      !reader.read_value(win_begin) || !reader.read_value(win_end) ||
-      !reader.read_value(base_entry) || !reader.read_value(new_entries)) {
+  if (!reader.read(&type) || type != kRecordBatch ||
+      !reader.read(&win_begin) || !reader.read(&win_end) ||
+      !reader.read(&base_entry) || !reader.read(&new_entries)) {
     return false;
   }
   const std::int64_t window_count = meta.cols * meta.rows;
@@ -232,7 +172,7 @@ bool apply_record(const std::uint8_t* payload, std::size_t size,
       base_entry + static_cast<std::int64_t>(new_entries);
   for (std::int64_t w = 0; w < span; ++w) {
     std::int64_t entry = 0;
-    if (!reader.read_value(entry) || entry < -1 || entry >= entry_limit) {
+    if (!reader.read(&entry) || entry < -1 || entry >= entry_limit) {
       return false;
     }
     if (!covered) {
@@ -242,8 +182,8 @@ bool apply_record(const std::uint8_t* payload, std::size_t size,
   for (std::uint32_t e = 0; e < new_entries; ++e) {
     std::int32_t verdict = 0;
     RasterKey pixels;
-    if (!reader.read_value(verdict) || verdict < -1 ||
-        !reader.read_raster(pixels, meta.grid)) {
+    if (!reader.read(&verdict) || verdict < -1 ||
+        !read_raster(reader, meta.grid, pixels)) {
       return false;
     }
     if (!covered) {
@@ -251,7 +191,7 @@ bool apply_record(const std::uint8_t* payload, std::size_t size,
       state.entry_pixels.push_back(std::move(pixels));
     }
   }
-  if (!reader.done()) {
+  if (!reader.exhausted()) {
     return false;  // trailing bytes inside the CRC frame
   }
   if (!covered) {
@@ -270,27 +210,27 @@ std::int64_t replay_records(std::FILE* file, const JournalMeta& meta,
   const std::int64_t payload_cap = max_record_payload(meta);
   std::vector<std::uint8_t> payload;
   for (;;) {
-    std::uint32_t size = 0;
-    if (!read_exact(file, &size, sizeof(size))) {
+    std::uint8_t size_bytes[4];
+    if (!read_exact(file, size_bytes, sizeof(size_bytes))) {
       break;
     }
+    const auto size = util::load_le<std::uint32_t>(size_bytes);
     if (static_cast<std::int64_t>(size) > payload_cap) {
       break;
     }
-    payload.resize(size);
-    std::uint32_t stored_crc = 0;
-    if (!read_exact(file, payload.data(), size) ||
-        !read_exact(file, &stored_crc, sizeof(stored_crc))) {
+    payload.resize(size + sizeof(std::uint32_t));
+    if (!read_exact(file, payload.data(), payload.size())) {
       break;
     }
-    if (util::crc32_of(payload.data(), payload.size()) != stored_crc) {
+    if (util::load_le<std::uint32_t>(payload.data() + size) !=
+        util::crc32_of(payload.data(), size)) {
       break;
     }
-    if (!apply_record(payload.data(), payload.size(), meta, state)) {
+    if (!apply_record(payload.data(), size, meta, state)) {
       break;
     }
-    valid_end += static_cast<std::int64_t>(sizeof(size) + size +
-                                           sizeof(stored_crc));
+    valid_end += static_cast<std::int64_t>(sizeof(size_bytes) +
+                                           payload.size());
   }
   return valid_end;
 }
@@ -299,99 +239,64 @@ std::int64_t replay_records(std::FILE* file, const JournalMeta& meta,
 // foreign meta) just reports false — the journal alone can recover.
 bool load_snapshot(const std::string& path, const JournalMeta& expected,
                    JournalState& state) {
+  const std::int64_t file_size = util::file_size_of(path);
+  if (file_size < static_cast<std::int64_t>(header_size() + 4) ||
+      file_size > max_snapshot_bytes(expected)) {
+    return false;
+  }
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file_size));
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     return false;
   }
-  bool ok = false;
-  do {
-    if (!check_header(file, path, kSnapshotMagic, expected).ok()) {
-      break;
-    }
-    util::Crc32 crc;
-    {
-      std::vector<std::uint8_t> header(header_size());
-      std::fseek(file, 0, SEEK_SET);
-      if (!read_exact(file, header.data(), header.size())) {
-        break;
-      }
-      crc.update(header.data(), header.size());
-    }
-    std::int64_t counters[3] = {0, 0, 0};  // windows_done, batches, entries
-    if (!read_exact(file, counters, sizeof(counters))) {
-      break;
-    }
-    crc.update(counters, sizeof(counters));
-    const std::int64_t windows_done = counters[0];
-    const std::int64_t batches = counters[1];
-    const std::int64_t entries = counters[2];
-    const std::int64_t window_count = expected.cols * expected.rows;
-    if (windows_done < 0 || windows_done > window_count || batches < 0 ||
-        entries < 0 || entries > windows_done) {
-      break;
-    }
-    JournalState loaded;
-    loaded.windows_done = windows_done;
-    loaded.batches = batches;
-    loaded.window_entry.resize(static_cast<std::size_t>(windows_done));
-    if (!read_exact(file, loaded.window_entry.data(),
-                    loaded.window_entry.size() * sizeof(std::int64_t))) {
-      break;
-    }
-    crc.update(loaded.window_entry.data(),
-               loaded.window_entry.size() * sizeof(std::int64_t));
-    loaded.entry_verdicts.resize(static_cast<std::size_t>(entries));
-    if (!read_exact(file, loaded.entry_verdicts.data(),
-                    loaded.entry_verdicts.size() * sizeof(std::int32_t))) {
-      break;
-    }
-    crc.update(loaded.entry_verdicts.data(),
-               loaded.entry_verdicts.size() * sizeof(std::int32_t));
-    const auto packed_size =
-        static_cast<std::size_t>(packed_raster_bytes(expected.grid));
-    std::vector<std::uint8_t> packed(packed_size);
-    bool entries_ok = true;
-    loaded.entry_pixels.reserve(static_cast<std::size_t>(entries));
-    for (std::int64_t e = 0; e < entries; ++e) {
-      if (!read_exact(file, packed.data(), packed.size())) {
-        entries_ok = false;
-        break;
-      }
-      crc.update(packed.data(), packed.size());
-      ByteReader reader(packed.data(), packed.size());
-      RasterKey pixels;
-      reader.read_raster(pixels, expected.grid);
-      loaded.entry_pixels.push_back(std::move(pixels));
-    }
-    if (!entries_ok) {
-      break;
-    }
-    // Sanity: every window entry must reference a known entry id (or -1).
-    bool refs_ok = true;
-    for (const std::int64_t entry : loaded.window_entry) {
-      if (entry < -1 || entry >= entries) {
-        refs_ok = false;
-        break;
-      }
-    }
-    if (!refs_ok) {
-      break;
-    }
-    std::uint32_t stored_crc = 0;
-    if (!read_exact(file, &stored_crc, sizeof(stored_crc)) ||
-        stored_crc != crc.value()) {
-      break;
-    }
-    // Trailing bytes mean the file is not what the writer produced.
-    std::uint8_t extra = 0;
-    if (std::fread(&extra, 1, 1, file) != 0) {
-      break;
-    }
-    state = std::move(loaded);
-    ok = true;
-  } while (false);
+  const bool read_ok = read_exact(file, bytes.data(), bytes.size());
   std::fclose(file);
-  return ok;
+  // The footer is the CRC of every byte before it.
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  if (!read_ok ||
+      !check_header(bytes.data(), path, kSnapshotMagic, expected).ok() ||
+      util::load_le<std::uint32_t>(bytes.data() + body) !=
+          util::crc32_of(bytes.data(), body)) {
+    return false;
+  }
+  ByteReader reader(bytes.data() + header_size(), body - header_size());
+  std::int64_t entries = 0;
+  JournalState loaded;
+  if (!reader.read(&loaded.windows_done) || !reader.read(&loaded.batches) ||
+      !reader.read(&entries)) {
+    return false;
+  }
+  const std::int64_t window_count = expected.cols * expected.rows;
+  if (loaded.windows_done < 0 || loaded.windows_done > window_count ||
+      loaded.batches < 0 || entries < 0 || entries > loaded.windows_done) {
+    return false;
+  }
+  // entries <= windows_done, and the window map has to fit in the file, so
+  // no count here can size an allocation past the file's own length.
+  if (!reader.array(static_cast<std::uint64_t>(loaded.windows_done),
+                    &loaded.window_entry) ||
+      !reader.array(static_cast<std::uint64_t>(entries),
+                    &loaded.entry_verdicts)) {
+    return false;
+  }
+  loaded.entry_pixels.resize(static_cast<std::size_t>(entries));
+  for (RasterKey& pixels : loaded.entry_pixels) {
+    if (!read_raster(reader, expected.grid, pixels)) {
+      return false;
+    }
+  }
+  // Trailing bytes mean the file is not what the writer produced.
+  if (!reader.exhausted()) {
+    return false;
+  }
+  // Every window entry must reference a known entry id (or -1).
+  for (const std::int64_t entry : loaded.window_entry) {
+    if (entry < -1 || entry >= entries) {
+      return false;
+    }
+  }
+  state = std::move(loaded);
+  return true;
 }
 
 // Recovers state (snapshot + journal replay) and reports where the valid
@@ -410,7 +315,12 @@ JournalResult recover_state(const std::string& path, const JournalMeta& meta,
     return JournalResult::failure(
         JournalStatus::kMissing, path + ": no journal or snapshot to resume");
   }
-  JournalResult header = check_header(file, path, kJournalMagic, meta);
+  std::vector<std::uint8_t> header_bytes(header_size());
+  JournalResult header =
+      read_exact(file, header_bytes.data(), header_bytes.size())
+          ? check_header(header_bytes.data(), path, kJournalMagic, meta)
+          : JournalResult::failure(JournalStatus::kTruncated,
+                                   path + ": header is truncated");
   if (!header.ok()) {
     std::fclose(file);
     // A freshly-created journal that died before its header fsync'ed is
@@ -554,25 +464,23 @@ JournalResult ScanJournal::append_batch(
   // failed append closes the journal anyway.
   util::Stopwatch append_timer;
 
-  std::vector<std::uint8_t> payload;
-  append_value(payload, kRecordBatch);
-  append_value(payload, win_begin);
-  append_value(payload, win_end);
-  append_value(payload, base_entry);
-  append_value(payload, static_cast<std::uint32_t>(verdicts.size()));
-  for (const std::int64_t entry : window_entries) {
-    append_value(payload, entry);
-  }
+  ByteWriter payload;
+  payload.put(kRecordBatch)
+      .put(win_begin)
+      .put(win_end)
+      .put(base_entry)
+      .length<std::uint32_t>(verdicts.size())
+      .array(window_entries.data(), window_entries.size());
   for (std::size_t e = 0; e < verdicts.size(); ++e) {
-    append_value(payload, verdicts[e]);
-    append_packed_raster(payload, pixels[e], meta_.grid);
+    payload.put(verdicts[e]);
+    put_raster(payload, pixels[e], meta_.grid);
   }
 
-  std::vector<std::uint8_t> frame;
-  frame.reserve(payload.size() + 8);
-  append_value(frame, static_cast<std::uint32_t>(payload.size()));
-  append_bytes(frame, payload.data(), payload.size());
-  append_value(frame, util::crc32_of(payload.data(), payload.size()));
+  ByteWriter record(payload.size() + 8);
+  record.length<std::uint32_t>(payload.size())
+      .bytes(payload.data(), payload.size())
+      .put(util::crc32_of(payload.data(), payload.size()));
+  const std::vector<std::uint8_t> frame = record.take();
 
   if (util::fault_should_fail(util::FaultPoint::kJournalWrite)) {
     // Simulate a crash mid-append: half the frame lands, a torn tail the
@@ -610,35 +518,19 @@ JournalResult ScanJournal::append_batch(
 
 JournalResult ScanJournal::write_snapshot(const JournalState& state) const {
   HOTSPOT_CHECK(!path_.empty()) << "snapshot before open";
+  ByteWriter snapshot;
+  snapshot.bytes(encode_header(kSnapshotMagic, meta_))
+      .put(state.windows_done)
+      .put(state.batches)
+      .put(state.entry_count())
+      .array(state.window_entry.data(), state.window_entry.size())
+      .array(state.entry_verdicts.data(), state.entry_verdicts.size());
+  for (const RasterKey& pixels : state.entry_pixels) {
+    put_raster(snapshot, pixels, meta_.grid);
+  }
+  snapshot.put(util::crc32_of(snapshot.data(), snapshot.size()));
   util::AtomicFileWriter writer(snapshot_path(path_), kSnapshotFaults);
-  const std::vector<std::uint8_t> header =
-      encode_header(kSnapshotMagic, meta_);
-  bool ok = writer.write(header.data(), header.size()) &&
-            writer.write_i64(state.windows_done) &&
-            writer.write_i64(state.batches) &&
-            writer.write_i64(state.entry_count());
-  if (ok) {
-    ok = writer.write(state.window_entry.data(),
-                      state.window_entry.size() * sizeof(std::int64_t)) &&
-         writer.write(state.entry_verdicts.data(),
-                      state.entry_verdicts.size() * sizeof(std::int32_t));
-  }
-  if (ok) {
-    std::vector<std::uint8_t> packed;
-    for (const RasterKey& pixels : state.entry_pixels) {
-      packed.clear();
-      append_packed_raster(packed, pixels, meta_.grid);
-      if (!writer.write(packed.data(), packed.size())) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  if (ok) {
-    const std::uint32_t crc = writer.crc();
-    ok = writer.write(&crc, sizeof(crc)) && writer.finalize();
-  }
-  if (!ok) {
+  if (!writer.write(snapshot.data(), snapshot.size()) || !writer.finalize()) {
     return JournalResult::failure(JournalStatus::kWriteFailed,
                                   writer.error());
   }

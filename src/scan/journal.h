@@ -7,6 +7,9 @@
 //   record 1: [u32 size | payload | u32 crc32(payload)]
 //   record 2: ...
 //
+// Header, records and snapshots are encoded with util/bytes.h, the one
+// place the byte layout and the length checks live.
+//
 // Each batch record carries the window span the batch consumed, the
 // window -> entry mapping over that span, and — for every *new* distinct
 // raster the batch classified — its verdict plus the bit-packed raster

@@ -45,6 +45,10 @@ bool ServeClient::predict(const std::string& tenant,
                           const tensor::Tensor& images,
                           PredictOutcome* outcome, std::string* error) {
   HOTSPOT_CHECK_EQ(images.rank(), 4) << "predict expects [n, 1, ls, ls]";
+  if (!valid_tenant(tenant)) {
+    *error = "invalid tenant '" + tenant + "'";
+    return false;
+  }
   PredictRequest request;
   request.request_id = next_request_id_++;
   request.grid = static_cast<std::uint16_t>(images.dim(2));
@@ -115,6 +119,11 @@ bool ServeClient::swap_model(const std::string& path, std::int64_t image_size,
                              std::uint64_t* version,
                              std::optional<Reject>* reject,
                              std::string* error) {
+  if (path.empty() || path.size() > kMaxPathBytes) {
+    *error = "model path must be 1 to " + std::to_string(kMaxPathBytes) +
+             " bytes";
+    return false;
+  }
   SwapModel swap;
   swap.request_id = next_request_id_++;
   swap.image_size = static_cast<std::uint16_t>(image_size);

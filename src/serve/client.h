@@ -50,8 +50,9 @@ class ServeClient {
   void close();
 
   // Classifies a [n, 1, ls, ls] {0,1} batch. Packs the rasters, round-trips
-  // one request, fills `outcome`. False with `error` set only on transport
-  // failure (a Reject is a successful round-trip with outcome->ok false).
+  // one request, fills `outcome`. False with `error` set on an invalid
+  // tenant (see valid_tenant) or a transport failure (a Reject is a
+  // successful round-trip with outcome->ok false).
   bool predict(const std::string& tenant, const tensor::Tensor& images,
                PredictOutcome* outcome, std::string* error);
 
@@ -60,6 +61,8 @@ class ServeClient {
 
   // Asks the server to hot-swap to `path`. On success fills `version`
   // (the registry version now serving); a typed refusal lands in `reject`.
+  // False with `error` set on transport failure or a path that is empty or
+  // longer than kMaxPathBytes.
   bool swap_model(const std::string& path, std::int64_t image_size,
                   std::uint64_t* version, std::optional<Reject>* reject,
                   std::string* error);

@@ -1,112 +1,16 @@
 #include "serve/protocol.h"
 
-#include <cstring>
-
-#include "util/check.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace hotspot::serve {
 namespace {
 
-// Little-endian scalar append/read. The wire format is declared LE host
-// order; these helpers keep the byte layout explicit instead of relying on
-// struct memcpy.
-void append_u16(std::vector<std::uint8_t>& out, std::uint16_t value) {
-  out.push_back(static_cast<std::uint8_t>(value & 0xff));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-}
+using util::ByteReader;
+using util::ByteWriter;
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-// Cursor over a payload; every read checks the remaining byte count, so a
-// lying length field fails the decode instead of reading out of bounds.
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
-
-  bool u8(std::uint8_t* out) {
-    if (remaining() < 1) {
-      return false;
-    }
-    *out = bytes_[offset_++];
-    return true;
-  }
-
-  bool u16(std::uint16_t* out) {
-    if (remaining() < 2) {
-      return false;
-    }
-    *out = static_cast<std::uint16_t>(bytes_[offset_] |
-                                      (bytes_[offset_ + 1] << 8));
-    offset_ += 2;
-    return true;
-  }
-
-  bool u32(std::uint32_t* out) {
-    if (remaining() < 4) {
-      return false;
-    }
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(bytes_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 4;
-    *out = value;
-    return true;
-  }
-
-  bool u64(std::uint64_t* out) {
-    if (remaining() < 8) {
-      return false;
-    }
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(bytes_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 8;
-    *out = value;
-    return true;
-  }
-
-  bool string(std::size_t size, std::size_t cap, std::string* out) {
-    if (size > cap || remaining() < size) {
-      return false;
-    }
-    out->assign(reinterpret_cast<const char*>(bytes_.data()) + offset_, size);
-    offset_ += size;
-    return true;
-  }
-
-  bool bytes(std::size_t size, std::vector<std::uint8_t>* out) {
-    if (remaining() < size) {
-      return false;
-    }
-    out->assign(bytes_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                bytes_.begin() + static_cast<std::ptrdiff_t>(offset_ + size));
-    offset_ += size;
-    return true;
-  }
-
-  // Strict decoders require the payload fully consumed: trailing bytes mean
-  // a version skew or corruption the CRC happened to miss.
-  bool exhausted() const { return offset_ == bytes_.size(); }
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t offset_ = 0;
-};
+// The fixed frame header: magic, version, type, flags, payload size.
+constexpr std::size_t kHeaderBytes = 12;
 
 bool read_exact(const ReadFn& read, std::uint8_t* out, std::size_t size,
                 bool* clean_eof) {
@@ -122,14 +26,6 @@ bool read_exact(const ReadFn& read, std::uint8_t* out, std::size_t size,
     done += got;
   }
   return true;
-}
-
-std::uint32_t read_u32_at(const std::uint8_t* bytes) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  }
-  return value;
 }
 
 }  // namespace
@@ -178,42 +74,45 @@ std::vector<std::uint8_t> encode_frame(MessageType type,
                                        const std::vector<std::uint8_t>& payload,
                                        std::uint8_t flags,
                                        std::uint64_t trace_id) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(12 + 8 + payload.size() + 4);
-  append_u32(frame, kFrameMagic);
-  append_u16(frame, kProtocolVersion);
-  frame.push_back(static_cast<std::uint8_t>(type));
-  frame.push_back(flags);
-  append_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  ByteWriter frame(kHeaderBytes + 8 + payload.size() + 4);
+  frame.put(kFrameMagic)
+      .put(kProtocolVersion)
+      .put(static_cast<std::uint8_t>(type))
+      .put(flags)
+      .length<std::uint32_t>(payload.size())
+      .put(trace_id)
+      .bytes(payload);
   // The CRC covers trace_id || payload: every byte after the fixed header
   // stays under the checksum.
-  const std::size_t trace_offset = frame.size();
-  append_u64(frame, trace_id);
-  util::Crc32 crc;
-  crc.update(frame.data() + trace_offset, 8);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  crc.update(payload.data(), payload.size());
-  append_u32(frame, crc.value());
-  return frame;
+  frame.put(util::crc32_of(frame.data() + kHeaderBytes,
+                           frame.size() - kHeaderBytes));
+  return frame.take();
 }
 
 FrameStatus read_frame(const ReadFn& read, Frame* out) {
-  std::uint8_t header[12];
+  std::uint8_t header[kHeaderBytes];
   bool clean_eof = false;
   if (!read_exact(read, header, sizeof(header), &clean_eof)) {
     return clean_eof ? FrameStatus::kEof : FrameStatus::kTruncated;
   }
-  if (read_u32_at(header) != kFrameMagic) {
+  // The header is complete, so none of its fixed-width reads can fail.
+  ByteReader fields(header, sizeof(header));
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0;
+  std::uint8_t type = 0;
+  std::uint32_t payload_size = 0;
+  fields.read(&magic);
+  fields.read(&version);
+  fields.read(&type);
+  fields.read(&out->flags);
+  fields.read(&payload_size);
+  if (magic != kFrameMagic) {
     return FrameStatus::kBadMagic;
   }
-  const std::uint16_t version =
-      static_cast<std::uint16_t>(header[4] | (header[5] << 8));
   if (version != kProtocolVersion) {
     return FrameStatus::kBadVersion;
   }
-  out->type = static_cast<MessageType>(header[6]);
-  out->flags = header[7];
-  const std::uint32_t payload_size = read_u32_at(header + 8);
+  out->type = static_cast<MessageType>(type);
   if (payload_size > kMaxPayloadBytes) {
     return FrameStatus::kTooLarge;
   }
@@ -221,10 +120,7 @@ FrameStatus read_frame(const ReadFn& read, Frame* out) {
   if (!read_exact(read, trace_bytes, sizeof(trace_bytes), nullptr)) {
     return FrameStatus::kTruncated;
   }
-  out->trace_id = 0;
-  for (int i = 0; i < 8; ++i) {
-    out->trace_id |= static_cast<std::uint64_t>(trace_bytes[i]) << (8 * i);
-  }
+  ByteReader(trace_bytes, sizeof(trace_bytes)).read(&out->trace_id);
   util::Crc32 crc;
   crc.update(trace_bytes, sizeof(trace_bytes));
   out->payload.resize(payload_size);
@@ -237,16 +133,15 @@ FrameStatus read_frame(const ReadFn& read, Frame* out) {
     return FrameStatus::kTruncated;
   }
   crc.update(out->payload.data(), out->payload.size());
-  if (read_u32_at(footer) != crc.value()) {
+  if (util::load_le<std::uint32_t>(footer) != crc.value()) {
     return FrameStatus::kCorrupt;
   }
   return FrameStatus::kOk;
 }
 
 std::size_t packed_clip_bytes(std::uint16_t grid) {
-  const std::size_t pixels =
-      static_cast<std::size_t>(grid) * static_cast<std::size_t>(grid);
-  return (pixels + 7) / 8;
+  return util::packed_bytes(static_cast<std::size_t>(grid) *
+                            static_cast<std::size_t>(grid));
 }
 
 bool valid_tenant(const std::string& tenant) {
@@ -265,24 +160,21 @@ bool valid_tenant(const std::string& tenant) {
 
 std::vector<std::uint8_t> encode_predict_request(
     const PredictRequest& request) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(9 + request.tenant.size() + request.packed_clips.size());
-  append_u32(payload, request.request_id);
-  append_u16(payload, request.grid);
-  append_u16(payload, request.count);
-  payload.push_back(static_cast<std::uint8_t>(request.tenant.size()));
-  payload.insert(payload.end(), request.tenant.begin(), request.tenant.end());
-  payload.insert(payload.end(), request.packed_clips.begin(),
-                 request.packed_clips.end());
-  return payload;
+  ByteWriter payload(9 + request.tenant.size() + request.packed_clips.size());
+  payload.put(request.request_id)
+      .put(request.grid)
+      .put(request.count)
+      .string<std::uint8_t>(request.tenant)
+      .bytes(request.packed_clips);
+  return payload.take();
 }
 
 bool decode_predict_request(const std::vector<std::uint8_t>& payload,
                             PredictRequest* out) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   std::uint8_t tenant_len = 0;
-  if (!reader.u32(&out->request_id) || !reader.u16(&out->grid) ||
-      !reader.u16(&out->count) || !reader.u8(&tenant_len) ||
+  if (!reader.read(&out->request_id) || !reader.read(&out->grid) ||
+      !reader.read(&out->count) || !reader.read(&tenant_len) ||
       !reader.string(tenant_len, kMaxTenantBytes, &out->tenant)) {
     return false;
   }
@@ -291,28 +183,23 @@ bool decode_predict_request(const std::vector<std::uint8_t>& payload,
   }
   const std::size_t clip_bytes =
       packed_clip_bytes(out->grid) * static_cast<std::size_t>(out->count);
-  if (!reader.bytes(clip_bytes, &out->packed_clips)) {
-    return false;
-  }
-  return reader.exhausted();
+  return reader.bytes(clip_bytes, &out->packed_clips) && reader.exhausted();
 }
 
 std::vector<std::uint8_t> encode_predict_response(
     const PredictResponse& response) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(6 + response.labels.size());
-  append_u32(payload, response.request_id);
-  append_u16(payload, static_cast<std::uint16_t>(response.labels.size()));
-  payload.insert(payload.end(), response.labels.begin(),
-                 response.labels.end());
-  return payload;
+  ByteWriter payload(6 + response.labels.size());
+  payload.put(response.request_id)
+      .length<std::uint16_t>(response.labels.size())
+      .bytes(response.labels);
+  return payload.take();
 }
 
 bool decode_predict_response(const std::vector<std::uint8_t>& payload,
                              PredictResponse* out) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   std::uint16_t count = 0;
-  if (!reader.u32(&out->request_id) || !reader.u16(&count) ||
+  if (!reader.read(&out->request_id) || !reader.read(&count) ||
       !reader.bytes(count, &out->labels)) {
     return false;
   }
@@ -325,21 +212,19 @@ bool decode_predict_response(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_reject(const Reject& reject) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(7 + reject.detail.size());
-  append_u32(payload, reject.request_id);
-  payload.push_back(static_cast<std::uint8_t>(reject.reason));
-  append_u16(payload, static_cast<std::uint16_t>(reject.detail.size()));
-  payload.insert(payload.end(), reject.detail.begin(), reject.detail.end());
-  return payload;
+  ByteWriter payload(7 + reject.detail.size());
+  payload.put(reject.request_id)
+      .put(static_cast<std::uint8_t>(reject.reason))
+      .string<std::uint16_t>(reject.detail);
+  return payload.take();
 }
 
 bool decode_reject(const std::vector<std::uint8_t>& payload, Reject* out) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   std::uint8_t reason = 0;
   std::uint16_t detail_len = 0;
-  if (!reader.u32(&out->request_id) || !reader.u8(&reason) ||
-      !reader.u16(&detail_len) ||
+  if (!reader.read(&out->request_id) || !reader.read(&reason) ||
+      !reader.read(&detail_len) ||
       !reader.string(detail_len, kMaxDetailBytes, &out->detail)) {
     return false;
   }
@@ -351,21 +236,19 @@ bool decode_reject(const std::vector<std::uint8_t>& payload, Reject* out) {
 }
 
 std::vector<std::uint8_t> encode_swap_model(const SwapModel& swap) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(8 + swap.path.size());
-  append_u32(payload, swap.request_id);
-  append_u16(payload, swap.image_size);
-  append_u16(payload, static_cast<std::uint16_t>(swap.path.size()));
-  payload.insert(payload.end(), swap.path.begin(), swap.path.end());
-  return payload;
+  ByteWriter payload(8 + swap.path.size());
+  payload.put(swap.request_id)
+      .put(swap.image_size)
+      .string<std::uint16_t>(swap.path);
+  return payload.take();
 }
 
 bool decode_swap_model(const std::vector<std::uint8_t>& payload,
                        SwapModel* out) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   std::uint16_t path_len = 0;
-  if (!reader.u32(&out->request_id) || !reader.u16(&out->image_size) ||
-      !reader.u16(&path_len) ||
+  if (!reader.read(&out->request_id) || !reader.read(&out->image_size) ||
+      !reader.read(&path_len) ||
       !reader.string(path_len, kMaxPathBytes, &out->path)) {
     return false;
   }
@@ -376,29 +259,25 @@ bool decode_swap_model(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_swap_ok(const SwapOk& ok) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(12);
-  append_u32(payload, ok.request_id);
-  append_u64(payload, ok.version);
-  return payload;
+  ByteWriter payload(12);
+  payload.put(ok.request_id).put(ok.version);
+  return payload.take();
 }
 
 bool decode_swap_ok(const std::vector<std::uint8_t>& payload, SwapOk* out) {
-  Reader reader(payload);
-  return reader.u32(&out->request_id) && reader.u64(&out->version) &&
+  ByteReader reader(payload);
+  return reader.read(&out->request_id) && reader.read(&out->version) &&
          reader.exhausted();
 }
 
 std::vector<std::uint8_t> encode_token(std::uint32_t token) {
-  std::vector<std::uint8_t> payload;
-  append_u32(payload, token);
-  return payload;
+  return ByteWriter(4).put(token).take();
 }
 
 bool decode_token(const std::vector<std::uint8_t>& payload,
                   std::uint32_t* out) {
-  Reader reader(payload);
-  return reader.u32(out) && reader.exhausted();
+  ByteReader reader(payload);
+  return reader.read(out) && reader.exhausted();
 }
 
 std::vector<std::uint8_t> pack_rasters(const float* pixels, std::size_t count,
@@ -406,15 +285,11 @@ std::vector<std::uint8_t> pack_rasters(const float* pixels, std::size_t count,
   const std::size_t per_clip = packed_clip_bytes(grid);
   const std::size_t pixels_per_clip =
       static_cast<std::size_t>(grid) * static_cast<std::size_t>(grid);
-  std::vector<std::uint8_t> packed(per_clip * count, 0);
+  std::vector<std::uint8_t> packed(per_clip * count);
   for (std::size_t clip = 0; clip < count; ++clip) {
-    const float* src = pixels + clip * pixels_per_clip;
-    std::uint8_t* dst = packed.data() + clip * per_clip;
-    for (std::size_t i = 0; i < pixels_per_clip; ++i) {
-      if (src[i] >= 0.5f) {
-        dst[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      }
-    }
+    util::pack_bits(pixels + clip * pixels_per_clip, pixels_per_clip,
+                    [](float value) { return value >= 0.5f; },
+                    packed.data() + clip * per_clip);
   }
   return packed;
 }
@@ -424,13 +299,10 @@ std::vector<float> unpack_rasters(const std::vector<std::uint8_t>& packed,
   const std::size_t per_clip = packed_clip_bytes(grid);
   const std::size_t pixels_per_clip =
       static_cast<std::size_t>(grid) * static_cast<std::size_t>(grid);
-  std::vector<float> pixels(pixels_per_clip * count, 0.0f);
+  std::vector<float> pixels(pixels_per_clip * count);
   for (std::size_t clip = 0; clip < count; ++clip) {
-    const std::uint8_t* src = packed.data() + clip * per_clip;
-    float* dst = pixels.data() + clip * pixels_per_clip;
-    for (std::size_t i = 0; i < pixels_per_clip; ++i) {
-      dst[i] = (src[i / 8] >> (i % 8)) & 1u ? 1.0f : 0.0f;
-    }
+    util::unpack_bits(packed.data() + clip * per_clip, pixels_per_clip, 0.0f,
+                      1.0f, pixels.data() + clip * pixels_per_clip);
   }
   return pixels;
 }

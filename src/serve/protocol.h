@@ -15,10 +15,12 @@
 // checksum. read_frame() speaks kProtocolVersion only; any other version
 // (including the retired v1, which had no trace_id) is kBadVersion.
 //
-// All integers are little-endian host order (the server and its clients
-// share a machine or an architecture; this repo never ships frames across
-// endianness domains). payload_size is validated against kMaxPayloadBytes
-// before any allocation, mirroring the checkpoint loader's hard caps.
+// Frames and payloads are encoded with util/bytes.h, the one place the byte
+// layout (little-endian fixed-width fields) and the length-prefix checks
+// live. Its encoder refuses a string longer than its prefix can say, so
+// callers validate user-supplied strings against the caps below first.
+// payload_size is validated against kMaxPayloadBytes before any
+// allocation, mirroring the checkpoint loader's hard caps.
 //
 // Requests carry bit-packed {0,1} rasters (LSB-first, ceil(grid^2/8) bytes
 // per clip) — the same packing density the XNOR backend consumes — so a

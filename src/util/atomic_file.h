@@ -6,9 +6,11 @@
 //
 // This is the tmp+fsync+rename machinery the HSPT checkpoint writer
 // (nn/serialize) introduced, factored out so the scan journal's snapshots
-// and any future durable artifact share one audited implementation. The
-// writer keeps a running CRC-32 of every byte written, so callers can
-// append an integrity footer without hashing twice.
+// and any future durable artifact share one audited implementation. It
+// moves bytes only: each format encodes its fields with util::ByteWriter
+// (util/bytes.h). The writer keeps a running CRC-32 of every byte written,
+// so a caller that streams its file in pieces can append an integrity
+// footer without hashing twice.
 //
 // Fault points are parameterized: each writer instance probes its own
 // write/flush/rename points, so checkpoint tests and scan-journal chaos
@@ -51,12 +53,6 @@ class AtomicFileWriter {
   // injected write fault lands half the chunk, the way a real torn write
   // would.
   bool write(const void* data, std::size_t size);
-
-  bool write_u8(std::uint8_t value) { return write(&value, sizeof(value)); }
-  bool write_u32(std::uint32_t value) { return write(&value, sizeof(value)); }
-  bool write_u64(std::uint64_t value) { return write(&value, sizeof(value)); }
-  bool write_i32(std::int32_t value) { return write(&value, sizeof(value)); }
-  bool write_i64(std::int64_t value) { return write(&value, sizeof(value)); }
 
   // CRC-32 of everything written so far (for integrity footers).
   std::uint32_t crc() const { return crc_.value(); }

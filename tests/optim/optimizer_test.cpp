@@ -3,9 +3,7 @@
 #include <cmath>
 
 #include "nn/linear_layer.h"
-#include "optim/adam.h"
 #include "optim/nadam.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::optim {
@@ -15,7 +13,7 @@ using nn::Parameter;
 using tensor::Tensor;
 
 // Quadratic bowl: loss = 0.5 * ||theta - target||^2, gradient = theta -
-// target. Every optimizer must drive theta to the target.
+// target. The optimizer must drive theta to the target.
 class QuadraticProblem {
  public:
   explicit QuadraticProblem(std::vector<float> target)
@@ -45,10 +43,9 @@ class QuadraticProblem {
   Parameter param_;
 };
 
-template <typename Opt, typename... Args>
-double run_to_convergence(int steps, float lr, Args&&... args) {
+double run_to_convergence(int steps, float lr) {
   QuadraticProblem problem({1.0f, -2.0f, 3.0f});
-  Opt optimizer({&problem.param()}, lr, std::forward<Args>(args)...);
+  NAdam optimizer({&problem.param()}, lr);
   for (int i = 0; i < steps; ++i) {
     optimizer.zero_grad();
     problem.fill_gradient();
@@ -57,46 +54,13 @@ double run_to_convergence(int steps, float lr, Args&&... args) {
   return problem.distance();
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  EXPECT_LT(run_to_convergence<Sgd>(200, 0.1f), 1e-3);
-}
-
-TEST(Sgd, MomentumConverges) {
-  EXPECT_LT(run_to_convergence<Sgd>(200, 0.05f, 0.9f), 1e-3);
-}
-
-TEST(Sgd, NesterovConverges) {
-  EXPECT_LT(run_to_convergence<Sgd>(200, 0.05f, 0.9f, true), 1e-3);
-}
-
-TEST(Adam, ConvergesOnQuadratic) {
-  EXPECT_LT(run_to_convergence<Adam>(800, 0.05f), 1e-2);
-}
-
 TEST(NAdam, ConvergesOnQuadratic) {
-  EXPECT_LT(run_to_convergence<NAdam>(800, 0.05f), 1e-2);
-}
-
-TEST(NAdam, FasterThanAdamEarly) {
-  // Nesterov look-ahead accelerates the first phase on a smooth bowl; check
-  // NAdam is at least not behind after few steps.
-  const double adam = run_to_convergence<Adam>(50, 0.05f);
-  const double nadam = run_to_convergence<NAdam>(50, 0.05f);
-  EXPECT_LE(nadam, adam * 1.2);
-}
-
-TEST(Sgd, WeightDecayShrinksWeights) {
-  QuadraticProblem problem({0.0f, 0.0f, 0.0f});
-  problem.param().value.fill(1.0f);
-  Sgd optimizer({&problem.param()}, 0.1f, 0.0f, false, /*weight_decay=*/0.5f);
-  // Zero task gradient: only decay acts.
-  optimizer.step();
-  EXPECT_LT(problem.param().value[0], 1.0f);
+  EXPECT_LT(run_to_convergence(800, 0.05f), 1e-2);
 }
 
 TEST(Optimizer, StepCountIncrements) {
   QuadraticProblem problem({1.0f});
-  Sgd optimizer({&problem.param()}, 0.1f);
+  NAdam optimizer({&problem.param()}, 0.1f);
   EXPECT_EQ(optimizer.step_count(), 0);
   optimizer.step();
   optimizer.step();
@@ -106,7 +70,7 @@ TEST(Optimizer, StepCountIncrements) {
 TEST(Optimizer, ClipGradNormScalesDown) {
   QuadraticProblem problem({0.0f});
   problem.param().grad[0] = 30.0f;
-  Sgd optimizer({&problem.param()}, 0.1f);
+  NAdam optimizer({&problem.param()}, 0.1f);
   optimizer.clip_grad_norm(3.0);
   EXPECT_NEAR(problem.param().grad[0], 3.0f, 1e-4);
 }
@@ -114,14 +78,14 @@ TEST(Optimizer, ClipGradNormScalesDown) {
 TEST(Optimizer, ClipGradNormNoopUnderLimit) {
   QuadraticProblem problem({0.0f});
   problem.param().grad[0] = 1.0f;
-  Sgd optimizer({&problem.param()}, 0.1f);
+  NAdam optimizer({&problem.param()}, 0.1f);
   optimizer.clip_grad_norm(3.0);
   EXPECT_FLOAT_EQ(problem.param().grad[0], 1.0f);
 }
 
 TEST(Optimizer, LearningRateMutable) {
   QuadraticProblem problem({1.0f});
-  Sgd optimizer({&problem.param()}, 0.1f);
+  NAdam optimizer({&problem.param()}, 0.1f);
   optimizer.set_learning_rate(0.01f);
   EXPECT_FLOAT_EQ(optimizer.learning_rate(), 0.01f);
 }

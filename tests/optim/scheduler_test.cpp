@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "optim/sgd.h"
+#include "optim/nadam.h"
 
 namespace hotspot::optim {
 namespace {
@@ -13,7 +13,7 @@ nn::Parameter make_param() {
 
 TEST(PlateauDecay, DecaysAfterPatienceExceeded) {
   auto param = make_param();
-  Sgd optimizer({&param}, 1.0f);
+  NAdam optimizer({&param}, 1.0f);
   PlateauDecay scheduler(optimizer, 0.5f, /*patience=*/2);
   EXPECT_FALSE(scheduler.observe(1.0));   // new best
   EXPECT_FALSE(scheduler.observe(1.0));   // stall 1
@@ -24,7 +24,7 @@ TEST(PlateauDecay, DecaysAfterPatienceExceeded) {
 
 TEST(PlateauDecay, ImprovementResetsStall) {
   auto param = make_param();
-  Sgd optimizer({&param}, 1.0f);
+  NAdam optimizer({&param}, 1.0f);
   PlateauDecay scheduler(optimizer, 0.5f, 1);
   scheduler.observe(1.0);
   scheduler.observe(1.0);  // stall 1
@@ -36,7 +36,7 @@ TEST(PlateauDecay, ImprovementResetsStall) {
 
 TEST(PlateauDecay, RespectsMinimumLr) {
   auto param = make_param();
-  Sgd optimizer({&param}, 1.0f);
+  NAdam optimizer({&param}, 1.0f);
   PlateauDecay scheduler(optimizer, 0.1f, 0, 1e-4, /*min_lr=*/0.05f);
   scheduler.observe(1.0);
   for (int i = 0; i < 10; ++i) {
@@ -47,23 +47,11 @@ TEST(PlateauDecay, RespectsMinimumLr) {
 
 TEST(PlateauDecay, MinDeltaFiltersNoise) {
   auto param = make_param();
-  Sgd optimizer({&param}, 1.0f);
+  NAdam optimizer({&param}, 1.0f);
   PlateauDecay scheduler(optimizer, 0.5f, 0, /*min_delta=*/0.1);
   scheduler.observe(1.0);
   // 0.95 improves by less than min_delta: counts as a stall -> decay.
   EXPECT_TRUE(scheduler.observe(0.95));
-}
-
-TEST(StepDecay, GeometricSchedule) {
-  auto param = make_param();
-  Sgd optimizer({&param}, 1.0f);
-  StepDecay scheduler(optimizer, /*step_epochs=*/2, /*gamma=*/0.1f);
-  scheduler.observe_epoch(0);
-  EXPECT_FLOAT_EQ(optimizer.learning_rate(), 1.0f);
-  scheduler.observe_epoch(2);
-  EXPECT_NEAR(optimizer.learning_rate(), 0.1f, 1e-6);
-  scheduler.observe_epoch(5);
-  EXPECT_NEAR(optimizer.learning_rate(), 0.01f, 1e-6);
 }
 
 }  // namespace

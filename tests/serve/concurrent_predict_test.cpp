@@ -18,7 +18,7 @@
 #include "core/bnn_detector.h"
 #include "dataset/generator.h"
 #include "nn/serialize.h"
-#include "optim/sgd.h"
+#include "optim/nadam.h"
 #include "serve/model_registry.h"
 #include "support/test_support.h"
 #include "tensor/tensor.h"
@@ -242,8 +242,8 @@ TEST(ConcurrentPredict, PlanRecompiledAfterOptimizerStep) {
   const Tensor logits = model->forward(probe);
   model->zero_grad();
   model->backward(Tensor::ones(logits.shape()));
-  optim::Sgd sgd(model->parameters(), 0.5f);
-  sgd.step();
+  optim::NAdam nadam(model->parameters(), 0.5f);
+  nadam.step();
   model->set_training(false);
   const Tensor after = model->forward(probe);
   EXPECT_FALSE(bit_identical(before, after)) << "stale plan reused";
