@@ -26,11 +26,15 @@ bool AtomicFileWriter::write(const void* data, std::size_t size) {
   if (fault_should_fail(points_.write)) {
     // Simulate a crash mid-write: part of the chunk reaches the file, the
     // rest never does.
-    std::fwrite(data, 1, size / 2, file_);
+    if (size / 2 > 0) {
+      std::fwrite(data, 1, size / 2, file_);
+    }
     error_ = tmp_path_ + ": injected write fault";
     return false;
   }
-  if (std::fwrite(data, 1, size, file_) != size) {
+  // An empty chunk (an empty blob, say) may come with a null pointer, which
+  // fwrite must not see even for zero bytes.
+  if (size > 0 && std::fwrite(data, 1, size, file_) != size) {
     error_ = tmp_path_ + ": write failed";
     return false;
   }
