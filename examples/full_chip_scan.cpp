@@ -20,7 +20,8 @@
 //   --trace-out    write a Chrome trace-event timeline of the scan; open in
 //                  chrome://tracing or https://ui.perfetto.dev
 //   --journal      append every completed scan batch to a crash-safe
-//                  journal at <path> (fsync per batch, periodic snapshots)
+//                  journal at <path> (fsync per batch; the journal is the
+//                  only recovery record)
 //   --resume       recover the journal's state and scan only the remaining
 //                  windows; the final result is bit-identical to an
 //                  uninterrupted run (requires --journal)

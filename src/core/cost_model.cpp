@@ -103,8 +103,11 @@ NetworkCost network_cost(const BrnnConfig& config) {
     push(binary_conv_cost(filters, filters, 3, 1, 1, out_resolution,
                           out_resolution, config.scaling));
     if (channels != filters || stride != 1) {
-      push(binary_conv_cost(channels, filters, 1, stride, 0, resolution,
-                            resolution, config.scaling));
+      LayerCost shortcut = binary_conv_cost(channels, filters, 1, stride, 0,
+                                            resolution, resolution,
+                                            config.scaling);
+      shortcut.main_path = false;
+      push(std::move(shortcut));
     }
     resolution = out_resolution;
     channels = filters;

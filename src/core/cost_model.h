@@ -22,6 +22,7 @@ namespace hotspot::core {
 
 struct LayerCost {
   std::string name;
+  bool main_path = true;  // false for a projection shortcut
   std::int64_t output_positions = 0;  // outH * outW
   std::int64_t float_macs = 0;        // Cout * positions * Cin * k * k
   std::int64_t packed_word_ops = 0;   // XNOR + adder-tree words

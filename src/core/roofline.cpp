@@ -7,40 +7,18 @@
 #include "core/cost_model.h"
 #include "core/inference_plan.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace hotspot::core {
 namespace {
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
+using util::json_number;
 
 std::string format_fixed(double value, int digits) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
   return buffer;
-}
-
-// Replays the BrnnModel construction order to tag each conv as main-path
-// or projection shortcut; parallel to network_cost()'s push order.
-std::vector<bool> main_path_flags(const BrnnConfig& config) {
-  std::vector<bool> flags;
-  flags.push_back(true);  // stem
-  std::int64_t channels = config.stem_filters;
-  for (std::size_t stage = 0; stage < config.block_filters.size(); ++stage) {
-    const std::int64_t filters = config.block_filters[stage];
-    const std::int64_t stride = config.block_strides[stage];
-    flags.push_back(true);  // conv a
-    flags.push_back(true);  // conv b
-    if (channels != filters || stride != 1) {
-      flags.push_back(false);  // shortcut projection
-    }
-    channels = filters;
-  }
-  return flags;
 }
 
 }  // namespace
@@ -71,8 +49,6 @@ RooflineReport build_roofline(const BrnnModel& model,
   const NetworkCost cost = network_cost(config);
   HOTSPOT_CHECK_EQ(cost.layers.size(), convs.size())
       << "cost model and model disagree on conv layer count";
-  const std::vector<bool> flags = main_path_flags(config);
-  HOTSPOT_CHECK_EQ(flags.size(), convs.size());
 
   RooflineReport report;
   report.kernel = bitops::active_xnor_kernel().name;
@@ -84,7 +60,7 @@ RooflineReport build_roofline(const BrnnModel& model,
     RooflineLayer layer;
     layer.label = conv->span_label();
     layer.geometry = layer_cost.name;
-    layer.main_path = flags[i];
+    layer.main_path = layer_cost.main_path;
     layer.samples = report.samples;
     if (const obs::SpanStat* stat = spans.find(layer.label)) {
       layer.seconds = stat->total_seconds;
@@ -157,7 +133,7 @@ std::string to_table(const RooflineReport& report) {
                    format_fixed(layer.seconds * 1e3, 3),
                    format_fixed(layer.input_seconds * 1e3, 3),
                    format_fixed(layer.aggregate_seconds * 1e3, 3),
-                   format_double(layer.bitops), format_double(layer.float_ops),
+                   json_number(layer.bitops), json_number(layer.float_ops),
                    format_fixed(layer.gops_per_second, 2),
                    format_fixed(layer.time_fraction * 100.0, 1)});
     total_bitops += layer.bitops;
@@ -169,7 +145,7 @@ std::string to_table(const RooflineReport& report) {
           : 0.0;
   table.add_row({"total", "", "", std::to_string(report.samples),
                  format_fixed(report.total_seconds * 1e3, 3), "", "",
-                 format_double(total_bitops), format_double(total_float_ops),
+                 json_number(total_bitops), json_number(total_float_ops),
                  format_fixed(total_gops, 2), "100.0"});
   return "xnor kernel: " + report.kernel + "\n" + table.to_string();
 }
@@ -183,17 +159,17 @@ std::string to_json(const RooflineReport& report) {
         << "\", \"geometry\": \"" << layer.geometry << "\", \"main_path\": "
         << (layer.main_path ? "true" : "false")
         << ", \"samples\": " << layer.samples
-        << ", \"seconds\": " << format_double(layer.seconds)
-        << ", \"input_seconds\": " << format_double(layer.input_seconds)
+        << ", \"seconds\": " << json_number(layer.seconds)
+        << ", \"input_seconds\": " << json_number(layer.input_seconds)
         << ", \"aggregate_seconds\": "
-        << format_double(layer.aggregate_seconds)
-        << ", \"bitops\": " << format_double(layer.bitops)
-        << ", \"float_ops\": " << format_double(layer.float_ops)
-        << ", \"gops_per_second\": " << format_double(layer.gops_per_second)
-        << ", \"time_fraction\": " << format_double(layer.time_fraction)
+        << json_number(layer.aggregate_seconds)
+        << ", \"bitops\": " << json_number(layer.bitops)
+        << ", \"float_ops\": " << json_number(layer.float_ops)
+        << ", \"gops_per_second\": " << json_number(layer.gops_per_second)
+        << ", \"time_fraction\": " << json_number(layer.time_fraction)
         << "}";
   }
-  out << "], \"total_seconds\": " << format_double(report.total_seconds)
+  out << "], \"total_seconds\": " << json_number(report.total_seconds)
       << ", \"samples\": " << report.samples << ", \"kernel\": \""
       << report.kernel << "\"}";
   return out.str();

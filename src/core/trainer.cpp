@@ -277,28 +277,21 @@ void Trainer::run_epoch(const dataset::HotspotDataset& data,
     const tensor::Tensor logits = model_.forward(images);
     const double batch_loss = loss_.forward(logits, targets);
 
-    const bool guard = config_.numeric_policy != NumericPolicy::kOff;
-    bool healthy = !guard || std::isfinite(batch_loss);
+    // NaN/Inf guard: a non-finite loss or gradient norm drops the update.
+    // The norm pass is the one gradient clipping needs anyway.
+    bool healthy = std::isfinite(batch_loss);
     double norm = 0.0;
     if (healthy) {
       model_.zero_grad();
       model_.backward(loss_.gradient());
-      if (guard || config_.grad_clip > 0.0) {
-        norm = optimizer_.grad_norm();
-        healthy = !guard || std::isfinite(norm);
-      }
+      norm = optimizer_.grad_norm();
+      healthy = std::isfinite(norm);
     }
     if (!healthy) {
-      // Poisoned batch: never apply the update; contain per policy.
       ++stats.numeric_events;
       ++stats.skipped_batches;
       numeric_event_counter.increment();
       skipped_batch_counter.increment();
-      if (config_.numeric_policy == NumericPolicy::kHalveLr) {
-        optimizer_.set_learning_rate(optimizer_.learning_rate() * 0.5f);
-      } else if (config_.numeric_policy == NumericPolicy::kRollback) {
-        rollback_to_last_checkpoint();
-      }
       if (config_.verbose) {
         HOTSPOT_LOG(kWarning)
             << "non-finite " << (std::isfinite(batch_loss) ? "gradients" : "loss")
@@ -405,33 +398,6 @@ nn::LoadResult Trainer::resume_from(const std::string& path) {
     param->bump_version();
   }
   return result;
-}
-
-void Trainer::rollback_to_last_checkpoint() {
-  if (last_checkpoint_.empty()) {
-    return;  // nothing saved yet: containment degrades to skip-batch
-  }
-  optim::OptimizerState optimizer_state = optimizer_.state();
-  const std::vector<nn::NamedTensor> live =
-      snapshot_tensors(model_, optimizer_state);
-  std::vector<tensor::Tensor> loaded;
-  TrainerStateBlob state;
-  const nn::LoadResult result =
-      read_snapshot(last_checkpoint_, live, loaded, state);
-  if (!result.ok()) {
-    HOTSPOT_LOG(kWarning) << "rollback to " << last_checkpoint_
-                          << " failed: " << result.message;
-    return;
-  }
-  // Weights and moments are restored; the RNG stream and history keep
-  // running so the epoch loop's bookkeeping stays consistent.
-  commit_tensors(live, loaded);
-  optimizer_state.step_count = state.optimizer_step;
-  optimizer_state.learning_rate = state.learning_rate;
-  optimizer_.load_state(optimizer_state);
-  for (nn::Parameter* param : model_.parameters()) {
-    param->bump_version();
-  }
 }
 
 std::vector<EpochStats> Trainer::train(const dataset::HotspotDataset& data) {

@@ -34,18 +34,6 @@
 
 namespace hotspot::core {
 
-// What to do when a batch produces a non-finite loss or gradient norm. Every
-// policy except kOff refuses to apply the poisoned update; they differ in
-// how aggressively they contain the blow-up.
-enum class NumericPolicy {
-  kOff,       // no detection: apply the update (pre-guard behaviour)
-  kSkipBatch, // drop the update, keep going
-  kHalveLr,   // drop the update and halve the learning rate
-  kRollback,  // drop the update and reload the last saved checkpoint's
-              // weights + optimizer moments (falls back to kSkipBatch when
-              // no checkpoint exists yet)
-};
-
 struct TrainerConfig {
   int batch_size = 32;
   int epochs = 8;
@@ -64,10 +52,6 @@ struct TrainerConfig {
   double grad_clip = 5.0;          // 0 disables clipping
   std::uint64_t seed = 1;
   bool verbose = false;
-
-  // NaN/Inf containment (see NumericPolicy). Detection costs one gradient-
-  // norm pass per batch, which the default grad_clip already pays.
-  NumericPolicy numeric_policy = NumericPolicy::kSkipBatch;
 
   // Empty disables periodic checkpoints. When set, a full training snapshot
   // is written atomically to this path every `checkpoint_every` epochs (and
@@ -141,10 +125,6 @@ class Trainer {
   nn::SaveResult save_training_checkpoint(
       const std::string& path, const optim::PlateauDecay& scheduler,
       const std::vector<EpochStats>& history);
-
-  // kRollback containment: reload weights and optimizer state from
-  // last_checkpoint_, leaving the RNG stream and history untouched.
-  void rollback_to_last_checkpoint();
 
   nn::Module& model_;
   TrainerConfig config_;

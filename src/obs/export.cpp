@@ -13,18 +13,7 @@
 namespace hotspot::obs {
 namespace {
 
-std::string format_double(double value) {
-  if (!std::isfinite(value)) {
-    // JSON has no inf/nan literals; the strict util/json parser rejects
-    // them. Instrument values are kept finite at the source (finite
-    // histogram bounds, clamped quantiles, guarded sums) — this is the last
-    // line of defense for a gauge someone set to inf.
-    return "0";
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
+using util::json_number;
 
 // Microseconds with nanosecond resolution for Chrome trace "ts"/"dur".
 std::string format_micros(std::uint64_t nanos) {
@@ -131,7 +120,7 @@ void append_json_body(std::ostringstream& out,
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     const GaugeSample& sample = snapshot.gauges[i];
     out << (i > 0 ? ", " : "") << "\"" << util::json_escape(sample.name)
-        << "\": " << format_double(sample.value);
+        << "\": " << json_number(sample.value);
   }
   out << "}, \"histograms\": {";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
@@ -139,25 +128,25 @@ void append_json_body(std::ostringstream& out,
     out << (i > 0 ? ", " : "") << "\"" << util::json_escape(sample.name)
         << "\": {\"bounds\": [";
     for (std::size_t b = 0; b < sample.bounds.size(); ++b) {
-      out << (b > 0 ? ", " : "") << format_double(sample.bounds[b]);
+      out << (b > 0 ? ", " : "") << json_number(sample.bounds[b]);
     }
     out << "], \"buckets\": [";
     for (std::size_t b = 0; b < sample.buckets.size(); ++b) {
       out << (b > 0 ? ", " : "") << sample.buckets[b];
     }
     out << "], \"count\": " << sample.count
-        << ", \"sum\": " << format_double(sample.sum)
-        << ", \"p50\": " << format_double(sample.quantile(0.50))
-        << ", \"p95\": " << format_double(sample.quantile(0.95))
-        << ", \"p99\": " << format_double(sample.quantile(0.99)) << "}";
+        << ", \"sum\": " << json_number(sample.sum)
+        << ", \"p50\": " << json_number(sample.quantile(0.50))
+        << ", \"p95\": " << json_number(sample.quantile(0.95))
+        << ", \"p99\": " << json_number(sample.quantile(0.99)) << "}";
   }
   out << "}, \"spans\": {";
   for (std::size_t i = 0; i < spans.spans.size(); ++i) {
     const auto& [name, stat] = spans.spans[i];
     out << (i > 0 ? ", " : "") << "\"" << util::json_escape(name)
         << "\": {\"count\": " << stat.count
-        << ", \"total_seconds\": " << format_double(stat.total_seconds)
-        << ", \"self_seconds\": " << format_double(stat.self_seconds) << "}";
+        << ", \"total_seconds\": " << json_number(stat.total_seconds)
+        << ", \"self_seconds\": " << json_number(stat.self_seconds) << "}";
   }
   out << "}";
 }
@@ -193,7 +182,7 @@ std::string to_prometheus(const MetricsSnapshot& snapshot,
   for (const GaugeSample& sample : snapshot.gauges) {
     const std::string name = names.allocate(sample.name);
     out << "# TYPE " << name << " gauge\n"
-        << name << " " << format_double(sample.value) << "\n";
+        << name << " " << json_number(sample.value) << "\n";
   }
   for (const HistogramSample& sample : snapshot.histograms) {
     const std::string name = names.allocate(sample.name, histogram_suffixes());
@@ -201,30 +190,30 @@ std::string to_prometheus(const MetricsSnapshot& snapshot,
     std::uint64_t cumulative = 0;
     for (std::size_t b = 0; b < sample.bounds.size(); ++b) {
       cumulative += sample.buckets[b];
-      out << name << "_bucket{le=\"" << format_double(sample.bounds[b])
+      out << name << "_bucket{le=\"" << json_number(sample.bounds[b])
           << "\"} " << cumulative << "\n";
     }
     out << name << "_bucket{le=\"+Inf\"} " << sample.count << "\n"
-        << name << "_sum " << format_double(sample.sum) << "\n"
+        << name << "_sum " << json_number(sample.sum) << "\n"
         << name << "_count " << sample.count << "\n";
     out << "# TYPE " << name << "_p50 gauge\n"
-        << name << "_p50 " << format_double(sample.quantile(0.50)) << "\n"
+        << name << "_p50 " << json_number(sample.quantile(0.50)) << "\n"
         << "# TYPE " << name << "_p95 gauge\n"
-        << name << "_p95 " << format_double(sample.quantile(0.95)) << "\n"
+        << name << "_p95 " << json_number(sample.quantile(0.95)) << "\n"
         << "# TYPE " << name << "_p99 gauge\n"
-        << name << "_p99 " << format_double(sample.quantile(0.99)) << "\n";
+        << name << "_p99 " << json_number(sample.quantile(0.99)) << "\n";
   }
   if (!spans.spans.empty()) {
     out << "# TYPE hotspot_span_seconds gauge\n";
     for (const auto& [name, stat] : spans.spans) {
       out << "hotspot_span_seconds{span=\"" << prometheus_label_value(name)
-          << "\"} " << format_double(stat.total_seconds) << "\n";
+          << "\"} " << json_number(stat.total_seconds) << "\n";
     }
     out << "# TYPE hotspot_span_self_seconds gauge\n";
     for (const auto& [name, stat] : spans.spans) {
       out << "hotspot_span_self_seconds{span=\""
           << prometheus_label_value(name) << "\"} "
-          << format_double(stat.self_seconds) << "\n";
+          << json_number(stat.self_seconds) << "\n";
     }
     out << "# TYPE hotspot_span_count gauge\n";
     for (const auto& [name, stat] : spans.spans) {

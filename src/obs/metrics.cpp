@@ -19,7 +19,7 @@ double histogram_quantile(const std::vector<double>& bounds,
     return 0.0;
   }
   // The result must always be finite: the estimate flows through
-  // format_double into JSON exports, and the strict util/json parser
+  // util::json_number into JSON exports, and the strict util/json parser
   // rejects inf/nan literals. Bounds sampled from the registry are finite by
   // construction (the Histogram constructor enforces it), but this free
   // function also serves hand-built samples — Prometheus-style bounds

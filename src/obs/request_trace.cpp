@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -13,21 +12,12 @@
 namespace hotspot::obs {
 namespace {
 
+using util::json_number;
+
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Same contract as export.cpp's format_double: deterministic "%.9g", and a
-// non-finite value becomes "0" so the dump stays strict-JSON-parseable.
-std::string format_double(double value) {
-  if (!std::isfinite(value)) {
-    return "0";
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
 }
 
 }  // namespace
@@ -58,12 +48,12 @@ std::string request_trace_json(const RequestTrace& trace) {
   out += "\", \"model_version\": " + std::to_string(trace.model_version);
   out += ", \"hotspots\": " + std::to_string(trace.hotspots);
   out += ", \"start_ns\": " + std::to_string(trace.start_ns);
-  out += ", \"decode_seconds\": " + format_double(trace.decode_seconds);
-  out += ", \"queue_seconds\": " + format_double(trace.queue_seconds);
-  out += ", \"batch_seconds\": " + format_double(trace.batch_seconds);
-  out += ", \"infer_seconds\": " + format_double(trace.infer_seconds);
-  out += ", \"encode_seconds\": " + format_double(trace.encode_seconds);
-  out += ", \"total_seconds\": " + format_double(trace.total_seconds);
+  out += ", \"decode_seconds\": " + json_number(trace.decode_seconds);
+  out += ", \"queue_seconds\": " + json_number(trace.queue_seconds);
+  out += ", \"batch_seconds\": " + json_number(trace.batch_seconds);
+  out += ", \"infer_seconds\": " + json_number(trace.infer_seconds);
+  out += ", \"encode_seconds\": " + json_number(trace.encode_seconds);
+  out += ", \"total_seconds\": " + json_number(trace.total_seconds);
   out += "}";
   return out;
 }

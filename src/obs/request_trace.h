@@ -59,7 +59,7 @@ struct RequestTrace {
 };
 
 // One trace as a strict-JSON object (util/json-parseable; non-finite
-// seconds clamp to 0 the way export.cpp's format_double does).
+// seconds are written as 0 by util::json_number).
 std::string request_trace_json(const RequestTrace& trace);
 
 class FlightRecorder {

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include "obs/metrics.h"
-#include "util/atomic_file.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/crc32.h"
@@ -13,14 +12,9 @@
 namespace hotspot::scan {
 namespace {
 
-constexpr std::uint32_t kJournalMagic = 0x4C4A5348;   // "HSJL"
-constexpr std::uint32_t kSnapshotMagic = 0x534A5348;  // "HSJS"
+constexpr std::uint32_t kJournalMagic = 0x4C4A5348;  // "HSJL"
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint8_t kRecordBatch = 1;
-
-constexpr util::AtomicFileWriter::FaultPoints kSnapshotFaults{
-    util::FaultPoint::kJournalWrite, util::FaultPoint::kJournalFlush,
-    util::FaultPoint::kJournalRename};
 
 using util::ByteReader;
 using util::ByteWriter;
@@ -44,10 +38,9 @@ bool read_raster(ByteReader& reader, std::int64_t grid, RasterKey& out) {
                      out.data());
 }
 
-std::vector<std::uint8_t> encode_header(std::uint32_t magic,
-                                        const JournalMeta& meta) {
+std::vector<std::uint8_t> encode_header(const JournalMeta& meta) {
   ByteWriter header;
-  header.put(magic)
+  header.put(kJournalMagic)
       .put(kFormatVersion)
       .put(meta.chip_fingerprint)
       .put(meta.window_nm)
@@ -66,13 +59,13 @@ std::vector<std::uint8_t> encode_header(std::uint32_t magic,
 }
 
 std::size_t header_size() {
-  static const std::size_t size = encode_header(kJournalMagic, {}).size();
+  static const std::size_t size = encode_header({}).size();
   return size;
 }
 
 // Validates the header_size() bytes at `header` against `expected`.
 JournalResult check_header(const std::uint8_t* header, const std::string& path,
-                           std::uint32_t magic, const JournalMeta& expected) {
+                           const JournalMeta& expected) {
   ByteReader reader(header, header_size());
   std::uint32_t file_magic = 0;
   std::uint32_t version = 0;
@@ -94,7 +87,7 @@ JournalResult check_header(const std::uint8_t* header, const std::string& path,
   reader.read(&meta.dedup_max_entries);
   reader.read(&meta.dedup_max_bytes);
   reader.read(&crc);
-  if (file_magic != magic) {
+  if (file_magic != kJournalMagic) {
     return JournalResult::failure(JournalStatus::kBadFormat,
                                   path + ": not a scan journal (bad magic)");
   }
@@ -131,18 +124,10 @@ std::int64_t max_record_payload(const JournalMeta& meta) {
          entries_cap * (4 + packed_raster_bytes(meta.grid));
 }
 
-// Upper bound on a legitimate snapshot file: every window done and one
-// entry per window.
-std::int64_t max_snapshot_bytes(const JournalMeta& meta) {
-  const std::int64_t windows = meta.cols * meta.rows;
-  return static_cast<std::int64_t>(header_size()) + 3 * 8 + windows * 8 +
-         windows * (4 + packed_raster_bytes(meta.grid)) + 4;
-}
-
-// Parses one batch-record payload and applies it to `state` when it chains
-// directly onto it; records fully covered by `state` (snapshot got there
-// first) are skipped. Returns false when the record is structurally invalid
-// or does not fit the state — the caller treats that as end-of-valid-data.
+// Parses one batch-record payload and applies it to `state`. Returns false,
+// with `state` unchanged, when the record is structurally invalid or does
+// not chain directly onto the state — the caller treats that as
+// end-of-valid-data.
 bool apply_record(const std::uint8_t* payload, std::size_t size,
                   const JournalMeta& meta, JournalState& state) {
   ByteReader reader(payload, size);
@@ -162,42 +147,42 @@ bool apply_record(const std::uint8_t* payload, std::size_t size,
       static_cast<std::int64_t>(new_entries) > win_end - win_begin) {
     return false;
   }
-  const std::int64_t span = win_end - win_begin;
-  const bool covered = win_end <= state.windows_done;
-  if (!covered &&
-      (win_begin != state.windows_done || base_entry != state.entry_count())) {
+  if (win_begin != state.windows_done || base_entry != state.entry_count()) {
     return false;  // does not chain onto the recovered state
   }
+  const std::size_t windows_before = state.window_entry.size();
+  const std::size_t entries_before = state.entry_verdicts.size();
+  const auto reject = [&] {
+    state.window_entry.resize(windows_before);
+    state.entry_verdicts.resize(entries_before);
+    state.entry_pixels.resize(entries_before);
+    return false;
+  };
+  const std::int64_t span = win_end - win_begin;
   const std::int64_t entry_limit =
       base_entry + static_cast<std::int64_t>(new_entries);
   for (std::int64_t w = 0; w < span; ++w) {
     std::int64_t entry = 0;
     if (!reader.read(&entry) || entry < -1 || entry >= entry_limit) {
-      return false;
+      return reject();
     }
-    if (!covered) {
-      state.window_entry.push_back(entry);
-    }
+    state.window_entry.push_back(entry);
   }
   for (std::uint32_t e = 0; e < new_entries; ++e) {
     std::int32_t verdict = 0;
     RasterKey pixels;
     if (!reader.read(&verdict) || verdict < -1 ||
         !read_raster(reader, meta.grid, pixels)) {
-      return false;
+      return reject();
     }
-    if (!covered) {
-      state.entry_verdicts.push_back(verdict);
-      state.entry_pixels.push_back(std::move(pixels));
-    }
+    state.entry_verdicts.push_back(verdict);
+    state.entry_pixels.push_back(std::move(pixels));
   }
   if (!reader.exhausted()) {
-    return false;  // trailing bytes inside the CRC frame
+    return reject();  // trailing bytes inside the CRC frame
   }
-  if (!covered) {
-    state.windows_done = win_end;
-    ++state.batches;
-  }
+  state.windows_done = win_end;
+  ++state.batches;
   return true;
 }
 
@@ -235,105 +220,26 @@ std::int64_t replay_records(std::FILE* file, const JournalMeta& meta,
   return valid_end;
 }
 
-// Loads `<journal>.snap` into `state`; any damage (missing, torn, CRC,
-// foreign meta) just reports false — the journal alone can recover.
-bool load_snapshot(const std::string& path, const JournalMeta& expected,
-                   JournalState& state) {
-  const std::int64_t file_size = util::file_size_of(path);
-  if (file_size < static_cast<std::int64_t>(header_size() + 4) ||
-      file_size > max_snapshot_bytes(expected)) {
-    return false;
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file_size));
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  const bool read_ok = read_exact(file, bytes.data(), bytes.size());
-  std::fclose(file);
-  // The footer is the CRC of every byte before it.
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  if (!read_ok ||
-      !check_header(bytes.data(), path, kSnapshotMagic, expected).ok() ||
-      util::load_le<std::uint32_t>(bytes.data() + body) !=
-          util::crc32_of(bytes.data(), body)) {
-    return false;
-  }
-  ByteReader reader(bytes.data() + header_size(), body - header_size());
-  std::int64_t entries = 0;
-  JournalState loaded;
-  if (!reader.read(&loaded.windows_done) || !reader.read(&loaded.batches) ||
-      !reader.read(&entries)) {
-    return false;
-  }
-  const std::int64_t window_count = expected.cols * expected.rows;
-  if (loaded.windows_done < 0 || loaded.windows_done > window_count ||
-      loaded.batches < 0 || entries < 0 || entries > loaded.windows_done) {
-    return false;
-  }
-  // entries <= windows_done, and the window map has to fit in the file, so
-  // no count here can size an allocation past the file's own length.
-  if (!reader.array(static_cast<std::uint64_t>(loaded.windows_done),
-                    &loaded.window_entry) ||
-      !reader.array(static_cast<std::uint64_t>(entries),
-                    &loaded.entry_verdicts)) {
-    return false;
-  }
-  loaded.entry_pixels.resize(static_cast<std::size_t>(entries));
-  for (RasterKey& pixels : loaded.entry_pixels) {
-    if (!read_raster(reader, expected.grid, pixels)) {
-      return false;
-    }
-  }
-  // Trailing bytes mean the file is not what the writer produced.
-  if (!reader.exhausted()) {
-    return false;
-  }
-  // Every window entry must reference a known entry id (or -1).
-  for (const std::int64_t entry : loaded.window_entry) {
-    if (entry < -1 || entry >= entries) {
-      return false;
-    }
-  }
-  state = std::move(loaded);
-  return true;
-}
-
-// Recovers state (snapshot + journal replay) and reports where the valid
-// journal prefix ends. `valid_end` = -1 when the journal file is absent.
+// Replays the journal into `state` and reports where its valid prefix ends.
 JournalResult recover_state(const std::string& path, const JournalMeta& meta,
                             JournalState& state, std::int64_t& valid_end) {
   state = JournalState{};
-  valid_end = -1;
-  const bool have_snapshot =
-      load_snapshot(ScanJournal::snapshot_path(path), meta, state);
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
-    if (have_snapshot) {
-      return JournalResult::success();
-    }
-    return JournalResult::failure(
-        JournalStatus::kMissing, path + ": no journal or snapshot to resume");
+    return JournalResult::failure(JournalStatus::kMissing,
+                                  path + ": no journal to resume");
   }
   std::vector<std::uint8_t> header_bytes(header_size());
-  JournalResult header =
+  const JournalResult header =
       read_exact(file, header_bytes.data(), header_bytes.size())
-          ? check_header(header_bytes.data(), path, kJournalMagic, meta)
+          ? check_header(header_bytes.data(), path, meta)
           : JournalResult::failure(JournalStatus::kTruncated,
                                    path + ": header is truncated");
-  if (!header.ok()) {
-    std::fclose(file);
-    // A freshly-created journal that died before its header fsync'ed is
-    // recoverable when the snapshot has the state.
-    if (have_snapshot && (header.status == JournalStatus::kTruncated ||
-                          header.status == JournalStatus::kCorrupt)) {
-      return JournalResult::success();
-    }
-    return header;
+  if (header.ok()) {
+    valid_end = replay_records(file, meta, state);
   }
-  valid_end = replay_records(file, meta, state);
   std::fclose(file);
-  return JournalResult::success();
+  return header;
 }
 
 }  // namespace
@@ -396,32 +302,26 @@ JournalResult ScanJournal::open(const std::string& path,
   meta_ = meta;
   *recovered = JournalState{};
 
-  std::int64_t valid_end = -1;
   if (resume) {
+    std::int64_t valid_end = 0;
     const JournalResult result =
         recover_state(path, meta, *recovered, valid_end);
     if (!result.ok()) {
       return result;
     }
-    if (valid_end >= 0) {
-      // Drop any torn tail so new records append at a clean frame boundary.
-      const std::int64_t size = util::file_size_of(path);
-      if (size > valid_end && !util::corrupt_truncate(path, valid_end)) {
-        return JournalResult::failure(
-            JournalStatus::kWriteFailed,
-            path + ": cannot truncate torn journal tail");
-      }
-      file_ = std::fopen(path.c_str(), "ab");
-      if (file_ == nullptr) {
-        return JournalResult::failure(JournalStatus::kWriteFailed,
-                                      path + ": cannot open for appending");
-      }
-      return JournalResult::success();
+    // Drop any torn tail so new records append at a clean frame boundary.
+    const std::int64_t size = util::file_size_of(path);
+    if (size > valid_end && !util::corrupt_truncate(path, valid_end)) {
+      return JournalResult::failure(
+          JournalStatus::kWriteFailed,
+          path + ": cannot truncate torn journal tail");
     }
-    // Snapshot-only recovery: fall through and start a fresh journal file
-    // (records will chain onto the snapshot state).
-  } else {
-    std::remove(snapshot_path(path).c_str());
+    file_ = std::fopen(path.c_str(), "ab");
+    if (file_ == nullptr) {
+      return JournalResult::failure(JournalStatus::kWriteFailed,
+                                    path + ": cannot open for appending");
+    }
+    return JournalResult::success();
   }
 
   file_ = std::fopen(path.c_str(), "wb");
@@ -429,7 +329,7 @@ JournalResult ScanJournal::open(const std::string& path,
     return JournalResult::failure(JournalStatus::kWriteFailed,
                                   path + ": cannot open for writing");
   }
-  const std::vector<std::uint8_t> header = encode_header(kJournalMagic, meta);
+  const std::vector<std::uint8_t> header = encode_header(meta);
   if (util::fault_should_fail(util::FaultPoint::kJournalWrite) ||
       std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     close();
@@ -516,27 +416,6 @@ JournalResult ScanJournal::append_batch(
   return JournalResult::success();
 }
 
-JournalResult ScanJournal::write_snapshot(const JournalState& state) const {
-  HOTSPOT_CHECK(!path_.empty()) << "snapshot before open";
-  ByteWriter snapshot;
-  snapshot.bytes(encode_header(kSnapshotMagic, meta_))
-      .put(state.windows_done)
-      .put(state.batches)
-      .put(state.entry_count())
-      .array(state.window_entry.data(), state.window_entry.size())
-      .array(state.entry_verdicts.data(), state.entry_verdicts.size());
-  for (const RasterKey& pixels : state.entry_pixels) {
-    put_raster(snapshot, pixels, meta_.grid);
-  }
-  snapshot.put(util::crc32_of(snapshot.data(), snapshot.size()));
-  util::AtomicFileWriter writer(snapshot_path(path_), kSnapshotFaults);
-  if (!writer.write(snapshot.data(), snapshot.size()) || !writer.finalize()) {
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  writer.error());
-  }
-  return JournalResult::success();
-}
-
 void ScanJournal::close() {
   if (file_ != nullptr) {
     std::fclose(file_);
@@ -548,7 +427,7 @@ JournalResult ScanJournal::recover(const std::string& path,
                                    const JournalMeta& meta,
                                    JournalState* state) {
   HOTSPOT_CHECK(state != nullptr) << "recover needs a target";
-  std::int64_t valid_end = -1;
+  std::int64_t valid_end = 0;
   return recover_state(path, meta, *state, valid_end);
 }
 

@@ -7,8 +7,8 @@
 //   record 1: [u32 size | payload | u32 crc32(payload)]
 //   record 2: ...
 //
-// Header, records and snapshots are encoded with util/bytes.h, the one
-// place the byte layout and the length checks live.
+// Header and records are encoded with util/bytes.h, the one place the byte
+// layout and the length checks live.
 //
 // Each batch record carries the window span the batch consumed, the
 // window -> entry mapping over that span, and — for every *new* distinct
@@ -25,12 +25,9 @@
 // last-completed-batch state. Every length field read from disk is
 // validated against the scan geometry in the header before any allocation.
 //
-// Periodic snapshots (`<path>.snap`, written atomically via
-// util::AtomicFileWriter — the same tmp+fsync+rename machinery as HSPT
-// checkpoints) compact the full replay state so recovery cost stays O(tail)
-// instead of O(whole journal). Recovery loads the snapshot if it is valid,
-// then replays only the journal records past it; a damaged snapshot is
-// ignored and the journal alone recovers the state.
+// The journal is the scan's only recovery record: recovery reads and
+// CRC-checks every record, so its cost is O(journal). A `<path>.snap` file
+// that older builds wrote beside the journal is neither read nor written.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +49,7 @@ enum class JournalStatus {
   kCorrupt,      // header CRC mismatch or implausible field
   kBadFormat,    // not an HSJL journal / unsupported version
   kMismatch,     // journal belongs to a different chip or scan config
-  kWriteFailed,  // append, flush, fsync, or snapshot publish failed
+  kWriteFailed,  // append, flush, or fsync failed
 };
 
 const char* journal_status_name(JournalStatus status);
@@ -98,7 +95,7 @@ std::uint64_t chip_fingerprint(const layout::Pattern& chip);
 // order are fully scored, entry ids below entry_count() are classified.
 struct JournalState {
   std::int64_t windows_done = 0;
-  std::int64_t batches = 0;  // journal records applied (snapshot cadence)
+  std::int64_t batches = 0;  // journal records applied
   // Window index -> entry id over [0, windows_done); -1 = quarantined
   // window (rasterization failed past retry budget, no entry allocated).
   std::vector<std::int64_t> window_entry;
@@ -122,13 +119,13 @@ class ScanJournal {
 
   // Opens `path` for appending under identity `meta`.
   //
-  //   resume = false: starts a fresh journal (truncates any existing file
-  //     and removes a stale snapshot); `recovered` is reset to empty.
-  //   resume = true: recovers prior state — snapshot first if valid, then
-  //     journal records past it — into `recovered`, truncates any torn
-  //     tail, and positions for appending. kMissing when there is nothing
-  //     to resume from; kMismatch when the journal identifies a different
-  //     scan.
+  //   resume = false: starts a fresh journal (truncates any existing
+  //     file); `recovered` is reset to empty.
+  //   resume = true: replays the journal's records into `recovered`,
+  //     truncates any torn tail, and positions for appending. kMissing when
+  //     the journal does not exist; a damaged header returns its typed
+  //     status (kTruncated, kCorrupt, kBadFormat); kMismatch when the
+  //     journal identifies a different scan.
   JournalResult open(const std::string& path, const JournalMeta& meta,
                      bool resume, JournalState* recovered);
 
@@ -142,19 +139,12 @@ class ScanJournal {
                              const std::vector<std::int32_t>& verdicts,
                              const std::vector<RasterKey>& pixels);
 
-  // Atomically replaces the snapshot file with `state`.
-  JournalResult write_snapshot(const JournalState& state) const;
-
   void close();
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
 
-  static std::string snapshot_path(const std::string& journal_path) {
-    return journal_path + ".snap";
-  }
-
   // Read-only recovery (no file mutation, no truncation): what a resume
-  // would start from. kMissing when neither journal nor snapshot exists.
+  // would start from. Same statuses as open(resume = true).
   static JournalResult recover(const std::string& path,
                                const JournalMeta& meta, JournalState* state);
 

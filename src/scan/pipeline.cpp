@@ -284,11 +284,10 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
   // entry whose classification was quarantined.
   std::vector<int> entry_verdicts(static_cast<std::size_t>(window_count), 0);
 
-  // Journal setup + recovery. jstate mirrors everything appended so far —
-  // it is both the snapshot payload and the resume baseline.
+  // Journal setup + recovery. The recovered state seeds the producer and
+  // entry_verdicts once; from then on the journal file is the only record.
   const bool journaling = !config_.journal_path.empty();
   ScanJournal journal;
-  JournalState jstate;
   if (journaling) {
     JournalMeta meta;
     meta.chip_fingerprint = chip_fingerprint(chip);
@@ -303,39 +302,34 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
     meta.dedup = config_.dedup ? 1 : 0;
     meta.dedup_max_entries = config_.dedup_max_entries;
     meta.dedup_max_bytes = config_.dedup_max_bytes;
+    JournalState recovered;
     const JournalResult opened = journal.open(
-        config_.journal_path, meta, config_.resume, &jstate);
+        config_.journal_path, meta, config_.resume, &recovered);
     if (!opened.ok()) {
       throw std::runtime_error("scan journal (" +
                                std::string(journal_status_name(
                                    opened.status)) +
                                "): " + opened.message);
     }
-    if (config_.resume && jstate.windows_done > 0) {
-      producer.adopt(jstate);
-      for (std::int64_t e = 0; e < jstate.entry_count(); ++e) {
-        entry_verdicts[static_cast<std::size_t>(e)] =
-            jstate.entry_verdicts[static_cast<std::size_t>(e)];
-      }
-      result.stats.resume_skipped = jstate.windows_done;
+    if (recovered.windows_done > 0) {
+      producer.adopt(recovered);
+      std::copy(recovered.entry_verdicts.begin(),
+                recovered.entry_verdicts.end(), entry_verdicts.begin());
+      result.stats.resume_skipped = recovered.windows_done;
       static obs::Counter& resume_counter =
           obs::MetricsRegistry::global().counter("scan.resume.skipped");
       resume_counter.increment(
-          static_cast<std::uint64_t>(jstate.windows_done));
+          static_cast<std::uint64_t>(recovered.windows_done));
     }
   }
 
   static obs::Counter& batches_counter =
       obs::MetricsRegistry::global().counter("scan.batches");
-  static obs::Counter& snapshot_failures_counter =
-      obs::MetricsRegistry::global().counter(
-          "scan.journal.snapshot_failures");
   std::int64_t consumer_retries = 0;
-  std::int64_t records_this_run = 0;
 
   // Classifies one batch with deadline/retry/quarantine, then journals it.
   // Runs on the calling thread only.
-  auto classify_batch = [&](BatchPlan& plan) {
+  auto classify_batch = [&](const BatchPlan& plan) {
     throw_if_abort_armed("before classify");
     std::vector<int> verdicts;
     if (plan.count > 0) {
@@ -397,30 +391,11 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
         throw std::runtime_error("scan journal (write-failed): " +
                                  appended.message);
       }
-      jstate.window_entry.insert(jstate.window_entry.end(),
-                                 plan.entries.begin(), plan.entries.end());
-      jstate.entry_verdicts.insert(jstate.entry_verdicts.end(),
-                                   verdicts32.begin(), verdicts32.end());
-      for (RasterKey& pixels : plan.pixels) {
-        jstate.entry_pixels.push_back(std::move(pixels));
-      }
-      jstate.windows_done = plan.win_end;
-      ++jstate.batches;
-      ++records_this_run;
-      if (config_.snapshot_every_batches > 0 &&
-          records_this_run % config_.snapshot_every_batches == 0) {
-        // A failed snapshot is not data loss — the journal has every batch
-        // and the previous snapshot (if any) is still intact under the
-        // atomic publish — so it only costs recovery time. Count it.
-        if (!journal.write_snapshot(jstate).ok()) {
-          snapshot_failures_counter.increment();
-        }
-      }
     }
     throw_if_abort_armed("after journal append");
   };
 
-  if (config_.pipelined && window_count > 0) {
+  if (window_count > 0) {
     // Producer on a helper thread, classifier on the calling thread (the
     // thread pool's single client). The queue is the double buffer.
     BatchQueue queue(2);
@@ -452,22 +427,10 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
     if (producer_error) {
       std::rethrow_exception(producer_error);
     }
-  } else {
-    BatchPlan plan;
-    while (producer.next_batch(plan)) {
-      classify_batch(plan);
-    }
   }
   result.stats.retries += consumer_retries;
 
-  if (journaling) {
-    // Completion snapshot: a --resume of a finished journal recovers
-    // instantly instead of replaying every record.
-    if (!journal.write_snapshot(jstate).ok()) {
-      snapshot_failures_counter.increment();
-    }
-    journal.close();
-  }
+  journal.close();
 
   // Replay verdicts back onto the window grid; quarantined windows (no
   // entry, or an entry whose classification failed) get a conservative 0

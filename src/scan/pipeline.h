@@ -9,17 +9,16 @@
 // The producer walks the window grid in scan order, rasterizes each window
 // and folds duplicate rasters through RasterDedupCache, so each *distinct*
 // raster occupies exactly one batch slot and pays inference exactly once.
-// In pipelined mode the producer runs on a helper thread and assembles
-// batch N+1 while the classifier — which internally fans out on
-// util::parallel_for's pool — consumes batch N on the calling thread, so
-// rasterization hides behind inference. Rasterization itself stays serial
-// on the producer: the pool serves one client at a time, and the classifier
-// is that client.
+// The producer runs on a helper thread and assembles batch N+1 while the
+// classifier — which internally fans out on util::parallel_for's pool —
+// consumes batch N on the calling thread, so rasterization hides behind
+// inference. Rasterization itself stays serial on the producer: the pool
+// serves one client at a time, and the classifier is that client.
 //
 // Batch composition is a pure function of scan order and the dedup state —
 // never of timing or thread count — and the detector's per-window outputs
 // are independent of batch composition, so scan results are bit-identical
-// across pipelined/sequential modes and any HOTSPOT_NUM_THREADS setting.
+// at any HOTSPOT_NUM_THREADS setting.
 //
 // Fault tolerance (DESIGN.md §13): each window/batch gets a cooperative
 // deadline and a bounded retry budget; windows that fail past it are
@@ -58,7 +57,6 @@ struct ScanConfig {
   bool dedup = true;           // raster dedup cache on/off
   std::size_t dedup_max_entries = 0;  // LRU entry cap; 0 = unlimited
   std::size_t dedup_max_bytes = 0;    // LRU payload-byte cap; 0 = unlimited
-  bool pipelined = true;       // overlap rasterization with inference
 
   // Fault tolerance (DESIGN.md §13).
   int window_deadline_ms = 0;  // per-window attempt budget; 0 = no deadline
@@ -66,7 +64,6 @@ struct ScanConfig {
   int retry_backoff_ms = 1;    // backoff before retry N is this << (N-1)
   std::string journal_path;    // append completed batches here; "" = off
   bool resume = false;         // recover journal_path state (requires path)
-  int snapshot_every_batches = 16;  // snapshot cadence; 0 = completion only
 };
 
 struct ScanStats {

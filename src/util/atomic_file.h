@@ -5,12 +5,12 @@
 // torn write at `path`.
 //
 // This is the tmp+fsync+rename machinery the HSPT checkpoint writer
-// (nn/serialize) introduced, factored out so the scan journal's snapshots
-// and any future durable artifact share one audited implementation. It
-// moves bytes only: each format encodes its fields with util::ByteWriter
-// (util/bytes.h). The writer keeps a running CRC-32 of every byte written,
-// so a caller that streams its file in pieces can append an integrity
-// footer without hashing twice.
+// (nn/serialize) introduced, factored out so the serve state file, the
+// flight-recorder dump and any future durable artifact share one audited
+// implementation. It moves bytes only: each format encodes its fields with
+// util::ByteWriter (util/bytes.h). The writer keeps a running CRC-32 of
+// every byte written, so a caller that streams its file in pieces can
+// append an integrity footer without hashing twice.
 //
 // Fault points are parameterized: each writer instance probes its own
 // write/flush/rename points, so checkpoint tests and scan-journal chaos

@@ -41,9 +41,12 @@ enum class FaultPoint {
   kCheckpointWrite = 0,    // any payload write to the checkpoint temp file
   kCheckpointFlush = 1,    // the flush/fsync before publishing
   kCheckpointRename = 2,   // the atomic rename that publishes the file
-  kJournalWrite = 3,       // any byte write to the scan journal / snapshot
-  kJournalFlush = 4,       // the journal's per-record flush/fsync
-  kJournalRename = 5,      // the atomic rename publishing a snapshot
+  kJournalWrite = 3,       // any byte write to the scan journal or a
+                           // FlightRecorder::dump file
+  kJournalFlush = 4,       // the journal's per-record flush/fsync (and a
+                           // dump's flush before publishing)
+  kJournalRename = 5,      // the atomic rename publishing a
+                           // FlightRecorder::dump file
   kScanRasterCompute = 6,  // window rasterization (compute fault)
   kScanRasterStall = 7,    // window rasterization (stall; sleeps on fire)
   kScanAlloc = 8,          // allocation in the scan path (dedup insert,

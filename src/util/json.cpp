@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -445,6 +446,15 @@ std::string json_escape(const std::string& text) {
     }
   }
   return escaped;
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) {
+    return "0";
+  }
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
+  return buffer;
 }
 
 }  // namespace hotspot::util

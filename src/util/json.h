@@ -1,5 +1,6 @@
-// Minimal JSON reader and string escaper for the repo's own machine-written
-// files (metrics exports, run manifests, serve state files, Chrome traces).
+// Minimal JSON reader, string escaper and number formatter for the repo's
+// own machine-written files (metrics exports, run manifests, serve state
+// files, Chrome traces).
 //
 // Full JSON value model (null / bool / number / string / array / object)
 // with strict parsing: trailing garbage, unterminated containers, and bad
@@ -80,5 +81,11 @@ bool parse_json_file(const std::string& path, JsonValue& out,
 // and every other byte below 0x20 becomes \u00XX. Bytes 0x20 and above pass
 // through unchanged, so parse_json round-trips every string.
 std::string json_escape(const std::string& text);
+
+// `value` as a JSON number: "%.9g", so the same double always prints the
+// same bytes. JSON has no inf/nan literals and parse_json rejects them, so a
+// non-finite value is written as 0 — instrument values are kept finite at
+// the source, and this is the last line of defense.
+std::string json_number(double value);
 
 }  // namespace hotspot::util

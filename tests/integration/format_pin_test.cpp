@@ -127,7 +127,7 @@ TEST(FormatPin, ServeTokenFrame) {
              28, 0x01b866de, 0x369d3edb);
 }
 
-// --- HSJL journal and HSJS snapshot (scan/journal.h) ----------------------
+// --- HSJL journal (scan/journal.h) ---------------------------------------
 
 // A 3x3-pixel scan over a 4x2 window grid: 9 pixels leave a partial byte.
 scan::JournalMeta pin_meta() {
@@ -161,22 +161,6 @@ TEST(FormatPin, ScanJournalHeaderAndBatchRecord) {
       journal.append_batch(0, 4, 0, kWindowEntries, kVerdicts, kPixels));
   journal.close();
   expect_pin(file_bytes(path), 178, 0xddf5c539, 0xa770c4ef);
-}
-
-TEST(FormatPin, ScanJournalSnapshot) {
-  const std::string path = test_path("pin.journal");
-  scan::ScanJournal journal;
-  scan::JournalState state;
-  ASSERT_TRUE(journal.open(path, pin_meta(), /*resume=*/false, &state));
-  state.windows_done = 4;
-  state.batches = 1;
-  state.window_entry = kWindowEntries;
-  state.entry_verdicts = kVerdicts;
-  state.entry_pixels = kPixels;
-  ASSERT_TRUE(journal.write_snapshot(state));
-  journal.close();
-  expect_pin(file_bytes(scan::ScanJournal::snapshot_path(path)), 169,
-             0x58dd65b4, 0x58dd65b4);
 }
 
 // --- HSPT archive (nn/serialize.h) ----------------------------------------

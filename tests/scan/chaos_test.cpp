@@ -42,10 +42,7 @@ std::string journal_path(const char* name) {
   return chaos_dir() + "/" + name;
 }
 
-void remove_journal(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove(ScanJournal::snapshot_path(path).c_str());
-}
+void remove_journal(const std::string& path) { std::remove(path.c_str()); }
 
 // Deterministic per-sample-independent classifier that probes the same
 // fault points BnnHotspotDetector::predict_batch does, so predict-side
@@ -93,15 +90,13 @@ Pattern build_chip(int tiles_per_side) {
 }
 
 // Small batches (more kill sites), a tight dedup cap (evictions must replay
-// deterministically through resume), frequent snapshots, no retry backoff
-// (keep the sweep fast).
+// deterministically through resume), no retry backoff (keep the sweep fast).
 ScanConfig chaos_config() {
   ScanConfig config;
   config.window_nm = 1024;  // PatternParams default clip_nm
   config.grid = 16;
   config.batch_size = 2;
   config.dedup_max_entries = 3;
-  config.snapshot_every_batches = 2;
   config.retry_backoff_ms = 0;
   return config;
 }
@@ -163,6 +158,38 @@ TEST(ScanChaos, JournalingItselfDoesNotChangeResults) {
   const ScanResult journaled = pipeline.scan(chip);
   expect_same_result(journaled, reference, "journaled");
   EXPECT_EQ(journaled.stats.quarantined, 0);
+  remove_journal(path);
+}
+
+// The journal is the scan's only recovery record: neither a journaled scan
+// nor its resume leaves any file beside it.
+TEST(ScanChaos, JournaledScanWritesNoSnapshot) {
+  util::ScopedFaultInjection guard;
+  const Pattern chip = build_chip(3);
+  const ScanResult reference = reference_result(chip, chaos_config());
+  const std::string path = journal_path("chaos_no_snapshot.journal");
+  const std::string snapshot = path + ".snap";
+  remove_journal(path);
+  std::remove(snapshot.c_str());
+  ScanConfig config = chaos_config();
+  config.journal_path = path;
+
+  util::fault_arm(util::FaultPoint::kScanAbort, 5);
+  try {
+    ScanPipeline pipeline(config, density_classifier());
+    pipeline.scan(chip);
+    FAIL() << "abort fault did not fire";
+  } catch (const ScanAborted&) {
+  }
+  util::fault_clear_all();
+  EXPECT_EQ(util::file_size_of(snapshot), -1) << "snapshot after a kill";
+
+  config.resume = true;
+  ScanPipeline pipeline(config, density_classifier());
+  const ScanResult resumed = pipeline.scan(chip);
+  expect_same_result(resumed, reference, "resumed");
+  EXPECT_GT(util::file_size_of(path), 0);
+  EXPECT_EQ(util::file_size_of(snapshot), -1) << "snapshot after a resume";
   remove_journal(path);
 }
 
@@ -536,39 +563,6 @@ TEST(ScanChaos, ResumeSkippedCounterIsPublished) {
   ASSERT_NE(skipped, nullptr);
   EXPECT_EQ(skipped->value,
             static_cast<std::uint64_t>(resumed.stats.resume_skipped));
-  remove_journal(path);
-}
-
-// Sequential (non-pipelined) mode shares the fault paths; one sweep makes
-// sure the kill-and-resume property holds without the producer thread.
-TEST(ScanChaos, SequentialModeKillAndResumeAgrees) {
-  util::ScopedFaultInjection guard;
-  const Pattern chip = build_chip(3);
-  ScanConfig base = chaos_config();
-  base.pipelined = false;
-  const ScanResult reference = reference_result(chip, base);
-  const std::string path = journal_path("chaos_sequential.journal");
-
-  for (int kill_at = 2; kill_at <= 8; kill_at += 3) {
-    remove_journal(path);
-    ScanConfig config = base;
-    config.journal_path = path;
-    util::fault_arm(util::FaultPoint::kScanAbort, kill_at);
-    bool aborted = false;
-    try {
-      ScanPipeline pipeline(config, density_classifier());
-      pipeline.scan(chip);
-    } catch (const ScanAborted&) {
-      aborted = true;
-    }
-    util::fault_clear_all();
-    ASSERT_TRUE(aborted) << "kill_at " << kill_at;
-    config.resume = true;
-    ScanPipeline pipeline(config, density_classifier());
-    const ScanResult resumed = pipeline.scan(chip);
-    const std::string context = "sequential kill_at " + std::to_string(kill_at);
-    expect_same_result(resumed, reference, context.c_str());
-  }
   remove_journal(path);
 }
 

@@ -1,7 +1,7 @@
 // Scan journal unit tests: round-trip, identity pinning, torn-tail and
-// bit-rot recovery, snapshot compaction. The kill-and-resume property over
-// a whole scan lives in chaos_test.cpp; this file exercises the journal in
-// isolation.
+// bit-rot recovery, and the journal as the only recovery record. The
+// kill-and-resume property over a whole scan lives in chaos_test.cpp; this
+// file exercises the journal in isolation.
 #include "scan/journal.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,8 @@
 
 #include "obs/metrics.h"
 #include "support/test_support.h"
+#include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/fault_injection.h"
 
 namespace hotspot::scan {
@@ -20,9 +22,15 @@ namespace {
 
 using test_support::test_path;
 
-void remove_journal(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove(ScanJournal::snapshot_path(path).c_str());
+void remove_journal(const std::string& path) { std::remove(path.c_str()); }
+
+// Writes (mode "wb") or appends (mode "ab") raw bytes to `path`.
+void write_bytes(const std::string& path, const char* mode,
+                 const std::uint8_t* data, std::size_t size) {
+  std::FILE* file = std::fopen(path.c_str(), mode);
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(data, 1, size, file), size);
+  std::fclose(file);
 }
 
 // A 2x2-pixel scan over a 3x2 window grid: small enough to hand-check.
@@ -197,9 +205,6 @@ TEST(ScanJournal, FreshOpenDiscardsPriorStateAndSnapshot) {
     JournalState fresh;
     ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
     append_two_batches(journal);
-    JournalState state;
-    ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-    ASSERT_TRUE(journal.write_snapshot(state));
   }
   {
     ScanJournal journal;
@@ -207,10 +212,49 @@ TEST(ScanJournal, FreshOpenDiscardsPriorStateAndSnapshot) {
     ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
     EXPECT_EQ(fresh.windows_done, 0);
   }
-  // The old snapshot must not resurrect the discarded state.
+  // The discarded records must not come back on a resume.
   JournalState state;
   ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
   EXPECT_EQ(state.windows_done, 0);
+  EXPECT_EQ(state.batches, 0);
+  EXPECT_EQ(state.entry_count(), 0);
+}
+
+// Older builds wrote a `<path>.snap` file beside the journal. The journal
+// alone is the recovery record now: whatever sits in that file — here
+// garbage — changes neither recovery nor a resume, and is left untouched.
+TEST(ScanJournal, StaleSnapshotFileIsIgnored) {
+  const std::string path = test_path("journal_stale_snap.bin");
+  const std::string snapshot = path + ".snap";
+  remove_journal(path);
+  {
+    ScanJournal journal;
+    JournalState fresh;
+    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
+    append_two_batches(journal);
+  }
+  const std::vector<std::uint8_t> garbage = {'H', 'S', 'J', 'S', 0xff, 0x00,
+                                             0x13, 0x37, 0xde, 0xad};
+  write_bytes(snapshot, "wb", garbage.data(), garbage.size());
+  JournalState state;
+  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
+  expect_two_batches(state);
+  {
+    ScanJournal journal;
+    JournalState recovered;
+    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/true, &recovered));
+    expect_two_batches(recovered);
+    ASSERT_TRUE(journal.append_batch(4, 6, 3, {1, 3}, {0},
+                                     {raster({0, 1, 0, 1})}));
+  }
+  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
+  EXPECT_EQ(state.windows_done, 6);
+  EXPECT_EQ(state.batches, 3);
+  EXPECT_EQ(state.entry_pixels[3], raster({0, 1, 0, 1}));
+  EXPECT_EQ(util::file_size_of(snapshot),
+            static_cast<std::int64_t>(garbage.size()));
+  std::remove(snapshot.c_str());
+  remove_journal(path);
 }
 
 TEST(ScanJournal, TornTailRecoversLongestValidPrefix) {
@@ -310,74 +354,6 @@ TEST(ScanJournal, BitFlipsNeverRecoverGarbage) {
   }
 }
 
-TEST(ScanJournal, ReplayAppliesOnlyRecordsPastTheSnapshot) {
-  const std::string path = test_path("journal_snapshot.bin");
-  remove_journal(path);
-  {
-    ScanJournal journal;
-    JournalState fresh;
-    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
-    append_two_batches(journal);
-    JournalState state;
-    ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-    ASSERT_TRUE(journal.write_snapshot(state));
-    // A third batch lands after the snapshot: recovery must start from the
-    // snapshot (skipping the two covered records) and replay just this one.
-    ASSERT_TRUE(journal.append_batch(4, 6, 3, {1, 3}, {0},
-                                     {raster({0, 1, 0, 1})}));
-  }
-  JournalState state;
-  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-  EXPECT_EQ(state.windows_done, 6);
-  EXPECT_EQ(state.batches, 3);
-  EXPECT_EQ(state.entry_count(), 4);
-  EXPECT_EQ(state.window_entry[4], 1);
-  EXPECT_EQ(state.window_entry[5], 3);
-  EXPECT_EQ(state.entry_verdicts[3], 0);
-  EXPECT_EQ(state.entry_pixels[3], raster({0, 1, 0, 1}));
-}
-
-TEST(ScanJournal, SnapshotAloneRecoversWhenJournalBodyIsGone) {
-  const std::string path = test_path("journal_snap_only.bin");
-  remove_journal(path);
-  std::int64_t header_size = 0;
-  {
-    ScanJournal journal;
-    JournalState fresh;
-    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
-    header_size = util::file_size_of(path);
-    append_two_batches(journal);
-    JournalState state;
-    ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-    ASSERT_TRUE(journal.write_snapshot(state));
-  }
-  // Truncate the journal back to just its header: every record is lost,
-  // only the snapshot remains.
-  ASSERT_TRUE(util::corrupt_truncate(path, header_size));
-  JournalState state;
-  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-  expect_two_batches(state);
-}
-
-TEST(ScanJournal, CorruptSnapshotFallsBackToJournalReplay) {
-  const std::string path = test_path("journal_bad_snap.bin");
-  remove_journal(path);
-  {
-    ScanJournal journal;
-    JournalState fresh;
-    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
-    append_two_batches(journal);
-    JournalState state;
-    ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-    ASSERT_TRUE(journal.write_snapshot(state));
-  }
-  const std::string snap = ScanJournal::snapshot_path(path);
-  ASSERT_TRUE(util::corrupt_flip_bit(snap, util::file_size_of(snap) / 2, 4));
-  JournalState state;
-  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
-  expect_two_batches(state);  // journal replay covers for the bad snapshot
-}
-
 TEST(ScanJournal, InjectedAppendFaultLeavesRecoverableTornTail) {
   util::ScopedFaultInjection guard;
   const std::string path = test_path("journal_fault.bin");
@@ -411,6 +387,76 @@ TEST(ScanJournal, BadMagicIsBadFormat) {
   JournalState state;
   EXPECT_EQ(ScanJournal::recover(path, test_meta(), &state).status,
             JournalStatus::kBadFormat);
+}
+
+// A record whose CRC holds but whose body breaks the format (here: its
+// second new entry carries verdict -5) ends replay without leaving any of
+// its fields behind, so the recovered window map, verdicts and rasters stay
+// the same length as the records that did apply.
+TEST(ScanJournal, MalformedRecordIsNotHalfApplied) {
+  const std::string path = test_path("journal_malformed.bin");
+  remove_journal(path);
+  {
+    ScanJournal journal;
+    JournalState fresh;
+    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
+    append_two_batches(journal);
+  }
+  util::ByteWriter payload;
+  payload.put(std::uint8_t{1})  // batch record
+      .put(std::int64_t{4})      // win_begin
+      .put(std::int64_t{6})      // win_end
+      .put(std::int64_t{3})      // base_entry
+      .put(std::uint32_t{2})     // new entries
+      .put(std::int64_t{3})
+      .put(std::int64_t{4})
+      .put(std::int32_t{1})
+      .put(std::uint8_t{0x0f})   // 2x2 raster, all set
+      .put(std::int32_t{-5})
+      .put(std::uint8_t{0x00});
+  util::ByteWriter frame;
+  frame.put(static_cast<std::uint32_t>(payload.size()))
+      .bytes(payload.data(), payload.size())
+      .put(util::crc32_of(payload.data(), payload.size()));
+  write_bytes(path, "ab", frame.data(), frame.size());
+  JournalState state;
+  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
+  expect_two_batches(state);
+  remove_journal(path);
+}
+
+// A resume never starts over on a damaged header: it reports the header's
+// typed status and leaves the file as it found it.
+TEST(ScanJournal, DamagedHeaderRefusesResumeWithItsStatus) {
+  const std::string path = test_path("journal_bad_header.bin");
+  std::int64_t header_size = 0;
+  const auto write_journal = [&] {
+    remove_journal(path);
+    ScanJournal journal;
+    JournalState fresh;
+    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
+    header_size = util::file_size_of(path);
+    append_two_batches(journal);
+  };
+  const auto expect_refused = [&](JournalStatus status, const char* damage) {
+    const std::int64_t size = util::file_size_of(path);
+    ScanJournal journal;
+    JournalState state;
+    EXPECT_EQ(journal.open(path, test_meta(), /*resume=*/true, &state).status,
+              status)
+        << damage;
+    EXPECT_FALSE(journal.is_open()) << damage;
+    EXPECT_EQ(state.windows_done, 0) << damage;
+    EXPECT_EQ(util::file_size_of(path), size) << damage;
+  };
+  write_journal();
+  ASSERT_TRUE(util::corrupt_truncate(path, header_size - 1));
+  expect_refused(JournalStatus::kTruncated, "torn header");
+  write_journal();
+  // The header's last four bytes are its CRC.
+  ASSERT_TRUE(util::corrupt_flip_bit(path, header_size - 1, 3));
+  expect_refused(JournalStatus::kCorrupt, "header CRC");
+  remove_journal(path);
 }
 
 TEST(ChipFingerprint, SensitiveToGeometryAndOrder) {

@@ -129,20 +129,6 @@ TEST(ScanPipeline, RepeatedTileChipHitsCacheHard) {
   EXPECT_GE(result.stats.dedup_hit_rate(), 0.5);
 }
 
-TEST(ScanPipeline, PipelinedAndSequentialAgree) {
-  const Pattern chip = build_chip(3, /*repeat_one_tile=*/false);
-  ScanConfig config = small_config();
-  config.pipelined = true;
-  ScanPipeline pipelined(config, density_classifier());
-  const ScanResult a = pipelined.scan(chip);
-  config.pipelined = false;
-  ScanPipeline sequential(config, density_classifier());
-  const ScanResult b = sequential.scan(chip);
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.stats.dedup_hits, b.stats.dedup_hits);
-  EXPECT_EQ(a.stats.batches, b.stats.batches);
-}
-
 TEST(ScanPipeline, DeterministicAtAnyThreadCount) {
   const Pattern chip = build_chip(3, /*repeat_one_tile=*/false);
   const ScanConfig config = small_config();

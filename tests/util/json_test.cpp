@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "support/test_support.h"
@@ -120,6 +121,20 @@ TEST(JsonEscape, ShortFormsAndPrintableBytesUnchanged) {
   EXPECT_EQ(json_escape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
   EXPECT_EQ(json_escape(std::string("\x00\x1f", 2)), "\\u0000\\u001f");
   EXPECT_EQ(json_escape("plain /path-1.bin \x7f"), "plain /path-1.bin \x7f");
+}
+
+TEST(JsonNumber, NineSignificantDigitsAndNonFiniteAsZero) {
+  EXPECT_EQ(json_number(0.0), "0");
+  EXPECT_EQ(json_number(-2.5), "-2.5");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.333333333");
+  EXPECT_EQ(json_number(123456789012.0), "1.23456789e+11");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(parse_json(json_number(6.02214076e23), doc, error)) << error;
+  EXPECT_DOUBLE_EQ(doc.as_number(), 6.02214076e23);
 }
 
 TEST(JsonParser, DeepNestingIsBounded) {
