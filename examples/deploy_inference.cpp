@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   if (const nn::LoadResult loaded = nn::load_checkpoint(model_path, model);
       !loaded.ok()) {
     std::fprintf(stderr, "error: cannot load checkpoint (%s): %s\n",
-                 nn::io_status_name(loaded.status), loaded.message.c_str());
-    if (loaded.status == nn::IoStatus::kMissing) {
+                 util::io_status_name(loaded.status), loaded.message.c_str());
+    if (loaded.status == util::IoStatus::kMissing) {
       std::fprintf(stderr, "Run ./quickstart first to train and save %s.\n",
                    model_path.c_str());
     }

@@ -1,6 +1,7 @@
 // Full-chip scan: the deployment workload the intro motivates — sweep a
 // trained detector over every clip window of a full layout and spend
-// lithography simulation only on the flagged regions (ODST, Eq. 3).
+// lithography simulation only on the flagged regions (ODST, Eq. 3). The
+// detector is a checkpoint saved by ./quickstart; nothing is trained here.
 //
 // Runs on the streaming scan subsystem (src/scan/): windows come from a
 // lazy ClipWindowStream instead of an eagerly materialized clip vector,
@@ -8,10 +9,13 @@
 // inference once, and rasterization of batch N+1 overlaps classification
 // of batch N on a double-buffered pipeline.
 //
-//   ./examples/full_chip_scan [tiles] [--stride <nm>] [--metrics-out <path>]
-//                             [--trace-out <path>] [--journal <path>]
-//                             [--resume] [--window-deadline-ms <ms>]
+//   ./examples/full_chip_scan <model.bin> [tiles] [--stride <nm>]
+//                             [--metrics-out <path>] [--trace-out <path>]
+//                             [--journal <path>] [--resume]
+//                             [--window-deadline-ms <ms>]
 //
+//   model.bin      compact 32 px BRNN checkpoint (./quickstart writes
+//                  quickstart_model.bin); a missing or damaged file exits 1
 //   tiles          chip edge length in pattern tiles (default 4, >= 1)
 //   --stride       scan stride in nm (default: clip size = non-overlapping;
 //                  halve it for an overlapping scan)
@@ -37,11 +41,12 @@
 #include <string>
 
 #include "cli_util.h"
-#include "core/bnn_detector.h"
+#include "core/brnn.h"
 #include "core/roofline.h"
 #include "dataset/generator.h"
 #include "eval/metrics.h"
 #include "litho/simulator.h"
+#include "nn/serialize.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -82,6 +87,8 @@ std::string iso_timestamp() {
 
 int main(int argc, char** argv) {
   using namespace hotspot::examples;
+  std::string model_path;
+  bool have_tiles = false;
   long tiles = 4;
   long stride_nm = 0;  // 0 = clip size (non-overlapping)
   long window_deadline_ms = 0;
@@ -124,11 +131,25 @@ int main(int argc, char** argv) {
         return usage_error("--trace-out requires a path", nullptr);
       }
       trace_out = argv[++i];
+    } else if (arg.rfind("--", 0) == 0) {
+      return usage_error("unknown flag", arg.c_str());
+    } else if (model_path.empty()) {
+      model_path = arg;
+    } else if (have_tiles) {
+      return usage_error("unexpected positional argument", arg.c_str());
     } else if (!parse_positive(arg.c_str(), 64, &tiles)) {
       // An unvalidated atoi here used to turn garbage (or "0") into an
       // empty chip and a divide-by-zero in the ODST printout.
       return usage_error("tiles must be an integer in [1, 64]", arg.c_str());
+    } else {
+      have_tiles = true;
     }
+  }
+  if (model_path.empty()) {
+    return usage_error(
+        "full_chip_scan needs <model.bin> (./quickstart writes "
+        "quickstart_model.bin)",
+        nullptr);
   }
   if (resume && journal_path.empty()) {
     return usage_error("--resume requires --journal", "--resume");
@@ -141,15 +162,23 @@ int main(int argc, char** argv) {
   }
   constexpr std::int64_t kImageSize = 32;
 
-  // Train on generated clips (same process parameters as the chip).
+  // The checkpoint format is strict about architecture: build the compact
+  // configuration quickstart trains, then load its weights.
+  util::Rng init_rng(0);
+  core::BrnnModel model(core::BrnnConfig::compact(kImageSize), init_rng);
+  if (const nn::LoadResult loaded = nn::load_checkpoint(model_path, model);
+      !loaded.ok()) {
+    std::fprintf(stderr, "error: cannot load checkpoint (%s): %s\n",
+                 util::io_status_name(loaded.status), loaded.message.c_str());
+    return kExitRuntime;
+  }
+  model.set_training(false);
+  std::printf("Loaded detector %s\n", model_path.c_str());
+
+  // The chip and the oracle use the process parameters of the generated
+  // benchmark quickstart trains on.
   const dataset::BenchmarkConfig config =
       dataset::iccad2012_config(0.04, kImageSize);
-  std::printf("Training the detector on %s...\n", "a generated benchmark");
-  const dataset::Benchmark bench = dataset::generate_benchmark(config);
-  core::BnnHotspotDetector detector(
-      core::BnnDetectorConfig::compact(kImageSize));
-  util::Rng rng(7);
-  detector.fit(bench.train, rng);
 
   // Build the chip and stream clip windows over it.
   util::Rng chip_rng(99);
@@ -165,7 +194,9 @@ int main(int argc, char** argv) {
   scan_config.window_deadline_ms = static_cast<int>(window_deadline_ms);
   scan_config.journal_path = journal_path;
   scan_config.resume = resume;
-  scan::ScanPipeline pipeline(scan_config, detector.classifier());
+  scan::ScanPipeline pipeline(
+      scan_config,
+      [&model](const tensor::Tensor& images) { return model.predict(images); });
   scan::ScanResult result;
   try {
     result = pipeline.scan(chip);
@@ -255,10 +286,10 @@ int main(int argc, char** argv) {
               10.0 * window_count);
 
   if (obs::trace_enabled()) {
-    // Per-layer roofline over everything traced so far (training + scan).
+    // Per-layer roofline over the scan's traced forwards.
     const core::RooflineReport roofline =
-        core::build_roofline(detector.model(), obs::collect_span_report());
-    std::printf("\nPer-layer roofline (all traced forwards):\n%s\n",
+        core::build_roofline(model, obs::collect_span_report());
+    std::printf("\nPer-layer roofline (scan forwards):\n%s\n",
                 core::to_table(roofline).c_str());
   }
 

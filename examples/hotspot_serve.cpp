@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
     };
     if (arg == "--port") {
       long port = 0;
-      if (!parse_long(next("--port"), 0, 65535, &port)) {
-        return usage_error("--port expects an integer in [0, 65535]",
-                           argv[i]);
+      const char* text = next("--port");
+      if (!parse_long(text, 0, 65535, &port)) {
+        return usage_error("--port expects an integer in [0, 65535]", text);
       }
       config.port = static_cast<int>(port);
     } else if (arg == "--port-file") {
@@ -118,32 +118,37 @@ int main(int argc, char** argv) {
       }
       state_path = value;
     } else if (arg == "--grid") {
-      if (!parse_positive(next("--grid"), 4096, &grid)) {
-        return usage_error("--grid expects an integer in [1, 4096]", argv[i]);
+      const char* text = next("--grid");
+      if (!parse_positive(text, 4096, &grid)) {
+        return usage_error("--grid expects an integer in [1, 4096]", text);
       }
     } else if (arg == "--max-batch") {
       long value = 0;
-      if (!parse_positive(next("--max-batch"), 1 << 20, &value)) {
-        return usage_error("--max-batch expects a positive integer", argv[i]);
+      const char* text = next("--max-batch");
+      if (!parse_positive(text, 1 << 20, &value)) {
+        return usage_error("--max-batch expects a positive integer", text);
       }
       config.batcher.max_batch_clips = static_cast<std::size_t>(value);
     } else if (arg == "--queue-cap") {
       long value = 0;
-      if (!parse_positive(next("--queue-cap"), 1 << 24, &value)) {
-        return usage_error("--queue-cap expects a positive integer", argv[i]);
+      const char* text = next("--queue-cap");
+      if (!parse_positive(text, 1 << 24, &value)) {
+        return usage_error("--queue-cap expects a positive integer", text);
       }
       config.batcher.max_queue_clips = static_cast<std::size_t>(value);
     } else if (arg == "--deadline-us") {
       long value = 0;
-      if (!parse_long(next("--deadline-us"), 0, 60'000'000, &value)) {
+      const char* text = next("--deadline-us");
+      if (!parse_long(text, 0, 60'000'000, &value)) {
         return usage_error("--deadline-us expects microseconds in [0, 6e7]",
-                           argv[i]);
+                           text);
       }
       config.batcher.batch_deadline = std::chrono::microseconds(value);
     } else if (arg == "--max-clips") {
       long value = 0;
-      if (!parse_positive(next("--max-clips"), 1 << 20, &value)) {
-        return usage_error("--max-clips expects a positive integer", argv[i]);
+      const char* text = next("--max-clips");
+      if (!parse_positive(text, 1 << 20, &value)) {
+        return usage_error("--max-clips expects a positive integer", text);
       }
       config.max_clips_per_request = static_cast<std::size_t>(value);
     } else if (arg == "--threads") {
@@ -152,8 +157,7 @@ int main(int argc, char** argv) {
       int threads = 0;
       const char* value = next("--threads");
       if (!util::parse_thread_count_strict(value, &threads)) {
-        return usage_error("--threads expects an integer in [1, 1024]",
-                           value != nullptr ? value : "<missing>");
+        return usage_error("--threads expects an integer in [1, 1024]", value);
       }
       util::set_parallel_threads(threads);
     } else if (arg == "--metrics-out") {
@@ -163,14 +167,16 @@ int main(int argc, char** argv) {
       }
       metrics_out = value;
     } else if (arg == "--stall-ms") {
-      if (!parse_long(next("--stall-ms"), 1, 60'000, &stall_ms)) {
+      const char* text = next("--stall-ms");
+      if (!parse_long(text, 1, 60'000, &stall_ms)) {
         return usage_error("--stall-ms expects milliseconds in [1, 60000]",
-                           argv[i]);
+                           text);
       }
     } else if (arg == "--admin-port") {
-      if (!parse_long(next("--admin-port"), 0, 65535, &admin_port)) {
+      const char* text = next("--admin-port");
+      if (!parse_long(text, 0, 65535, &admin_port)) {
         return usage_error("--admin-port expects an integer in [0, 65535]",
-                           argv[i]);
+                           text);
       }
     } else if (arg == "--admin-port-file") {
       const char* value = next("--admin-port-file");
@@ -180,30 +186,32 @@ int main(int argc, char** argv) {
       admin_port_file = value;
     } else if (arg == "--slo-p99-ms") {
       double value = 0.0;
-      if (!parse_positive_double(next("--slo-p99-ms"), &value)) {
-        return usage_error("--slo-p99-ms expects a positive number", argv[i]);
+      const char* text = next("--slo-p99-ms");
+      if (!parse_positive_double(text, &value)) {
+        return usage_error("--slo-p99-ms expects a positive number", text);
       }
       config.slo.p99_objective_seconds = value / 1000.0;
     } else if (arg == "--slo-availability") {
       double value = 0.0;
-      if (!parse_positive_double(next("--slo-availability"), &value) ||
-          value >= 1.0) {
+      const char* text = next("--slo-availability");
+      if (!parse_positive_double(text, &value) || value >= 1.0) {
         return usage_error("--slo-availability expects a value in (0, 1)",
-                           argv[i]);
+                           text);
       }
       config.slo.availability_objective = value;
     } else if (arg == "--slo-window-s") {
       long value = 0;
-      if (!parse_positive(next("--slo-window-s"), 86'400, &value)) {
+      const char* text = next("--slo-window-s");
+      if (!parse_positive(text, 86'400, &value)) {
         return usage_error("--slo-window-s expects seconds in [1, 86400]",
-                           argv[i]);
+                           text);
       }
       config.slo.window_seconds = static_cast<std::size_t>(value);
     } else if (arg == "--flight-size") {
       long value = 0;
-      if (!parse_positive(next("--flight-size"), 1 << 20, &value)) {
-        return usage_error("--flight-size expects a positive integer",
-                           argv[i]);
+      const char* text = next("--flight-size");
+      if (!parse_positive(text, 1 << 20, &value)) {
+        return usage_error("--flight-size expects a positive integer", text);
       }
       config.flight_recorder_capacity = static_cast<std::size_t>(value);
     } else if (arg == "--flight-dump") {

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   if (const nn::SaveResult saved = nn::save_checkpoint(path, detector.model());
       !saved.ok()) {
     std::fprintf(stderr, "error: failed to save model (%s): %s\n",
-                 nn::io_status_name(saved.status), saved.message.c_str());
+                 util::io_status_name(saved.status), saved.message.c_str());
     return kExitRuntime;
   }
   std::printf("\nSaved trained model to %s (run ./deploy_inference next).\n",

@@ -136,31 +136,34 @@ int main(int argc, char** argv) {
       }
       host = value;
     } else if (arg == "--clients") {
-      if (!parse_positive(next(), 4096, &clients)) {
-        return usage_error("--clients expects an integer in [1, 4096]",
-                           argv[i]);
+      const char* text = next();
+      if (!parse_positive(text, 4096, &clients)) {
+        return usage_error("--clients expects an integer in [1, 4096]", text);
       }
     } else if (arg == "--requests") {
-      if (!parse_positive(next(), 1'000'000, &requests)) {
-        return usage_error("--requests expects a positive integer", argv[i]);
+      const char* text = next();
+      if (!parse_positive(text, 1'000'000, &requests)) {
+        return usage_error("--requests expects a positive integer", text);
       }
     } else if (arg == "--clips") {
-      if (!parse_positive(next(), 1 << 20, &clips)) {
-        return usage_error("--clips expects a positive integer", argv[i]);
+      const char* text = next();
+      if (!parse_positive(text, 1 << 20, &clips)) {
+        return usage_error("--clips expects a positive integer", text);
       }
     } else if (arg == "--grid") {
-      if (!parse_positive(next(), 4096, &grid)) {
-        return usage_error("--grid expects an integer in [1, 4096]", argv[i]);
+      const char* text = next();
+      if (!parse_positive(text, 4096, &grid)) {
+        return usage_error("--grid expects an integer in [1, 4096]", text);
       }
     } else if (arg == "--seed") {
-      if (!parse_positive(next(), 1L << 30, &seed)) {
-        return usage_error("--seed expects a positive integer", argv[i]);
+      const char* text = next();
+      if (!parse_positive(text, 1L << 30, &seed)) {
+        return usage_error("--seed expects a positive integer", text);
       }
     } else if (arg == "--tenant") {
       const char* value = next();
       if (value == nullptr || !serve::valid_tenant(value)) {
-        return usage_error("--tenant expects [A-Za-z0-9_.-]{1,32}",
-                           value != nullptr ? value : "<missing>");
+        return usage_error("--tenant expects [A-Za-z0-9_.-]{1,32}", value);
       }
       tenant = value;
     } else if (arg == "--ping") {
@@ -177,18 +180,19 @@ int main(int argc, char** argv) {
       swap_path = value;
       mode = Mode::kSwap;
     } else if (arg == "--swap-grid") {
-      if (!parse_positive(next(), 4096, &swap_grid)) {
-        return usage_error("--swap-grid expects an integer in [1, 4096]",
-                           argv[i]);
+      const char* text = next();
+      if (!parse_positive(text, 4096, &swap_grid)) {
+        return usage_error("--swap-grid expects an integer in [1, 4096]", text);
       }
     } else if (arg == "--stats") {
       mode = Mode::kStats;
     } else if (arg == "--shutdown") {
       mode = Mode::kShutdown;
     } else if (arg == "--admin-port") {
-      if (!parse_positive(next(), 65535, &admin_port)) {
+      const char* text = next();
+      if (!parse_positive(text, 65535, &admin_port)) {
         return usage_error("--admin-port expects an integer in [1, 65535]",
-                           argv[i]);
+                           text);
       }
     } else if (arg.rfind("--", 0) == 0) {
       return usage_error("unknown flag", arg.c_str());

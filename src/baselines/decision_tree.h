@@ -29,7 +29,6 @@ class DecisionTree {
                         const std::vector<double>& weights) const;
 
   bool fitted() const { return !nodes_.empty(); }
-  std::size_t node_count() const { return nodes_.size(); }
 
  private:
   struct Node {

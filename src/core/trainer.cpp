@@ -9,7 +9,6 @@
 #include "tensor/tensor_ops.h"
 #include "util/bytes.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace hotspot::core {
@@ -182,7 +181,7 @@ nn::LoadResult read_snapshot(const std::string& path,
   nn::LoadResult result = nn::load_archive(path, into, &blobs);
   if (result.ok() && !decode_trainer_state(blobs[0].bytes, state)) {
     result = nn::LoadResult::failure(
-        nn::IoStatus::kCorrupt, path + ": undecodable trainer state blob");
+        util::IoStatus::kCorrupt, path + ": undecodable trainer state blob");
   }
   return result;
 }
@@ -376,7 +375,7 @@ nn::LoadResult Trainer::resume_from(const std::string& path) {
   if (state.history.size() >
       static_cast<std::size_t>(config_.epochs + config_.finetune_epochs)) {
     return nn::LoadResult::failure(
-        nn::IoStatus::kShapeMismatch,
+        util::IoStatus::kMismatch,
         path + ": checkpoint has more epochs than the configured schedule");
   }
 
@@ -530,22 +529,10 @@ std::vector<int> predict_labels(nn::Module& model,
                                          all.begin() + end);
     const tensor::Tensor logits =
         model.forward(batch_builder(data, batch, nullptr));
-    // Per-sample argmax; each chunk writes its own slice of `labels`.
-    const std::int64_t classes = logits.dim(1);
-    util::parallel_for(
-        0, logits.dim(0), /*grain=*/64, [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t row = lo; row < hi; ++row) {
-            const float* logit_row = logits.data() + row * classes;
-            std::int64_t best = 0;
-            for (std::int64_t c = 1; c < classes; ++c) {
-              if (logit_row[c] > logit_row[best]) {
-                best = c;
-              }
-            }
-            labels[begin + static_cast<std::size_t>(row)] =
-                static_cast<int>(best);
-          }
-        });
+    const std::vector<std::int64_t> best = tensor::argmax_rows(logits);
+    for (std::size_t row = 0; row < best.size(); ++row) {
+      labels[begin + row] = static_cast<int>(best[row]);
+    }
   }
   return labels;
 }

@@ -16,14 +16,6 @@ Rect intersect(const Rect& a, const Rect& b) {
   return result;
 }
 
-bool overlaps(const Rect& a, const Rect& b) {
-  return a.x0 < b.x1 && b.x0 < a.x1 && a.y0 < b.y1 && b.y0 < a.y1;
-}
-
-bool touches(const Rect& a, const Rect& b) {
-  return a.x0 <= b.x1 && b.x0 <= a.x1 && a.y0 <= b.y1 && b.y0 <= a.y1;
-}
-
 Rect bounding_box(const Rect& a, const Rect& b) {
   if (a.empty()) {
     return b;
@@ -92,37 +84,6 @@ Pattern Pattern::clipped_to(const Rect& window) const {
     }
   }
   return result;
-}
-
-int Pattern::connected_component_count() const {
-  // Union-find over rects with touch adjacency; rect counts per clip are
-  // small (tens), so the quadratic pass is fine.
-  const std::size_t n = rects_.size();
-  std::vector<std::size_t> parent(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    parent[i] = i;
-  }
-  auto find = [&](std::size_t i) {
-    while (parent[i] != i) {
-      parent[i] = parent[parent[i]];
-      i = parent[i];
-    }
-    return i;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (touches(rects_[i], rects_[j])) {
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-  int components = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (find(i) == i) {
-      ++components;
-    }
-  }
-  return components;
 }
 
 }  // namespace hotspot::layout

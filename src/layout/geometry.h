@@ -34,12 +34,6 @@ struct Rect {
 // Intersection (possibly empty).
 Rect intersect(const Rect& a, const Rect& b);
 
-// True when the rects share interior area.
-bool overlaps(const Rect& a, const Rect& b);
-
-// True when the rects overlap or abut (share an edge or corner).
-bool touches(const Rect& a, const Rect& b);
-
 // Smallest rect containing both.
 Rect bounding_box(const Rect& a, const Rect& b);
 
@@ -70,10 +64,6 @@ class Pattern {
   // Keeps only the parts inside `window`, translated so the window's origin
   // becomes (0,0).
   Pattern clipped_to(const Rect& window) const;
-
-  // Number of connected groups of touching rects (the distinct drawn
-  // shapes); used by the lithography oracle to detect bridges.
-  int connected_component_count() const;
 
  private:
   std::vector<Rect> rects_;

@@ -68,34 +68,6 @@ tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
   return coverage;
 }
 
-tensor::Tensor downsample_binary(const tensor::Tensor& image,
-                                 std::int64_t target) {
-  HOTSPOT_CHECK_EQ(image.rank(), 2);
-  HOTSPOT_CHECK_GT(target, 0);
-  const std::int64_t h = image.dim(0);
-  const std::int64_t w = image.dim(1);
-  HOTSPOT_CHECK_EQ(h % target, 0)
-      << "height " << h << " not divisible by " << target;
-  HOTSPOT_CHECK_EQ(w % target, 0)
-      << "width " << w << " not divisible by " << target;
-  const std::int64_t by = h / target;
-  const std::int64_t bx = w / target;
-  const auto block = static_cast<float>(by * bx);
-  tensor::Tensor out({target, target});
-  for (std::int64_t ty = 0; ty < target; ++ty) {
-    for (std::int64_t tx = 0; tx < target; ++tx) {
-      float total = 0.0f;
-      for (std::int64_t y = 0; y < by; ++y) {
-        for (std::int64_t x = 0; x < bx; ++x) {
-          total += image.at2(ty * by + y, tx * bx + x);
-        }
-      }
-      out.at2(ty, tx) = (total / block) >= 0.5f ? 1.0f : 0.0f;
-    }
-  }
-  return out;
-}
-
 tensor::Tensor flip_horizontal(const tensor::Tensor& image) {
   HOTSPOT_CHECK_EQ(image.rank(), 2);
   const std::int64_t h = image.dim(0);

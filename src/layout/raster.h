@@ -1,5 +1,5 @@
-// Rasterization of Manhattan patterns to pixel grids, plus the image-level
-// preprocessing of Sec. 3.4.1 (down-sampling and flips).
+// Rasterization of Manhattan patterns to pixel grids, plus the image flips
+// of the Sec. 3.4.1 augmentation.
 #pragma once
 
 #include "layout/geometry.h"
@@ -16,12 +16,6 @@ tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
 // Coverage raster thresholded at 0.5 into a binary {0,1} image.
 tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
                                 std::int64_t grid);
-
-// Box down-sampling of a [H,W] image to [target,target]; H and W must be
-// multiples of target. Averages then thresholds at 0.5, keeping the result
-// binary (the paper feeds down-sampled binary images directly).
-tensor::Tensor downsample_binary(const tensor::Tensor& image,
-                                 std::int64_t target);
 
 // Horizontal / vertical mirror of a [H,W] image (training augmentation).
 tensor::Tensor flip_horizontal(const tensor::Tensor& image);

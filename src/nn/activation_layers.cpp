@@ -1,10 +1,5 @@
 #include "nn/activation_layers.h"
 
-#include <cmath>
-#include <sstream>
-
-#include "tensor/tensor_ops.h"
-
 namespace hotspot::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
@@ -25,23 +20,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor SignSTE::forward(const Tensor& input) {
-  cached_input_ = input;
-  return tensor::sign(input);
-}
-
-Tensor SignSTE::backward(const Tensor& grad_output) {
-  HOTSPOT_CHECK(grad_output.same_shape(cached_input_));
-  Tensor grad_input(grad_output.shape());
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
-    // Straight-through with saturation: pass the gradient only where the
-    // pre-binarization activation lies in (-1, 1).
-    grad_input[i] =
-        std::fabs(cached_input_[i]) < 1.0f ? grad_output[i] : 0.0f;
-  }
-  return grad_input;
-}
-
 Tensor Flatten::forward(const Tensor& input) {
   cached_input_shape_ = input.shape();
   HOTSPOT_CHECK_GE(input.rank(), 2);
@@ -51,42 +29,6 @@ Tensor Flatten::forward(const Tensor& input) {
 
 Tensor Flatten::backward(const Tensor& grad_output) {
   return grad_output.reshaped(cached_input_shape_);
-}
-
-Dropout::Dropout(float drop_probability, util::Rng& rng)
-    : drop_probability_(drop_probability), rng_(rng.fork(0x44524f50)) {
-  HOTSPOT_CHECK(drop_probability >= 0.0f && drop_probability < 1.0f)
-      << "drop probability " << drop_probability;
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!training_ || drop_probability_ == 0.0f) {
-    cached_mask_ = Tensor();
-    return input;
-  }
-  const float keep = 1.0f - drop_probability_;
-  cached_mask_ = Tensor(input.shape());
-  Tensor output(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float mask =
-        rng_.bernoulli(static_cast<double>(keep)) ? 1.0f / keep : 0.0f;
-    cached_mask_[i] = mask;
-    output[i] = input[i] * mask;
-  }
-  return output;
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (cached_mask_.numel() == 0) {
-    return grad_output;
-  }
-  return tensor::mul(grad_output, cached_mask_);
-}
-
-std::string Dropout::name() const {
-  std::ostringstream out;
-  out << "Dropout(p=" << drop_probability_ << ")";
-  return out.str();
 }
 
 }  // namespace hotspot::nn

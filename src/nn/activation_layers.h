@@ -1,9 +1,7 @@
-// Pointwise layers: ReLU, the straight-through-estimator sign layer
-// (Eq. 10-11), Flatten, and Dropout.
+// Pointwise layers: ReLU and Flatten.
 #pragma once
 
 #include "nn/module.h"
-#include "util/rng.h"
 
 namespace hotspot::nn {
 
@@ -12,18 +10,6 @@ class ReLU : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
-
- private:
-  Tensor cached_input_;
-};
-
-// y = sign(x) in {-1,+1}; backward uses the straight-through estimator with
-// saturation, d sign(x)/dx := 1_{|x| < 1} (paper Eq. 10-11).
-class SignSTE : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "SignSTE"; }
 
  private:
   Tensor cached_input_;
@@ -38,22 +24,6 @@ class Flatten : public Module {
 
  private:
   tensor::Shape cached_input_shape_;
-};
-
-// Inverted dropout. The paper does not use dropout (Sec. 3.4.2, following
-// ResNet); the layer exists for the baselines and ablations.
-class Dropout : public Module {
- public:
-  Dropout(float drop_probability, util::Rng& rng);
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override;
-
- private:
-  float drop_probability_;
-  util::Rng rng_;
-  Tensor cached_mask_;
 };
 
 }  // namespace hotspot::nn

@@ -26,12 +26,4 @@ tensor::Tensor xavier_uniform(tensor::Shape shape, std::int64_t fan_in,
                                  static_cast<float>(bound));
 }
 
-tensor::Tensor kaiming_normal(tensor::Shape shape, std::int64_t fan_in,
-                              util::Rng& rng) {
-  HOTSPOT_CHECK_GT(fan_in, 0);
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  return tensor::Tensor::normal(std::move(shape), rng, 0.0f,
-                                static_cast<float>(stddev));
-}
-
 }  // namespace hotspot::nn

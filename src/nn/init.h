@@ -10,11 +10,6 @@ namespace hotspot::nn {
 tensor::Tensor xavier_uniform(tensor::Shape shape, std::int64_t fan_in,
                               std::int64_t fan_out, util::Rng& rng);
 
-// Kaiming/He normal: N(0, sqrt(2 / fan_in)); provided for the float CNN
-// baseline.
-tensor::Tensor kaiming_normal(tensor::Shape shape, std::int64_t fan_in,
-                              util::Rng& rng);
-
 // Fan-in / fan-out for a conv weight [Cout, Cin, kh, kw] or linear
 // [out, in].
 std::pair<std::int64_t, std::int64_t> compute_fans(const tensor::Shape& shape);

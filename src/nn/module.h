@@ -72,7 +72,7 @@ class Module {
   // Layer type plus salient dimensions, for architecture tables.
   virtual std::string name() const = 0;
 
-  // Training vs. inference mode (batch norm statistics, dropout). Writes
+  // Training vs. inference mode (batch norm statistics). Writes
   // nothing when the mode is unchanged, so concurrent inference callers
   // that defensively request eval mode never race on the flag.
   virtual void set_training(bool training) {

@@ -4,24 +4,6 @@
 
 namespace hotspot::nn {
 
-AvgPool2d::AvgPool2d(std::int64_t window, std::int64_t stride)
-    : spec_{window, stride > 0 ? stride : window} {}
-
-Tensor AvgPool2d::forward(const Tensor& input) {
-  cached_input_shape_ = input.shape();
-  return tensor::avg_pool2d(input, spec_);
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  return tensor::avg_pool2d_backward(grad_output, cached_input_shape_, spec_);
-}
-
-std::string AvgPool2d::name() const {
-  std::ostringstream out;
-  out << "AvgPool2d(w" << spec_.window << ", s" << spec_.stride << ")";
-  return out.str();
-}
-
 MaxPool2d::MaxPool2d(std::int64_t window, std::int64_t stride)
     : spec_{window, stride > 0 ? stride : window} {}
 

@@ -6,19 +6,6 @@
 
 namespace hotspot::nn {
 
-class AvgPool2d : public Module {
- public:
-  explicit AvgPool2d(std::int64_t window, std::int64_t stride = -1);
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override;
-
- private:
-  tensor::PoolSpec spec_;
-  tensor::Shape cached_input_shape_;
-};
-
 class MaxPool2d : public Module {
  public:
   explicit MaxPool2d(std::int64_t window, std::int64_t stride = -1);

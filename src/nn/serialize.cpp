@@ -14,6 +14,9 @@
 #include "util/fault_injection.h"
 
 namespace hotspot::nn {
+
+using util::IoStatus;
+
 namespace {
 
 constexpr std::uint32_t kMagic = 0x48535054;  // "HSPT"
@@ -212,26 +215,6 @@ LoadResult read_shape(ArchiveReader& reader, const std::string& path,
 
 }  // namespace
 
-const char* io_status_name(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kMissing:
-      return "missing";
-    case IoStatus::kTruncated:
-      return "truncated";
-    case IoStatus::kCorrupt:
-      return "corrupt";
-    case IoStatus::kBadFormat:
-      return "bad-format";
-    case IoStatus::kShapeMismatch:
-      return "shape-mismatch";
-    case IoStatus::kWriteFailed:
-      return "write-failed";
-  }
-  return "unknown";
-}
-
 SaveResult save_archive(const std::string& path,
                         const std::vector<NamedTensor>& tensors,
                         const std::vector<NamedBlob>& blobs) {
@@ -318,13 +301,13 @@ LoadResult load_archive(const std::string& path,
     std::ostringstream detail;
     detail << "tensor count mismatch (file " << tensor_count << ", model "
            << tensors.size() << ")";
-    return fail(IoStatus::kShapeMismatch, path, detail.str());
+    return fail(IoStatus::kMismatch, path, detail.str());
   }
   if (blobs != nullptr && blob_count != blobs->size()) {
     std::ostringstream detail;
     detail << "blob count mismatch (file " << blob_count << ", expected "
            << blobs->size() << ")";
-    return fail(IoStatus::kShapeMismatch, path, detail.str());
+    return fail(IoStatus::kMismatch, path, detail.str());
   }
 
   for (const auto& entry : tensors) {
@@ -333,7 +316,7 @@ LoadResult load_archive(const std::string& path,
       return result;
     }
     if (name != entry.name) {
-      return fail(IoStatus::kShapeMismatch, path,
+      return fail(IoStatus::kMismatch, path,
                   "expected tensor '" + entry.name + "', found '" + name + "'");
     }
     tensor::Shape shape;
@@ -343,7 +326,7 @@ LoadResult load_archive(const std::string& path,
       return result;
     }
     if (shape != entry.value->shape()) {
-      return fail(IoStatus::kShapeMismatch, path,
+      return fail(IoStatus::kMismatch, path,
                   "shape mismatch for '" + name + "': file " +
                       tensor::shape_to_string(shape) + " vs model " +
                       tensor::shape_to_string(entry.value->shape()));
@@ -404,7 +387,7 @@ LoadResult load_archive(const std::string& path,
     }
     NamedBlob& expected = (*blobs)[index];
     if (name != expected.name) {
-      return fail(IoStatus::kShapeMismatch, path,
+      return fail(IoStatus::kMismatch, path,
                   "expected blob '" + expected.name + "', found '" + name +
                       "'");
     }

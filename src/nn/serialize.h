@@ -33,40 +33,15 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "util/atomic_file.h"
 
 namespace hotspot::nn {
 
-// Why an I/O operation failed; lets callers distinguish "no checkpoint yet"
-// from "checkpoint damaged" from "wrong architecture".
-enum class IoStatus {
-  kOk = 0,
-  kMissing,        // file does not exist / cannot be opened
-  kTruncated,      // file ends before the data it declares
-  kCorrupt,        // CRC mismatch, implausible field, or trailing bytes
-  kBadFormat,      // not an HSPT archive / unsupported version
-  kShapeMismatch,  // tensor names/shapes do not match the target model
-  kWriteFailed,    // write, flush, or rename failed (or was fault-injected)
-};
-
-const char* io_status_name(IoStatus status);
-
-// Typed result for checkpoint I/O. Converts to bool (true = success) so
-// existing `if (!load_checkpoint(...))` call sites keep working.
-struct IoResult {
-  IoStatus status = IoStatus::kOk;
-  std::string message;  // human-readable detail for logs / CLI errors
-
-  bool ok() const { return status == IoStatus::kOk; }
-  explicit operator bool() const { return ok(); }
-
-  static IoResult success() { return {}; }
-  static IoResult failure(IoStatus status, std::string message) {
-    return {status, std::move(message)};
-  }
-};
-
-using LoadResult = IoResult;
-using SaveResult = IoResult;
+// Checkpoint I/O reports through util::IoResult (util/atomic_file.h):
+// kMissing = no checkpoint yet, kTruncated/kCorrupt/kBadFormat = damaged,
+// kMismatch = tensor names/shapes do not match the target model.
+using LoadResult = util::IoResult;
+using SaveResult = util::IoResult;
 
 // An opaque named byte payload stored alongside tensors (optimizer moments
 // metadata, RNG state, epoch counters, ...).

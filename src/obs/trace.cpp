@@ -126,17 +126,9 @@ void set_timeline_enabled(bool enabled) {
   g_timeline_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-bool timeline_enabled() {
-  return g_timeline_enabled.load(std::memory_order_relaxed);
-}
-
 void set_timeline_capacity(std::size_t events_per_thread) {
   g_timeline_capacity.store(std::max<std::size_t>(1, events_per_thread),
                             std::memory_order_relaxed);
-}
-
-std::size_t timeline_capacity() {
-  return g_timeline_capacity.load(std::memory_order_relaxed);
 }
 
 TimelineReport collect_timeline() {

@@ -50,13 +50,11 @@ bool trace_enabled();
 // aggregates. Only takes effect while tracing is enabled. Enabling captures
 // the timestamp epoch all events are reported relative to.
 void set_timeline_enabled(bool enabled);
-bool timeline_enabled();
 
 // Per-thread event ring capacity (default 65536 events/thread). Applies to
 // rings allocated after the call; call reset_timeline() afterwards to force
 // existing threads to re-allocate at the new capacity. Clamped to >= 1.
 void set_timeline_capacity(std::size_t events_per_thread);
-std::size_t timeline_capacity();
 
 struct TimelineEvent {
   std::string name;
@@ -76,7 +74,8 @@ struct TimelineReport {
 TimelineReport collect_timeline();
 
 // Clears all recorded events and drop counters. Rings re-allocate lazily at
-// the current timeline_capacity() on the next recorded event.
+// the capacity last set by set_timeline_capacity() on the next recorded
+// event.
 void reset_timeline();
 
 // Ring occupancy without copying events: how many events are currently

@@ -18,6 +18,8 @@ constexpr std::uint8_t kRecordBatch = 1;
 
 using util::ByteReader;
 using util::ByteWriter;
+using util::IoResult;
+using util::IoStatus;
 
 std::int64_t packed_raster_bytes(std::int64_t grid) {
   return static_cast<std::int64_t>(
@@ -64,8 +66,8 @@ std::size_t header_size() {
 }
 
 // Validates the header_size() bytes at `header` against `expected`.
-JournalResult check_header(const std::uint8_t* header, const std::string& path,
-                           const JournalMeta& expected) {
+IoResult check_header(const std::uint8_t* header, const std::string& path,
+                      const JournalMeta& expected) {
   ByteReader reader(header, header_size());
   std::uint32_t file_magic = 0;
   std::uint32_t version = 0;
@@ -88,24 +90,24 @@ JournalResult check_header(const std::uint8_t* header, const std::string& path,
   reader.read(&meta.dedup_max_bytes);
   reader.read(&crc);
   if (file_magic != kJournalMagic) {
-    return JournalResult::failure(JournalStatus::kBadFormat,
-                                  path + ": not a scan journal (bad magic)");
+    return IoResult::failure(IoStatus::kBadFormat,
+                             path + ": not a scan journal (bad magic)");
   }
   if (version != kFormatVersion) {
-    return JournalResult::failure(
-        JournalStatus::kBadFormat,
+    return IoResult::failure(
+        IoStatus::kBadFormat,
         path + ": unsupported journal version " + std::to_string(version));
   }
   if (crc != util::crc32_of(header, header_size() - sizeof(crc))) {
-    return JournalResult::failure(JournalStatus::kCorrupt,
-                                  path + ": header CRC mismatch");
+    return IoResult::failure(IoStatus::kCorrupt,
+                             path + ": header CRC mismatch");
   }
   if (meta != expected) {
-    return JournalResult::failure(
-        JournalStatus::kMismatch,
+    return IoResult::failure(
+        IoStatus::kMismatch,
         path + ": journal belongs to a different chip or scan config");
   }
-  return JournalResult::success();
+  return IoResult::success();
 }
 
 // Reads `size` bytes from `file`, false on short read.
@@ -221,20 +223,20 @@ std::int64_t replay_records(std::FILE* file, const JournalMeta& meta,
 }
 
 // Replays the journal into `state` and reports where its valid prefix ends.
-JournalResult recover_state(const std::string& path, const JournalMeta& meta,
-                            JournalState& state, std::int64_t& valid_end) {
+IoResult recover_state(const std::string& path, const JournalMeta& meta,
+                       JournalState& state, std::int64_t& valid_end) {
   state = JournalState{};
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
-    return JournalResult::failure(JournalStatus::kMissing,
-                                  path + ": no journal to resume");
+    return IoResult::failure(IoStatus::kMissing,
+                             path + ": no journal to resume");
   }
   std::vector<std::uint8_t> header_bytes(header_size());
-  const JournalResult header =
+  const IoResult header =
       read_exact(file, header_bytes.data(), header_bytes.size())
           ? check_header(header_bytes.data(), path, meta)
-          : JournalResult::failure(JournalStatus::kTruncated,
-                                   path + ": header is truncated");
+          : IoResult::failure(IoStatus::kTruncated,
+                              path + ": header is truncated");
   if (header.ok()) {
     valid_end = replay_records(file, meta, state);
   }
@@ -243,26 +245,6 @@ JournalResult recover_state(const std::string& path, const JournalMeta& meta,
 }
 
 }  // namespace
-
-const char* journal_status_name(JournalStatus status) {
-  switch (status) {
-    case JournalStatus::kOk:
-      return "ok";
-    case JournalStatus::kMissing:
-      return "missing";
-    case JournalStatus::kTruncated:
-      return "truncated";
-    case JournalStatus::kCorrupt:
-      return "corrupt";
-    case JournalStatus::kBadFormat:
-      return "bad-format";
-    case JournalStatus::kMismatch:
-      return "mismatch";
-    case JournalStatus::kWriteFailed:
-      return "write-failed";
-  }
-  return "unknown";
-}
 
 bool JournalMeta::operator==(const JournalMeta& other) const {
   return chip_fingerprint == other.chip_fingerprint &&
@@ -293,9 +275,8 @@ std::uint64_t chip_fingerprint(const layout::Pattern& chip) {
   return hash;
 }
 
-JournalResult ScanJournal::open(const std::string& path,
-                                const JournalMeta& meta, bool resume,
-                                JournalState* recovered) {
+IoResult ScanJournal::open(const std::string& path, const JournalMeta& meta,
+                           bool resume, JournalState* recovered) {
   HOTSPOT_CHECK(recovered != nullptr) << "open needs a recovery target";
   close();
   path_ = path;
@@ -304,55 +285,54 @@ JournalResult ScanJournal::open(const std::string& path,
 
   if (resume) {
     std::int64_t valid_end = 0;
-    const JournalResult result =
-        recover_state(path, meta, *recovered, valid_end);
+    const IoResult result = recover_state(path, meta, *recovered, valid_end);
     if (!result.ok()) {
       return result;
     }
     // Drop any torn tail so new records append at a clean frame boundary.
     const std::int64_t size = util::file_size_of(path);
     if (size > valid_end && !util::corrupt_truncate(path, valid_end)) {
-      return JournalResult::failure(
-          JournalStatus::kWriteFailed,
+      return IoResult::failure(
+          IoStatus::kWriteFailed,
           path + ": cannot truncate torn journal tail");
     }
     file_ = std::fopen(path.c_str(), "ab");
     if (file_ == nullptr) {
-      return JournalResult::failure(JournalStatus::kWriteFailed,
-                                    path + ": cannot open for appending");
+      return IoResult::failure(IoStatus::kWriteFailed,
+                               path + ": cannot open for appending");
     }
-    return JournalResult::success();
+    return IoResult::success();
   }
 
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path + ": cannot open for writing");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path + ": cannot open for writing");
   }
   const std::vector<std::uint8_t> header = encode_header(meta);
   if (util::fault_should_fail(util::FaultPoint::kJournalWrite) ||
       std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     close();
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path + ": journal header write failed");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path + ": journal header write failed");
   }
   if (util::fault_should_fail(util::FaultPoint::kJournalFlush) ||
       std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
     close();
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path + ": journal header flush failed");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path + ": journal header flush failed");
   }
-  return JournalResult::success();
+  return IoResult::success();
 }
 
-JournalResult ScanJournal::append_batch(
+IoResult ScanJournal::append_batch(
     std::int64_t win_begin, std::int64_t win_end, std::int64_t base_entry,
     const std::vector<std::int64_t>& window_entries,
     const std::vector<std::int32_t>& verdicts,
     const std::vector<RasterKey>& pixels) {
   if (file_ == nullptr) {
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path_ + ": journal is not open");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path_ + ": journal is not open");
   }
   HOTSPOT_CHECK_EQ(static_cast<std::int64_t>(window_entries.size()),
                    win_end - win_begin)
@@ -388,23 +368,23 @@ JournalResult ScanJournal::append_batch(
     std::fwrite(frame.data(), 1, frame.size() / 2, file_);
     std::fflush(file_);
     close();
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path_ + ": injected journal write fault");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path_ + ": injected journal write fault");
   }
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
     close();
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path_ + ": journal append failed");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path_ + ": journal append failed");
   }
   if (util::fault_should_fail(util::FaultPoint::kJournalFlush)) {
     close();
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path_ + ": injected journal flush fault");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path_ + ": injected journal flush fault");
   }
   if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
     close();
-    return JournalResult::failure(JournalStatus::kWriteFailed,
-                                  path_ + ": journal flush/fsync failed");
+    return IoResult::failure(IoStatus::kWriteFailed,
+                             path_ + ": journal flush/fsync failed");
   }
   static obs::Histogram& append_seconds =
       obs::MetricsRegistry::global().histogram("scan.journal.append_seconds",
@@ -413,7 +393,7 @@ JournalResult ScanJournal::append_batch(
       "scan.journal.bytes_written");
   append_seconds.observe(append_timer.seconds());
   bytes_written.increment(frame.size());
-  return JournalResult::success();
+  return IoResult::success();
 }
 
 void ScanJournal::close() {
@@ -423,9 +403,8 @@ void ScanJournal::close() {
   }
 }
 
-JournalResult ScanJournal::recover(const std::string& path,
-                                   const JournalMeta& meta,
-                                   JournalState* state) {
+IoResult ScanJournal::recover(const std::string& path,
+                              const JournalMeta& meta, JournalState* state) {
   HOTSPOT_CHECK(state != nullptr) << "recover needs a target";
   std::int64_t valid_end = 0;
   return recover_state(path, meta, *state, valid_end);

@@ -37,35 +37,9 @@
 
 #include "layout/geometry.h"
 #include "scan/dedup_cache.h"
+#include "util/atomic_file.h"
 
 namespace hotspot::scan {
-
-// Why a journal operation failed; mirrors nn::IoStatus but stays
-// scan-local so the scan layer does not depend on nn.
-enum class JournalStatus {
-  kOk = 0,
-  kMissing,      // journal file does not exist / cannot be opened
-  kTruncated,    // header ends before the data it declares
-  kCorrupt,      // header CRC mismatch or implausible field
-  kBadFormat,    // not an HSJL journal / unsupported version
-  kMismatch,     // journal belongs to a different chip or scan config
-  kWriteFailed,  // append, flush, or fsync failed
-};
-
-const char* journal_status_name(JournalStatus status);
-
-struct JournalResult {
-  JournalStatus status = JournalStatus::kOk;
-  std::string message;
-
-  bool ok() const { return status == JournalStatus::kOk; }
-  explicit operator bool() const { return ok(); }
-
-  static JournalResult success() { return {}; }
-  static JournalResult failure(JournalStatus status, std::string message) {
-    return {status, std::move(message)};
-  }
-};
 
 // Identity of a scan: resuming under a different chip, window grid, or
 // dedup configuration would replay state that means something else, so the
@@ -126,18 +100,18 @@ class ScanJournal {
   //     the journal does not exist; a damaged header returns its typed
   //     status (kTruncated, kCorrupt, kBadFormat); kMismatch when the
   //     journal identifies a different scan.
-  JournalResult open(const std::string& path, const JournalMeta& meta,
-                     bool resume, JournalState* recovered);
+  util::IoResult open(const std::string& path, const JournalMeta& meta,
+                      bool resume, JournalState* recovered);
 
   // Appends one completed-batch record and fsyncs it. `window_entries` maps
   // windows [win_begin, win_end) to entry ids (-1 = quarantined);
   // `verdicts`/`pixels` describe the `verdicts.size()` new entries the
   // batch introduced, ids [base_entry, base_entry + verdicts.size()).
-  JournalResult append_batch(std::int64_t win_begin, std::int64_t win_end,
-                             std::int64_t base_entry,
-                             const std::vector<std::int64_t>& window_entries,
-                             const std::vector<std::int32_t>& verdicts,
-                             const std::vector<RasterKey>& pixels);
+  util::IoResult append_batch(std::int64_t win_begin, std::int64_t win_end,
+                              std::int64_t base_entry,
+                              const std::vector<std::int64_t>& window_entries,
+                              const std::vector<std::int32_t>& verdicts,
+                              const std::vector<RasterKey>& pixels);
 
   void close();
   bool is_open() const { return file_ != nullptr; }
@@ -145,8 +119,8 @@ class ScanJournal {
 
   // Read-only recovery (no file mutation, no truncation): what a resume
   // would start from. Same statuses as open(resume = true).
-  static JournalResult recover(const std::string& path,
-                               const JournalMeta& meta, JournalState* state);
+  static util::IoResult recover(const std::string& path,
+                                const JournalMeta& meta, JournalState* state);
 
  private:
   std::string path_;

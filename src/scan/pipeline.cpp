@@ -303,11 +303,11 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
     meta.dedup_max_entries = config_.dedup_max_entries;
     meta.dedup_max_bytes = config_.dedup_max_bytes;
     JournalState recovered;
-    const JournalResult opened = journal.open(
+    const util::IoResult opened = journal.open(
         config_.journal_path, meta, config_.resume, &recovered);
     if (!opened.ok()) {
       throw std::runtime_error("scan journal (" +
-                               std::string(journal_status_name(
+                               std::string(util::io_status_name(
                                    opened.status)) +
                                "): " + opened.message);
     }
@@ -384,7 +384,7 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
     throw_if_abort_armed("before journal append");
     if (journaling) {
       std::vector<std::int32_t> verdicts32(verdicts.begin(), verdicts.end());
-      const JournalResult appended = journal.append_batch(
+      const util::IoResult appended = journal.append_batch(
           plan.win_begin, plan.win_end, plan.base_entry, plan.entries,
           verdicts32, plan.pixels);
       if (!appended.ok()) {

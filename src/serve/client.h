@@ -46,7 +46,6 @@ class ServeClient {
     fd_ = connect_loopback(host, port, error);
     return fd_ >= 0;
   }
-  bool connected() const { return fd_ >= 0; }
   void close();
 
   // Classifies a [n, 1, ls, ls] {0,1} batch. Packs the rasters, round-trips

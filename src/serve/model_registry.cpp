@@ -71,7 +71,7 @@ nn::LoadResult ModelRegistry::load(const std::string& path,
     last_swap_ok_ = false;
     last_swap_error_ = state_error;
     ++swap_failures_;
-    return nn::IoResult::failure(nn::IoStatus::kWriteFailed, state_error);
+    return util::IoResult::failure(util::IoStatus::kWriteFailed, state_error);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -86,19 +86,19 @@ nn::LoadResult ModelRegistry::load(const std::string& path,
   static obs::Gauge& version_gauge =
       obs::MetricsRegistry::global().gauge("serve.model_version");
   version_gauge.set(static_cast<double>(version));
-  return nn::IoResult::success();
+  return util::IoResult::success();
 }
 
 nn::LoadResult ModelRegistry::restore() {
   if (state_path_.empty()) {
-    return nn::IoResult::failure(nn::IoStatus::kMissing,
-                                 "registry persistence disabled");
+    return util::IoResult::failure(util::IoStatus::kMissing,
+                                   "registry persistence disabled");
   }
   util::JsonValue state;
   std::string error;
   if (!util::parse_json_file(state_path_, state, error)) {
-    return nn::IoResult::failure(nn::IoStatus::kMissing,
-                                 state_path_ + ": " + error);
+    return util::IoResult::failure(util::IoStatus::kMissing,
+                                   state_path_ + ": " + error);
   }
   const util::JsonValue* schema = state.find("schema_version");
   const util::JsonValue* path = state.find("model_path");
@@ -108,8 +108,8 @@ nn::LoadResult ModelRegistry::restore() {
       schema->as_number() != 1.0 || path == nullptr || !path->is_string() ||
       image_size == nullptr || !image_size->is_number() ||
       version == nullptr || !version->is_number()) {
-    return nn::IoResult::failure(nn::IoStatus::kBadFormat,
-                                 state_path_ + ": malformed registry state");
+    return util::IoResult::failure(util::IoStatus::kBadFormat,
+                                   state_path_ + ": malformed registry state");
   }
   {
     // Resume the version sequence so post-restart swaps keep ascending.

@@ -16,75 +16,6 @@ std::int64_t pool_out_extent(std::int64_t in, const PoolSpec& spec) {
   return (in - spec.window) / spec.stride + 1;
 }
 
-}  // namespace
-
-Tensor avg_pool2d(const Tensor& input, const PoolSpec& spec) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t out_h = pool_out_extent(h, spec);
-  const std::int64_t out_w = pool_out_extent(w, spec);
-  Tensor out({n, c, out_h, out_w});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox) {
-          const std::int64_t y0 = oy * spec.stride;
-          const std::int64_t x0 = ox * spec.stride;
-          const std::int64_t y1 = std::min(y0 + spec.window, h);
-          const std::int64_t x1 = std::min(x0 + spec.window, w);
-          double acc = 0.0;
-          for (std::int64_t y = y0; y < y1; ++y) {
-            for (std::int64_t x = x0; x < x1; ++x) {
-              acc += static_cast<double>(input.at4(ni, ci, y, x));
-            }
-          }
-          const auto count = static_cast<double>((y1 - y0) * (x1 - x0));
-          out.at4(ni, ci, oy, ox) = static_cast<float>(acc / count);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor avg_pool2d_backward(const Tensor& grad_output, const Shape& input_shape,
-                           const PoolSpec& spec) {
-  HOTSPOT_CHECK_EQ(grad_output.rank(), 4);
-  Tensor grad_input(input_shape);
-  const std::int64_t n = input_shape[0];
-  const std::int64_t c = input_shape[1];
-  const std::int64_t h = input_shape[2];
-  const std::int64_t w = input_shape[3];
-  const std::int64_t out_h = grad_output.dim(2);
-  const std::int64_t out_w = grad_output.dim(3);
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox) {
-          const std::int64_t y0 = oy * spec.stride;
-          const std::int64_t x0 = ox * spec.stride;
-          const std::int64_t y1 = std::min(y0 + spec.window, h);
-          const std::int64_t x1 = std::min(x0 + spec.window, w);
-          const float share =
-              grad_output.at4(ni, ci, oy, ox) /
-              static_cast<float>((y1 - y0) * (x1 - x0));
-          for (std::int64_t y = y0; y < y1; ++y) {
-            for (std::int64_t x = x0; x < x1; ++x) {
-              grad_input.at4(ni, ci, y, x) += share;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
-namespace {
-
 // One plane of max_pool2d, an output row at a time. Every window starts at
 // (oy * stride, ox * stride) and spans ky x kx elements: pool_out_extent
 // keeps full windows inside the plane, and an extent below the window gives

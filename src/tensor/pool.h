@@ -10,12 +10,6 @@ struct PoolSpec {
   std::int64_t stride = 2;
 };
 
-// Average pooling [N,C,H,W] -> [N,C,outH,outW]. H and W need not be
-// divisible by the window; partial windows average over their actual extent.
-Tensor avg_pool2d(const Tensor& input, const PoolSpec& spec);
-Tensor avg_pool2d_backward(const Tensor& grad_output, const Shape& input_shape,
-                           const PoolSpec& spec);
-
 // Max pooling. `argmax` (same shape as the output) records the flat H*W
 // index of each selected element for the backward pass.
 Tensor max_pool2d(const Tensor& input, const PoolSpec& spec, Tensor* argmax);

@@ -38,11 +38,7 @@ class Tensor {
   // element count.
   Tensor(Shape shape, std::vector<float> values);
 
-  static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
-  static Tensor full(Shape shape, float value) {
-    return Tensor(std::move(shape), value);
-  }
   // I.i.d. uniform entries in [lo, hi).
   static Tensor uniform(Shape shape, util::Rng& rng, float lo, float hi);
   // I.i.d. normal entries.

@@ -61,24 +61,6 @@ void add_inplace(Tensor& a, const Tensor& b) {
   }
 }
 
-void axpy_inplace(Tensor& a, const Tensor& b, float factor) {
-  check_same_shape(a, b, "axpy_inplace");
-  float* pa = a.data();
-  const float* pb = b.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    pa[i] += pb[i] * factor;
-  }
-}
-
-void scale_inplace(Tensor& a, float factor) {
-  float* pa = a.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    pa[i] *= factor;
-  }
-}
-
 Tensor map(const Tensor& a, const std::function<float(float)>& f) {
   Tensor out(a.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) {

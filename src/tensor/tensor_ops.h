@@ -22,10 +22,6 @@ Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float factor);
 // In-place a += b.
 void add_inplace(Tensor& a, const Tensor& b);
-// In-place a += b * factor (axpy).
-void axpy_inplace(Tensor& a, const Tensor& b, float factor);
-// In-place a *= factor.
-void scale_inplace(Tensor& a, float factor);
 // c[i] = f(a[i]).
 Tensor map(const Tensor& a, const std::function<float(float)>& f);
 // |a| elementwise.

@@ -4,6 +4,26 @@
 
 namespace hotspot::util {
 
+const char* io_status_name(IoStatus status) {
+  switch (status) {
+    case IoStatus::kOk:
+      return "ok";
+    case IoStatus::kMissing:
+      return "missing";
+    case IoStatus::kTruncated:
+      return "truncated";
+    case IoStatus::kCorrupt:
+      return "corrupt";
+    case IoStatus::kBadFormat:
+      return "bad-format";
+    case IoStatus::kMismatch:
+      return "mismatch";
+    case IoStatus::kWriteFailed:
+      return "write-failed";
+  }
+  return "unknown";
+}
+
 AtomicFileWriter::AtomicFileWriter(std::string path, FaultPoints points)
     : path_(std::move(path)), tmp_path_(path_ + ".tmp"), points_(points) {
   file_ = std::fopen(tmp_path_.c_str(), "wb");

@@ -15,16 +15,50 @@
 // Fault points are parameterized: each writer instance probes its own
 // write/flush/rename points, so checkpoint tests and scan-journal chaos
 // tests can injure their own subsystem without tripping the other.
+//
+// IoStatus / IoResult are the one failure vocabulary of every durable
+// format: the HSPT checkpoint (nn/serialize) and the HSJL scan journal
+// (scan/journal) both report through them.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "util/crc32.h"
 #include "util/fault_injection.h"
 
 namespace hotspot::util {
+
+// Why a file operation failed; lets callers distinguish "no file yet" from
+// "file damaged" from "file belongs to something else".
+enum class IoStatus {
+  kOk = 0,
+  kMissing,      // file does not exist / cannot be opened
+  kTruncated,    // file ends before the data it declares
+  kCorrupt,      // CRC mismatch, implausible field, or trailing bytes
+  kBadFormat,    // wrong magic / unsupported version
+  kMismatch,     // contents do not match the target (tensor names/shapes,
+                 // chip or scan config)
+  kWriteFailed,  // write, flush, fsync or rename failed (or was injected)
+};
+
+const char* io_status_name(IoStatus status);
+
+// Typed result of a file operation. Converts to bool (true = success).
+struct IoResult {
+  IoStatus status = IoStatus::kOk;
+  std::string message;  // human-readable detail for logs / CLI errors
+
+  bool ok() const { return status == IoStatus::kOk; }
+  explicit operator bool() const { return ok(); }
+
+  static IoResult success() { return {}; }
+  static IoResult failure(IoStatus status, std::string message) {
+    return {status, std::move(message)};
+  }
+};
 
 class AtomicFileWriter {
  public:

@@ -94,12 +94,6 @@ class BoundedQueue {
     return dequeue_locked();
   }
 
-  // Non-blocking pop; nullopt when nothing is queued right now.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return dequeue_locked();
-  }
-
   // Producers are done; queued items still drain, then pop() returns
   // nullopt. Idempotent.
   void close() {

@@ -1,6 +1,5 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace hotspot::util {
@@ -17,20 +16,6 @@ std::vector<std::string> split(std::string_view text, char delimiter) {
     parts.emplace_back(text.substr(begin, end - begin));
     begin = end + 1;
   }
-}
-
-std::string_view trim(std::string_view text) {
-  std::size_t first = 0;
-  while (first < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[first]))) {
-    ++first;
-  }
-  std::size_t last = text.size();
-  while (last > first &&
-         std::isspace(static_cast<unsigned char>(text[last - 1]))) {
-    --last;
-  }
-  return text.substr(first, last - first);
 }
 
 std::string join(const std::vector<std::string>& parts,
@@ -67,11 +52,6 @@ std::string format_count(long long value) {
     grouped += digits[i];
   }
   return negative ? "-" + grouped : grouped;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
 }
 
 }  // namespace hotspot::util

@@ -10,9 +10,6 @@ namespace hotspot::util {
 // Splits on a single-character delimiter; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char delimiter);
 
-// Removes leading/trailing ASCII whitespace.
-std::string_view trim(std::string_view text);
-
 // Joins values with a separator.
 std::string join(const std::vector<std::string>& parts,
                  std::string_view separator);
@@ -22,8 +19,5 @@ std::string format_double(double value, int decimals);
 
 // Formats counts with thousands separators, e.g. 17096 -> "17,096".
 std::string format_count(long long value);
-
-// True if `text` starts with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
 
 }  // namespace hotspot::util

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace hotspot::util {
 
@@ -39,14 +38,6 @@ std::string Table::to_string() const {
   out += rule + "\n";
   for (const auto& row : rows_) {
     out += render_row(row);
-  }
-  return out;
-}
-
-std::string Table::to_csv() const {
-  std::string out = join(header_, ",") + "\n";
-  for (const auto& row : rows_) {
-    out += join(row, ",") + "\n";
   }
   return out;
 }

@@ -19,11 +19,6 @@ class Table {
   // Renders with aligned columns and a separator under the header.
   std::string to_string() const;
 
-  // Renders as CSV (no alignment padding).
-  std::string to_csv() const;
-
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

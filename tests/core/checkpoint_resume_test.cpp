@@ -176,14 +176,14 @@ TEST(CheckpointResume, TypedErrorsForBadCheckpoints) {
   nn::Sequential net = linear_probe(1);
   Trainer trainer(net, full_schedule());
   EXPECT_EQ(trainer.resume_from(test_path("no_such.ckpt")).status,
-            nn::IoStatus::kMissing);
+            util::IoStatus::kMissing);
 
   // A model-only checkpoint is not a training snapshot: the blob section is
   // missing, which must surface as a typed mismatch, not a crash.
   const std::string model_only = test_path("model_only.ckpt");
   ASSERT_TRUE(nn::save_checkpoint(model_only, net).ok());
   EXPECT_EQ(trainer.resume_from(model_only).status,
-            nn::IoStatus::kShapeMismatch);
+            util::IoStatus::kMismatch);
 }
 
 TEST(CheckpointResume, ModelOnlyLoadReadsTrainingCheckpoint) {
@@ -260,7 +260,7 @@ TEST(CheckpointFaultInjection, EveryWriteInterruptionLeavesOldFileIntact) {
     util::fault_clear_all();
     util::fault_arm(util::FaultPoint::kCheckpointWrite, countdown);
     const nn::SaveResult result = nn::save_archive(path, new_tensors, blobs);
-    EXPECT_EQ(result.status, nn::IoStatus::kWriteFailed)
+    EXPECT_EQ(result.status, util::IoStatus::kWriteFailed)
         << "countdown " << countdown;
     EXPECT_EQ(util::fault_trip_count(util::FaultPoint::kCheckpointWrite), 1);
 
@@ -294,7 +294,7 @@ TEST(CheckpointFaultInjection, FlushAndRenameFaultsLeaveOldFileIntact) {
     util::fault_clear_all();
     util::fault_arm(point, 1);
     const nn::SaveResult result = nn::save_tensors(path, new_tensors);
-    EXPECT_EQ(result.status, nn::IoStatus::kWriteFailed)
+    EXPECT_EQ(result.status, util::IoStatus::kWriteFailed)
         << util::fault_point_name(point);
     EXPECT_EQ(util::fault_trip_count(point), 1);
 

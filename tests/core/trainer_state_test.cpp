@@ -110,7 +110,7 @@ TEST(CheckpointResume, LyingTrainerStateIsCorrupt) {
     ASSERT_TRUE(
         nn::save_archive(path, tensors, {{"trainer_state", lies[i]}}).ok());
     const nn::LoadResult result = trainer.resume_from(path);
-    ASSERT_EQ(result.status, nn::IoStatus::kCorrupt)
+    ASSERT_EQ(result.status, util::IoStatus::kCorrupt)
         << "lie " << i << " of " << lies.size() << ": " << result.message;
     ASSERT_EQ(flat_state(net), before) << "lie " << i;
     ASSERT_EQ(trainer.best_validation_loss(),

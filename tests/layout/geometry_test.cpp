@@ -30,13 +30,6 @@ TEST(Intersect, OverlapAndDisjoint) {
   EXPECT_TRUE(intersect(a, Rect{20, 20, 30, 30}).empty());
 }
 
-TEST(Overlaps, AbuttingIsNotOverlap) {
-  const Rect a{0, 0, 10, 10};
-  EXPECT_TRUE(overlaps(a, Rect{9, 9, 20, 20}));
-  EXPECT_FALSE(overlaps(a, Rect{10, 0, 20, 10}));  // shares edge only
-  EXPECT_TRUE(touches(a, Rect{10, 0, 20, 10}));    // but touches
-}
-
 TEST(BoundingBox, MergesAndHandlesEmpty) {
   const Rect a{0, 0, 5, 5};
   const Rect b{10, 10, 20, 20};
@@ -64,22 +57,6 @@ TEST(Pattern, ClippedToWindowLocalFrame) {
   const Pattern clipped = pattern.clipped_to(Rect{0, 0, 50, 50});
   ASSERT_EQ(clipped.size(), 1u);
   EXPECT_EQ(clipped.rects()[0], (Rect{0, 0, 5, 5}));
-}
-
-TEST(Pattern, ConnectedComponentsCountsShapes) {
-  Pattern pattern;
-  pattern.add(Rect{0, 0, 10, 10});
-  pattern.add(Rect{10, 0, 20, 10});  // touches the first -> same shape
-  pattern.add(Rect{50, 50, 60, 60});  // isolated
-  EXPECT_EQ(pattern.connected_component_count(), 2);
-}
-
-TEST(Pattern, OverlappingChainIsOneComponent) {
-  Pattern pattern;
-  for (int i = 0; i < 5; ++i) {
-    pattern.add(Rect{i * 8, 0, i * 8 + 10, 10});  // each overlaps the next
-  }
-  EXPECT_EQ(pattern.connected_component_count(), 1);
 }
 
 TEST(Pattern, EmptyRectRejected) {

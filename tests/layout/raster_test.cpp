@@ -58,20 +58,6 @@ TEST(RasterizeBinary, ThresholdAtHalf) {
   EXPECT_EQ(rasterize_binary(thin, Rect{0, 0, 100, 100}, 1)[0], 0.0f);
 }
 
-TEST(Downsample, MajorityVotePerBlock) {
-  Tensor image({4, 4});
-  // Fill the top-left 2x2 block fully and one pixel of the top-right.
-  image.at2(0, 0) = image.at2(0, 1) = image.at2(1, 0) = image.at2(1, 1) = 1.0f;
-  image.at2(0, 2) = 1.0f;
-  const Tensor small = downsample_binary(image, 2);
-  EXPECT_EQ(small.at2(0, 0), 1.0f);
-  EXPECT_EQ(small.at2(0, 1), 0.0f);  // 1 of 4 < 0.5
-}
-
-TEST(Downsample, RequiresDivisibleSize) {
-  EXPECT_DEATH(downsample_binary(Tensor({5, 5}), 2), "HOTSPOT_CHECK");
-}
-
 TEST(Flips, InvolutionsAndMirroring) {
   Tensor image({2, 3}, {1, 2, 3, 4, 5, 6});
   const Tensor h = flip_horizontal(image);

@@ -32,25 +32,6 @@ TEST(ReLULayer, BackwardMasksByInput) {
   EXPECT_FLOAT_EQ(gx[1], 1.0f);
 }
 
-TEST(SignSTELayer, ForwardBinarizes) {
-  SignSTE layer;
-  const Tensor out = layer.forward(Tensor({3}, {-0.1f, 0.0f, 3.0f}));
-  EXPECT_FLOAT_EQ(out[0], -1.0f);
-  EXPECT_FLOAT_EQ(out[1], 1.0f);
-  EXPECT_FLOAT_EQ(out[2], 1.0f);
-}
-
-TEST(SignSTELayer, BackwardSaturates) {
-  // Eq. 10-11: gradient passes only where |x| < 1.
-  SignSTE layer;
-  layer.forward(Tensor({4}, {-2.0f, -0.5f, 0.5f, 1.5f}));
-  const Tensor gx = layer.backward(Tensor({4}, {1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(gx[0], 0.0f);
-  EXPECT_FLOAT_EQ(gx[1], 1.0f);
-  EXPECT_FLOAT_EQ(gx[2], 1.0f);
-  EXPECT_FLOAT_EQ(gx[3], 0.0f);
-}
-
 TEST(FlattenLayer, RoundTripShape) {
   Flatten flatten;
   util::Rng rng(1);
@@ -59,29 +40,6 @@ TEST(FlattenLayer, RoundTripShape) {
   EXPECT_EQ(flat.shape(), (tensor::Shape{2, 48}));
   const Tensor back = flatten.backward(flat);
   EXPECT_EQ(back.shape(), x.shape());
-}
-
-TEST(DropoutLayer, IdentityInEvalMode) {
-  util::Rng rng(2);
-  Dropout dropout(0.5f, rng);
-  dropout.set_training(false);
-  const Tensor x = Tensor::normal({100}, rng, 0.0f, 1.0f);
-  EXPECT_TRUE(tensor::allclose(dropout.forward(x), x, 0.0));
-}
-
-TEST(DropoutLayer, InvertedScalingKeepsExpectation) {
-  util::Rng rng(3);
-  Dropout dropout(0.5f, rng);
-  dropout.set_training(true);
-  const Tensor x = Tensor::ones({20000});
-  const Tensor out = dropout.forward(x);
-  EXPECT_NEAR(out.mean(), 1.0, 0.05);
-  // Surviving values are scaled by 1/keep.
-  bool saw_two = false;
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    saw_two |= out[i] == 2.0f;
-  }
-  EXPECT_TRUE(saw_two);
 }
 
 TEST(BatchNormLayer, NormalizesTrainingBatch) {

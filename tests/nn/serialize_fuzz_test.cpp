@@ -64,14 +64,14 @@ TEST_F(SerializeFuzz, IntactFileLoads) {
   Sequential net = make_net(2);
   const LoadResult result = load_checkpoint(reference_path_, net);
   EXPECT_TRUE(result.ok()) << result.message;
-  EXPECT_EQ(result.status, IoStatus::kOk);
+  EXPECT_EQ(result.status, util::IoStatus::kOk);
 }
 
 TEST_F(SerializeFuzz, MissingFileIsTyped) {
   Sequential net = make_net(2);
   const LoadResult result =
       load_checkpoint(test_path("fuzz_never_written.bin"), net);
-  EXPECT_EQ(result.status, IoStatus::kMissing);
+  EXPECT_EQ(result.status, util::IoStatus::kMissing);
 }
 
 TEST_F(SerializeFuzz, TruncationAtEvery64ByteBoundaryIsTyped) {
@@ -83,10 +83,10 @@ TEST_F(SerializeFuzz, TruncationAtEvery64ByteBoundaryIsTyped) {
     ASSERT_FALSE(result.ok()) << "accepted a " << keep << "-byte prefix";
     // Cutting the file can only read as truncation or as damage to a field
     // the parser validates; it must never be mistaken for success.
-    EXPECT_TRUE(result.status == IoStatus::kTruncated ||
-                result.status == IoStatus::kCorrupt ||
-                result.status == IoStatus::kBadFormat ||
-                result.status == IoStatus::kShapeMismatch)
+    EXPECT_TRUE(result.status == util::IoStatus::kTruncated ||
+                result.status == util::IoStatus::kCorrupt ||
+                result.status == util::IoStatus::kBadFormat ||
+                result.status == util::IoStatus::kMismatch)
         << "prefix " << keep << ": " << io_status_name(result.status);
     EXPECT_FALSE(result.message.empty());
   }
@@ -94,7 +94,7 @@ TEST_F(SerializeFuzz, TruncationAtEvery64ByteBoundaryIsTyped) {
   // the integrity proof is gone.
   write_file(path, reference_bytes_.data(), reference_bytes_.size() - 4);
   Sequential net = make_net(3);
-  EXPECT_EQ(load_checkpoint(path, net).status, IoStatus::kTruncated);
+  EXPECT_EQ(load_checkpoint(path, net).status, util::IoStatus::kTruncated);
 }
 
 TEST_F(SerializeFuzz, SingleBitFlipsAreAlwaysRejected) {
@@ -112,8 +112,8 @@ TEST_F(SerializeFuzz, SingleBitFlipsAreAlwaysRejected) {
     // all structural validation cannot load as success.
     ASSERT_FALSE(result.ok())
         << "bit " << bit << " of byte " << byte << " flipped unnoticed";
-    EXPECT_NE(result.status, IoStatus::kOk);
-    EXPECT_NE(result.status, IoStatus::kMissing);
+    EXPECT_NE(result.status, util::IoStatus::kOk);
+    EXPECT_NE(result.status, util::IoStatus::kMissing);
   }
 }
 
@@ -128,7 +128,7 @@ TEST_F(SerializeFuzz, SixteenByteGarbageFailsCleanly) {
   write_file(path, garbage, sizeof(garbage));
   Sequential net = make_net(5);
   const LoadResult result = load_checkpoint(path, net);
-  EXPECT_EQ(result.status, IoStatus::kTruncated) << result.message;
+  EXPECT_EQ(result.status, util::IoStatus::kTruncated) << result.message;
 }
 
 TEST_F(SerializeFuzz, RandomGarbageFilesAreTyped) {
@@ -144,7 +144,7 @@ TEST_F(SerializeFuzz, RandomGarbageFilesAreTyped) {
     Sequential net = make_net(6);
     const LoadResult result = load_checkpoint(path, net);
     ASSERT_FALSE(result.ok()) << size << "-byte garbage accepted";
-    EXPECT_NE(result.status, IoStatus::kMissing);
+    EXPECT_NE(result.status, util::IoStatus::kMissing);
   }
 }
 
@@ -161,8 +161,8 @@ TEST_F(SerializeFuzz, GarbageWithValidHeaderIsTyped) {
   Sequential net = make_net(7);
   const LoadResult result = load_checkpoint(path, net);
   ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status == IoStatus::kCorrupt ||
-              result.status == IoStatus::kShapeMismatch)
+  EXPECT_TRUE(result.status == util::IoStatus::kCorrupt ||
+              result.status == util::IoStatus::kMismatch)
       << io_status_name(result.status);
 }
 
@@ -172,7 +172,7 @@ TEST_F(SerializeFuzz, TrailingBytesAreCorrupt) {
   padded.insert(padded.end(), 128, '\0');
   write_file(path, padded.data(), padded.size());
   Sequential net = make_net(8);
-  EXPECT_EQ(load_checkpoint(path, net).status, IoStatus::kCorrupt);
+  EXPECT_EQ(load_checkpoint(path, net).status, util::IoStatus::kCorrupt);
 }
 
 TEST_F(SerializeFuzz, PreCrcFormatVersionRejected) {
@@ -181,7 +181,7 @@ TEST_F(SerializeFuzz, PreCrcFormatVersionRejected) {
   old_version[4] = '\x01';  // version field
   write_file(path, old_version.data(), old_version.size());
   Sequential net = make_net(9);
-  EXPECT_EQ(load_checkpoint(path, net).status, IoStatus::kBadFormat);
+  EXPECT_EQ(load_checkpoint(path, net).status, util::IoStatus::kBadFormat);
 }
 
 }  // namespace

@@ -168,12 +168,12 @@ TEST(ScanJournal, ResumeWithNothingToRecoverIsMissing) {
   remove_journal(path);
   ScanJournal journal;
   JournalState state;
-  const JournalResult result =
+  const util::IoResult result =
       journal.open(path, test_meta(), /*resume=*/true, &state);
-  EXPECT_EQ(result.status, JournalStatus::kMissing);
+  EXPECT_EQ(result.status, util::IoStatus::kMissing);
   JournalState recovered;
   EXPECT_EQ(ScanJournal::recover(path, test_meta(), &recovered).status,
-            JournalStatus::kMissing);
+            util::IoStatus::kMissing);
 }
 
 TEST(ScanJournal, MetaMismatchIsRejected) {
@@ -190,11 +190,11 @@ TEST(ScanJournal, MetaMismatchIsRejected) {
   ScanJournal journal;
   JournalState state;
   EXPECT_EQ(journal.open(path, other, /*resume=*/true, &state).status,
-            JournalStatus::kMismatch);
+            util::IoStatus::kMismatch);
   other = test_meta();
   other.grid = 4;  // same chip, different raster resolution
   EXPECT_EQ(ScanJournal::recover(path, other, &state).status,
-            JournalStatus::kMismatch);
+            util::IoStatus::kMismatch);
 }
 
 TEST(ScanJournal, FreshOpenDiscardsPriorStateAndSnapshot) {
@@ -279,7 +279,8 @@ TEST(ScanJournal, TornTailRecoversLongestValidPrefix) {
     }
     ASSERT_TRUE(util::corrupt_truncate(path, size));
     JournalState state;
-    const JournalResult result = ScanJournal::recover(path, test_meta(), &state);
+    const util::IoResult result =
+        ScanJournal::recover(path, test_meta(), &state);
     if (result.ok()) {
       EXPECT_TRUE(state.windows_done == 0 || state.windows_done == 2 ||
                   state.windows_done == 4)
@@ -289,7 +290,7 @@ TEST(ScanJournal, TornTailRecoversLongestValidPrefix) {
       }
     } else {
       // Only a header cut short may refuse recovery outright.
-      EXPECT_EQ(result.status, JournalStatus::kTruncated) << "size " << size;
+      EXPECT_EQ(result.status, util::IoStatus::kTruncated) << "size " << size;
     }
   }
 }
@@ -335,7 +336,7 @@ TEST(ScanJournal, BitFlipsNeverRecoverGarbage) {
   for (std::int64_t offset = 0; offset < size; offset += 3) {
     ASSERT_TRUE(util::corrupt_flip_bit(path, offset, offset % 8));
     JournalState state;
-    const JournalResult result =
+    const util::IoResult result =
         ScanJournal::recover(path, test_meta(), &state);
     if (result.ok()) {
       // Whatever survived must be a valid prefix in window count AND in
@@ -365,9 +366,9 @@ TEST(ScanJournal, InjectedAppendFaultLeavesRecoverableTornTail) {
       0, 2, 0, {0, 1}, {1, 0},
       {raster({1, 0, 1, 0}), raster({0, 0, 1, 1})}));
   util::fault_arm(util::FaultPoint::kJournalWrite, 1);
-  const JournalResult failed = journal.append_batch(
+  const util::IoResult failed = journal.append_batch(
       2, 4, 2, {2, 0}, {1}, {raster({1, 1, 1, 1})});
-  EXPECT_EQ(failed.status, JournalStatus::kWriteFailed);
+  EXPECT_EQ(failed.status, util::IoStatus::kWriteFailed);
   EXPECT_FALSE(journal.is_open());  // a torn file must not take appends
   JournalState state;
   ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
@@ -386,7 +387,7 @@ TEST(ScanJournal, BadMagicIsBadFormat) {
   ASSERT_TRUE(util::corrupt_flip_bit(path, 0, 0));
   JournalState state;
   EXPECT_EQ(ScanJournal::recover(path, test_meta(), &state).status,
-            JournalStatus::kBadFormat);
+            util::IoStatus::kBadFormat);
 }
 
 // A record whose CRC holds but whose body breaks the format (here: its
@@ -438,7 +439,7 @@ TEST(ScanJournal, DamagedHeaderRefusesResumeWithItsStatus) {
     header_size = util::file_size_of(path);
     append_two_batches(journal);
   };
-  const auto expect_refused = [&](JournalStatus status, const char* damage) {
+  const auto expect_refused = [&](util::IoStatus status, const char* damage) {
     const std::int64_t size = util::file_size_of(path);
     ScanJournal journal;
     JournalState state;
@@ -451,11 +452,11 @@ TEST(ScanJournal, DamagedHeaderRefusesResumeWithItsStatus) {
   };
   write_journal();
   ASSERT_TRUE(util::corrupt_truncate(path, header_size - 1));
-  expect_refused(JournalStatus::kTruncated, "torn header");
+  expect_refused(util::IoStatus::kTruncated, "torn header");
   write_journal();
   // The header's last four bytes are its CRC.
   ASSERT_TRUE(util::corrupt_flip_bit(path, header_size - 1, 3));
-  expect_refused(JournalStatus::kCorrupt, "header CRC");
+  expect_refused(util::IoStatus::kCorrupt, "header CRC");
   remove_journal(path);
 }
 

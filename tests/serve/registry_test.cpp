@@ -77,7 +77,7 @@ TEST(ModelRegistry, FailedLoadLeavesActiveModelServing) {
   ASSERT_TRUE(util::corrupt_flip_bit(corrupt, 200, 3));
   const nn::LoadResult result = registry.load(corrupt, kGrid);
   // Depending on where the flip lands the loader types it kCorrupt or
-  // kShapeMismatch; either way the load must fail without publishing.
+  // kMismatch; either way the load must fail without publishing.
   EXPECT_FALSE(result.ok());
   // Same shared_ptr, same version, same answers: nothing was torn down.
   EXPECT_EQ(registry.active(), before);
@@ -167,9 +167,9 @@ TEST(ModelRegistry, StateFileRestoresPathWithControlCharacters) {
 
 TEST(ModelRegistry, RestoreWithoutStateIsMissing) {
   ModelRegistry no_persistence;
-  EXPECT_EQ(no_persistence.restore().status, nn::IoStatus::kMissing);
+  EXPECT_EQ(no_persistence.restore().status, util::IoStatus::kMissing);
   ModelRegistry registry(test_path("registry_never_written.json"));
-  EXPECT_EQ(registry.restore().status, nn::IoStatus::kMissing);
+  EXPECT_EQ(registry.restore().status, util::IoStatus::kMissing);
 }
 
 TEST(ModelRegistry, HotSwapUnderConcurrentPredictIsNeverTorn) {

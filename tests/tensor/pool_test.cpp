@@ -14,29 +14,6 @@
 namespace hotspot::tensor {
 namespace {
 
-TEST(AvgPool, KnownValues) {
-  Tensor x({1, 1, 2, 2}, {1, 3, 5, 7});
-  const Tensor out = avg_pool2d(x, PoolSpec{2, 2});
-  EXPECT_EQ(out.dim(2), 1);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 4.0f);
-}
-
-TEST(AvgPool, PartialWindowAveragesActualExtent) {
-  Tensor x({1, 1, 3, 3}, {1, 1, 4, 1, 1, 4, 7, 7, 10});
-  const Tensor out = avg_pool2d(x, PoolSpec{2, 2});
-  // 3x3 with window 2 stride 2 -> out 1x1? (3-2)/2+1 = 1. Single window.
-  EXPECT_EQ(out.dim(2), 1);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 1.0f);
-}
-
-TEST(AvgPoolBackward, DistributesEvenly) {
-  Tensor g({1, 1, 1, 1}, {4.0f});
-  const Tensor gx = avg_pool2d_backward(g, {1, 1, 2, 2}, PoolSpec{2, 2});
-  for (std::int64_t i = 0; i < 4; ++i) {
-    EXPECT_FLOAT_EQ(gx[i], 1.0f);
-  }
-}
-
 TEST(MaxPool, SelectsMaximumAndArgmax) {
   Tensor x({1, 1, 2, 2}, {1, 9, 5, 7});
   Tensor argmax;
@@ -186,9 +163,21 @@ TEST(GlobalAvgPoolBackward, UniformShare) {
 TEST(Pools, StrideSmallerThanWindow) {
   util::Rng rng(1);
   const Tensor x = Tensor::normal({1, 1, 5, 5}, rng, 0.0f, 1.0f);
-  const Tensor out = avg_pool2d(x, PoolSpec{3, 2});
+  const Tensor out = max_pool2d(x, PoolSpec{3, 2}, nullptr);
   EXPECT_EQ(out.dim(2), 2);
   EXPECT_EQ(out.dim(3), 2);
+  // Overlapping 3x3 windows at stride 2: each output is its window's max.
+  for (std::int64_t oy = 0; oy < 2; ++oy) {
+    for (std::int64_t ox = 0; ox < 2; ++ox) {
+      float expected = x.at4(0, 0, oy * 2, ox * 2);
+      for (std::int64_t y = oy * 2; y < oy * 2 + 3; ++y) {
+        for (std::int64_t xi = ox * 2; xi < ox * 2 + 3; ++xi) {
+          expected = std::max(expected, x.at4(0, 0, y, xi));
+        }
+      }
+      EXPECT_EQ(out.at4(0, 0, oy, ox), expected);
+    }
+  }
 }
 
 }  // namespace

@@ -26,13 +26,6 @@ TEST(Split, NoDelimiter) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Trim, StripsWhitespace) {
-  EXPECT_EQ(trim("  hello \t\n"), "hello");
-  EXPECT_EQ(trim("hello"), "hello");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-}
-
 TEST(Join, Basic) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({"solo"}, ","), "solo");
@@ -52,13 +45,6 @@ TEST(FormatCount, ThousandsSeparators) {
   EXPECT_EQ(format_count(17096), "17,096");
   EXPECT_EQ(format_count(1234567), "1,234,567");
   EXPECT_EQ(format_count(-2524), "-2,524");
-}
-
-TEST(StartsWith, Basic) {
-  EXPECT_TRUE(starts_with("hotspot", "hot"));
-  EXPECT_TRUE(starts_with("hotspot", ""));
-  EXPECT_FALSE(starts_with("hot", "hotspot"));
-  EXPECT_FALSE(starts_with("hotspot", "spot"));
 }
 
 }  // namespace

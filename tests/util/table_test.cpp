@@ -15,20 +15,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(text.find("99.2"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table table({"a", "b"});
-  table.add_row({"1", "2"});
-  table.add_row({"3", "4"});
-  EXPECT_EQ(table.to_csv(), "a,b\n1,2\n3,4\n");
-}
-
-TEST(Table, RowCount) {
-  Table table({"x"});
-  EXPECT_EQ(table.row_count(), 0u);
-  table.add_row({"1"});
-  EXPECT_EQ(table.row_count(), 1u);
-}
-
 TEST(TableDeath, RejectsMismatchedRow) {
   Table table({"a", "b"});
   EXPECT_DEATH(table.add_row({"only-one"}), "HOTSPOT_CHECK");
