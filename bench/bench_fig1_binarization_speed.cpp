@@ -11,8 +11,11 @@
 // plan's conv step (core/inference_plan.h) on a lone BN -> conv block with
 // default statistics: inline BN sign bits and alpha_T, then the direct
 // binary conv (unit alpha_T and a post multiply by the scalar map in the
-// scalar mode). The packed weight bytes are the cost model's
-// (core/cost_model.h): k*k bits per (filter, channel).
+// scalar mode). The step reads and writes the plan's channel-major
+// activations; the input is transposed once, outside the timed loop, and
+// with batch 1 that is the same floats in the same order. The packed
+// weight bytes are the cost model's (core/cost_model.h): k*k bits per
+// (filter, channel).
 #include <benchmark/benchmark.h>
 
 #include "core/binary_conv.h"
@@ -21,6 +24,7 @@
 #include "nn/batchnorm_layer.h"
 #include "nn/conv_layer.h"
 #include "tensor/conv.h"
+#include "tensor/tensor_ops.h"
 
 namespace {
 
@@ -55,7 +59,7 @@ void BM_BinaryConvPerChannel(benchmark::State& state) {
   nn::BatchNorm2d bn(channels);
   bn.set_training(false);
   const core::ConvStep packed(bn, conv);
-  const tensor::Tensor x = make_input(channels);
+  const tensor::Tensor x = tensor::swap_leading_axes(make_input(channels));
   for (auto _ : state) {
     benchmark::DoNotOptimize(packed.run(x));
   }
@@ -71,7 +75,7 @@ void BM_BinaryConvScalar(benchmark::State& state) {
   nn::BatchNorm2d bn(channels);
   bn.set_training(false);
   const core::ConvStep packed(bn, conv);
-  const tensor::Tensor x = make_input(channels);
+  const tensor::Tensor x = tensor::swap_leading_axes(make_input(channels));
   for (auto _ : state) {
     benchmark::DoNotOptimize(packed.run(x));
   }

@@ -1,83 +1,116 @@
-// Per-(sample, channel) activation bit planes.
+// Bit-packed signs of activations, with the sign rule bit = (v >= 0) of
+// tensor::sign (sign(0) = +1; NaN -> 0).
 //
-// A BitPlanes holds one bitmap row per (n*C + c, y) of an NCHW tensor with
-// bit x describing input[n,c,y,x]; bits at x >= W are zero. The direct
-// binary conv (core/packed_conv.h) cuts its tap words from these bitmaps
-// with shifts instead of kh*kw float loads per output position, so every
-// input float is read exactly once during packing.
+// SignStreams is what the inference plan's direct binary conv
+// (core/packed_conv.h) reads: the sign bits of a channel-major activation
+// [C, N, H, W] laid out in the conv's own lane order, so each tap word of
+// a 64-lane output word is one shift-and-mask of a stream (DESIGN.md §14).
+// bitops::conv_input (scaling.h) writes them from the batch-norm output a
+// few rows at a time, without materializing the BN tensor.
 //
-// Stride-2 convs ask for the column-parity layout instead: each bitmap row
-// is stored as its even columns (bit i = column 2i) followed by its odd
-// columns (bit i = column 2i + 1), so the taps of every second output
-// column are contiguous bits.
-// Both layouts are written by the same row packer, set_rows, with the sign
-// rule bit = (v >= 0), matching tensor::sign (sign(0) = +1; NaN -> 0). The
-// inference plan binarizes BN -> Binarize through bitops::conv_input
-// (scaling.h), which evaluates the BN output a few rows at a time and hands
-// each block of rows to set_rows, so its bits equal
-// BitPlanes(BatchNorm2d eval forward(x)) without materializing the BN
-// tensor.
+// BitPlanes holds one bitmap row per (n*C + c, y) of an NCHW tensor; only
+// the channel-blocked patch packer of xnor_gemm.h reads it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "tensor/conv.h"
 #include "tensor/tensor.h"
 
 namespace hotspot::bitops {
 
-enum class BitLayout { kRows, kColumnParity };
+// True for the convs the sign streams and the direct conv serve: "same"
+// convs with an odd square kernel, pad = kernel / 2 and stride 1 or 2.
+inline bool is_same_conv(const tensor::ConvSpec& spec) {
+  return spec.kernel_h == spec.kernel_w && spec.kernel_h % 2 == 1 &&
+         spec.pad == spec.kernel_h / 2 &&
+         (spec.stride == 1 || spec.stride == 2);
+}
+
+// The sign bits of a channel-major activation [C, N, H, W] for one "same"
+// conv, as one bit stream per (channel, stride phase) on the conv's output
+// grid of outH x outW = ceil(H / stride) x ceil(W / stride) positions.
+// Lane n*outH*outW + oy*outW + ox of the stream of phase (py, px) holds the
+// sign of input (c, n, stride*oy + py, stride*ox + px); stride 1 has the one
+// phase (0, 0), stride 2 the four phases py*2 + px. Samples follow each
+// other with no padding, so a lane word spans samples when a plane has
+// fewer than 64 positions. Lanes whose input lies outside the image (the
+// last row or column of an odd-sized plane's odd phases) and the lanes past
+// N*outH*outW are 0, and each stream has zero guard words on both sides,
+// so a tap of the conv's kernel read at any lane word stays inside its
+// stream.
+class SignStreams {
+ public:
+  SignStreams() = default;
+
+  // All-zero streams for `channels` x `batch` planes of height x width,
+  // laid out for `spec` (is_same_conv); set_rows fills them.
+  SignStreams(std::int64_t channels, std::int64_t batch, std::int64_t height,
+              std::int64_t width, const tensor::ConvSpec& spec);
+
+  // ORs the signs of input rows [y, y + count) of plane (c, n), count *
+  // width() floats at `values` row after row, into their lanes. Rows of
+  // samples in different groups of sample_group() samples touch distinct
+  // words, so such calls may run concurrently; calls within one group may
+  // not.
+  void set_rows(std::int64_t c, std::int64_t n, std::int64_t y,
+                std::int64_t count, const float* values);
+
+  std::int64_t channels() const { return c_; }
+  std::int64_t batch() const { return n_; }
+  std::int64_t height() const { return h_; }
+  std::int64_t width() const { return w_; }
+  // The layout's conv: stride and pad (kernel = 2 * pad + 1).
+  std::int64_t stride() const { return stride_; }
+  std::int64_t pad() const { return pad_; }
+  std::int64_t phases() const { return stride_ * stride_; }
+  std::int64_t out_height() const { return out_h_; }
+  std::int64_t out_width() const { return out_w_; }
+  // N * outH * outW, and the 64-lane words that hold them.
+  std::int64_t lanes() const { return n_ * out_h_ * out_w_; }
+  std::int64_t words() const { return words_; }
+  // The fewest consecutive samples whose lanes fill whole words:
+  // 64 / gcd(outH * outW, 64).
+  std::int64_t sample_group() const { return sample_group_; }
+
+  // Words from stream (c, phase) to stream (c + 1, phase).
+  std::int64_t channel_words() const { return phases() * stream_words_; }
+  // Lane word 0 of stream (c, phase); the guard words precede it and
+  // follow the last lane word.
+  const std::uint64_t* stream(std::int64_t c, std::int64_t phase) const {
+    return data_.data() + c * channel_words() + phase * stream_words_ +
+           guard_;
+  }
+  // Every stored word, guards included, stream after stream.
+  const std::vector<std::uint64_t>& storage() const { return data_; }
+
+ private:
+  std::uint64_t* stream(std::int64_t c, std::int64_t phase) {
+    return data_.data() + c * channel_words() + phase * stream_words_ +
+           guard_;
+  }
+
+  std::int64_t c_ = 0, n_ = 0, h_ = 0, w_ = 0, stride_ = 1, pad_ = 0;
+  std::int64_t out_h_ = 0, out_w_ = 0, words_ = 0, guard_ = 0;
+  std::int64_t stream_words_ = 0, sample_group_ = 1;
+  std::vector<std::uint64_t> data_;
+};
 
 class BitPlanes {
  public:
-  BitPlanes() = default;
-
-  // All-zero planes for an [n, c, h, w] tensor; set_rows fills them.
-  BitPlanes(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w,
-            BitLayout layout);
-
-  // bit = (v >= 0) for every element of the rank-4 `input`.
-  explicit BitPlanes(const tensor::Tensor& input,
-                     BitLayout layout = BitLayout::kRows);
-
-  // Sets bitmap rows [y, y + count) of plane (n*channels + c) from the
-  // count * width() floats at `values` (row after row), bit = (v >= 0), in
-  // this planes' layout; every stored word of those rows is written, so
-  // bits past the width stay zero. Calls on distinct rows touch distinct
-  // words and may run concurrently.
-  void set_rows(std::int64_t plane, std::int64_t y, std::int64_t count,
-                const float* values);
+  // bit = (v >= 0) for every element of the rank-4 `input`; bits at
+  // x >= W are zero.
+  explicit BitPlanes(const tensor::Tensor& input);
 
   std::int64_t batch() const { return n_; }
   std::int64_t channels() const { return c_; }
   std::int64_t height() const { return h_; }
   std::int64_t width() const { return w_; }
-  BitLayout layout() const { return layout_; }
-  // Words per stored row: a full row (kRows) or one parity half
-  // (kColumnParity, ceil(ceil(width / 2) / 64) words each).
-  std::int64_t row_words() const { return row_words_; }
 
-  // Bitmap row y of plane (n*channels + c); kRows only, caller guarantees
-  // bounds.
+  // Bitmap row y of plane (n*channels + c); caller guarantees bounds.
   const std::uint64_t* row(std::int64_t plane, std::int64_t y) const {
     return words_.data() + (plane * h_ + y) * row_words_;
-  }
-
-  // Even (parity 0) or odd (parity 1) columns of bitmap row y of plane
-  // (n*channels + c); kColumnParity only.
-  const std::uint64_t* parity_row(std::int64_t plane, std::int64_t y,
-                                  std::int64_t parity) const {
-    return words_.data() + ((plane * h_ + y) * 2 + parity) * row_words_;
-  }
-
-  bool get(std::int64_t n, std::int64_t c, std::int64_t y,
-           std::int64_t x) const {
-    const std::int64_t plane = n * c_ + c;
-    if (layout_ == BitLayout::kColumnParity) {
-      return (parity_row(plane, y, x & 1)[(x >> 1) >> 6] >> ((x >> 1) & 63)) &
-             1u;
-    }
-    return (row(plane, y)[x >> 6] >> (x & 63)) & 1u;
   }
 
   // kw bits of bitmap row `bm` starting at column ix0 (bit i = column
@@ -100,7 +133,6 @@ class BitPlanes {
   }
 
  private:
-  BitLayout layout_ = BitLayout::kRows;
   std::int64_t n_ = 0;
   std::int64_t c_ = 0;
   std::int64_t h_ = 0;

@@ -43,10 +43,13 @@ namespace {
 // evaluates batch norm for this many rows at a time.
 constexpr std::int64_t kRowBlock = 4;
 
+// Dimensions of an NCHW input, or of a channel-major [C, N, H, W] one.
 struct Extents {
-  Extents(const tensor::Tensor& input, const tensor::ConvSpec& spec)
-      : n(input.dim(0)),
-        c(input.dim(1)),
+  Extents(const tensor::Tensor& input, const tensor::ConvSpec& spec,
+          bool cnhw = false)
+      : channel_major(cnhw),
+        n(input.dim(cnhw ? 1 : 0)),
+        c(input.dim(cnhw ? 0 : 1)),
         h(input.dim(2)),
         w(input.dim(3)),
         out_h(tensor::conv_out_extent(h, spec.kernel_h, spec.stride,
@@ -56,6 +59,12 @@ struct Extents {
     HOTSPOT_CHECK_EQ(input.rank(), 4);
   }
 
+  // Index of the h x w plane of sample ni, channel ci.
+  std::int64_t plane(std::int64_t ni, std::int64_t ci) const {
+    return channel_major ? ci * n + ni : ni * c + ci;
+  }
+
+  bool channel_major;
   std::int64_t n, c, h, w, out_h, out_w;
 };
 
@@ -158,102 +167,107 @@ class BoxFilter {
 // The rows of one plane of `input` as they are.
 class PlainRows {
  public:
-  explicit PlainRows(const tensor::Tensor& input)
-      : input_(input.data()), hw_(input.dim(2) * input.dim(3)),
-        w_(input.dim(3)) {}
+  PlainRows(const tensor::Tensor& input, const Extents& e)
+      : input_(input.data()), e_(e) {}
 
-  void select(std::int64_t plane) { plane_ = input_ + plane * hw_; }
+  void select(std::int64_t ni, std::int64_t ci) {
+    plane_ = input_ + e_.plane(ni, ci) * e_.h * e_.w;
+  }
   const float* operator()(std::int64_t y, std::int64_t /*count*/) const {
-    return plane_ + y * w_;
+    return plane_ + y * e_.w;
   }
 
  private:
   const float* input_;
-  std::int64_t hw_;
-  std::int64_t w_;
+  const Extents& e_;
   const float* plane_ = nullptr;
 };
 
 // The rows of one plane of bn(input): each call evaluates bn_eval once per
-// element of its block into per-chunk scratch, packs the block's sign rows
+// element of its block into per-chunk scratch, writes the block's signs
 // into `bits`, and returns the scratch for the box filter.
 class AffineRows {
  public:
-  AffineRows(const tensor::Tensor& input, const ChannelAffine& affine,
-             BitPlanes& bits)
+  AffineRows(const tensor::Tensor& input, const Extents& e,
+             const ChannelAffine& affine, SignStreams& bits)
       : input_(input.data()),
+        e_(e),
         affine_(affine),
         bits_(bits),
-        channels_(input.dim(1)),
-        hw_(input.dim(2) * input.dim(3)),
-        w_(input.dim(3)),
-        buffer_(static_cast<std::size_t>(kRowBlock * w_)) {}
+        buffer_(static_cast<std::size_t>(kRowBlock * e.w)) {}
 
-  void select(std::int64_t plane) {
-    plane_ = plane;
-    src_ = input_ + plane * hw_;
-    const std::int64_t c = plane % channels_;
-    mean_ = affine_.mean[c];
-    inv_std_ = affine_.inv_std[c];
-    gamma_ = affine_.gamma[c];
-    beta_ = affine_.beta[c];
+  void select(std::int64_t ni, std::int64_t ci) {
+    ni_ = ni;
+    ci_ = ci;
+    src_ = input_ + e_.plane(ni, ci) * e_.h * e_.w;
+    mean_ = affine_.mean[ci];
+    inv_std_ = affine_.inv_std[ci];
+    gamma_ = affine_.gamma[ci];
+    beta_ = affine_.beta[ci];
   }
 
   const float* operator()(std::int64_t y, std::int64_t count) {
-    const float* src = src_ + y * w_;
+    const float* src = src_ + y * e_.w;
     float* buffer = buffer_.data();
-    for (std::int64_t i = 0; i < count * w_; ++i) {
+    for (std::int64_t i = 0; i < count * e_.w; ++i) {
       buffer[i] = bn_eval(src[i], mean_, inv_std_, gamma_, beta_);
     }
-    bits_.set_rows(plane_, y, count, buffer);
+    bits_.set_rows(ci_, ni_, y, count, buffer);
     return buffer;
   }
 
  private:
   const float* input_;
+  const Extents& e_;
   const ChannelAffine& affine_;
-  BitPlanes& bits_;
-  std::int64_t channels_;
-  std::int64_t hw_;
-  std::int64_t w_;
+  SignStreams& bits_;
   std::vector<float> buffer_;
-  std::int64_t plane_ = 0;
+  std::int64_t ni_ = 0, ci_ = 0;
   const float* src_ = nullptr;
   float mean_ = 0.0f, inv_std_ = 0.0f, gamma_ = 0.0f, beta_ = 0.0f;
 };
 
 // Per-channel alpha_T: box filters every (n, c) plane of the rows that
-// make_rows() (one source per chunk) yields into dst_of(plane).
+// make_rows() (one source per chunk) yields into dst_of(n, c). A chunk
+// takes whole units of `group` consecutive samples of one channel.
 template <typename MakeRows, typename DstFn>
 void per_channel_scales(const Extents& e, const tensor::ConvSpec& spec,
-                        MakeRows&& make_rows, DstFn&& dst_of) {
-  util::parallel_for(0, e.n * e.c, /*grain=*/1, [&](std::int64_t lo,
-                                                    std::int64_t hi) {
+                        std::int64_t group, MakeRows&& make_rows,
+                        DstFn&& dst_of) {
+  const std::int64_t groups = (e.n + group - 1) / group;
+  util::parallel_for(0, e.c * groups, /*grain=*/1, [&](std::int64_t lo,
+                                                       std::int64_t hi) {
     BoxFilter box(e, spec);
     auto rows = make_rows();
-    for (std::int64_t plane = lo; plane < hi; ++plane) {
-      rows.select(plane);
-      box.run(rows, dst_of(plane));
+    for (std::int64_t unit = lo; unit < hi; ++unit) {
+      const std::int64_t ci = unit / groups;
+      const std::int64_t n0 = unit % groups * group;
+      for (std::int64_t ni = n0; ni < std::min(e.n, n0 + group); ++ni) {
+        rows.select(ni, ci);
+        box.run(rows, dst_of(ni, ci));
+      }
     }
   });
 }
 
 // XNOR-Net scalar alpha_T into `out` [N,1,outH,outW]: per sample, the
-// channel mean of |v| (double sums over ascending c), box filtered.
+// channel mean of |v| (double sums over ascending c), box filtered. A chunk
+// takes whole units of `group` consecutive samples.
 template <typename MakeRows>
 void scalar_scales(const Extents& e, const tensor::ConvSpec& spec,
-                   MakeRows&& make_rows, tensor::Tensor& out) {
-  util::parallel_for(0, e.n, /*grain=*/1, [&](std::int64_t lo,
-                                              std::int64_t hi) {
+                   std::int64_t group, MakeRows&& make_rows,
+                   tensor::Tensor& out) {
+  util::parallel_for(0, (e.n + group - 1) / group, /*grain=*/1,
+                     [&](std::int64_t lo, std::int64_t hi) {
     BoxFilter box(e, spec);
     auto rows = make_rows();
     const auto hw = static_cast<std::size_t>(e.h * e.w);
     std::vector<double> total(hw);
     std::vector<float> mean(hw);
-    for (std::int64_t ni = lo; ni < hi; ++ni) {
+    for (std::int64_t ni = lo * group; ni < std::min(e.n, hi * group); ++ni) {
       std::fill(total.begin(), total.end(), 0.0);
       for (std::int64_t ci = 0; ci < e.c; ++ci) {
-        rows.select(ni * e.c + ci);
+        rows.select(ni, ci);
         for (std::int64_t y = 0; y < e.h; y += kRowBlock) {
           const std::int64_t count = std::min(kRowBlock, e.h - y);
           const float* v = rows(y, count);
@@ -280,9 +294,9 @@ tensor::Tensor box_filter_abs_mean(const tensor::Tensor& input,
   const Extents e(input, spec);
   tensor::Tensor out({e.n, e.c, e.out_h, e.out_w});
   per_channel_scales(
-      e, spec, [&] { return PlainRows(input); },
-      [&](std::int64_t plane) {
-        return out.data() + plane * e.out_h * e.out_w;
+      e, spec, /*group=*/1, [&] { return PlainRows(input, e); },
+      [&](std::int64_t ni, std::int64_t ci) {
+        return out.data() + e.plane(ni, ci) * e.out_h * e.out_w;
       });
   return out;
 }
@@ -296,48 +310,52 @@ tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec) {
   const Extents e(input, spec);
   tensor::Tensor out({e.n, 1, e.out_h, e.out_w});
-  scalar_scales(e, spec, [&] { return PlainRows(input); }, out);
+  scalar_scales(e, spec, /*group=*/1, [&] { return PlainRows(input, e); },
+                out);
   return out;
 }
 
 ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
                      const tensor::ConvSpec& spec, InputScaling scaling) {
-  const Extents e(input, spec);
-  ConvInput result{
-      BitPlanes(e.n, e.c, e.h, e.w,
-                spec.stride == 2 ? BitLayout::kColumnParity
-                                 : BitLayout::kRows),
-      tensor::Tensor()};
+  const Extents e(input, spec, /*channel_major=*/true);
+  ConvInput result{SignStreams(e.c, e.n, e.h, e.w, spec), tensor::Tensor()};
+  const std::int64_t group = result.bits.sample_group();
   const auto make_rows = [&] {
-    return AffineRows(input, affine, result.bits);
+    return AffineRows(input, e, affine, result.bits);
   };
   switch (scaling) {
     case InputScaling::kPerChannel: {
       const std::int64_t positions = e.out_h * e.out_w;
-      const std::int64_t lanes = (e.n * positions + 63) / 64 * 64;
+      const std::int64_t lanes = result.bits.words() * 64;
       result.alpha = tensor::Tensor({e.c, lanes});  // zero-filled
-      per_channel_scales(e, spec, make_rows, [&](std::int64_t plane) {
-        return result.alpha.data() + (plane % e.c) * lanes +
-               (plane / e.c) * positions;
-      });
+      per_channel_scales(e, spec, group, make_rows,
+                         [&](std::int64_t ni, std::int64_t ci) {
+                           return result.alpha.data() + ci * lanes +
+                                  ni * positions;
+                         });
       break;
     }
     case InputScaling::kScalar:
       result.alpha = tensor::Tensor({e.n, 1, e.out_h, e.out_w});
-      scalar_scales(e, spec, make_rows, result.alpha);
+      scalar_scales(e, spec, group, make_rows, result.alpha);
       break;
-    case InputScaling::kNone:
-      util::parallel_for(0, e.n * e.c, /*grain=*/1, [&](std::int64_t lo,
-                                                        std::int64_t hi) {
+    case InputScaling::kNone: {
+      const std::int64_t groups = (e.n + group - 1) / group;
+      util::parallel_for(0, e.c * groups, /*grain=*/1, [&](std::int64_t lo,
+                                                           std::int64_t hi) {
         AffineRows rows = make_rows();
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-          rows.select(plane);
-          for (std::int64_t y = 0; y < e.h; y += kRowBlock) {
-            rows(y, std::min(kRowBlock, e.h - y));
+        for (std::int64_t unit = lo; unit < hi; ++unit) {
+          const std::int64_t n0 = unit % groups * group;
+          for (std::int64_t ni = n0; ni < std::min(e.n, n0 + group); ++ni) {
+            rows.select(ni, unit / groups);
+            for (std::int64_t y = 0; y < e.h; y += kRowBlock) {
+              rows(y, std::min(kRowBlock, e.h - y));
+            }
           }
         }
       });
       break;
+    }
   }
   return result;
 }

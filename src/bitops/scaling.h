@@ -44,27 +44,29 @@ tensor::Tensor box_filter_abs_mean(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec);
 
 // The input stage of one conv step of the inference plan (DESIGN.md §14):
-// the sign bits and alpha_T of the batch-norm output y = bn(input), with
-// channel c's parameters from `affine` (arrays sized to input.dim(1)).
-// One pass over `input` evaluates bn_eval (channel_affine.h) once per
-// element, a few rows at a time into per-chunk scratch, and feeds each
-// block of rows both to the sign packer (BitPlanes::set_rows) and to the
-// integral image of the routine behind input_scales_per_channel /
-// input_scales_scalar, so
-//   bits   equals BitPlanes(y, layout), layout kColumnParity when
-//          spec.stride == 2 (what core::direct_conv reads) and kRows
-//          otherwise;
-//   alpha  kPerChannel: input_scales_per_channel(y, spec) in the direct
-//          conv's lane layout [Cin, lanes], alpha_T(n, c, oy, ox) at row c,
-//          column n*outH*outW + oy*outW + ox, with `lanes` N*outH*outW
-//          rounded up to a multiple of 64 and the columns past
-//          N*outH*outW zero;
-//          kScalar: input_scales_scalar(y, spec), [N,1,outH,outW];
+// the sign bits and alpha_T of the batch-norm output y = bn(input) of a
+// channel-major input [C, N, H, W], with channel c's parameters from
+// `affine` (arrays sized to input.dim(0)), for a "same" conv
+// (is_same_conv(spec)). One pass over `input` evaluates bn_eval
+// (channel_affine.h) once per element, a few rows at a time into per-chunk
+// scratch, and feeds each block of rows both to the sign streams
+// (SignStreams::set_rows) and to the integral image of the routine behind
+// input_scales_per_channel / input_scales_scalar, so
+//   bits   holds sign(y) in the direct conv's lane order (SignStreams);
+//   alpha  kPerChannel: input_scales_per_channel(y, spec) of the NCHW
+//          y in the direct conv's lane layout [C, lanes],
+//          alpha_T(n, c, oy, ox) at row c, column n*outH*outW + oy*outW +
+//          ox, with `lanes` N*outH*outW rounded up to a multiple of 64 and
+//          the columns past N*outH*outW zero;
+//          kScalar: input_scales_scalar(y, spec), [N,1,outH,outW], whose
+//          flat index is the lane;
 //          kNone: empty;
 // bit for bit, because the same float values feed the same double sums in
-// the same order, without the intermediate BN tensor.
+// the same order, without the intermediate BN tensor. Parallel chunks own
+// whole groups of SignStreams::sample_group() samples, so no two of them
+// write one stream word.
 struct ConvInput {
-  BitPlanes bits;
+  SignStreams bits;
   tensor::Tensor alpha;
 };
 

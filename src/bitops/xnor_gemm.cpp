@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "bitops/bit_planes.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -9,12 +10,7 @@ namespace hotspot::bitops {
 
 BitMatrix pack_patches_channel_blocked(const tensor::Tensor& input,
                                        const tensor::ConvSpec& spec) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  return pack_patches_channel_blocked(BitPlanes(input), spec);
-}
-
-BitMatrix pack_patches_channel_blocked(const BitPlanes& planes,
-                                       const tensor::ConvSpec& spec) {
+  const BitPlanes planes(input);
   const std::int64_t patch_bits = spec.kernel_h * spec.kernel_w;
   HOTSPOT_CHECK_LE(patch_bits, 64)
       << "channel-blocked packing needs kh*kw <= 64";

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "bitops/bit_matrix.h"
-#include "bitops/bit_planes.h"
 #include "tensor/conv.h"
 
 namespace hotspot::bitops {
@@ -14,8 +13,6 @@ namespace hotspot::bitops {
 // +/-1 dot is one XOR + popcount. Requires kh*kw <= 64.
 // Rows are output positions, and row r holds Cin words.
 BitMatrix pack_patches_channel_blocked(const tensor::Tensor& input,
-                                       const tensor::ConvSpec& spec);
-BitMatrix pack_patches_channel_blocked(const BitPlanes& planes,
                                        const tensor::ConvSpec& spec);
 BitMatrix pack_filters_channel_blocked(const tensor::Tensor& weight);
 

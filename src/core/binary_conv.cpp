@@ -25,6 +25,9 @@ BinaryConv2d::BinaryConv2d(std::int64_t in_channels, std::int64_t out_channels,
   HOTSPOT_CHECK_GT(out_channels, 0);
   HOTSPOT_CHECK_LE(kernel * kernel, kMaxDirectTaps)
       << "the packed direct conv needs kh*kw <= " << kMaxDirectTaps;
+  HOTSPOT_CHECK(bitops::is_same_conv(spec_))
+      << "the packed direct conv serves same convs: odd kernel, pad = "
+         "kernel / 2, stride 1 or 2";
   const tensor::Shape weight_shape{out_channels, in_channels, kernel, kernel};
   const auto [fan_in, fan_out] = nn::compute_fans(weight_shape);
   weight_ = nn::Parameter(

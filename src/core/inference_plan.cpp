@@ -1,5 +1,7 @@
 #include "core/inference_plan.h"
 
+#include <algorithm>
+
 #include "core/binary_conv.h"
 #include "core/brnn.h"
 #include "core/packed_conv.h"
@@ -103,14 +105,14 @@ Tensor ConvStep::run(const Tensor& input) const {
 
 Tensor ConvStep::compute(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
-  HOTSPOT_CHECK_EQ(input.dim(1), in_channels_);
-  Tensor output({input.dim(0), out_channels_,
+  HOTSPOT_CHECK_EQ(input.dim(0), in_channels_);
+  Tensor output({out_channels_, input.dim(1),
                  tensor::conv_out_extent(input.dim(2), spec_.kernel_h,
                                          spec_.stride, spec_.pad),
                  tensor::conv_out_extent(input.dim(3), spec_.kernel_w,
                                          spec_.stride, spec_.pad)});
-  // Sign bits (the column-parity layout at stride 2) and the scaling's
-  // alpha_T, both of the BN output, from one pass over the input.
+  // Sign streams and the scaling's alpha_T, both of the BN output, from one
+  // pass over the input.
   bitops::ConvInput in;
   {
     obs::TraceSpan span(input_span_);
@@ -133,11 +135,13 @@ Tensor MaxPoolStep::run(const Tensor& input) const {
 }
 
 Tensor ResidualStep::run(const Tensor& input) const {
-  const Tensor main_out = b.run(a.run(input));
-  // Operand order matches ResidualBlock::forward, so the float sum is
-  // identical to the module chain's.
-  return tensor::add(main_out, shortcut.has_value() ? shortcut->run(input)
-                                                    : input);
+  Tensor output = b.run(a.run(input));
+  // main + shortcut, the operand order of ResidualBlock::forward, so the
+  // float sum is identical to the module chain's; in place, into the main
+  // path's own output.
+  tensor::add_inplace(output,
+                      shortcut.has_value() ? shortcut->run(input) : input);
+  return output;
 }
 
 Tensor GlobalAvgPoolStep::run(const Tensor& input) const {
@@ -175,6 +179,7 @@ std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model) {
   const std::vector<std::string>& labels = model.layer_labels();
   HOTSPOT_CHECK_EQ(labels.size(), net.size());
   plan->layers_.reserve(net.size());
+  plan->head_ = net.size();
   for (std::size_t i = 0; i < net.size(); ++i) {
     nn::Module& layer = net.at(i);
     auto add = [&](Step step) {
@@ -186,14 +191,18 @@ std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model) {
       add(MaxPoolStep{pool->spec()});
     } else if (auto* residual = dynamic_cast<nn::ResidualBlock*>(&layer)) {
       add(compile_residual(*residual));
-    } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
-      add(BnStep(*bn));
-    } else if (dynamic_cast<nn::GlobalAvgPool*>(&layer) != nullptr) {
-      add(GlobalAvgPoolStep{});
-    } else if (auto* fc = dynamic_cast<nn::Linear*>(&layer)) {
-      add(LinearStep(*fc));
     } else {
-      HOTSPOT_CHECK(false) << "unsupported top-level layer: " << layer.name();
+      plan->head_ = std::min(plan->head_, i);
+      if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
+        add(BnStep(*bn));
+      } else if (dynamic_cast<nn::GlobalAvgPool*>(&layer) != nullptr) {
+        add(GlobalAvgPoolStep{});
+      } else if (auto* fc = dynamic_cast<nn::Linear*>(&layer)) {
+        add(LinearStep(*fc));
+      } else {
+        HOTSPOT_CHECK(false) << "unsupported top-level layer: "
+                             << layer.name();
+      }
     }
   }
   return plan;
@@ -204,12 +213,17 @@ Tensor InferencePlan::run(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.dim(1), input_channels_);
   HOTSPOT_CHECK_EQ(input.dim(2), image_size_);
   HOTSPOT_CHECK_EQ(input.dim(3), image_size_);
-  Tensor current = input;
-  for (const Layer& layer : layers_) {
-    obs::TraceSpan span(layer.label);
+  // [N, C, H, W] -> channel-major [C, N, H, W]; with one input channel the
+  // same floats in the same order.
+  Tensor current = tensor::swap_leading_axes(input);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    obs::TraceSpan span(layers_[i].label);
+    if (i == head_) {
+      current = tensor::swap_leading_axes(current);  // back to NCHW
+    }
     current = std::visit(
         [&current](const auto& step) { return step.run(current); },
-        layer.step);
+        layers_[i].step);
   }
   return current;
 }

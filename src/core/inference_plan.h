@@ -10,13 +10,20 @@
 // BrnnModel publishes a fresh plan whenever a parameter version, the XNOR
 // kernel, or the BN statistics change (see BrnnModel::plan()).
 //
+// The conv, max-pool and residual activations are channel-major,
+// [C, N, H, W], so a conv's output, the next conv's alpha_T rows and its
+// sign streams share the direct conv's lane order (lane = n*H*W + p). run()
+// reads its NCHW input in that order and converts back to NCHW once, before
+// the head BN.
+//
 // Each conv step runs two stages, in the style of lib_nn's Filter2D
 // (SNIPPETS.md snippet 1):
-//   input     - sign bits of the BN output and the alpha_T of the layer's
-//               scaling (per-channel lanes, the scalar map, or none), both
-//               from one pass over the raw input (bitops::conv_input) that
-//               evaluates the BN expression (bitops/channel_affine.h) once
-//               per element, so no BN tensor is materialized;
+//   input     - sign streams of the BN output and the alpha_T of the
+//               layer's scaling (per-channel lanes, the scalar map, or
+//               none), both from one pass over the raw input
+//               (bitops::conv_input) that evaluates the BN expression
+//               (bitops/channel_affine.h) once per element, so no BN tensor
+//               is materialized;
 //   aggregate - the position-sliced direct binary conv (core::direct_conv),
 //               the same for every scaling.
 // The input stage evaluates the layer's own float expression, so the plan
@@ -80,7 +87,8 @@ class ConvStep {
  public:
   ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv);
 
-  // Float in, float out.
+  // Channel-major float in, [Cin, N, H, W], channel-major float out,
+  // [Cout, N, outH, outW].
   Tensor run(const Tensor& input) const;
 
  private:
@@ -150,6 +158,9 @@ class InferencePlan {
   InferencePlan() = default;
 
   std::vector<Layer> layers_;
+  // The first layer that reads NCHW (the head BN); the layers before it
+  // run channel-major.
+  std::size_t head_ = 0;
   std::int64_t input_channels_ = 0;
   std::int64_t image_size_ = 0;
   const bitops::XnorKernel* kernel_ = nullptr;

@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -23,77 +25,112 @@ alignas(64) constexpr std::array<float, 64> kUnitAlpha = [] {
 // Shape of one direct conv call; lanes are the flattened output positions
 // (n, p), 64 per lane word.
 struct LaneGeometry {
-  std::int64_t in_channels, channel_stride, height, width;
-  std::int64_t out_w, positions, lanes, words;
-  std::int64_t kernel_h, kernel_w, taps, stride, pad;
+  std::int64_t in_channels, channel_stride, kernel, taps, lanes, words;
+  // Words between the streams of consecutive channels of one phase.
+  std::int64_t channel_words;
+  // Per tap t = ky*k + kx: the stride phase it reads and its offset, in
+  // lanes, on the output grid.
+  std::array<std::int64_t, kMaxDirectTaps> phase, shift;
 };
 
-// Bits [start, start + len) of a bitmap row of `words` words (bit i =
-// column i). Columns past the stored words read 0, and rows keep the bits
-// past their width 0, so the right padding reads 0; columns left of 0 read
-// 0 (the left padding). Requires -64 < start and 1 <= len <= 64.
-inline std::uint64_t row_bits(const std::uint64_t* row, std::int64_t words,
-                              std::int64_t start, std::int64_t len) {
-  std::uint64_t bits = 0;
-  if (start >= 0) {
-    const std::int64_t word = start >> 6;
-    const int offset = static_cast<int>(start & 63);
-    if (word < words) {
-      bits = row[word] >> offset;
-      if (offset != 0 && word + 1 < words) {
-        bits |= row[word + 1] << (64 - offset);
-      }
-    }
-  } else {
-    bits = row[0] << -start;
-  }
-  return len < 64 ? bits & ((std::uint64_t{1} << len) - 1) : bits;
+// Output coordinates o in [lo, hi) whose input coordinate
+// o*stride + k - pad along one axis of `extent` lies inside the image.
+std::pair<std::int64_t, std::int64_t> inside(std::int64_t k,
+                                             const tensor::ConvSpec& spec,
+                                             std::int64_t extent,
+                                             std::int64_t out) {
+  const std::int64_t lo =
+      k < spec.pad ? (spec.pad - k + spec.stride - 1) / spec.stride : 0;
+  return {lo, std::min(out, (extent + spec.pad - k + spec.stride - 1) /
+                                spec.stride)};
 }
 
-// Tap words of lane words [g0, g1):
-// taps[((g - g0) * k*k + t) * channel_stride + c] holds, at bit j, the sign
-// bit under tap t = ky*kw + kx of output lane 64g + j in input channel c;
-// the words of the padding channels stay 0. A lane word is cut into runs
-// of one output row each; every run is one shifted row slice per tap.
-void build_taps(const bitops::BitPlanes& planes, const LaneGeometry& geo,
-                std::int64_t g0, std::int64_t g1, std::uint64_t* taps) {
-  const std::int64_t cin = geo.in_channels;
-  const std::int64_t stride = geo.channel_stride;
-  std::fill(taps, taps + (g1 - g0) * geo.taps * stride, 0);
-  const std::int64_t row_words = planes.row_words();
-  for (std::int64_t g = g0; g < g1; ++g) {
-    std::uint64_t* word_taps = taps + (g - g0) * geo.taps * stride;
-    const std::int64_t lane0 = g * 64;
-    const std::int64_t end = std::min(lane0 + 64, geo.lanes);
-    for (std::int64_t lane = lane0; lane < end;) {
-      const std::int64_t ni = lane / geo.positions;
-      const std::int64_t p = lane % geo.positions;
-      const std::int64_t oy = p / geo.out_w;
-      const std::int64_t ox = p % geo.out_w;
-      const std::int64_t len = std::min(geo.out_w - ox, end - lane);
-      const int shift = static_cast<int>(lane - lane0);
-      for (std::int64_t ky = 0; ky < geo.kernel_h; ++ky) {
-        const std::int64_t iy = oy * geo.stride - geo.pad + ky;
-        if (iy < 0 || iy >= geo.height) {
-          continue;  // padding rows: the taps stay 0
+// Bits [j, j + len) of a word, len <= 64 - j.
+inline std::uint64_t span_bits(std::int64_t j, std::int64_t len) {
+  return len >= 64 ? ~std::uint64_t{0}
+                   : ((std::uint64_t{1} << len) - 1) << j;
+}
+
+// Lanes whose input lies inside the image, per lane word: bit j of
+// rows[g * k + ky] is set iff input row oy*stride + ky - pad of lane
+// 64g + j is in [0, H), and cols likewise for columns. The masks repeat
+// every lcm(outH*outW, 64) lanes, so only the first `period` lane words are
+// kept. They are filled one run of lanes in one output row at a time.
+struct BorderMasks {
+  BorderMasks(const bitops::SignStreams& bits, const tensor::ConvSpec& spec)
+      : kernel(spec.kernel_h) {
+    const std::int64_t out_h = bits.out_height();
+    const std::int64_t out_w = bits.out_width();
+    const std::int64_t positions = out_h * out_w;
+    period = std::min(bits.words(),
+                      positions / std::gcd(positions, std::int64_t{64}));
+    rows.assign(static_cast<std::size_t>(period * kernel), 0);
+    cols.assign(static_cast<std::size_t>(period * kernel), 0);
+    std::array<std::pair<std::int64_t, std::int64_t>, kMaxDirectTaps> row_in,
+        col_in;
+    for (std::int64_t k = 0; k < kernel; ++k) {
+      row_in[k] = inside(k, spec, bits.height(), out_h);
+      col_in[k] = inside(k, spec, bits.width(), out_w);
+    }
+    for (std::int64_t lane = 0; lane < period * 64;) {
+      const std::int64_t p = lane % positions;
+      const std::int64_t oy = p / out_w;
+      const std::int64_t ox = p % out_w;
+      const std::int64_t g = lane / 64;
+      const std::int64_t j = lane % 64;
+      const std::int64_t len = std::min(out_w - ox, 64 - j);
+      for (std::int64_t k = 0; k < kernel; ++k) {
+        if (row_in[k].first <= oy && oy < row_in[k].second) {
+          rows[g * kernel + k] |= span_bits(j, len);
         }
-        for (std::int64_t c = 0; c < cin; ++c) {
-          const std::int64_t plane = ni * cin + c;
-          for (std::int64_t kx = 0; kx < geo.kernel_w; ++kx) {
-            // Input column ox*stride + d. At stride 2 that is column
-            // ox + floor(d/2) of the even (d even) or odd (d odd) half.
-            const std::int64_t d = kx - geo.pad;
-            const std::uint64_t bits =
-                geo.stride == 1
-                    ? row_bits(planes.row(plane, iy), row_words, ox + d, len)
-                    : row_bits(planes.parity_row(plane, iy, d & 1),
-                               row_words, ox + (d >> 1), len);
-            word_taps[(ky * geo.kernel_w + kx) * stride + c] |= bits
-                                                                << shift;
-          }
+        const std::int64_t lo = std::max(ox, col_in[k].first);
+        const std::int64_t hi = std::min(ox + len, col_in[k].second);
+        if (lo < hi) {
+          cols[g * kernel + k] |= span_bits(j + lo - ox, hi - lo);
         }
       }
       lane += len;
+    }
+  }
+
+  std::int64_t kernel;
+  std::int64_t period;
+  std::vector<std::uint64_t> rows, cols;
+};
+
+// Tap words of lane words [g0, g1):
+// taps[((g - g0) * k*k + t) * channel_stride + c] holds, at bit j, the sign
+// bit under tap t = ky*kw + kx of output lane 64g + j in input channel c.
+// Each is one funnel shift of the tap's stream, masked to the lanes whose
+// input is inside the image; the words of the padding channels are never
+// written, so the caller keeps them 0.
+void build_taps(const bitops::SignStreams& bits, const LaneGeometry& geo,
+                const BorderMasks& masks, std::int64_t g0, std::int64_t g1,
+                std::uint64_t* taps) {
+  const std::int64_t k = geo.kernel;
+  for (std::int64_t g = g0; g < g1; ++g) {
+    std::uint64_t* word_taps = taps + (g - g0) * geo.taps * geo.channel_stride;
+    const std::uint64_t* rows = masks.rows.data() + g % masks.period * k;
+    const std::uint64_t* cols = masks.cols.data() + g % masks.period * k;
+    // Lanes past the batch read 0.
+    const std::uint64_t live =
+        geo.lanes - g * 64 >= 64
+            ? ~std::uint64_t{0}
+            : (std::uint64_t{1} << (geo.lanes - g * 64)) - 1;
+    for (std::int64_t t = 0; t < geo.taps; ++t) {
+      const std::uint64_t mask = rows[t / k] & cols[t % k] & live;
+      const std::int64_t bit = g * 64 + geo.shift[t];
+      const std::int64_t word = bit >> 6;  // floor, into the guard words
+      const int offset = static_cast<int>(bit & 63);
+      const std::uint64_t* src = bits.stream(0, geo.phase[t]) + word;
+      std::uint64_t* dst = word_taps + t * geo.channel_stride;
+      for (std::int64_t c = 0; c < geo.in_channels;
+           ++c, src += geo.channel_words) {
+        // Bits [offset, offset + 64) of src[0..1]; the split shift keeps
+        // offset 0 defined.
+        dst[c] = ((src[0] >> offset) | ((src[1] << 1) << (63 - offset))) &
+                 mask;
+      }
     }
   }
 }
@@ -127,43 +164,43 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight) {
 }
 
 void direct_conv(const bitops::XnorKernel& kern,
-                 const bitops::BitPlanes& planes,
+                 const bitops::SignStreams& bits,
                  const tensor::ConvSpec& spec, const DirectFilters& filters,
                  const tensor::Tensor* alpha_lanes,
                  const tensor::Tensor& alpha_w, const tensor::Tensor* post,
                  tensor::Tensor& output) {
-  LaneGeometry geo{};
-  geo.in_channels = planes.channels();
-  geo.channel_stride = filters.channel_stride;
-  geo.height = planes.height();
-  geo.width = planes.width();
-  geo.kernel_h = spec.kernel_h;
-  geo.kernel_w = spec.kernel_w;
-  geo.taps = spec.kernel_h * spec.kernel_w;
-  geo.stride = spec.stride;
-  geo.pad = spec.pad;
-  const std::int64_t n = planes.batch();
-  const std::int64_t cin = geo.in_channels;
+  const std::int64_t cin = bits.channels();
   const std::int64_t cout = filters.out_channels;
   HOTSPOT_CHECK_EQ(filters.in_channels, cin);
-  HOTSPOT_CHECK_EQ(filters.taps, geo.taps);
-  HOTSPOT_CHECK(spec.stride == 1 || spec.stride == 2)
-      << "the direct conv handles stride 1 and 2";
-  HOTSPOT_CHECK((spec.stride == 2) ==
-                (planes.layout() == bitops::BitLayout::kColumnParity))
-      << "stride-2 convs read the column-parity layout";
-  HOTSPOT_CHECK_LT(spec.pad, 64) << "tap window shift";
-  const std::int64_t out_h = tensor::conv_out_extent(
-      geo.height, spec.kernel_h, spec.stride, spec.pad);
-  geo.out_w = tensor::conv_out_extent(geo.width, spec.kernel_w, spec.stride,
-                                      spec.pad);
-  geo.positions = out_h * geo.out_w;
-  geo.lanes = n * geo.positions;
-  geo.words = (geo.lanes + 63) / 64;
-  HOTSPOT_CHECK_EQ(output.dim(0), n);
-  HOTSPOT_CHECK_EQ(output.dim(1), cout);
-  HOTSPOT_CHECK_EQ(output.dim(2), out_h);
-  HOTSPOT_CHECK_EQ(output.dim(3), geo.out_w);
+  HOTSPOT_CHECK_EQ(filters.taps, spec.kernel_h * spec.kernel_w);
+  HOTSPOT_CHECK(bitops::is_same_conv(spec) && spec.stride == bits.stride() &&
+                spec.pad == bits.pad())
+      << "the direct conv reads streams laid out for its own same conv";
+  LaneGeometry geo{};
+  geo.in_channels = cin;
+  geo.channel_stride = filters.channel_stride;
+  geo.kernel = spec.kernel_h;
+  geo.taps = filters.taps;
+  geo.lanes = bits.lanes();
+  geo.words = bits.words();
+  geo.channel_words = bits.channel_words();
+  for (std::int64_t t = 0; t < geo.taps; ++t) {
+    // Input offset d = tap - pad in each axis: at stride 1 that is d output
+    // rows or columns; at stride 2 it is phase d & 1, floor(d / 2) away.
+    const std::int64_t dy = t / geo.kernel - spec.pad;
+    const std::int64_t dx = t % geo.kernel - spec.pad;
+    if (spec.stride == 1) {
+      geo.phase[t] = 0;
+      geo.shift[t] = dy * bits.out_width() + dx;
+    } else {
+      geo.phase[t] = (dy & 1) * 2 + (dx & 1);
+      geo.shift[t] = (dy >> 1) * bits.out_width() + (dx >> 1);
+    }
+  }
+  HOTSPOT_CHECK_EQ(output.dim(0), cout);
+  HOTSPOT_CHECK_EQ(output.dim(1), bits.batch());
+  HOTSPOT_CHECK_EQ(output.dim(2), bits.out_height());
+  HOTSPOT_CHECK_EQ(output.dim(3), bits.out_width());
   std::int64_t alpha_stride = 0;  // kUnitAlpha without per-channel lanes
   if (alpha_lanes != nullptr) {
     HOTSPOT_CHECK_EQ(alpha_lanes->dim(0), cin);
@@ -173,6 +210,7 @@ void direct_conv(const bitops::XnorKernel& kern,
   if (post != nullptr) {
     HOTSPOT_CHECK_EQ(post->numel(), geo.lanes);
   }
+  const BorderMasks masks(bits, spec);
 
   // Lane words per block: the block's tap words (about 32 KB) stay in cache
   // while every filter reads them.
@@ -180,42 +218,38 @@ void direct_conv(const bitops::XnorKernel& kern,
       std::max<std::int64_t>(1, 4096 / (geo.taps * geo.channel_stride));
   util::parallel_for(0, geo.words, block, [&](std::int64_t lo,
                                               std::int64_t hi) {
-    // Per-chunk scratch; chunks never share it.
+    // Per-chunk scratch; chunks never share it. The padding channels' tap
+    // words stay 0.
     std::vector<std::uint64_t> taps(static_cast<std::size_t>(
         std::min(block, hi - lo) * geo.taps * geo.channel_stride));
-    alignas(64) float lane_out[64];
+    alignas(64) float partial[64];
     for (std::int64_t g0 = lo; g0 < hi; g0 += block) {
       const std::int64_t g1 = std::min(hi, g0 + block);
-      build_taps(planes, geo, g0, g1, taps.data());
+      build_taps(bits, geo, masks, g0, g1, taps.data());
       for (std::int64_t o = 0; o < cout; ++o) {
+        float* row = output.data() + o * geo.lanes;
         for (std::int64_t g = g0; g < g1; ++g) {
+          // The word's results go straight to their lanes; only a partial
+          // last word goes through `partial`.
+          const std::int64_t live =
+              std::min<std::int64_t>(64, geo.lanes - g * 64);
+          float* dst = row + g * 64;
           kern.direct_accumulate(
               taps.data() + (g - g0) * geo.taps * geo.channel_stride,
               filters.bits.data() + o * geo.channel_stride,
               alpha_lanes != nullptr ? alpha_lanes->data() + g * 64
                                      : kUnitAlpha.data(),
               alpha_stride, cin, geo.channel_stride, geo.taps, alpha_w[o],
-              lane_out);
-          // Scatter the word's lanes to NCHW, one run per sample, times the
-          // post factor of the lane if there is one.
-          const std::int64_t lane0 = g * 64;
-          const std::int64_t end = std::min(lane0 + 64, geo.lanes);
-          for (std::int64_t lane = lane0; lane < end;) {
-            const std::int64_t ni = lane / geo.positions;
-            const std::int64_t p = lane % geo.positions;
-            const std::int64_t len = std::min(geo.positions - p, end - lane);
-            float* dst = output.data() + (ni * cout + o) * geo.positions + p;
-            const float* src = lane_out + (lane - lane0);
-            if (post != nullptr) {
-              const float* factor = post->data() + lane;
-              for (std::int64_t i = 0; i < len; ++i) {
-                dst[i] = src[i] * factor[i];
-              }
-            } else {
-              std::memcpy(dst, src,
-                          static_cast<std::size_t>(len) * sizeof(float));
+              live == 64 ? dst : partial);
+          if (live < 64) {
+            std::memcpy(dst, partial,
+                        static_cast<std::size_t>(live) * sizeof(float));
+          }
+          if (post != nullptr) {
+            const float* factor = post->data() + g * 64;
+            for (std::int64_t i = 0; i < live; ++i) {
+              dst[i] = dst[i] * factor[i];
             }
-            lane += len;
           }
         }
       }

@@ -37,21 +37,23 @@ struct DirectFilters {
 DirectFilters pack_direct_filters(const tensor::Tensor& weight);
 
 // Position-sliced direct binary convolution (Eq. 15) in the style of
-// lib_nn's BNNConv2dValidDirectBinary (SNIPPETS.md snippet 1). Bit j of a
-// lane word is one output position (n, p), flattened over the batch, so a
-// word spans samples when a plane has fewer than 64 positions. For each
-// lane word and input channel, the k*k tap words are cut from the
-// bit-packed sign planes (stride 1: shifted rows; stride 2: the
-// column-parity layout of BitPlanes), with taps outside the image 0
-// (padding -1), and shared by every filter. Per (lane word, filter) the
-// kernel's direct_accumulate XORs the tap words with the filter's weight
-// bits, reduces them with a carry-save adder tree to four mismatch-count
-// bit-planes per channel, adds alpha_T * (k*k - 2 * mismatches) per lane in
-// the canonical weighted order and scales by alpha_W.
+// lib_nn's BNNConv2dValidDirectBinary (SNIPPETS.md snippet 1), for "same"
+// convs (bitops::is_same_conv). Bit j of a lane word is one output position
+// (n, p), flattened over the batch, so a word spans samples when a plane
+// has fewer than 64 positions. The sign streams of the input share that
+// lane order, so for each lane word, tap and input channel the tap word is
+// one shift-and-mask of a stream: the stream of the tap's stride phase,
+// shifted by the tap's offset on the output grid, masked to the lanes whose
+// input lies inside the image (taps outside are 0, padding -1). The tap
+// words are shared by every filter. Per (lane word, filter) the kernel's
+// direct_accumulate XORs them with the filter's weight bits, reduces them
+// with a carry-save adder tree to four mismatch-count bit-planes per
+// channel, adds alpha_T * (k*k - 2 * mismatches) per lane in the canonical
+// weighted order and scales by alpha_W.
 //
-// `planes` holds the sign bits of the conv input (kColumnParity when the
-// stride is 2) and `alpha_w` is [Cout]. The three scalings differ only in
-// the alpha they pass:
+// `bits` are the sign streams of the conv input (bitops::conv_input) and
+// `alpha_w` is [Cout]. The three scalings differ only in the alpha they
+// pass:
 //   kPerChannel  `alpha_lanes` is the [Cin, lanes] alpha_T of
 //                bitops::conv_input; no `post`.
 //   kScalar      no `alpha_lanes` (unit alpha_T, so the accumulator is the
@@ -59,9 +61,11 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight);
 //                map of bitops::conv_input, whose flat index is the lane,
 //                applied as out = (acc * alpha_W) * post.
 //   kNone        neither.
-// Writes [N, Cout, outH, outW] into `output`, which the caller allocates.
+// Writes the channel-major [Cout, N, outH, outW] into `output`, which the
+// caller allocates: row o is output channel o in lane order, so each lane
+// word's results land in place.
 void direct_conv(const bitops::XnorKernel& kern,
-                 const bitops::BitPlanes& planes,
+                 const bitops::SignStreams& bits,
                  const tensor::ConvSpec& spec, const DirectFilters& filters,
                  const tensor::Tensor* alpha_lanes,
                  const tensor::Tensor& alpha_w, const tensor::Tensor* post,

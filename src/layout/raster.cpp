@@ -68,30 +68,4 @@ tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
   return coverage;
 }
 
-tensor::Tensor flip_horizontal(const tensor::Tensor& image) {
-  HOTSPOT_CHECK_EQ(image.rank(), 2);
-  const std::int64_t h = image.dim(0);
-  const std::int64_t w = image.dim(1);
-  tensor::Tensor out({h, w});
-  for (std::int64_t y = 0; y < h; ++y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      out.at2(y, x) = image.at2(y, w - 1 - x);
-    }
-  }
-  return out;
-}
-
-tensor::Tensor flip_vertical(const tensor::Tensor& image) {
-  HOTSPOT_CHECK_EQ(image.rank(), 2);
-  const std::int64_t h = image.dim(0);
-  const std::int64_t w = image.dim(1);
-  tensor::Tensor out({h, w});
-  for (std::int64_t y = 0; y < h; ++y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      out.at2(y, x) = image.at2(h - 1 - y, x);
-    }
-  }
-  return out;
-}
-
 }  // namespace hotspot::layout

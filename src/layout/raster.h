@@ -1,5 +1,4 @@
-// Rasterization of Manhattan patterns to pixel grids, plus the image flips
-// of the Sec. 3.4.1 augmentation.
+// Rasterization of Manhattan patterns to pixel grids.
 #pragma once
 
 #include "layout/geometry.h"
@@ -16,9 +15,5 @@ tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
 // Coverage raster thresholded at 0.5 into a binary {0,1} image.
 tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
                                 std::int64_t grid);
-
-// Horizontal / vertical mirror of a [H,W] image (training augmentation).
-tensor::Tensor flip_horizontal(const tensor::Tensor& image);
-tensor::Tensor flip_vertical(const tensor::Tensor& image);
 
 }  // namespace hotspot::layout

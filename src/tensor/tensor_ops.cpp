@@ -61,14 +61,6 @@ void add_inplace(Tensor& a, const Tensor& b) {
   }
 }
 
-Tensor map(const Tensor& a, const std::function<float(float)>& f) {
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = f(a[i]);
-  }
-  return out;
-}
-
 Tensor abs(const Tensor& a) {
   Tensor out(a.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) {
@@ -158,6 +150,21 @@ Tensor transpose2d(const Tensor& a) {
   for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t c = 0; c < cols; ++c) {
       out.at2(c, r) = a.at2(r, c);
+    }
+  }
+  return out;
+}
+
+Tensor swap_leading_axes(const Tensor& a) {
+  HOTSPOT_CHECK_EQ(a.rank(), 4);
+  const std::int64_t d0 = a.dim(0);
+  const std::int64_t d1 = a.dim(1);
+  const std::int64_t plane = a.dim(2) * a.dim(3);
+  Tensor out({d1, d0, a.dim(2), a.dim(3)});
+  for (std::int64_t i = 0; i < d0; ++i) {
+    for (std::int64_t j = 0; j < d1; ++j) {
+      std::copy_n(a.data() + (i * d1 + j) * plane, plane,
+                  out.data() + (j * d0 + i) * plane);
     }
   }
   return out;

@@ -4,8 +4,6 @@
 // lives in src/bitops and is validated against these in tests.
 #pragma once
 
-#include <functional>
-
 #include "tensor/tensor.h"
 
 namespace hotspot::tensor {
@@ -22,8 +20,6 @@ Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float factor);
 // In-place a += b.
 void add_inplace(Tensor& a, const Tensor& b);
-// c[i] = f(a[i]).
-Tensor map(const Tensor& a, const std::function<float(float)>& f);
 // |a| elementwise.
 Tensor abs(const Tensor& a);
 // sign(a) in {-1, +1}; sign(0) is +1 so outputs stay binary (XNOR-Net
@@ -47,6 +43,9 @@ bool allclose(const Tensor& a, const Tensor& b, double tolerance);
 Tensor matmul(const Tensor& a, const Tensor& b);
 // Transpose of a rank-2 tensor.
 Tensor transpose2d(const Tensor& a);
+// [A, B, H, W] -> [B, A, H, W]: NCHW to the channel-major [C, N, H, W] the
+// inference plan's conv steps use, and back.
+Tensor swap_leading_axes(const Tensor& a);
 
 // ---- reductions over axes ---------------------------------------------------
 

@@ -18,18 +18,6 @@ std::vector<std::string> split(std::string_view text, char delimiter) {
   }
 }
 
-std::string join(const std::vector<std::string>& parts,
-                 std::string_view separator) {
-  std::string result;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      result += separator;
-    }
-    result += parts[i];
-  }
-  return result;
-}
-
 std::string format_double(double value, int decimals) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);

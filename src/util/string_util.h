@@ -10,10 +10,6 @@ namespace hotspot::util {
 // Splits on a single-character delimiter; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char delimiter);
 
-// Joins values with a separator.
-std::string join(const std::vector<std::string>& parts,
-                 std::string_view separator);
-
 // Formats a double with the given number of decimal places.
 std::string format_double(double value, int decimals);
 

@@ -72,31 +72,59 @@ TEST(BinaryConvCounts, MatchesFloatSignConv) {
   }
 }
 
-// The column-parity layout holds the same bits as the row layout, even
-// columns then odd columns, with every bit past each half's width zero (the
-// direct conv reads those as right padding), at widths around the 64- and
-// 128-column word boundaries.
+// The stride-2 sign streams hold the bits of the stride-1 stream, split by
+// stride phase onto the output grid: lane (n, oy, ox) of phase (py, px) is
+// input (n, 2oy + py, 2ox + px), lanes whose input is outside the image and
+// lanes past the batch are zero; the stride-1 stream is the input's signs
+// in NCHW order. Widths around the 64- and 128-column word boundaries.
 TEST(BitPlanesLayout, ColumnParityMatchesRows) {
   util::Rng rng(8);
+  const auto bit = [](const SignStreams& s, std::int64_t c, std::int64_t phase,
+                      std::int64_t lane) {
+    return (s.stream(c, phase)[lane >> 6] >> (lane & 63)) & 1u;
+  };
   for (const std::int64_t width :
        {1, 2, 3, 7, 63, 64, 65, 127, 128, 129, 130, 200, 257}) {
-    const Tensor x = Tensor::normal({2, 3, 3, width}, rng, 0.0f, 1.0f);
-    const BitPlanes rows(x);
-    const BitPlanes parity(x, BitLayout::kColumnParity);
-    ASSERT_EQ(parity.row_words(), ((width + 1) / 2 + 63) / 64);
-    for (std::int64_t plane = 0; plane < 6; ++plane) {
-      for (std::int64_t y = 0; y < 3; ++y) {
-        for (std::int64_t col = 0; col < width; ++col) {
-          ASSERT_EQ(parity.get(plane / 3, plane % 3, y, col),
-                    rows.get(plane / 3, plane % 3, y, col))
-              << "width=" << width << " col=" << col;
+    // Channel-major [C, N, H, W].
+    const Tensor x = Tensor::normal({3, 2, 3, width}, rng, 0.0f, 1.0f);
+    const SignStreams rows = test_support::sign_streams(x, {3, 3, 1, 1});
+    const SignStreams phases = test_support::sign_streams(x, {3, 3, 2, 1});
+    const std::int64_t out_w = (width + 1) / 2;
+    ASSERT_EQ(phases.out_height(), 2);
+    ASSERT_EQ(phases.out_width(), out_w);
+    ASSERT_EQ(phases.phases(), 4);
+    for (std::int64_t c = 0; c < 3; ++c) {
+      for (std::int64_t n = 0; n < 2; ++n) {
+        for (std::int64_t y = 0; y < 3; ++y) {
+          for (std::int64_t col = 0; col < width; ++col) {
+            ASSERT_EQ(bit(rows, c, 0, (n * 3 + y) * width + col),
+                      x.at4(c, n, y, col) >= 0.0f ? 1u : 0u)
+                << "width=" << width << " col=" << col;
+          }
         }
-        for (std::int64_t half = 0; half < 2; ++half) {
-          const std::int64_t valid = (width + 1 - half) / 2;
-          const std::uint64_t* bits = parity.parity_row(plane, y, half);
-          for (std::int64_t i = valid; i < parity.row_words() * 64; ++i) {
-            ASSERT_EQ((bits[i >> 6] >> (i & 63)) & 1u, 0u)
-                << "width=" << width << " half=" << half << " bit=" << i;
+        for (std::int64_t phase = 0; phase < 4; ++phase) {
+          for (std::int64_t oy = 0; oy < 2; ++oy) {
+            for (std::int64_t ox = 0; ox < out_w; ++ox) {
+              const std::int64_t y = 2 * oy + phase / 2;
+              const std::int64_t col = 2 * ox + phase % 2;
+              const std::uint64_t want =
+                  y < 3 && col < width
+                      ? bit(rows, c, 0, (n * 3 + y) * width + col)
+                      : 0u;
+              ASSERT_EQ(bit(phases, c, phase, (n * 2 + oy) * out_w + ox),
+                        want)
+                  << "width=" << width << " phase=" << phase << " y=" << y
+                  << " col=" << col;
+            }
+          }
+        }
+      }
+      for (const SignStreams* s : {&rows, &phases}) {
+        for (std::int64_t phase = 0; phase < s->phases(); ++phase) {
+          for (std::int64_t lane = s->lanes(); lane < s->words() * 64;
+               ++lane) {
+            ASSERT_EQ(bit(*s, c, phase, lane), 0u)
+                << "width=" << width << " lane=" << lane;
           }
         }
       }

@@ -79,5 +79,15 @@ TEST(BinaryConvDeath, RejectsOversizedKernelForPackedPath) {
                "HOTSPOT_CHECK");
 }
 
+TEST(BinaryConvDeath, RejectsConvThatIsNotSame) {
+  // The direct conv serves same convs only: odd kernel, pad = kernel / 2,
+  // stride 1 or 2.
+  util::Rng rng(10);
+  EXPECT_DEATH(BinaryConv2d(1, 1, 3, 1, 0, InputScaling::kPerChannel, rng),
+               "HOTSPOT_CHECK");
+  EXPECT_DEATH(BinaryConv2d(1, 1, 3, 3, 1, InputScaling::kNone, rng),
+               "HOTSPOT_CHECK");
+}
+
 }  // namespace
 }  // namespace hotspot::core

@@ -23,6 +23,7 @@
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
 #include "support/test_support.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace hotspot::core {
@@ -151,38 +152,39 @@ const bitops::InputScaling kScalings[] = {bitops::InputScaling::kPerChannel,
                                           bitops::InputScaling::kScalar,
                                           bitops::InputScaling::kNone};
 
-// The stored words of `bits` (both parity halves of a kColumnParity row)
-// against the sign rule applied to the materialized BN output `y`: bit
-// (y >= 0) at each column's place, every bit past the width zero.
-void expect_sign_words(const bitops::BitPlanes& bits, const Tensor& y,
+// Every stored word of the sign streams `bits`, guard words included,
+// against streams built from the materialized NCHW BN output `y`: bit
+// (y >= 0) at each element's lane of its stride phase's stream (lane
+// n*outH*outW + (y / stride)*outW + x / stride of phase (y % stride,
+// x % stride)), every other bit zero.
+void expect_sign_words(const bitops::SignStreams& bits, const Tensor& y,
+                       const tensor::ConvSpec& spec,
                        const std::string& context) {
-  const bool parity = bits.layout() == bitops::BitLayout::kColumnParity;
-  const std::int64_t w = y.dim(3);
-  ASSERT_EQ(bits.row_words(), parity ? ((w + 1) / 2 + 63) / 64 : (w + 63) / 64)
-      << context;
-  const std::int64_t stored = parity ? 2 * bits.row_words() : bits.row_words();
-  std::vector<std::uint64_t> want(static_cast<std::size_t>(stored));
-  for (std::int64_t n = 0; n < y.dim(0); ++n) {
-    for (std::int64_t c = 0; c < y.dim(1); ++c) {
-      const std::int64_t plane = n * y.dim(1) + c;
-      for (std::int64_t row = 0; row < y.dim(2); ++row) {
-        std::fill(want.begin(), want.end(), 0);
-        for (std::int64_t col = 0; col < w; ++col) {
-          const std::int64_t bit = parity ? col >> 1 : col;
-          const std::int64_t word =
-              (parity ? (col & 1) * bits.row_words() : 0) + (bit >> 6);
-          want[static_cast<std::size_t>(word)] |=
-              std::uint64_t{y.at4(n, c, row, col) >= 0.0f} << (bit & 63);
-        }
-        const std::uint64_t* got =
-            parity ? bits.parity_row(plane, row, 0) : bits.row(plane, row);
-        for (std::int64_t word = 0; word < stored; ++word) {
-          ASSERT_EQ(got[word], want[static_cast<std::size_t>(word)])
-              << context << " at n=" << n << " c=" << c << " y=" << row
-              << " stored word " << word;
+  const std::int64_t s = spec.stride;
+  const std::int64_t out_h = (y.dim(2) + s - 1) / s;
+  const std::int64_t out_w = (y.dim(3) + s - 1) / s;
+  ASSERT_EQ(bits.channels(), y.dim(1)) << context;
+  ASSERT_EQ(bits.phases(), s * s) << context;
+  ASSERT_EQ(bits.lanes(), y.dim(0) * out_h * out_w) << context;
+  const std::vector<std::uint64_t>& got = bits.storage();
+  std::vector<std::uint64_t> want(got.size(), 0);
+  for (std::int64_t c = 0; c < y.dim(1); ++c) {
+    for (std::int64_t phase = 0; phase < s * s; ++phase) {
+      const std::int64_t base = bits.stream(c, phase) - got.data();
+      for (std::int64_t n = 0; n < y.dim(0); ++n) {
+        for (std::int64_t row = phase / s; row < y.dim(2); row += s) {
+          for (std::int64_t col = phase % s; col < y.dim(3); col += s) {
+            const std::int64_t lane =
+                (n * out_h + row / s) * out_w + col / s;
+            want[static_cast<std::size_t>(base + (lane >> 6))] |=
+                std::uint64_t{y.at4(n, c, row, col) >= 0.0f} << (lane & 63);
+          }
         }
       }
     }
+  }
+  for (std::size_t word = 0; word < got.size(); ++word) {
+    ASSERT_EQ(got[word], want[word]) << context << " stored word " << word;
   }
 }
 
@@ -195,16 +197,13 @@ TEST(BnAffineIdentity, BitPlanesMatchBatchNormForward) {
   for_each_edge_group([&](nn::BatchNorm2d& bn, const BnStep& step,
                           const Tensor& x, const std::string& context) {
     const Tensor y = bn.forward(x);
-    // Row layout at stride 1, the column-parity layout the stride-2 direct
-    // conv reads at stride 2; the bits must not depend on the scaling.
+    // One stream per channel at stride 1, four phase streams at stride 2;
+    // the bits must not depend on the scaling.
     for (const tensor::ConvSpec& spec : kSpecs) {
       for (const bitops::InputScaling scaling : kScalings) {
-        const bitops::ConvInput in =
-            bitops::conv_input(x, step.affine(), spec, scaling);
-        ASSERT_EQ(in.bits.layout(), spec.stride == 2
-                                        ? bitops::BitLayout::kColumnParity
-                                        : bitops::BitLayout::kRows);
-        expect_sign_words(in.bits, y,
+        const bitops::ConvInput in = bitops::conv_input(
+            tensor::swap_leading_axes(x), step.affine(), spec, scaling);
+        expect_sign_words(in.bits, y, spec,
                           context + ", stride " + std::to_string(spec.stride) +
                               ", " + bitops::to_string(scaling));
       }
@@ -247,8 +246,8 @@ TEST(BnAffineIdentity, PerChannelScalesMatchMaterialized) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
       expect_bit_identical(
-          bitops::conv_input(x, step.affine(), spec,
-                             bitops::InputScaling::kPerChannel)
+          bitops::conv_input(tensor::swap_leading_axes(x), step.affine(),
+                             spec, bitops::InputScaling::kPerChannel)
               .alpha,
           to_lane_layout(bitops::input_scales_per_channel(y, spec)), context);
     }
@@ -261,8 +260,8 @@ TEST(BnAffineIdentity, ScalarScalesMatchMaterialized) {
     const Tensor y = bn.forward(x);
     for (const tensor::ConvSpec& spec : kSpecs) {
       expect_bit_identical(
-          bitops::conv_input(x, step.affine(), spec,
-                             bitops::InputScaling::kScalar)
+          bitops::conv_input(tensor::swap_leading_axes(x), step.affine(),
+                             spec, bitops::InputScaling::kScalar)
               .alpha,
           bitops::input_scales_scalar(y, spec), context);
     }

@@ -331,9 +331,11 @@ TEST_P(ConvReferenceBlock, MatchesReference) {
   for (const XnorKernel* kernel : runnable_kernels()) {
     bitops::set_active_xnor_kernel(*kernel);
     const ConvStep step(*block.bn, block.conv);  // compiled for this kernel
+    // The step reads and writes channel-major activations.
+    const Tensor x = tensor::swap_leading_axes(block.x);
     for (const int threads : kThreadCounts) {
       util::set_parallel_threads(threads);
-      expect_bit_identical(step.run(block.x), block.want,
+      expect_bit_identical(tensor::swap_leading_axes(step.run(x)), block.want,
                            std::string("plan conv step, kernel=") +
                                kernel->name +
                                " threads=" + std::to_string(threads));

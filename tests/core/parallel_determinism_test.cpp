@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "bitops/bit_planes.h"
 #include "bitops/scaling.h"
 #include "core/brnn.h"
 #include "core/packed_conv.h"
@@ -78,48 +77,50 @@ struct SeededAffine {
   std::vector<float> mean, inv_std, gamma, beta;
 };
 
-// The conv input stage (sign bits and alpha_T of the BN output, written
-// per plane or per sample under util::parallel_for with per-chunk scratch)
-// and the plain box filter.
+// The conv input stage (sign streams and alpha_T of the BN output, written
+// per (channel, group of samples) or per group of samples under
+// util::parallel_for with per-chunk scratch) and the plain box filter. The
+// channel-major shapes give output planes of 2x2, 4x4, 5x5 and 3x3
+// positions, whose lane words span samples, with batches that are not a
+// multiple of the samples per word, next to wide and odd planes.
 TEST_F(ParallelDeterminismTest, AlphaTBitIdenticalAcrossThreadCounts) {
   util::Rng rng(17);
-  const Tensor input = Tensor::uniform({5, 7, 13, 67}, rng, -2.0f, 2.0f);
-  const SeededAffine bn(7, rng);
-  for (const tensor::ConvSpec& spec :
-       {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1},
-        tensor::ConvSpec{1, 1, 2, 0}}) {
-    for (const bitops::InputScaling scaling :
-         {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
-          bitops::InputScaling::kNone}) {
-      const std::string label = std::string("conv_input ") +
-                                bitops::to_string(scaling) + " stride " +
-                                std::to_string(spec.stride);
-      util::set_parallel_threads(1);
-      const bitops::ConvInput reference =
-          bitops::conv_input(input, bn.affine(), spec, scaling);
-      for (const int threads : kThreadCounts) {
-        util::set_parallel_threads(threads);
-        const bitops::ConvInput got =
+  const tensor::Shape shapes[] = {
+      {7, 5, 13, 67}, {3, 37, 4, 4}, {3, 70, 5, 5}, {2, 37, 2, 2},
+      {3, 7, 9, 10}};
+  for (const tensor::Shape& shape : shapes) {
+    const Tensor input = Tensor::uniform(shape, rng, -2.0f, 2.0f);
+    const SeededAffine bn(shape[0], rng);
+    for (const tensor::ConvSpec& spec :
+         {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1},
+          tensor::ConvSpec{1, 1, 2, 0}}) {
+      for (const bitops::InputScaling scaling :
+           {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
+            bitops::InputScaling::kNone}) {
+        const std::string label =
+            std::string("conv_input ") + bitops::to_string(scaling) +
+            " stride " + std::to_string(spec.stride) + " shape " +
+            tensor::shape_to_string(shape);
+        util::set_parallel_threads(1);
+        const bitops::ConvInput reference =
             bitops::conv_input(input, bn.affine(), spec, scaling);
-        expect_bit_identical(got.alpha, reference.alpha, label.c_str(),
-                             threads);
-        for (std::int64_t plane = 0; plane < 5 * 7; ++plane) {
-          for (std::int64_t x = 0; x < input.dim(3); ++x) {
-            for (std::int64_t y = 0; y < input.dim(2); ++y) {
-              ASSERT_EQ(got.bits.get(plane / 7, plane % 7, y, x),
-                        reference.bits.get(plane / 7, plane % 7, y, x))
-                  << label << " threads=" << threads << " plane " << plane;
-            }
-          }
+        for (const int threads : kThreadCounts) {
+          util::set_parallel_threads(threads);
+          const bitops::ConvInput got =
+              bitops::conv_input(input, bn.affine(), spec, scaling);
+          expect_bit_identical(got.alpha, reference.alpha, label.c_str(),
+                               threads);
+          ASSERT_TRUE(got.bits.storage() == reference.bits.storage())
+              << label << " threads=" << threads;
         }
       }
-    }
-    util::set_parallel_threads(1);
-    const Tensor reference = bitops::box_filter_abs_mean(input, spec);
-    for (const int threads : kThreadCounts) {
-      util::set_parallel_threads(threads);
-      expect_bit_identical(bitops::box_filter_abs_mean(input, spec), reference,
-                           "box_filter_abs_mean", threads);
+      util::set_parallel_threads(1);
+      const Tensor reference = bitops::box_filter_abs_mean(input, spec);
+      for (const int threads : kThreadCounts) {
+        util::set_parallel_threads(threads);
+        expect_bit_identical(bitops::box_filter_abs_mean(input, spec),
+                             reference, "box_filter_abs_mean", threads);
+      }
     }
   }
 }
@@ -137,8 +138,9 @@ TEST_F(ParallelDeterminismTest, DirectConvBitIdenticalAcrossThreadCounts) {
                           {2, 1, 16, 6, 256, 3, 2}, {17, 24, 40, 8, 8, 1, 2}};
   util::Rng rng(18);
   for (const Shape& shape : shapes) {
+    // Channel-major, as the plan's conv steps read it.
     const Tensor input = Tensor::uniform(
-        {shape.batch, shape.cin, shape.height, shape.width}, rng, -2.0f, 2.0f);
+        {shape.cin, shape.batch, shape.height, shape.width}, rng, -2.0f, 2.0f);
     const Tensor weight = Tensor::uniform(
         {shape.cout, shape.cin, shape.kernel, shape.kernel}, rng, -1.0f, 1.0f);
     const SeededAffine bn(shape.cin, rng);
@@ -154,7 +156,7 @@ TEST_F(ParallelDeterminismTest, DirectConvBitIdenticalAcrossThreadCounts) {
       const auto conv = [&] {
         const bitops::ConvInput in = bitops::conv_input(
             input, bn.affine(), spec, bitops::InputScaling::kPerChannel);
-        Tensor output({shape.batch, shape.cout, out_h, out_w});
+        Tensor output({shape.cout, shape.batch, out_h, out_w});
         direct_conv(*kernel, in.bits, spec, filters, &in.alpha, alpha_w,
                     nullptr, output);
         return output;

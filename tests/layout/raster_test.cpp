@@ -58,16 +58,5 @@ TEST(RasterizeBinary, ThresholdAtHalf) {
   EXPECT_EQ(rasterize_binary(thin, Rect{0, 0, 100, 100}, 1)[0], 0.0f);
 }
 
-TEST(Flips, InvolutionsAndMirroring) {
-  Tensor image({2, 3}, {1, 2, 3, 4, 5, 6});
-  const Tensor h = flip_horizontal(image);
-  EXPECT_EQ(h.at2(0, 0), 3.0f);
-  EXPECT_EQ(h.at2(1, 2), 4.0f);
-  EXPECT_TRUE(tensor::allclose(flip_horizontal(h), image, 0.0));
-  const Tensor v = flip_vertical(image);
-  EXPECT_EQ(v.at2(0, 0), 4.0f);
-  EXPECT_TRUE(tensor::allclose(flip_vertical(v), image, 0.0));
-}
-
 }  // namespace
 }  // namespace hotspot::layout

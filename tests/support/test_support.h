@@ -21,9 +21,11 @@
 #include "bitops/bit_matrix.h"
 #include "bitops/bit_planes.h"
 #include "bitops/kernels/xnor_kernel.h"
+#include "bitops/scaling.h"
 #include "core/packed_conv.h"
 #include "tensor/conv.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 #include "util/parallel.h"
 
 namespace hotspot::test_support {
@@ -119,25 +121,38 @@ inline tensor::Tensor packed_sign_product(const bitops::BitMatrix& a,
   return out;
 }
 
+// The sign streams of a plain channel-major tensor [C, N, H, W] for `spec`:
+// the conv input stage under the identity affine, whose BN expression
+// returns every input unchanged but -0, and sign(-0) = sign(+0).
+inline bitops::SignStreams sign_streams(const tensor::Tensor& channel_major,
+                                        const tensor::ConvSpec& spec) {
+  const std::vector<float> zeros(
+      static_cast<std::size_t>(channel_major.dim(0)), 0.0f);
+  const std::vector<float> ones(zeros.size(), 1.0f);
+  return bitops::conv_input(channel_major,
+                            {zeros.data(), ones.data(), ones.data(),
+                             zeros.data()},
+                            spec, bitops::InputScaling::kNone)
+      .bits;
+}
+
 // The integer +/-1 counts of the binary conv of sign(x) with sign(w)
-// (padding -1), [N, Cout, outH, outW]: the direct conv under `kernel` with
-// unit alpha_T and alpha_W = 1.
+// (padding -1), [N, Cout, outH, outW] for NCHW `x`: the direct conv under
+// `kernel` with unit alpha_T and alpha_W = 1, on the channel-major x.
 inline tensor::Tensor direct_conv_counts(const bitops::XnorKernel& kernel,
                                          const tensor::Tensor& x,
                                          const tensor::Tensor& w,
                                          const tensor::ConvSpec& spec) {
-  const bitops::BitPlanes planes(
-      x, spec.stride == 2 ? bitops::BitLayout::kColumnParity
-                          : bitops::BitLayout::kRows);
+  const bitops::SignStreams bits =
+      sign_streams(tensor::swap_leading_axes(x), spec);
   tensor::Tensor counts(
-      {x.dim(0), w.dim(0),
+      {w.dim(0), x.dim(0),
        tensor::conv_out_extent(x.dim(2), spec.kernel_h, spec.stride, spec.pad),
        tensor::conv_out_extent(x.dim(3), spec.kernel_w, spec.stride,
                                spec.pad)});
-  core::direct_conv(kernel, planes, spec, core::pack_direct_filters(w),
-                    nullptr, tensor::Tensor({w.dim(0)}, 1.0f), nullptr,
-                    counts);
-  return counts;
+  core::direct_conv(kernel, bits, spec, core::pack_direct_filters(w), nullptr,
+                    tensor::Tensor({w.dim(0)}, 1.0f), nullptr, counts);
+  return tensor::swap_leading_axes(counts);
 }
 
 // Restores the util::parallel pool width on scope exit.

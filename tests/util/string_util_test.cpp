@@ -26,12 +26,6 @@ TEST(Split, NoDelimiter) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Join, Basic) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-  EXPECT_EQ(join({}, ","), "");
-}
-
 TEST(FormatDouble, Decimals) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(2.5, 3), "2.500");
