@@ -7,11 +7,12 @@
 // HOTSPOT_BENCH_LS (clip image resolution) can be raised for closer runs.
 #pragma once
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace hotspot::bench {
 
@@ -33,16 +35,13 @@ inline double env_double(const char* name, double fallback) {
   if (value == nullptr || *value == '\0') {
     return fallback;
   }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(parsed) || parsed <= 0.0) {
+  const std::optional<double> parsed = util::parse_finite_double(value);
+  if (!parsed || *parsed <= 0.0) {
     std::fprintf(stderr, "invalid %s='%s': expected a positive number\n",
                  name, value);
     std::exit(2);
   }
-  return parsed;
+  return *parsed;
 }
 
 inline long env_long(const char* name, long fallback) {
@@ -50,15 +49,14 @@ inline long env_long(const char* name, long fallback) {
   if (value == nullptr || *value == '\0') {
     return fallback;
   }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed <= 0) {
+  const std::optional<long long> parsed =
+      util::parse_integer(value, 1, std::numeric_limits<long>::max());
+  if (!parsed) {
     std::fprintf(stderr, "invalid %s='%s': expected a positive integer\n",
                  name, value);
     std::exit(2);
   }
-  return parsed;
+  return static_cast<long>(*parsed);
 }
 
 inline double bench_scale() { return env_double("HOTSPOT_BENCH_SCALE", 0.05); }

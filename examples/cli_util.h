@@ -8,10 +8,10 @@
 // humans read the message.
 #pragma once
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+
+#include "util/string_util.h"
 
 namespace hotspot::examples {
 
@@ -23,20 +23,16 @@ inline constexpr int kExitUsage = 2;
 // kExitRuntime so monitoring can tell "server down" from "server lying".
 inline constexpr int kExitMalformed = 3;
 
-// Strict integer parse; false on garbage, trailing junk, overflow, or
-// values outside [min, max].
+// Strict integer parse (util::parse_integer's grammar); false on garbage,
+// surrounding space, a '+', trailing junk, overflow, or values outside
+// [min, max].
 inline bool parse_long(const char* text, long min, long max, long* out) {
-  if (text == nullptr || *text == '\0') {
+  const std::optional<long long> parsed =
+      text != nullptr ? util::parse_integer(text, min, max) : std::nullopt;
+  if (!parsed) {
     return false;
   }
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || parsed < min ||
-      parsed > max) {
-    return false;
-  }
-  *out = parsed;
+  *out = static_cast<long>(*parsed);
   return true;
 }
 
@@ -45,20 +41,15 @@ inline bool parse_positive(const char* text, long max, long* out) {
   return parse_long(text, 1, max, out);
 }
 
-// Strict positive-double parse; false on garbage, trailing junk, overflow,
-// NaN, or values <= 0.
+// Strict positive-double parse (util::parse_finite_double's grammar); false
+// on garbage, trailing junk, hex floats, overflow, NaN, or values <= 0.
 inline bool parse_positive_double(const char* text, double* out) {
-  if (text == nullptr || *text == '\0') {
+  const std::optional<double> parsed =
+      text != nullptr ? util::parse_finite_double(text) : std::nullopt;
+  if (!parsed || *parsed <= 0.0) {
     return false;
   }
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(parsed) || parsed <= 0.0) {
-    return false;
-  }
-  *out = parsed;
+  *out = *parsed;
   return true;
 }
 

@@ -24,14 +24,13 @@
 //                     unreachable/unhealthy — monitoring branches on which.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -41,6 +40,7 @@
 #include "serve/socket.h"
 #include "tensor/tensor.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -89,12 +89,9 @@ bool valid_prometheus_line(const std::string& line) {
       return false;
     }
   }
-  const std::string value = line.substr(space + 1);
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  return end != value.c_str() && *end == '\0' && errno != ERANGE &&
-         std::isfinite(parsed);
+  return hotspot::util::parse_finite_double(
+             std::string_view(line).substr(space + 1))
+      .has_value();
 }
 
 }  // namespace

@@ -80,10 +80,8 @@ void DctCnnDetector::fit(const dataset::HotspotDataset& train,
 
 std::vector<int> DctCnnDetector::predict(const dataset::HotspotDataset& data) {
   HOTSPOT_CHECK(net_.has_value()) << "predict() before fit()";
-  const int batch = config_.inference_batch_size > 0
-                        ? config_.inference_batch_size
-                        : config_.trainer.batch_size;
-  return core::predict_labels(*net_, data, batch, dct_builder());
+  return core::predict_labels(*net_, data, core::kInferenceBatchSize,
+                              dct_builder());
 }
 
 nn::Sequential& DctCnnDetector::network() {

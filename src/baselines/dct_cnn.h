@@ -21,11 +21,6 @@ struct DctCnnConfig {
   std::int64_t stage2_channels = 64;
   std::int64_t fc_hidden = 64;
   core::TrainerConfig trainer;
-  // Batch size used by predict(). Mirrors BnnDetectorConfig: inference
-  // batches are larger than training batches so the Table-3 runtime
-  // comparison measures both detectors under the same batching policy;
-  // 0 falls back to trainer.batch_size.
-  int inference_batch_size = 64;
 
   static DctCnnConfig compact(std::int64_t image_size);
 };

@@ -1,11 +1,5 @@
 #include "core/bnn_detector.h"
 
-#include <stdexcept>
-
-#include "obs/metrics.h"
-#include "util/fault_injection.h"
-#include "util/stopwatch.h"
-
 namespace hotspot::core {
 
 BnnDetectorConfig BnnDetectorConfig::compact(std::int64_t image_size) {
@@ -39,47 +33,7 @@ void BnnHotspotDetector::fit(const dataset::HotspotDataset& train,
 std::vector<int> BnnHotspotDetector::predict(
     const dataset::HotspotDataset& data) {
   HOTSPOT_CHECK(model_.has_value()) << "predict() before fit()";
-  const int batch = config_.inference_batch_size > 0
-                        ? config_.inference_batch_size
-                        : config_.trainer.batch_size;
-  return predict_labels(*model_, data, batch);
-}
-
-std::vector<int> BnnHotspotDetector::predict_batch(
-    const tensor::Tensor& images) {
-  HOTSPOT_CHECK(model_.has_value()) << "predict_batch() before fit()";
-  HOTSPOT_CHECK_EQ(images.rank(), 4)
-      << "predict_batch expects [n, 1, ls, ls] images";
-  HOTSPOT_CHECK_EQ(images.dim(2), config_.model.image_size)
-      << "image size does not match the model configuration";
-  // Chaos probes (DESIGN.md §13): an armed stall sleeps here so a scan's
-  // per-batch deadline can catch it; an armed compute fault throws the way
-  // a real backend failure would, exercising the retry/quarantine path.
-  util::fault_maybe_stall(util::FaultPoint::kScanPredictStall);
-  if (util::fault_should_fail(util::FaultPoint::kScanPredictCompute)) {
-    throw std::runtime_error("injected predict compute fault");
-  }
-  util::Stopwatch timer;
-  std::vector<int> labels = model_->predict(images);
-  const double batch_seconds = timer.seconds();
-  static obs::Histogram& clip_histogram =
-      obs::MetricsRegistry::global().histogram(
-          "predict.clip_seconds", obs::default_latency_buckets());
-  // Per-clip latency: amortize the batch over the clips it carried.
-  if (images.dim(0) > 0) {
-    const double per_clip = batch_seconds / static_cast<double>(images.dim(0));
-    for (std::int64_t i = 0; i < images.dim(0); ++i) {
-      clip_histogram.observe(per_clip);
-    }
-  }
-  return labels;
-}
-
-std::function<std::vector<int>(const tensor::Tensor&)>
-BnnHotspotDetector::classifier() {
-  return [this](const tensor::Tensor& images) {
-    return predict_batch(images);
-  };
+  return predict_labels(*model_, data, kInferenceBatchSize);
 }
 
 BrnnModel& BnnHotspotDetector::model() {

@@ -100,7 +100,10 @@ class BrnnModel : public nn::Module {
   }
 
   // Convenience: argmax labels for an image batch (eval mode must be set by
-  // the caller). Reentrant on kPacked.
+  // the caller). Reentrant on kPacked. Each sample's label is independent
+  // of batch composition (α_T scaling, BN eval statistics and the direct
+  // conv's per-lane arithmetic are all per-sample), so any batching of the
+  // same images yields identical labels.
   std::vector<int> predict(const Tensor& images);
 
   // Roofline sample counter: samples forwarded while tracing was enabled,

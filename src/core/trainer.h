@@ -146,6 +146,13 @@ class Trainer {
   std::vector<std::size_t> split_training_;
 };
 
+// The batch size both Table-3 detectors (BnnHotspotDetector and
+// baselines::DctCnnDetector) pass to predict_labels, so the runtime
+// comparison runs them under one batching policy. Larger than the training
+// batch: it amortizes sign packing and fills more 64-position lane words
+// of the direct binary conv.
+inline constexpr int kInferenceBatchSize = 64;
+
 // Batched inference over a whole dataset; returns predicted labels in
 // dataset order. Puts the model into eval mode for the duration.
 std::vector<int> predict_labels(

@@ -19,13 +19,57 @@
 namespace hotspot::scan {
 namespace {
 
-void backoff_sleep(int base_ms, int retry_index) {
-  if (base_ms <= 0) {
-    return;
+// The wall clock of one guarded attempt, started before its body runs.
+class AttemptClock {
+ public:
+  explicit AttemptClock(double deadline_ms) : deadline_ms_(deadline_ms) {}
+
+  double seconds() const { return timer_.seconds(); }
+
+  // Cooperative deadline (0 = none): a wedged computation cannot be
+  // preempted, but a stalled one is caught here instead of poisoning the
+  // whole scan. A body calls it once its work is done and before it
+  // commits any state, so a late attempt leaves nothing behind.
+  void check_deadline() const {
+    if (deadline_ms_ > 0.0 && timer_.seconds() * 1000.0 > deadline_ms_) {
+      throw std::runtime_error("scan attempt exceeded its deadline");
+    }
   }
-  const int shift = std::min(retry_index, 20);  // cap exponential growth
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(static_cast<long long>(base_ms) << shift));
+
+ private:
+  double deadline_ms_;
+  util::Stopwatch timer_;
+};
+
+// The guard around every unit of scan work, windows and batches alike:
+// runs `attempt(clock)` up to max_retries + 1 times, each under a fresh
+// AttemptClock, and treats a throw as a failed attempt. Each retry counts
+// on `retries` and scan.retries and first backs off retry_backoff_ms << i.
+// Returns the result of the first attempt that does not throw, or nullopt
+// once the budget is spent; what that quarantines is the caller's call.
+template <typename Attempt>
+auto run_guarded(const ScanConfig& config, double deadline_ms,
+                 std::int64_t& retries, Attempt&& attempt)
+    -> std::optional<decltype(attempt(std::declval<const AttemptClock&>()))> {
+  static obs::Counter& retries_counter =
+      obs::MetricsRegistry::global().counter("scan.retries");
+  for (int i = 0;; ++i) {
+    try {
+      const AttemptClock clock(deadline_ms);
+      return attempt(clock);
+    } catch (...) {
+      if (i >= config.max_retries) {
+        return std::nullopt;
+      }
+    }
+    ++retries;
+    retries_counter.increment();
+    if (config.retry_backoff_ms > 0) {
+      const int shift = std::min(i, 20);  // cap exponential growth
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          static_cast<long long>(config.retry_backoff_ms) << shift));
+    }
+  }
 }
 
 struct BatchPlan {
@@ -116,21 +160,22 @@ class BatchProducer {
     WindowRef ref;
     while (count < config_.batch_size && stream_.next(ref)) {
       ++windows_in_batch;
-      WindowOutcome outcome = process_window(ref, pixels_per_window);
-      if (!outcome.ok) {
+      std::optional<WindowOutcome> outcome =
+          process_window(ref, pixels_per_window);
+      if (!outcome) {
         window_entry_[static_cast<std::size_t>(ref.index)] = -1;
         continue;
       }
-      window_entry_[static_cast<std::size_t>(ref.index)] = outcome.entry;
-      if (!outcome.is_new) {
+      window_entry_[static_cast<std::size_t>(ref.index)] = outcome->entry;
+      if (!outcome->is_new) {
         ++hits_in_batch;
         continue;
       }
-      for (const std::uint8_t pixel : outcome.pixels) {
+      for (const std::uint8_t pixel : outcome->pixels) {
         slots.push_back(static_cast<float>(pixel));
       }
       if (keep_pixels_) {
-        batch_pixels.push_back(std::move(outcome.pixels));
+        batch_pixels.push_back(std::move(outcome->pixels));
       }
       ++next_entry_;
       ++count;
@@ -174,61 +219,43 @@ class BatchProducer {
 
  private:
   struct WindowOutcome {
-    bool ok = false;
     bool is_new = false;        // a new distinct raster (needs inference)
     std::int64_t entry = -1;    // entry id (existing on a dedup hit)
     RasterKey pixels;           // set when is_new
   };
 
-  // One window, guarded: deadline per attempt, bounded retries with
-  // exponential backoff, quarantine past the budget. The attempt body keeps
-  // all cache mutation last (and RasterDedupCache::insert probes its fault
-  // before mutating), so a failed attempt leaves no partial state behind
-  // and the retry replays cleanly.
-  WindowOutcome process_window(const WindowRef& ref,
-                               std::int64_t pixels_per_window) {
-    static obs::Counter& retries_counter =
-        obs::MetricsRegistry::global().counter("scan.retries");
-    const int max_attempts = config_.max_retries + 1;
-    for (int attempt = 1;; ++attempt) {
-      util::Stopwatch attempt_timer;
-      try {
-        util::fault_maybe_stall(util::FaultPoint::kScanRasterStall);
-        if (util::fault_should_fail(util::FaultPoint::kScanRasterCompute)) {
-          throw std::runtime_error("injected raster compute fault");
-        }
-        const layout::Clip clip = stream_.materialize(ref);
-        const tensor::Tensor raster = clip.binary(config_.grid);
-        RasterKey pixels(static_cast<std::size_t>(pixels_per_window));
-        const float* src = raster.data();
-        for (std::int64_t i = 0; i < pixels_per_window; ++i) {
-          pixels[static_cast<std::size_t>(i)] = src[i] != 0.0f ? 1 : 0;
-        }
-        // Cooperative deadline: checked once the attempt's work is done (a
-        // wedged computation cannot be preempted, but a stalled one is
-        // caught here instead of poisoning the whole scan).
-        if (config_.window_deadline_ms > 0 &&
-            attempt_timer.seconds() * 1000.0 > config_.window_deadline_ms) {
-          throw std::runtime_error("window exceeded deadline");
-        }
-        if (config_.dedup) {
-          const std::uint64_t hash = hash_raster(pixels);
-          const std::int64_t cached = cache_.find(hash, pixels);
-          if (cached >= 0) {
-            return WindowOutcome{true, false, cached, {}};
+  // One window under the scan's guard; nullopt = quarantined. The attempt
+  // keeps all cache mutation last, after its deadline check (and
+  // RasterDedupCache::insert probes its fault before mutating), so a failed
+  // attempt leaves no partial state behind and the retry replays cleanly.
+  std::optional<WindowOutcome> process_window(
+      const WindowRef& ref, std::int64_t pixels_per_window) {
+    return run_guarded(
+        config_, config_.window_deadline_ms, stats_.retries,
+        [&](const AttemptClock& clock) {
+          util::fault_maybe_stall(util::FaultPoint::kScanRasterStall);
+          if (util::fault_should_fail(
+                  util::FaultPoint::kScanRasterCompute)) {
+            throw std::runtime_error("injected raster compute fault");
           }
-          cache_.insert(hash, pixels, next_entry_);
-        }
-        return WindowOutcome{true, true, next_entry_, std::move(pixels)};
-      } catch (...) {
-        if (attempt >= max_attempts) {
-          return WindowOutcome{};
-        }
-        ++stats_.retries;
-        retries_counter.increment();
-        backoff_sleep(config_.retry_backoff_ms, attempt - 1);
-      }
-    }
+          const layout::Clip clip = stream_.materialize(ref);
+          const tensor::Tensor raster = clip.binary(config_.grid);
+          RasterKey pixels(static_cast<std::size_t>(pixels_per_window));
+          const float* src = raster.data();
+          for (std::int64_t i = 0; i < pixels_per_window; ++i) {
+            pixels[static_cast<std::size_t>(i)] = src[i] != 0.0f ? 1 : 0;
+          }
+          clock.check_deadline();
+          if (config_.dedup) {
+            const std::uint64_t hash = hash_raster(pixels);
+            const std::int64_t cached = cache_.find(hash, pixels);
+            if (cached >= 0) {
+              return WindowOutcome{false, cached, {}};
+            }
+            cache_.insert(hash, pixels, next_entry_);
+          }
+          return WindowOutcome{true, next_entry_, std::move(pixels)};
+        });
   }
 
   ScanConfig config_;
@@ -327,55 +354,48 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
       obs::MetricsRegistry::global().counter("scan.batches");
   std::int64_t consumer_retries = 0;
 
-  // Classifies one batch with deadline/retry/quarantine, then journals it.
-  // Runs on the calling thread only.
+  // Classifies one batch under the scan's guard, then journals it. Runs on
+  // the calling thread only.
   auto classify_batch = [&](const BatchPlan& plan) {
     throw_if_abort_armed("before classify");
     std::vector<int> verdicts;
     if (plan.count > 0) {
       HOTSPOT_TRACE_SPAN("scan.batch.infer");
-      const double deadline_ms =
-          config_.window_deadline_ms > 0
-              ? static_cast<double>(config_.window_deadline_ms) *
-                    static_cast<double>(plan.count)
-              : 0.0;
-      const int max_attempts = config_.max_retries + 1;
-      for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        util::Stopwatch timer;
-        try {
-          verdicts = classifier_(plan.images);
-          HOTSPOT_CHECK_EQ(static_cast<std::int64_t>(verdicts.size()),
-                           plan.count)
-              << "classifier returned the wrong number of labels";
-          if (deadline_ms > 0.0 && timer.seconds() * 1000.0 > deadline_ms) {
-            throw std::runtime_error("batch exceeded deadline");
-          }
-          const double batch_seconds = timer.seconds();
-          result.stats.infer_seconds += batch_seconds;
-          ++result.stats.batches;
-          batches_counter.increment();
-          static obs::Histogram& batch_histogram =
-              obs::MetricsRegistry::global().histogram(
-                  "scan.batch_seconds", obs::default_latency_buckets());
-          batch_histogram.observe(batch_seconds);
-          break;
-        } catch (...) {
-          verdicts.clear();
-          if (attempt >= max_attempts) {
-            break;
-          }
-          ++consumer_retries;
-          static obs::Counter& retries_counter =
-              obs::MetricsRegistry::global().counter("scan.retries");
-          retries_counter.increment();
-          backoff_sleep(config_.retry_backoff_ms, attempt - 1);
-        }
-      }
-      if (verdicts.empty()) {
-        // Classification failed past the budget: quarantine every entry in
-        // the batch. Partial results for the rest of the scan survive.
-        verdicts.assign(static_cast<std::size_t>(plan.count), -1);
-      }
+      // Deadline: the per-window budget times the batch's occupancy.
+      std::optional<std::vector<int>> classified = run_guarded(
+          config_,
+          static_cast<double>(config_.window_deadline_ms) *
+              static_cast<double>(plan.count),
+          consumer_retries, [&](const AttemptClock& clock) {
+            // The predict-side chaos probes (DESIGN.md §13), whatever the
+            // classifier: an armed stall sleeps inside the attempt's
+            // deadline, an armed compute fault throws the way a backend
+            // failure would.
+            util::fault_maybe_stall(util::FaultPoint::kScanPredictStall);
+            if (util::fault_should_fail(
+                    util::FaultPoint::kScanPredictCompute)) {
+              throw std::runtime_error("injected predict compute fault");
+            }
+            std::vector<int> labels = classifier_(plan.images);
+            HOTSPOT_CHECK_EQ(static_cast<std::int64_t>(labels.size()),
+                             plan.count)
+                << "classifier returned the wrong number of labels";
+            clock.check_deadline();
+            const double batch_seconds = clock.seconds();
+            result.stats.infer_seconds += batch_seconds;
+            ++result.stats.batches;
+            batches_counter.increment();
+            static obs::Histogram& batch_histogram =
+                obs::MetricsRegistry::global().histogram(
+                    "scan.batch_seconds", obs::default_latency_buckets());
+            batch_histogram.observe(batch_seconds);
+            return labels;
+          });
+      // A batch that fails past the budget quarantines every entry in it
+      // (verdict -1); partial results for the rest of the scan survive.
+      verdicts = classified ? std::move(*classified)
+                            : std::vector<int>(
+                                  static_cast<std::size_t>(plan.count), -1);
       for (std::int64_t i = 0; i < plan.count; ++i) {
         entry_verdicts[static_cast<std::size_t>(plan.base_entry + i)] =
             verdicts[static_cast<std::size_t>(i)];

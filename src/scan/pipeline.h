@@ -125,7 +125,8 @@ class ScanPipeline {
  public:
   // Classifies a [n, 1, grid, grid] {0,1} image batch into n labels
   // (1 = hotspot). Must be deterministic and per-sample independent —
-  // BnnHotspotDetector::classifier() and BrnnModel::predict qualify.
+  // BrnnModel::predict qualifies. The pipeline, not the classifier, probes
+  // the predict-side fault points around each call (DESIGN.md §13).
   using BatchClassifier = std::function<std::vector<int>(
       const tensor::Tensor&)>;
 

@@ -4,8 +4,8 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +17,7 @@
 #include "serve/server.h"
 #include "util/check.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace hotspot::serve {
 namespace {
@@ -63,7 +64,7 @@ void split_target(const std::string& target, std::string* path,
 }
 
 // /tracez?limit= cap on the entries returned.
-constexpr std::size_t kMaxTracezLimit = std::size_t{1} << 20;
+constexpr long long kMaxTracezLimit = 1LL << 20;
 
 }  // namespace
 
@@ -191,13 +192,14 @@ AdminServer::Response AdminServer::handle(const std::string& method,
     for (const auto& [key, value] : params) {
       if (key == "limit") {
         // A decimal integer and nothing else: no sign, space or suffix.
-        const char* end = value.data() + value.size();
-        const auto [stop, ec] = std::from_chars(value.data(), end, limit);
-        if (ec != std::errc() || stop != end || limit > kMaxTracezLimit) {
+        const std::optional<long long> parsed =
+            util::parse_integer(value, 0, kMaxTracezLimit);
+        if (!parsed) {
           return {400, "application/json",
                   "{\"error\": \"limit must be a decimal integer in [0, " +
                       std::to_string(kMaxTracezLimit) + "]\"}\n"};
         }
+        limit = static_cast<std::size_t>(*parsed);
       } else if (key == "dump") {
         dump = value == "1";
       }

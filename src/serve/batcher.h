@@ -20,10 +20,10 @@
 // in bounded time instead of stacking latency.
 //
 // Bit-identity: the classifier's per-sample outputs are independent of
-// batch composition (see BnnHotspotDetector::predict_batch), so fusing
-// requests from different clients — in whatever order they arrived — yields
-// exactly the labels each request would get alone. The concurrency never
-// touches the math.
+// batch composition (see BrnnModel::predict), so fusing requests from
+// different clients — in whatever order they arrived — yields exactly the
+// labels each request would get alone. The concurrency never touches the
+// math.
 #pragma once
 
 #include <atomic>

@@ -72,7 +72,7 @@ Tensor abs(const Tensor& a) {
 Tensor sign(const Tensor& a) {
   Tensor out(a.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] < 0.0f ? -1.0f : 1.0f;
+    out[i] = a[i] >= 0.0f ? 1.0f : -1.0f;
   }
   return out;
 }

@@ -22,8 +22,8 @@ Tensor scale(const Tensor& a, float factor);
 void add_inplace(Tensor& a, const Tensor& b);
 // |a| elementwise.
 Tensor abs(const Tensor& a);
-// sign(a) in {-1, +1}; sign(0) is +1 so outputs stay binary (XNOR-Net
-// convention).
+// sign(a) in {-1, +1} by the packed paths' bit rule (a >= 0): sign(±0) is
+// +1 so outputs stay binary (XNOR-Net convention), and NaN is -1.
 Tensor sign(const Tensor& a);
 
 // ---- norms and comparisons -------------------------------------------------

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "util/check.h"
+#include "util/string_util.h"
 
 namespace hotspot::util {
 namespace {
@@ -174,21 +174,13 @@ class ThreadPool {
 }  // namespace
 
 bool parse_thread_count_strict(const char* text, int* out) {
-  if (text == nullptr || *text == '\0') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(text, &end, 10);
-  const bool overflow = errno == ERANGE ||
-                        parsed > static_cast<long>(
-                                     std::numeric_limits<int>::max());
-  if (end == text || *end != '\0' || overflow || parsed < 1 ||
-      parsed > static_cast<long>(kMaxThreadCount)) {
+  const std::optional<long long> parsed =
+      text != nullptr ? parse_integer(text, 1, kMaxThreadCount) : std::nullopt;
+  if (!parsed) {
     return false;
   }
   if (out != nullptr) {
-    *out = static_cast<int>(parsed);
+    *out = static_cast<int>(*parsed);
   }
   return true;
 }
@@ -201,9 +193,9 @@ int resolve_threads_from_env() {
   int threads = 0;
   if (!parse_thread_count_strict(text, &threads)) {
     // Exit 2 like the other strict env validations (HOTSPOT_SIMD,
-    // HOTSPOT_BENCH_SCALE): an overflowed value silently truncated by
-    // strtol, or a typo'd one silently defaulted, would run the whole
-    // workload at an unintended width.
+    // HOTSPOT_BENCH_SCALE): an overflowed value silently truncated, or a
+    // typo'd one silently defaulted, would run the whole workload at an
+    // unintended width.
     std::fprintf(stderr,
                  "invalid HOTSPOT_NUM_THREADS='%s': expected an integer in "
                  "[1, %d]\n",

@@ -35,11 +35,11 @@ int parallel_threads();
 inline constexpr int kMaxThreadCount = 1024;
 
 // Strict parse of a thread count (the HOTSPOT_NUM_THREADS format, shared
-// by the serve CLI's --threads flag): a plain base-10 integer in
-// [1, kMaxThreadCount] with no trailing junk. Returns false — without
-// writing *out — on garbage, overflow (ERANGE or > INT_MAX; the strtol
-// result is range-checked, never truncated), zero/negative values, or
-// anything over the cap. `out` may be null to validate only.
+// by the serve CLI's --threads flag): util::parse_integer's grammar over
+// [1, kMaxThreadCount] — no surrounding space, no '+', no trailing junk.
+// Returns false — without writing *out — on garbage, overflow (range-
+// checked, never truncated), zero/negative values, or anything over the
+// cap. `out` may be null to validate only.
 bool parse_thread_count_strict(const char* text, int* out);
 
 // Resolves HOTSPOT_NUM_THREADS the way the pool's first use does: unset or

@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace hotspot::util {
@@ -40,6 +42,30 @@ std::string format_count(long long value) {
     grouped += digits[i];
   }
   return negative ? "-" + grouped : grouped;
+}
+
+std::optional<long long> parse_integer(std::string_view text, long long min,
+                                       long long max) {
+  if (min >= 0 && !text.empty() && text.front() == '-') {
+    return std::nullopt;  // "-0" is no non-negative number
+  }
+  const char* end = text.data() + text.size();
+  long long value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parse_finite_double(std::string_view text) {
+  const char* end = text.data() + text.size();
+  double value = 0.0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace hotspot::util

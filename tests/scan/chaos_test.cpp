@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/brnn.h"
 #include "dataset/patterns.h"
 #include "layout/geometry.h"
 #include "obs/metrics.h"
@@ -44,15 +45,11 @@ std::string journal_path(const char* name) {
 
 void remove_journal(const std::string& path) { std::remove(path.c_str()); }
 
-// Deterministic per-sample-independent classifier that probes the same
-// fault points BnnHotspotDetector::predict_batch does, so predict-side
-// faults are testable without training a model.
+// Deterministic per-sample-independent classifier, cheap enough for the
+// kill sweeps. It probes nothing: the pipeline probes the predict-side
+// fault points around every classifier call.
 ScanPipeline::BatchClassifier density_classifier() {
   return [](const tensor::Tensor& images) {
-    util::fault_maybe_stall(util::FaultPoint::kScanPredictStall);
-    if (util::fault_should_fail(util::FaultPoint::kScanPredictCompute)) {
-      throw std::runtime_error("injected predict compute fault");
-    }
     const std::int64_t n = images.dim(0);
     const std::int64_t pixels = images.dim(2) * images.dim(3);
     std::vector<int> labels(static_cast<std::size_t>(n));
@@ -478,6 +475,50 @@ TEST(ScanChaos, PersistentPredictFaultQuarantinesBatches) {
     EXPECT_EQ(result.labels[static_cast<std::size_t>(w)],
               reference.labels[static_cast<std::size_t>(w)])
         << w;
+  }
+}
+
+// The predict-side fault points guard whatever classifier the scan runs,
+// not only a test stub: a seeded compact BRNN's own predict retries a
+// one-shot compute fault cleanly and quarantines batches under a sticky
+// one.
+TEST(ScanChaos, PredictFaultsGuardARealClassifier) {
+  util::ScopedFaultInjection guard;
+  constexpr std::int64_t kGrid = 32;
+  util::Rng rng(5);
+  core::BrnnModel model(core::BrnnConfig::compact(kGrid), rng);
+  model.set_training(false);
+  const ScanPipeline::BatchClassifier classify =
+      [&model](const tensor::Tensor& images) { return model.predict(images); };
+  ScanConfig config = chaos_config();
+  config.grid = kGrid;
+  const Pattern chip = build_chip(3);
+  const ScanResult reference = ScanPipeline(config, classify).scan(chip);
+  ASSERT_EQ(reference.stats.quarantined, 0);
+  ASSERT_GT(reference.stats.batches, 1);
+
+  util::fault_arm(util::FaultPoint::kScanPredictCompute, 2);
+  const ScanResult transient = ScanPipeline(config, classify).scan(chip);
+  expect_same_result(transient, reference, "one-shot predict fault");
+  EXPECT_EQ(transient.stats.retries, 1);
+  EXPECT_EQ(transient.stats.quarantined, 0);
+  util::fault_clear_all();
+
+  // Every batch after the first spends its whole retry budget and is
+  // quarantined; the first keeps its verdicts.
+  util::fault_arm_sticky(util::FaultPoint::kScanPredictCompute, 2);
+  const ScanResult sticky = ScanPipeline(config, classify).scan(chip);
+  EXPECT_EQ(sticky.stats.batches, 1);
+  EXPECT_EQ(sticky.stats.retries,
+            (reference.stats.batches - 1) * config.max_retries);
+  EXPECT_GT(sticky.stats.quarantined, 0);
+  std::size_t q = 0;
+  for (std::size_t w = 0; w < sticky.labels.size(); ++w) {
+    const bool quarantined = q < sticky.quarantined_windows.size() &&
+                             sticky.quarantined_windows[q] ==
+                                 static_cast<std::int64_t>(w);
+    q += quarantined ? 1 : 0;
+    EXPECT_EQ(sticky.labels[w], quarantined ? 0 : reference.labels[w]) << w;
   }
 }
 

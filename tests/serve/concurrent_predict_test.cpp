@@ -1,9 +1,9 @@
 // Thread-safety of the inference entry points: N concurrent callers of
-// BrnnModel::forward, BnnHotspotDetector::predict_batch / classifier() and
-// serve::ServableModel::predict must get results bit-identical to the
-// single-threaded reference, with no lock around inference — every
-// forward runs the model's immutable compiled plan on call-local scratch. The plan must also follow every change of the model state it
-// was compiled from.
+// BrnnModel::forward, BrnnModel::predict (what the scan pipeline calls)
+// and serve::ServableModel::predict must get results bit-identical to the
+// single-threaded reference, with no lock around inference — every forward
+// runs the model's immutable compiled plan on call-local scratch. The plan
+// must also follow every change of the model state it was compiled from.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -97,7 +97,7 @@ Tensor fresh_logits(BrnnModel& model, const Tensor& images,
 }
 
 TEST(ConcurrentPredict, ManyThreadsMatchSingleThreadedReference) {
-  BnnHotspotDetector& detector = shared_detector();
+  BrnnModel& model = shared_detector().model();
   constexpr int kThreads = 8;
   constexpr int kIterations = 6;
   // Reference labels computed single-threaded, per (thread, iteration)
@@ -107,21 +107,17 @@ TEST(ConcurrentPredict, ManyThreadsMatchSingleThreadedReference) {
     for (int i = 0; i < kIterations; ++i) {
       const unsigned seed = static_cast<unsigned>(t * 100 + i);
       expected[static_cast<std::size_t>(t)].push_back(
-          detector.predict_batch(random_batch(seed, 3 + i % 4)));
+          model.predict(random_batch(seed, 3 + i % 4)));
     }
   }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Even threads call predict_batch directly, odd ones through the
-      // classifier() callable — both entry points share the serialization.
-      auto classify = detector.classifier();
       for (int i = 0; i < kIterations; ++i) {
         const unsigned seed = static_cast<unsigned>(t * 100 + i);
         const Tensor images = random_batch(seed, 3 + i % 4);
-        const std::vector<int> labels =
-            t % 2 == 0 ? detector.predict_batch(images) : classify(images);
+        const std::vector<int> labels = model.predict(images);
         if (labels != expected[static_cast<std::size_t>(t)]
                               [static_cast<std::size_t>(i)]) {
           ++mismatches;
@@ -141,12 +137,12 @@ TEST(ConcurrentPredict, HammerOnSharedProbeStaysBitIdentical) {
   // single-threaded reference. (Concurrent model replacement is exercised
   // at the ModelRegistry level, where swaps publish immutable models —
   // set_backend is not part of the concurrent contract here.)
-  BnnHotspotDetector& detector = shared_detector();
+  BrnnModel& model = shared_detector().model();
   const Tensor probe = random_batch(999, 4);
-  detector.model().set_backend(Backend::kFloatSim);
-  const std::vector<int> ref_float = detector.predict_batch(probe);
-  detector.model().set_backend(Backend::kPacked);
-  const std::vector<int> ref_packed = detector.predict_batch(probe);
+  model.set_backend(Backend::kFloatSim);
+  const std::vector<int> ref_float = model.predict(probe);
+  model.set_backend(Backend::kPacked);
+  const std::vector<int> ref_packed = model.predict(probe);
   // Packed-equivalence sanity: both backends label the probe identically.
   ASSERT_EQ(ref_float, ref_packed);
   std::atomic<int> mismatches{0};
@@ -154,7 +150,7 @@ TEST(ConcurrentPredict, HammerOnSharedProbeStaysBitIdentical) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 20; ++i) {
-        if (detector.predict_batch(probe) != ref_packed) {
+        if (model.predict(probe) != ref_packed) {
           ++mismatches;
         }
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace hotspot::tensor {
 namespace {
@@ -34,12 +35,14 @@ TEST(Elementwise, InplaceVariants) {
 }
 
 TEST(Elementwise, SignConvention) {
-  const Tensor a({4}, {-1.5f, 0.0f, 0.5f, -0.0f});
+  const Tensor a({5}, {-1.5f, 0.0f, 0.5f, -0.0f,
+                       std::numeric_limits<float>::quiet_NaN()});
   const Tensor s = sign(a);
   EXPECT_EQ(s[0], -1.0f);
   EXPECT_EQ(s[1], 1.0f);  // sign(0) = +1 (XNOR-Net convention)
   EXPECT_EQ(s[2], 1.0f);
   EXPECT_EQ(s[3], 1.0f);  // -0.0f >= 0 in IEEE comparison
+  EXPECT_EQ(s[4], -1.0f);  // NaN >= 0 is false: bit 0, as the packed paths
 }
 
 TEST(Elementwise, AbsAndMap) {

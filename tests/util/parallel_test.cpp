@@ -168,6 +168,8 @@ TEST(ParseThreadCount, RejectsGarbage) {
   EXPECT_EQ(parsed_or("x4", 7), 7);
   EXPECT_EQ(parsed_or("4.5", 7), 7);
   EXPECT_EQ(parsed_or(" ", 7), 7);
+  EXPECT_EQ(parsed_or(" 4", 7), 7);
+  EXPECT_EQ(parsed_or("+4", 7), 7);
 }
 
 TEST(ParseThreadCount, RejectsOverflowAndInsaneCounts) {

@@ -41,5 +41,30 @@ TEST(FormatCount, ThousandsSeparators) {
   EXPECT_EQ(format_count(-2524), "-2,524");
 }
 
+TEST(ParseInteger, WholeTextInRange) {
+  EXPECT_EQ(parse_integer("42", 0, 100), 42);
+  EXPECT_EQ(parse_integer("-7", -10, 10), -7);
+  EXPECT_EQ(parse_integer("0", 0, 0), 0);
+  EXPECT_EQ(parse_integer("101", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_integer("99999999999999999999", 0, 100), std::nullopt);
+}
+
+TEST(ParseInteger, RejectsEverythingButDigits) {
+  for (const char* text : {"", " 5", "\t7", "5 ", "+5", "5x", "0x10", "4.0",
+                           "-0", "-"}) {
+    EXPECT_EQ(parse_integer(text, 0, 100), std::nullopt) << '"' << text << '"';
+  }
+}
+
+TEST(ParseFiniteDouble, DecimalAndScientific) {
+  EXPECT_EQ(parse_finite_double("0.5"), 0.5);
+  EXPECT_EQ(parse_finite_double("-2"), -2.0);
+  EXPECT_EQ(parse_finite_double("1e-3"), 1e-3);
+  for (const char* text : {"", " 1", "+1", "1 ", "0x1p-1", "inf", "nan",
+                           "1e999", "1,5"}) {
+    EXPECT_EQ(parse_finite_double(text), std::nullopt) << '"' << text << '"';
+  }
+}
+
 }  // namespace
 }  // namespace hotspot::util
