@@ -4,7 +4,9 @@
 // Input side (Eq. 14):  alpha_T(c,:,:) = |T_in(c,:,:)| convolved with the
 // kh x kw box filter K (every element 1/(kh*kw)); computed once per input
 // tensor instead of per sliding window, which is the paper's redundancy
-// optimization.
+// optimization, and only at the conv's output positions. The one routine
+// behind every alpha_T, with its float summation order, is BoxSum
+// (box_sum.h).
 #pragma once
 
 #include "bitops/bit_planes.h"
@@ -25,33 +27,25 @@ const char* to_string(InputScaling mode);
 tensor::Tensor weight_scales(const tensor::Tensor& weight);
 
 // Per-channel, per-output-position alpha_T for input [N,Cin,H,W] ->
-// [N,Cin,outH,outW] (Eq. 14, zero padding on |T_in|).
+// [N,Cin,outH,outW] (Eq. 14, zero padding on |T_in|), in BoxSum's order.
 tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
                                         const tensor::ConvSpec& spec);
 
-// XNOR-Net scalar variant: channel-mean of |T_in| box-filtered ->
-// [N,1,outH,outW].
+// XNOR-Net scalar variant -> [N,1,outH,outW]: per sample and position the
+// channel mean of |T_in|, float(sum over ascending c of double(|T_in|) /
+// Cin), box summed in BoxSum's order.
 tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
-                                   const tensor::ConvSpec& spec);
-
-// Box-filtered channel means via integral images: O(1) per output pixel
-// regardless of kernel size. Each output position averages |input| over the
-// kernel window (zero padding). Exactly equals
-// depthwise_conv2d_shared(|input|, K, spec) for the box kernel K; used as
-// the fast path inside the scale computations and validated against the
-// reference in tests.
-tensor::Tensor box_filter_abs_mean(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec);
 
 // The input stage of one conv step of the inference plan (DESIGN.md §14):
 // the sign bits and alpha_T of the batch-norm output y = bn(input) of a
 // channel-major input [C, N, H, W], with channel c's parameters from
 // `affine` (arrays sized to input.dim(0)), for a "same" conv
-// (is_same_conv(spec)). One pass over `input` evaluates bn_eval
-// (channel_affine.h) once per element, a few rows at a time into per-chunk
-// scratch, and feeds each block of rows both to the sign streams
-// (SignStreams::set_rows) and to the integral image of the routine behind
-// input_scales_per_channel / input_scales_scalar, so
+// (is_same_conv(spec)). It walks each channel's contiguous [N, H, W] slab a
+// tile of whole SignStreams::sample_group() units at a time (about 64 KB of
+// per-chunk scratch, whatever the batch), evaluates bn_eval once per
+// element it reads into the tile, stores the tile's sign words
+// (SignStreams::set_samples) and box sums |y| at the output positions, so
 //   bits   holds sign(y) in the direct conv's lane order (SignStreams);
 //   alpha  kPerChannel: input_scales_per_channel(y, spec) of the NCHW
 //          y in the direct conv's lane layout [C, lanes],
@@ -61,10 +55,10 @@ tensor::Tensor box_filter_abs_mean(const tensor::Tensor& input,
 //          kScalar: input_scales_scalar(y, spec), [N,1,outH,outW], whose
 //          flat index is the lane;
 //          kNone: empty;
-// bit for bit, because the same float values feed the same double sums in
-// the same order, without the intermediate BN tensor. Parallel chunks own
-// whole groups of SignStreams::sample_group() samples, so no two of them
-// write one stream word.
+// bit for bit, because the same float values feed the same sums in the
+// same order, without the intermediate BN tensor. A 1x1 stride-2 conv
+// reads only the phase-(0, 0) inputs, so the stage evaluates only those.
+// Parallel chunks own whole tiles, so no two of them write one stream word.
 struct ConvInput {
   SignStreams bits;
   tensor::Tensor alpha;

@@ -48,8 +48,9 @@ LayerCost binary_conv_cost(std::int64_t in_channels, std::int64_t out_channels,
   // XNOR words plus the carry-save adder tree that counts them
   // (k*k - bit_width(k*k) full adders of 5 word ops each); per (channel,
   // filter, position) one float multiply and one add. Per-channel and
-  // scalar alpha_T add their alpha map (O(1)/pixel via the integral image
-  // -> ~4 ops per channel and position, or per position), and the scalar
+  // scalar alpha_T add their alpha map (a separable box sum evaluated at
+  // the output positions -> ~4 ops per channel and position, or per
+  // position), and the scalar
   // map one post multiply per output. Filters stay at k*k bits per
   // (filter, channel).
   const std::int64_t taps = kernel * kernel;

@@ -194,46 +194,4 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
   }
 }
 
-Tensor depthwise_conv2d_shared(const Tensor& input, const Tensor& kernel2d,
-                               const ConvSpec& spec) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  HOTSPOT_CHECK_EQ(kernel2d.rank(), 2);
-  HOTSPOT_CHECK_EQ(kernel2d.dim(0), spec.kernel_h);
-  HOTSPOT_CHECK_EQ(kernel2d.dim(1), spec.kernel_w);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t out_h = conv_out_extent(h, spec.kernel_h, spec.stride, spec.pad);
-  const std::int64_t out_w = conv_out_extent(w, spec.kernel_w, spec.stride, spec.pad);
-  Tensor out({n, c, out_h, out_w});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox) {
-          const std::int64_t iy0 = oy * spec.stride - spec.pad;
-          const std::int64_t ix0 = ox * spec.stride - spec.pad;
-          double acc = 0.0;
-          for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
-            const std::int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= h) {
-              continue;
-            }
-            for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
-              const std::int64_t ix = ix0 + kx;
-              if (ix < 0 || ix >= w) {
-                continue;
-              }
-              acc += static_cast<double>(input.at4(ni, ci, iy, ix)) *
-                     static_cast<double>(kernel2d.at2(ky, kx));
-            }
-          }
-          out.at4(ni, ci, oy, ox) = static_cast<float>(acc);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace hotspot::tensor

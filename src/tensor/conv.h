@@ -42,10 +42,4 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      Tensor* grad_input, Tensor* grad_weight,
                      Tensor* grad_bias);
 
-// Convolves each channel of [N,C,H,W] with one shared 2-D kernel [kh,kw]
-// (depthwise with a broadcast kernel). Used for the Eq.-14 box filter that
-// spreads |T_in| into the per-position input scaling factor.
-Tensor depthwise_conv2d_shared(const Tensor& input, const Tensor& kernel2d,
-                               const ConvSpec& spec);
-
 }  // namespace hotspot::tensor

@@ -14,41 +14,55 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
       << shape_to_string(b.shape());
 }
 
+// out[i] = op(a[i], b[i]) over raw pointers after one shape check, so the
+// loop vectorizes.
+template <typename Op>
+Tensor binary_elementwise(const Tensor& a, const Tensor& b, const char* name,
+                          Op op) {
+  check_same_shape(a, b, name);
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    po[i] = op(pa[i], pb[i]);
+  }
+  return out;
+}
+
+// out[i] = op(a[i]) over raw pointers.
+template <typename Op>
+Tensor unary_elementwise(const Tensor& a, Op op) {
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    po[i] = op(pa[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add");
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] + b[i];
-  }
-  return out;
+  return binary_elementwise(a, b, "add",
+                            [](float x, float y) { return x + y; });
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] - b[i];
-  }
-  return out;
+  return binary_elementwise(a, b, "sub",
+                            [](float x, float y) { return x - y; });
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] * b[i];
-  }
-  return out;
+  return binary_elementwise(a, b, "mul",
+                            [](float x, float y) { return x * y; });
 }
 
 Tensor scale(const Tensor& a, float factor) {
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] * factor;
-  }
-  return out;
+  return unary_elementwise(a, [factor](float x) { return x * factor; });
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {
@@ -62,19 +76,12 @@ void add_inplace(Tensor& a, const Tensor& b) {
 }
 
 Tensor abs(const Tensor& a) {
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = std::fabs(a[i]);
-  }
-  return out;
+  return unary_elementwise(a, [](float x) { return std::fabs(x); });
 }
 
 Tensor sign(const Tensor& a) {
-  Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] >= 0.0f ? 1.0f : -1.0f;
-  }
-  return out;
+  return unary_elementwise(a,
+                           [](float x) { return x >= 0.0f ? 1.0f : -1.0f; });
 }
 
 double l1_norm(const Tensor& a) {

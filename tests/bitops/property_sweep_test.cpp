@@ -1,17 +1,18 @@
 // Randomized property sweeps over the binarization pipeline: for many
 // random shapes, packed rows, the direct conv's counts and the
 // channel-blocked packers must agree exactly with their sign-arithmetic
-// definitions, and the alpha_T box filter's integral-image fast path with
-// the depthwise box-kernel convolution it replaces. (The packed conv paths
-// are swept against the Eq. 15 reference in
-// tests/core/conv_reference_test.cpp.)
+// definitions, and the alpha_T box sum bit for bit with Eq. 14 in plain
+// loops (the Eq. 15 reference's alpha_T). (The packed conv paths are swept
+// against the Eq. 15 reference in tests/core/conv_reference_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdlib>
+#include <string>
 
 #include "bitops/scaling.h"
 #include "bitops/xnor_gemm.h"
+#include "support/eq15_reference.h"
 #include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
@@ -116,14 +117,11 @@ TEST_P(RandomShapeSweep, BoxFilterMatchesReferenceAtRandomSpecs) {
     GTEST_SKIP() << "kernel larger than padded input";
   }
   const Tensor x = Tensor::normal({1, c, hw, hw}, rng, 0.0f, 2.0f);
-  Tensor box({kernel, kernel});
-  box.fill(1.0f / static_cast<float>(kernel * kernel));
-  const Tensor reference =
-      tensor::depthwise_conv2d_shared(tensor::abs(x), box, spec);
-  const Tensor fast = box_filter_abs_mean(x, spec);
-  ASSERT_TRUE(tensor::allclose(fast, reference, 1e-4))
-      << "c=" << c << " hw=" << hw << " k=" << kernel << " s=" << spec.stride
-      << " p=" << spec.pad;
+  test_support::expect_bit_identical(
+      input_scales_per_channel(x, spec), eq15::alpha_t_per_channel(x, spec),
+      "c=" + std::to_string(c) + " hw=" + std::to_string(hw) +
+          " k=" + std::to_string(kernel) + " s=" +
+          std::to_string(spec.stride) + " p=" + std::to_string(spec.pad));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomShapeSweep, ::testing::Range(0, 12));

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "support/eq15_reference.h"
+#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::bitops {
@@ -42,21 +45,17 @@ TEST(WeightScales, EstimateMinimizesBinarizationLoss) {
 }
 
 TEST(InputScalesPerChannel, MatchesReferenceBoxConv) {
-  // The integral-image fast path must agree with the direct depthwise
-  // convolution of |input| with the box kernel (Eq. 14).
+  // The box routine must equal Eq. 14 spelled out in plain loops (the
+  // Eq. 15 reference's alpha_T) bit for bit.
   util::Rng rng(2);
   for (const ConvSpec spec : {ConvSpec{3, 3, 1, 1}, ConvSpec{3, 3, 2, 1},
                               ConvSpec{1, 1, 1, 0}, ConvSpec{1, 1, 2, 0},
                               ConvSpec{5, 5, 1, 2}}) {
     const Tensor x = Tensor::normal({2, 3, 8, 8}, rng, 0.0f, 1.0f);
-    Tensor box({spec.kernel_h, spec.kernel_w});
-    box.fill(1.0f / static_cast<float>(spec.kernel_h * spec.kernel_w));
-    const Tensor reference =
-        tensor::depthwise_conv2d_shared(tensor::abs(x), box, spec);
-    const Tensor fast = input_scales_per_channel(x, spec);
-    EXPECT_TRUE(tensor::allclose(fast, reference, 1e-4))
-        << "kernel " << spec.kernel_h << " stride " << spec.stride
-        << " max diff " << tensor::max_abs_diff(fast, reference);
+    test_support::expect_bit_identical(
+        input_scales_per_channel(x, spec), eq15::alpha_t_per_channel(x, spec),
+        "kernel " + std::to_string(spec.kernel_h) + " stride " +
+            std::to_string(spec.stride));
   }
 }
 

@@ -6,7 +6,7 @@
 // gamma = 0 and negative gamma, signed zeros, denormals, inputs whose xhat
 // overflows, and NaN/inf parameters and inputs, on plane shapes that reach
 // the SSE body of the sign packer, its scalar row tails, multi-word rows,
-// odd-width parity rows and the integral image's partial row blocks. The
+// odd-width parity rows and odd heights at stride 2. The
 // Eq. 15 reference the whole plan is compared against
 // (tests/core/conv_reference_test.cpp) starts from that materialized output.
 #include <gtest/gtest.h>
@@ -101,7 +101,7 @@ struct PlaneShape {
 
 // 6 x 8 fits one SSE-packed word per row; width 67 adds a second word of
 // three scalar-tail columns (one parity word, odd width); width 130 gives
-// two parity words per half; heights 5 and 7 end in partial row blocks.
+// two parity words per half; heights 5 and 7 are odd at stride 2.
 const PlaneShape kShapes[] = {{6, 8}, {5, 67}, {7, 130}};
 
 // [2, C, H, W]: sample 0 holds the edge inputs cycling through every
@@ -156,7 +156,7 @@ const bitops::InputScaling kScalings[] = {bitops::InputScaling::kPerChannel,
 // against streams built from the materialized NCHW BN output `y`: bit
 // (y >= 0) at each element's lane of its stride phase's stream (lane
 // n*outH*outW + (y / stride)*outW + x / stride of phase (y % stride,
-// x % stride)), every other bit zero.
+// x % stride)), every other bit zero. A 1x1 conv stores only phase 0.
 void expect_sign_words(const bitops::SignStreams& bits, const Tensor& y,
                        const tensor::ConvSpec& spec,
                        const std::string& context) {
@@ -164,12 +164,13 @@ void expect_sign_words(const bitops::SignStreams& bits, const Tensor& y,
   const std::int64_t out_h = (y.dim(2) + s - 1) / s;
   const std::int64_t out_w = (y.dim(3) + s - 1) / s;
   ASSERT_EQ(bits.channels(), y.dim(1)) << context;
-  ASSERT_EQ(bits.phases(), s * s) << context;
+  const std::int64_t phases = spec.kernel_h == 1 ? 1 : s * s;
+  ASSERT_EQ(bits.phases(), phases) << context;
   ASSERT_EQ(bits.lanes(), y.dim(0) * out_h * out_w) << context;
   const std::vector<std::uint64_t>& got = bits.storage();
   std::vector<std::uint64_t> want(got.size(), 0);
   for (std::int64_t c = 0; c < y.dim(1); ++c) {
-    for (std::int64_t phase = 0; phase < s * s; ++phase) {
+    for (std::int64_t phase = 0; phase < phases; ++phase) {
       const std::int64_t base = bits.stream(c, phase) - got.data();
       for (std::int64_t n = 0; n < y.dim(0); ++n) {
         for (std::int64_t row = phase / s; row < y.dim(2); row += s) {

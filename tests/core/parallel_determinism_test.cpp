@@ -78,8 +78,8 @@ struct SeededAffine {
 };
 
 // The conv input stage (sign streams and alpha_T of the BN output, written
-// per (channel, group of samples) or per group of samples under
-// util::parallel_for with per-chunk scratch) and the plain box filter. The
+// per (channel, tile of sample groups) or per tile of sample groups under
+// util::parallel_for with per-chunk scratch) and the plain box sum. The
 // channel-major shapes give output planes of 2x2, 4x4, 5x5 and 3x3
 // positions, whose lane words span samples, with batches that are not a
 // multiple of the samples per word, next to wide and odd planes.
@@ -115,11 +115,11 @@ TEST_F(ParallelDeterminismTest, AlphaTBitIdenticalAcrossThreadCounts) {
         }
       }
       util::set_parallel_threads(1);
-      const Tensor reference = bitops::box_filter_abs_mean(input, spec);
+      const Tensor reference = bitops::input_scales_per_channel(input, spec);
       for (const int threads : kThreadCounts) {
         util::set_parallel_threads(threads);
-        expect_bit_identical(bitops::box_filter_abs_mean(input, spec),
-                             reference, "box_filter_abs_mean", threads);
+        expect_bit_identical(bitops::input_scales_per_channel(input, spec),
+                             reference, "input_scales_per_channel", threads);
       }
     }
   }

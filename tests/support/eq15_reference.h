@@ -1,7 +1,8 @@
 // The one reference for the bit-identity contract (DESIGN.md §14): Eq. 15
 // in plain loops on the BN output BatchNorm2d's eval forward materializes.
 //   sign      +1 iff v >= 0 (-0 -> +1, NaN -> -1), padding -1;
-//   alpha_T   bitops::input_scales_* on that same tensor;
+//   alpha_T   Eq. 14 on that same tensor in box_sum.h's float order,
+//             spelled out below (box_alpha);
 //   aggregate per-channel: the canonical weighted order of
 //             kernels/xnor_kernel.h (per output position, channels
 //             ascending from +0.0f) over the integer per-channel dots, times
@@ -12,6 +13,7 @@
 // including test is compiled with -ffp-contract=off, like the kernels.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +59,70 @@ inline float canonical_weighted_sum(const float* alpha,
   return acc;
 }
 
+// Eq. 14 at output (oy, ox) of the h x w plane `plane` (row-major): for
+// each window row, |v| summed over ascending dx from +0.0f, a term outside
+// the plane adding +0.0f; those row sums added over ascending dy from
+// +0.0f; times 1 / (kh*kw).
+inline float box_alpha(const float* plane, std::int64_t h, std::int64_t w,
+                       const tensor::ConvSpec& spec, std::int64_t oy,
+                       std::int64_t ox) {
+  float total = 0.0f;
+  for (std::int64_t ky = 0; ky < spec.kernel_h; ++ky) {
+    const std::int64_t iy = oy * spec.stride - spec.pad + ky;
+    float row = 0.0f;
+    for (std::int64_t kx = 0; kx < spec.kernel_w; ++kx) {
+      const std::int64_t ix = ox * spec.stride - spec.pad + kx;
+      const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+      row = row + (inside ? std::fabs(plane[iy * w + ix]) : 0.0f);
+    }
+    total = total + row;
+  }
+  return total * (1.0f / static_cast<float>(spec.kernel_h * spec.kernel_w));
+}
+
+// Per-channel alpha_T of [N,C,H,W]: [N,C,outH,outW].
+inline Tensor alpha_t_per_channel(const Tensor& y,
+                                  const tensor::ConvSpec& spec) {
+  const std::int64_t h = y.dim(2);
+  const std::int64_t w = y.dim(3);
+  const std::int64_t out_h =
+      tensor::conv_out_extent(h, spec.kernel_h, spec.stride, spec.pad);
+  const std::int64_t out_w =
+      tensor::conv_out_extent(w, spec.kernel_w, spec.stride, spec.pad);
+  Tensor out({y.dim(0), y.dim(1), out_h, out_w});
+  for (std::int64_t ni = 0; ni < y.dim(0); ++ni) {
+    for (std::int64_t ci = 0; ci < y.dim(1); ++ci) {
+      const float* plane = y.data() + (ni * y.dim(1) + ci) * h * w;
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          out.at4(ni, ci, oy, ox) = box_alpha(plane, h, w, spec, oy, ox);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// XNOR-Net's scalar alpha_T of [N,C,H,W]: per sample the channel mean
+// float(sum over ascending c of double(|v|) / C) at every position, then
+// box_alpha over that mean plane: [N,1,outH,outW].
+inline Tensor alpha_t_scalar(const Tensor& y, const tensor::ConvSpec& spec) {
+  const std::int64_t c = y.dim(1);
+  const std::int64_t hw = y.dim(2) * y.dim(3);
+  Tensor means({y.dim(0), 1, y.dim(2), y.dim(3)});
+  for (std::int64_t ni = 0; ni < y.dim(0); ++ni) {
+    for (std::int64_t i = 0; i < hw; ++i) {
+      double total = 0.0;
+      for (std::int64_t ci = 0; ci < c; ++ci) {
+        total += std::fabs(static_cast<double>(y[(ni * c + ci) * hw + i]));
+      }
+      means[ni * hw + i] =
+          static_cast<float>(total / static_cast<double>(c));
+    }
+  }
+  return alpha_t_per_channel(means, spec);
+}
+
 // The dense epilogue: count * alpha_w * post, left to right.
 inline float dense_epilogue(std::int64_t count, float alpha_w, float post) {
   const float scaled = static_cast<float>(count) * alpha_w;
@@ -84,9 +150,9 @@ inline Tensor binary_conv(const Tensor& bn_out, const Tensor& weight,
   const bool per_channel = scaling == bitops::InputScaling::kPerChannel;
   Tensor alpha_t;
   if (per_channel) {
-    alpha_t = bitops::input_scales_per_channel(bn_out, spec);
+    alpha_t = alpha_t_per_channel(bn_out, spec);
   } else if (scaling == bitops::InputScaling::kScalar) {
-    alpha_t = bitops::input_scales_scalar(bn_out, spec);
+    alpha_t = alpha_t_scalar(bn_out, spec);
   }
 
   Tensor out({n, cout, out_h, out_w});

@@ -141,15 +141,5 @@ TEST(Conv2dBackward, MatchesFiniteDifference) {
   }
 }
 
-TEST(DepthwiseShared, BoxFilterAverages) {
-  Tensor x({1, 1, 3, 3}, {0, 0, 0, 0, 9, 0, 0, 0, 0});
-  Tensor kernel({3, 3});
-  kernel.fill(1.0f / 9.0f);
-  const Tensor out =
-      depthwise_conv2d_shared(x, kernel, ConvSpec{3, 3, 1, 1});
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 1), 1.0f);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 1.0f);  // centre value seen once
-}
-
 }  // namespace
 }  // namespace hotspot::tensor
