@@ -36,16 +36,45 @@ std::uint64_t sign_word(const float* chunk, std::int64_t len) {
 SignStreams::SignStreams(std::int64_t channels, std::int64_t batch,
                          std::int64_t height, std::int64_t width,
                          const tensor::ConvSpec& spec)
-    : c_(channels),
-      n_(batch),
-      h_(height),
-      w_(width),
-      stride_(spec.stride),
-      pad_(spec.pad) {
-  HOTSPOT_CHECK(channels >= 0 && batch >= 0 && height > 0 && width > 0);
+    : c_(channels), n_(batch), h_(height), w_(width) {
+  layout(spec);
+  owned_.assign(static_cast<std::size_t>(c_ * channel_words()), 0);
+  data_ = owned_.data();
+}
+
+SignStreams::SignStreams(std::int64_t channels, std::int64_t batch,
+                         std::int64_t height, std::int64_t width,
+                         const tensor::ConvSpec& spec, std::uint64_t* storage)
+    : c_(channels), n_(batch), h_(height), w_(width), data_(storage) {
+  layout(spec);
+  for (std::int64_t s = 0; s < c_ * phases_; ++s) {
+    std::uint64_t* first = data_ + s * stream_words_;
+    std::fill(first, first + guard_, 0);
+    std::fill(first + guard_ + words_, first + stream_words_, 0);
+  }
+}
+
+std::int64_t SignStreams::storage_words(std::int64_t channels,
+                                        std::int64_t batch,
+                                        std::int64_t height,
+                                        std::int64_t width,
+                                        const tensor::ConvSpec& spec) {
+  SignStreams shape;
+  shape.c_ = channels;
+  shape.n_ = batch;
+  shape.h_ = height;
+  shape.w_ = width;
+  shape.layout(spec);
+  return channels * shape.channel_words();
+}
+
+void SignStreams::layout(const tensor::ConvSpec& spec) {
+  HOTSPOT_CHECK(c_ >= 0 && n_ >= 0 && h_ > 0 && w_ > 0);
   HOTSPOT_CHECK(is_same_conv(spec))
       << "sign streams serve same convs: odd kernel, pad = kernel / 2, "
          "stride 1 or 2";
+  stride_ = spec.stride;
+  pad_ = spec.pad;
   // A 1x1 conv (pad 0) reads only phase (0, 0).
   phases_ = pad_ == 0 ? 1 : stride_ * stride_;
   out_h_ = (h_ + stride_ - 1) / stride_;
@@ -56,7 +85,6 @@ SignStreams::SignStreams(std::int64_t channels, std::int64_t batch,
   guard_ = reach / 64 + 1;
   stream_words_ = words_ + 2 * guard_;
   sample_group_ = 64 / std::gcd(out_h_ * out_w_, std::int64_t{64});
-  data_.assign(static_cast<std::size_t>(c_ * phases() * stream_words_), 0);
 }
 
 void SignStreams::set_samples(std::int64_t c, std::int64_t n0,

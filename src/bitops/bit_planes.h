@@ -50,6 +50,20 @@ class SignStreams {
   SignStreams(std::int64_t channels, std::int64_t batch, std::int64_t height,
               std::int64_t width, const tensor::ConvSpec& spec);
 
+  // The same layout over `storage_words(...)` words of caller storage,
+  // which must outlive the streams: only the guard words are zeroed, so
+  // set_samples must then store every sample before a conv reads them.
+  SignStreams(std::int64_t channels, std::int64_t batch, std::int64_t height,
+              std::int64_t width, const tensor::ConvSpec& spec,
+              std::uint64_t* storage);
+  static std::int64_t storage_words(std::int64_t channels,
+                                    std::int64_t batch, std::int64_t height,
+                                    std::int64_t width,
+                                    const tensor::ConvSpec& spec);
+
+  SignStreams(SignStreams&&) = default;
+  SignStreams& operator=(SignStreams&&) = default;
+
   // Stores the signs of samples [n0, n0 + count) of channel c. `values`
   // holds one block per stored phase, phase after phase, each the phase's
   // count * outH * outW lanes in lane order: the input at (stride*oy + py,
@@ -83,23 +97,28 @@ class SignStreams {
   // Lane word 0 of stream (c, phase); the guard words precede it and
   // follow the last lane word.
   const std::uint64_t* stream(std::int64_t c, std::int64_t phase) const {
-    return data_.data() + c * channel_words() + phase * stream_words_ +
-           guard_;
+    return data_ + c * channel_words() + phase * stream_words_ + guard_;
   }
-  // Every stored word, guards included, stream after stream.
-  const std::vector<std::uint64_t>& storage() const { return data_; }
+  // Every stored word, guards included, stream after stream, of streams
+  // that own their storage.
+  const std::vector<std::uint64_t>& storage() const {
+    HOTSPOT_CHECK(data_ == owned_.data()) << "streams over caller storage";
+    return owned_;
+  }
 
  private:
+  void layout(const tensor::ConvSpec& spec);
   std::uint64_t* stream(std::int64_t c, std::int64_t phase) {
-    return data_.data() + c * channel_words() + phase * stream_words_ +
-           guard_;
+    return data_ + c * channel_words() + phase * stream_words_ + guard_;
   }
 
   std::int64_t c_ = 0, n_ = 0, h_ = 0, w_ = 0, stride_ = 1, pad_ = 0;
   std::int64_t phases_ = 1;
   std::int64_t out_h_ = 0, out_w_ = 0, words_ = 0, guard_ = 0;
   std::int64_t stream_words_ = 0, sample_group_ = 1;
-  std::vector<std::uint64_t> data_;
+  std::vector<std::uint64_t> owned_;
+  // owned_.data() or the caller's storage; a move keeps owned_'s buffer.
+  std::uint64_t* data_ = nullptr;
 };
 
 class BitPlanes {

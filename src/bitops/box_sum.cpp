@@ -1,5 +1,7 @@
 #include "bitops/box_sum.h"
 
+#include <array>
+
 #include "util/check.h"
 
 namespace hotspot::bitops {
@@ -61,6 +63,30 @@ void column_sums(const float* rows, std::int64_t stride, std::int64_t n,
   }
 }
 
+// The vertical pass of `count` stacked planes of OW output columns, KH
+// rows each: column_sums<KH> at every output row, with the row loop over
+// all planes in one call and the OW columns unrolled, so narrow planes
+// pay no per-row loop set-up.
+template <std::int64_t KH, std::int64_t OW>
+void narrow_column_sums(const float* sums, std::int64_t sum_floats,
+                        std::int64_t padded_h, std::int64_t stride,
+                        std::int64_t out_h, std::int64_t count, float inv,
+                        float* dst) {
+  for (std::int64_t q = 0; q < count; ++q) {
+    const float* plane = sums + q * padded_h * sum_floats;
+    for (std::int64_t oy = 0; oy < out_h; ++oy, dst += OW) {
+      const float* top = plane + oy * stride * sum_floats;
+      for (std::int64_t x = 0; x < OW; ++x) {
+        float total = top[x];
+        for (std::int64_t dy = 1; dy < KH; ++dy) {
+          total = total + top[dy * sum_floats + x];
+        }
+        dst[x] = total * inv;
+      }
+    }
+  }
+}
+
 std::int64_t round_up(std::int64_t value, std::int64_t multiple) {
   return (value + multiple - 1) / multiple * multiple;
 }
@@ -112,6 +138,14 @@ void BoxSum::run(std::int64_t count, float* dst) {
     row_sums(a, m, kw_, stride_, sums);
   }
   // Vertical sums of the kh window rows at each output row, scaled.
+  if (kh_ == 3 && out_w_ <= 4) {
+    constexpr std::array narrow = {
+        &narrow_column_sums<3, 1>, &narrow_column_sums<3, 2>,
+        &narrow_column_sums<3, 3>, &narrow_column_sums<3, 4>};
+    narrow[static_cast<std::size_t>(out_w_ - 1)](
+        sums, sum_floats_, padded_h_, stride_, out_h_, count, inv_area_, dst);
+    return;
+  }
   for (std::int64_t q = 0; q < count; ++q) {
     for (std::int64_t oy = 0; oy < out_h_; ++oy) {
       const float* top = sums + (q * padded_h_ + oy * stride_) * sum_floats_;

@@ -26,8 +26,10 @@ namespace hotspot::bitops {
 // The caller writes |v| of each plane's rows through row(), then run()
 // evaluates alpha at every output position of the first `count` planes.
 // Planes are stacked zero-padded in one buffer, so the horizontal pass is
-// one flat loop over every plane's rows; only the vertical pass runs per
-// output row. One instance per parallel chunk.
+// one flat loop over every plane's rows; the vertical pass runs per output
+// row, except that planes at most 4 outputs wide (a 3x3 kernel) take it
+// in one call over every plane with the columns unrolled. One instance per
+// parallel chunk.
 class BoxSum {
  public:
   BoxSum(std::int64_t height, std::int64_t width, const tensor::ConvSpec& spec,

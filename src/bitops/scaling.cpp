@@ -167,12 +167,30 @@ tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
 ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
                      const tensor::ConvSpec& spec, InputScaling scaling) {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t c = input.dim(0);
-  const std::int64_t n = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  ConvInput result{SignStreams(c, n, h, w, spec), tensor::Tensor()};
-  SignStreams& bits = result.bits;
+  ConvInput result{SignStreams(input.dim(0), input.dim(1), input.dim(2),
+                               input.dim(3), spec),
+                   tensor::Tensor()};
+  if (scaling == InputScaling::kPerChannel) {
+    result.alpha = tensor::Tensor({input.dim(0), result.bits.words() * 64});
+  } else if (scaling == InputScaling::kScalar) {
+    result.alpha = tensor::Tensor({input.dim(1), 1,
+                                   result.bits.out_height(),
+                                   result.bits.out_width()});
+  }
+  conv_input(input.data(), affine, spec, scaling, result.bits,
+             result.alpha.data());
+  return result;
+}
+
+void conv_input(const float* input, const ChannelAffine& affine,
+                const tensor::ConvSpec& spec, InputScaling scaling,
+                SignStreams& bits, float* alpha_out) {
+  HOTSPOT_CHECK(spec.stride == bits.stride() && spec.pad == bits.pad())
+      << "streams laid out for another conv";
+  const std::int64_t c = bits.channels();
+  const std::int64_t n = bits.batch();
+  const std::int64_t h = bits.height();
+  const std::int64_t w = bits.width();
   const std::int64_t out_h = bits.out_height();
   const std::int64_t out_w = bits.out_width();
   const std::int64_t positions = out_h * out_w;
@@ -212,7 +230,7 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
   const auto evaluate = [&](std::int64_t ci, std::int64_t n0,
                             std::int64_t count, float* lanes, BoxSum* box,
                             float* plane, float* alpha) {
-    const float* src = input.data() + (ci * n + n0) * h * w;
+    const float* src = input + (ci * n + n0) * h * w;
     const float mean = affine.mean[ci];
     const float inv_std = affine.inv_std[ci];
     const float gamma = affine.gamma[ci];
@@ -300,7 +318,11 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
     // One unit per (channel, tile).
     const std::int64_t lane_count = bits.words() * 64;
     if (scaling == InputScaling::kPerChannel) {
-      result.alpha = tensor::Tensor({c, lane_count});  // zero-filled
+      // The lanes past the batch, which the conv's last word reads.
+      for (std::int64_t ci = 0; ci < c; ++ci) {
+        std::fill(alpha_out + ci * lane_count + bits.lanes(),
+                  alpha_out + (ci + 1) * lane_count, 0.0f);
+      }
     }
     util::parallel_for(0, c * tiles, chunk_grain(c * tiles),
                        [&](std::int64_t lo, std::int64_t hi) {
@@ -313,10 +335,9 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
         const std::int64_t ci = unit / tiles;
         const std::int64_t n0 = unit % tiles * tile;
         const std::int64_t count = std::min(tile, n - n0);
-        float* alpha =
-            scaling == InputScaling::kPerChannel
-                ? result.alpha.data() + ci * lane_count + n0 * positions
-                : nullptr;
+        float* alpha = scaling == InputScaling::kPerChannel
+                           ? alpha_out + ci * lane_count + n0 * positions
+                           : nullptr;
         evaluate(ci, n0, count, lanes.get(), box ? &*box : nullptr, nullptr,
                  box ? nullptr : alpha);
         bits.set_samples(ci, n0, count, lanes.get());
@@ -325,11 +346,10 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
         }
       }
     });
-    return result;
+    return;
   }
 
   // kScalar: one unit per tile, over every channel.
-  result.alpha = tensor::Tensor({n, 1, out_h, out_w});
   util::parallel_for(0, tiles, chunk_grain(tiles), [&](std::int64_t lo,
                                                        std::int64_t hi) {
     const auto lanes = scratch<float>(tile * lanes_per_sample);
@@ -352,7 +372,7 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
             return split ? plane.get() : lanes.get();
           },
           total.get(), means.get());
-      float* alpha = result.alpha.data() + n0 * positions;
+      float* alpha = alpha_out + n0 * positions;
       if (box) {
         fill_box(*box, means.get(), count, h, w);
         box->run(count, alpha);
@@ -361,7 +381,6 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
       }
     }
   });
-  return result;
 }
 
 }  // namespace hotspot::bitops

@@ -67,4 +67,14 @@ struct ConvInput {
 ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
                      const tensor::ConvSpec& spec, InputScaling scaling);
 
+// The same stage into caller memory, for the inference plan's arena: the
+// input is the channel-major [C, N, H, W] of `bits`' shape at `input`,
+// `bits` may be streams over caller storage, and `alpha` has room for
+// ConvInput::alpha's floats in its layout (none for kNone). Nothing needs zeroing beforehand: the stage stores every
+// lane word and every alpha float, the per-channel lanes past N*outH*outW
+// included.
+void conv_input(const float* input, const ChannelAffine& affine,
+                const tensor::ConvSpec& spec, InputScaling scaling,
+                SignStreams& bits, float* alpha);
+
 }  // namespace hotspot::bitops

@@ -1,6 +1,7 @@
 #include "core/inference_plan.h"
 
 #include <algorithm>
+#include <new>
 
 #include "core/binary_conv.h"
 #include "core/brnn.h"
@@ -12,12 +13,58 @@
 #include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace hotspot::core {
 namespace {
 
+// Slots and scratch regions start on cache lines.
+std::int64_t aligned(std::int64_t bytes) { return (bytes + 63) / 64 * 64; }
+
+std::int64_t float_bytes(const ActShape& shape) {
+  return aligned(shape.numel() * static_cast<std::int64_t>(sizeof(float)));
+}
+
+// Full-resolution conv output per tile of a pooling conv step: about one
+// sample of the paper stem, so the tile stays in L2 between the conv that
+// writes it and the pool that reads it.
+constexpr std::int64_t kPoolTileBytes = 256 * 1024;
+
+// Grow-only storage that one thread reuses from call to call; never
+// zero-filled.
+class ThreadBuffer {
+ public:
+  std::byte* reserve(std::int64_t bytes) {
+    if (bytes > capacity_) {
+      // Release first, so growing never holds both buffers.
+      data_.reset();
+      capacity_ = 0;
+      data_.reset(static_cast<std::byte*>(::operator new(
+          static_cast<std::size_t>(bytes), std::align_val_t{64})));
+      capacity_ = bytes;
+    }
+    return data_.get();
+  }
+  std::int64_t capacity() const { return capacity_; }
+
+ private:
+  struct Free {
+    void operator()(std::byte* p) const {
+      ::operator delete(p, std::align_val_t{64});
+    }
+  };
+  std::unique_ptr<std::byte, Free> data_;
+  std::int64_t capacity_ = 0;
+};
+
+// The slots of InferencePlan::run on the thread that calls it.
+thread_local ThreadBuffer t_arena;
+// One tile of a pooling ConvStep, on each thread that runs one.
+thread_local ThreadBuffer t_tile;
+
 // The BN and conv of one conv block (BatchNorm2d + BinaryConv2d).
-ConvStep compile_conv_block(nn::Module& module) {
+ConvStep compile_conv_block(nn::Module& module,
+                            std::optional<tensor::PoolSpec> pool = {}) {
   auto* block = dynamic_cast<nn::Sequential*>(&module);
   HOTSPOT_CHECK(block != nullptr && block->size() == 2u)
       << "conv blocks are BatchNorm2d + BinaryConv2d";
@@ -25,19 +72,37 @@ ConvStep compile_conv_block(nn::Module& module) {
   auto* conv = dynamic_cast<BinaryConv2d*>(&block->at(1));
   HOTSPOT_CHECK(bn != nullptr && conv != nullptr)
       << "unexpected conv block layout";
-  return ConvStep(*bn, *conv);
+  return ConvStep(*bn, *conv, pool);
 }
 
-ResidualStep compile_residual(nn::ResidualBlock& residual) {
-  auto* main_path = dynamic_cast<nn::Sequential*>(&residual.main_path());
+ResidualStep compile_residual(nn::Module& module) {
+  auto* residual = dynamic_cast<nn::ResidualBlock*>(&module);
+  HOTSPOT_CHECK(residual != nullptr)
+      << "residual blocks follow the stem; got " << module.name();
+  auto* main_path = dynamic_cast<nn::Sequential*>(&residual->main_path());
   HOTSPOT_CHECK(main_path != nullptr && main_path->size() == 2u)
       << "residual main path layout";
   ResidualStep step{compile_conv_block(main_path->at(0)),
                     compile_conv_block(main_path->at(1)), std::nullopt};
-  if (residual.shortcut() != nullptr) {
-    step.shortcut = compile_conv_block(*residual.shortcut());
+  if (residual->shortcut() != nullptr) {
+    step.shortcut = compile_conv_block(*residual->shortcut());
   }
   return step;
+}
+
+// The stem's max pool, folded into the stem step.
+std::optional<tensor::PoolSpec> stem_pool(nn::Sequential& net) {
+  auto* pool =
+      net.size() > 1 ? dynamic_cast<nn::MaxPool2d*>(&net.at(1)) : nullptr;
+  return pool != nullptr ? std::optional(pool->spec()) : std::nullopt;
+}
+
+template <typename Layer>
+Layer& layer_as(nn::Sequential& net, std::size_t i) {
+  auto* layer = dynamic_cast<Layer*>(&net.at(i));
+  HOTSPOT_CHECK(layer != nullptr)
+      << "unsupported layer " << i << ": " << net.at(i).name();
+  return *layer;
 }
 
 }  // namespace
@@ -53,18 +118,22 @@ BnStep::BnStep(nn::BatchNorm2d& bn) {
   beta.assign(bn.beta().value.data(), bn.beta().value.data() + channels);
 }
 
-Tensor BnStep::run(const Tensor& input) const {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t channels = input.dim(1);
-  HOTSPOT_CHECK_EQ(channels, static_cast<std::int64_t>(mean.size()));
-  const std::int64_t hw = input.dim(2) * input.dim(3);
-  Tensor output(input.shape());
-  for (std::int64_t plane = 0; plane < input.dim(0) * channels; ++plane) {
-    const auto c = static_cast<std::size_t>(plane % channels);
-    const float* in = input.data() + plane * hw;
-    float* out = output.data() + plane * hw;
-    for (std::int64_t i = 0; i < hw; ++i) {
-      out[i] = bitops::bn_eval(in[i], mean[c], inv_std[c], gamma[c], beta[c]);
+Tensor BnStep::global_avg_pool(const float* input,
+                               const ActShape& shape) const {
+  HOTSPOT_CHECK_EQ(shape.channels, static_cast<std::int64_t>(mean.size()));
+  const std::int64_t hw = shape.height * shape.width;
+  HOTSPOT_CHECK_GT(hw, 0);
+  Tensor output({shape.batch, shape.channels});
+  for (std::int64_t c = 0; c < shape.channels; ++c) {
+    const auto ch = static_cast<std::size_t>(c);
+    for (std::int64_t n = 0; n < shape.batch; ++n) {
+      const float* plane = input + (c * shape.batch + n) * hw;
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        acc += static_cast<double>(bitops::bn_eval(
+            plane[i], mean[ch], inv_std[ch], gamma[ch], beta[ch]));
+      }
+      output.at2(n, c) = static_cast<float>(acc / static_cast<double>(hw));
     }
   }
   return output;
@@ -77,7 +146,8 @@ std::string conv_stage_span(const std::string& conv_label,
   return conv_label.empty() ? stage : conv_label + "/" + stage;
 }
 
-ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv)
+ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv,
+                   std::optional<tensor::PoolSpec> pool)
     : label_(conv.span_label()),
       spec_(conv.spec()),
       in_channels_(conv.in_channels()),
@@ -89,64 +159,154 @@ ConvStep::ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv)
           label_, std::string("binary_conv.direct.") + kernel_->name)),
       filters_(pack_direct_filters(conv.weight().value)),
       alpha_w_(bitops::weight_scales(conv.weight().value)),
-      bn_(bn) {
+      bn_(bn),
+      pool_(pool) {
   HOTSPOT_CHECK_EQ(bn.channels(), in_channels_);
 }
 
+ActShape ConvStep::output_shape(const ActShape& input) const {
+  ActShape out{out_channels_, input.batch,
+               tensor::conv_out_extent(input.height, spec_.kernel_h,
+                                       spec_.stride, spec_.pad),
+               tensor::conv_out_extent(input.width, spec_.kernel_w,
+                                       spec_.stride, spec_.pad)};
+  if (pool_) {
+    out.height = tensor::pool_out_extent(out.height, *pool_);
+    out.width = tensor::pool_out_extent(out.width, *pool_);
+  }
+  return out;
+}
+
+// The sign streams, then alpha_T in ConvInput::alpha's layout.
+std::int64_t ConvStep::scratch_bytes(const ActShape& input) const {
+  const std::int64_t streams = bitops::SignStreams::storage_words(
+      in_channels_, input.batch, input.height, input.width, spec_);
+  const std::int64_t lanes =
+      input.batch *
+      tensor::conv_out_extent(input.height, spec_.kernel_h, spec_.stride,
+                              spec_.pad) *
+      tensor::conv_out_extent(input.width, spec_.kernel_w, spec_.stride,
+                              spec_.pad);
+  std::int64_t alpha = 0;
+  if (scaling_ == bitops::InputScaling::kPerChannel) {
+    alpha = in_channels_ * ((lanes + 63) / 64 * 64);
+  } else if (scaling_ == bitops::InputScaling::kScalar) {
+    alpha = lanes;
+  }
+  return aligned(streams * static_cast<std::int64_t>(sizeof(std::uint64_t))) +
+         aligned(alpha * static_cast<std::int64_t>(sizeof(float)));
+}
+
 Tensor ConvStep::run(const Tensor& input) const {
+  HOTSPOT_CHECK_EQ(input.rank(), 4);
+  const ActShape shape{input.dim(0), input.dim(1), input.dim(2),
+                       input.dim(3)};
+  const ActShape out = output_shape(shape);
+  Tensor output({out.channels, out.batch, out.height, out.width});
+  std::vector<std::uint64_t> scratch(
+      static_cast<std::size_t>(scratch_bytes(shape) / 8));
+  run(input.data(), shape, reinterpret_cast<std::byte*>(scratch.data()),
+      output.data());
+  return output;
+}
+
+void ConvStep::run(const float* input, const ActShape& shape,
+                   std::byte* scratch, float* output) const {
+  HOTSPOT_CHECK_EQ(shape.channels, in_channels_);
   // Same span label the module chain opens, so the roofline join and
   // timelines keep working per conv.
   if (label_.empty()) {
-    return compute(input);
+    compute(input, shape, scratch, output);
+    return;
   }
   obs::TraceSpan span(label_);
-  return compute(input);
+  compute(input, shape, scratch, output);
 }
 
-Tensor ConvStep::compute(const Tensor& input) const {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  HOTSPOT_CHECK_EQ(input.dim(0), in_channels_);
-  Tensor output({out_channels_, input.dim(1),
-                 tensor::conv_out_extent(input.dim(2), spec_.kernel_h,
-                                         spec_.stride, spec_.pad),
-                 tensor::conv_out_extent(input.dim(3), spec_.kernel_w,
-                                         spec_.stride, spec_.pad)});
+void ConvStep::compute(const float* input, const ActShape& shape,
+                       std::byte* scratch, float* output) const {
+  const std::int64_t n = shape.batch;
   // Sign streams and the scaling's alpha_T, both of the BN output, from one
   // pass over the input.
-  bitops::ConvInput in;
+  bitops::SignStreams bits(in_channels_, n, shape.height, shape.width, spec_,
+                           reinterpret_cast<std::uint64_t*>(scratch));
+  float* alpha = reinterpret_cast<float*>(
+      scratch + aligned(in_channels_ * bits.channel_words() *
+                        static_cast<std::int64_t>(sizeof(std::uint64_t))));
   {
     obs::TraceSpan span(input_span_);
-    in = bitops::conv_input(input, bn_.affine(), spec_, scaling_);
+    bitops::conv_input(input, bn_.affine(), spec_, scaling_, bits, alpha);
   }
   obs::TraceSpan span(aggregate_span_);
-  direct_conv(*kernel_, in.bits, spec_, filters_,
-              scaling_ == bitops::InputScaling::kPerChannel ? &in.alpha
-                                                            : nullptr,
-              alpha_w_,
-              scaling_ == bitops::InputScaling::kScalar ? &in.alpha : nullptr,
-              output);
-  return output;
+  const float* lanes =
+      scaling_ == bitops::InputScaling::kPerChannel ? alpha : nullptr;
+  const float* post =
+      scaling_ == bitops::InputScaling::kScalar ? alpha : nullptr;
+  if (!pool_) {
+    direct_conv(*kernel_, bits, spec_, filters_, lanes, alpha_w_.data(), post,
+                0, bits.words(), output, bits.lanes());
+    return;
+  }
+  // Tiles of whole sample groups, so each starts on a lane word.
+  const std::int64_t out_h = bits.out_height();
+  const std::int64_t out_w = bits.out_width();
+  const std::int64_t positions = out_h * out_w;
+  const std::int64_t pooled = tensor::pool_out_extent(out_h, *pool_) *
+                              tensor::pool_out_extent(out_w, *pool_);
+  const std::int64_t group = bits.sample_group();
+  const std::int64_t sample_bytes =
+      out_channels_ * positions * static_cast<std::int64_t>(sizeof(float));
+  const std::int64_t tile = std::min(
+      std::max<std::int64_t>(1, kPoolTileBytes / (group * sample_bytes)) *
+          group,
+      (n + group - 1) / group * group);
+  util::parallel_for(0, (n + tile - 1) / tile, 1, [&](std::int64_t lo,
+                                                      std::int64_t hi) {
+    auto* conv =
+        reinterpret_cast<float*>(t_tile.reserve(tile * sample_bytes));
+    for (std::int64_t t = lo; t < hi; ++t) {
+      const std::int64_t n0 = t * tile;
+      const std::int64_t count = std::min(tile, n - n0);
+      direct_conv(*kernel_, bits, spec_, filters_, lanes, alpha_w_.data(),
+                  post, n0 * positions / 64,
+                  ((n0 + count) * positions + 63) / 64, conv,
+                  count * positions);
+      for (std::int64_t o = 0; o < out_channels_; ++o) {
+        tensor::max_pool_planes(conv + o * count * positions, count, out_h,
+                                out_w, *pool_, output + (o * n + n0) * pooled);
+      }
+    }
+  });
 }
 
-// --- Pure tensor steps -------------------------------------------------
+// --- ResidualStep ------------------------------------------------------
 
-Tensor MaxPoolStep::run(const Tensor& input) const {
-  return tensor::max_pool2d(input, spec, nullptr);
+ActShape ResidualStep::output_shape(const ActShape& input) const {
+  return b.output_shape(a.output_shape(input));
 }
 
-Tensor ResidualStep::run(const Tensor& input) const {
-  Tensor output = b.run(a.run(input));
-  // main + shortcut, the operand order of ResidualBlock::forward, so the
-  // float sum is identical to the module chain's; in place, into the main
-  // path's own output.
-  tensor::add_inplace(output,
-                      shortcut.has_value() ? shortcut->run(input) : input);
-  return output;
+void ResidualStep::run(float* main, const ActShape& shape, float* residual,
+                       std::byte* scratch) const {
+  const ActShape mid = a.output_shape(shape);
+  const std::int64_t count = b.output_shape(mid).numel();
+  if (shortcut.has_value()) {
+    shortcut->run(main, shape, scratch, residual);
+    a.run(main, shape, scratch, main);
+    b.run(main, mid, scratch, main);
+    for (std::int64_t i = 0; i < count; ++i) {
+      main[i] = main[i] + residual[i];
+    }
+    return;
+  }
+  HOTSPOT_CHECK_EQ(count, shape.numel()) << "identity shortcut shape";
+  a.run(main, shape, scratch, residual);
+  b.run(residual, mid, scratch, residual);
+  for (std::int64_t i = 0; i < count; ++i) {
+    main[i] = residual[i] + main[i];
+  }
 }
 
-Tensor GlobalAvgPoolStep::run(const Tensor& input) const {
-  return tensor::global_avg_pool(input);
-}
+// --- LinearStep --------------------------------------------------------
 
 LinearStep::LinearStep(nn::Linear& fc)
     : weight_t(tensor::transpose2d(fc.weight().value)),
@@ -169,63 +329,117 @@ Tensor LinearStep::run(const Tensor& input) const {
 
 std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model) {
   HOTSPOT_TRACE_SPAN("brnn.compile_plan");
-  std::shared_ptr<InferencePlan> plan(new InferencePlan());
-  plan->input_channels_ = model.config().input_channels;
-  plan->image_size_ = model.config().image_size;
-  plan->kernel_ = &bitops::active_xnor_kernel();
-  plan->state_version_ = model.state_version();
+  return std::shared_ptr<const InferencePlan>(new InferencePlan(model));
+}
 
+InferencePlan::InferencePlan(BrnnModel& model)
+    : input_channels_(model.config().input_channels),
+      image_size_(model.config().image_size),
+      kernel_(&bitops::active_xnor_kernel()),
+      state_version_(model.state_version()),
+      stem_label_(model.layer_labels().at(0)),
+      stem_(compile_conv_block(model.net().at(0), stem_pool(model.net()))),
+      head_pool_label_(model.layer_labels().at(model.net().size() - 2)),
+      head_bn_(layer_as<nn::BatchNorm2d>(model.net(), model.net().size() - 3)),
+      head_fc_label_(model.layer_labels().back()),
+      head_fc_(layer_as<nn::Linear>(model.net(), model.net().size() - 1)) {
   nn::Sequential& net = model.net();
-  const std::vector<std::string>& labels = model.layer_labels();
-  HOTSPOT_CHECK_EQ(labels.size(), net.size());
-  plan->layers_.reserve(net.size());
-  plan->head_ = net.size();
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    nn::Module& layer = net.at(i);
-    auto add = [&](Step step) {
-      plan->layers_.push_back(Layer{labels[i], std::move(step)});
-    };
-    if (dynamic_cast<nn::Sequential*>(&layer) != nullptr) {
-      add(compile_conv_block(layer));
-    } else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&layer)) {
-      add(MaxPoolStep{pool->spec()});
-    } else if (auto* residual = dynamic_cast<nn::ResidualBlock*>(&layer)) {
-      add(compile_residual(*residual));
+  HOTSPOT_CHECK_EQ(model.layer_labels().size(), net.size());
+  layer_as<nn::GlobalAvgPool>(net, net.size() - 2);
+  for (std::size_t i = stem_pool(net) ? 2 : 1; i + 3 < net.size(); ++i) {
+    blocks_.push_back(Block{model.layer_labels()[i], compile_residual(net.at(i))});
+  }
+}
+
+MemoryPlan InferencePlan::memory_plan(std::int64_t batch) const {
+  MemoryPlan plan;
+  // One stage's live tensors: the one in each slot (0 for none).
+  const auto stage = [&plan](std::int64_t main, std::int64_t residual,
+                             std::int64_t scratch) {
+    plan.main_bytes = std::max(plan.main_bytes, main);
+    plan.residual_bytes = std::max(plan.residual_bytes, residual);
+    plan.scratch_bytes = std::max(plan.scratch_bytes, scratch);
+    plan.live_bytes = std::max(plan.live_bytes, main + residual + scratch);
+  };
+  // Each conv as its input stage, then its aggregate.
+  ActShape shape{input_channels_, batch, image_size_, image_size_};
+  const std::int64_t stem_scratch = stem_.scratch_bytes(shape);
+  // Several input channels are copied channel-major into the main slot;
+  // one is read in place.
+  stage(input_channels_ == 1 ? 0 : float_bytes(shape), 0, stem_scratch);
+  shape = stem_.output_shape(shape);
+  stage(float_bytes(shape), 0, stem_scratch);
+  for (const Block& block : blocks_) {
+    const ResidualStep& step = block.step;
+    const ActShape mid = step.a.output_shape(shape);
+    const ActShape out = step.b.output_shape(mid);
+    const std::int64_t x = float_bytes(shape);
+    const std::int64_t a_scratch = step.a.scratch_bytes(shape);
+    const std::int64_t b_scratch = step.b.scratch_bytes(mid);
+    if (step.shortcut.has_value()) {
+      const std::int64_t s = float_bytes(step.shortcut->output_shape(shape));
+      const std::int64_t s_scratch = step.shortcut->scratch_bytes(shape);
+      stage(x, 0, s_scratch);
+      stage(x, s, s_scratch);
+      stage(x, s, a_scratch);
+      stage(float_bytes(mid), s, a_scratch);
+      stage(float_bytes(mid), s, b_scratch);
+      stage(float_bytes(out), s, b_scratch);
     } else {
-      plan->head_ = std::min(plan->head_, i);
-      if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
-        add(BnStep(*bn));
-      } else if (dynamic_cast<nn::GlobalAvgPool*>(&layer) != nullptr) {
-        add(GlobalAvgPoolStep{});
-      } else if (auto* fc = dynamic_cast<nn::Linear*>(&layer)) {
-        add(LinearStep(*fc));
-      } else {
-        HOTSPOT_CHECK(false) << "unsupported top-level layer: "
-                             << layer.name();
-      }
+      stage(x, 0, a_scratch);
+      stage(x, float_bytes(mid), a_scratch);
+      stage(x, float_bytes(mid), b_scratch);
+      stage(x, float_bytes(out), b_scratch);
     }
+    shape = out;
   }
   return plan;
 }
+
+std::int64_t InferencePlan::thread_arena_bytes() { return t_arena.capacity(); }
 
 Tensor InferencePlan::run(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(input.dim(1), input_channels_);
   HOTSPOT_CHECK_EQ(input.dim(2), image_size_);
   HOTSPOT_CHECK_EQ(input.dim(3), image_size_);
-  // [N, C, H, W] -> channel-major [C, N, H, W]; with one input channel the
-  // same floats in the same order.
-  Tensor current = tensor::swap_leading_axes(input);
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    obs::TraceSpan span(layers_[i].label);
-    if (i == head_) {
-      current = tensor::swap_leading_axes(current);  // back to NCHW
+  const std::int64_t n = input.dim(0);
+  const MemoryPlan memory = memory_plan(n);
+  std::byte* arena = t_arena.reserve(memory.arena_bytes());
+  auto* main = reinterpret_cast<float*>(arena);
+  auto* residual = reinterpret_cast<float*>(arena + memory.main_bytes);
+  std::byte* scratch = arena + memory.main_bytes + memory.residual_bytes;
+
+  ActShape shape{input_channels_, n, image_size_, image_size_};
+  const float* stem_input = input.data();
+  if (input_channels_ != 1) {
+    // [N, C, H, W] -> channel-major [C, N, H, W]; one channel is both.
+    const std::int64_t plane = image_size_ * image_size_;
+    for (std::int64_t ni = 0; ni < n; ++ni) {
+      for (std::int64_t ci = 0; ci < input_channels_; ++ci) {
+        const float* src = input.data() + (ni * input_channels_ + ci) * plane;
+        std::copy(src, src + plane, main + (ci * n + ni) * plane);
+      }
     }
-    current = std::visit(
-        [&current](const auto& step) { return step.run(current); },
-        layers_[i].step);
+    stem_input = main;
   }
-  return current;
+  {
+    obs::TraceSpan span(stem_label_);
+    stem_.run(stem_input, shape, scratch, main);
+  }
+  shape = stem_.output_shape(shape);
+  for (const Block& block : blocks_) {
+    obs::TraceSpan span(block.label);
+    block.step.run(main, shape, residual, scratch);
+    shape = block.step.output_shape(shape);
+  }
+  Tensor features;
+  {
+    obs::TraceSpan span(head_pool_label_);
+    features = head_bn_.global_avg_pool(main, shape);
+  }
+  obs::TraceSpan span(head_fc_label_);
+  return head_fc_.run(features);
 }
 
 }  // namespace hotspot::core

@@ -5,16 +5,23 @@
 // fixed stage objects that own everything inference needs: the packed
 // filters and alpha_W for the dispatched XNOR kernel, each conv's BN affine,
 // and copies of the head's BN and fc parameters. A compiled plan is
-// immutable: run() uses only call-local scratch and never calls
-// nn::Module::forward, so any number of threads may run one plan at once.
-// BrnnModel publishes a fresh plan whenever a parameter version, the XNOR
-// kernel, or the BN statistics change (see BrnnModel::plan()).
+// immutable and never calls nn::Module::forward, so any number of threads
+// may run one plan at once. BrnnModel publishes a fresh plan whenever a
+// parameter version, the XNOR kernel, or the BN statistics change (see
+// BrnnModel::plan()).
 //
-// The conv, max-pool and residual activations are channel-major,
-// [C, N, H, W], so a conv's output, the next conv's alpha_T rows and its
-// sign streams share the direct conv's lane order (lane = n*H*W + p). run()
-// reads its NCHW input in that order and converts back to NCHW once, before
-// the head BN.
+// Memory is planned, not allocated per step: memory_plan(N) sizes three
+// slots from the steps' output shapes (a main slot, a residual slot and
+// one conv's input-stage scratch), and run() places them in an arena the
+// calling thread owns and reuses from call to call. A conv's output takes
+// its input's slot once the input stage has turned that input into sign
+// streams and alpha_T, unless a shortcut still reads it.
+//
+// The conv and residual activations are channel-major, [C, N, H, W], so a
+// conv's output, the next conv's alpha_T rows and its sign streams share
+// the direct conv's lane order (lane = n*H*W + p). With one input channel
+// run() reads the NCHW input in place, as it is already in that order; the
+// head reads the channel-major activation directly.
 //
 // Each conv step runs two stages, in the style of lib_nn's Filter2D
 // (SNIPPETS.md snippet 1):
@@ -31,11 +38,11 @@
 // and its logits are bit-identical on every kernel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "bitops/kernels/xnor_kernel.h"
@@ -65,15 +72,29 @@ using tensor::Tensor;
 std::string conv_stage_span(const std::string& conv_label,
                             const std::string& stage);
 
-// Inference-mode batch norm, copied out of a BatchNorm2d. run() evaluates
-// exactly the layer's eval forward (bitops::bn_eval per element).
+// Shape of a channel-major activation [C, N, H, W].
+struct ActShape {
+  std::int64_t channels = 0;
+  std::int64_t batch = 0;
+  std::int64_t height = 0;
+  std::int64_t width = 0;
+
+  std::int64_t numel() const { return channels * batch * height * width; }
+};
+
+// Inference-mode batch norm, copied out of a BatchNorm2d.
 struct BnStep {
   explicit BnStep(nn::BatchNorm2d& bn);
 
-  Tensor run(const Tensor& input) const;
   bitops::ChannelAffine affine() const {
     return {mean.data(), inv_std.data(), gamma.data(), beta.data()};
   }
+
+  // The head's BN and global average pool in one pass over the
+  // channel-major `input`: [N, C] features, per (n, c) the double sum of
+  // bitops::bn_eval over the plane in plane order, over H*W, so bit for bit
+  // tensor::global_avg_pool of the layer's eval forward of the NCHW input.
+  Tensor global_avg_pool(const float* input, const ActShape& shape) const;
 
   std::vector<float> mean;
   std::vector<float> inv_std;
@@ -82,17 +103,34 @@ struct BnStep {
 };
 
 // One BN -> Binarize -> BinaryConv block, compiled for the XNOR kernel
-// active at construction: the bits and alpha_T of the BN output.
+// active at construction: the bits and alpha_T of the BN output, and, with
+// `pool` (the stem's), the max pool of the conv output.
 class ConvStep {
  public:
-  ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv);
+  ConvStep(nn::BatchNorm2d& bn, BinaryConv2d& conv,
+           std::optional<tensor::PoolSpec> pool = std::nullopt);
 
   // Channel-major float in, [Cin, N, H, W], channel-major float out,
-  // [Cout, N, outH, outW].
+  // [Cout, N, outH, outW], pooled when the step pools.
   Tensor run(const Tensor& input) const;
 
+  // The step on caller memory, the way the plan runs it: reads `input`,
+  // uses scratch_bytes(shape) bytes of `scratch` (aligned for
+  // std::uint64_t) for the sign streams and alpha_T, and writes
+  // output_shape(shape) floats to `output`, which may be `input`: the
+  // input stage has read all of it before the aggregate writes. A pooling step convolves a tile of whole
+  // samples at a time into per-thread scratch and pools each tile
+  // straight into `output`, so the full-resolution conv output never
+  // exists; bit for bit the conv then the pool.
+  void run(const float* input, const ActShape& shape, std::byte* scratch,
+           float* output) const;
+
+  ActShape output_shape(const ActShape& input) const;
+  std::int64_t scratch_bytes(const ActShape& input) const;
+
  private:
-  Tensor compute(const Tensor& input) const;
+  void compute(const float* input, const ActShape& shape, std::byte* scratch,
+               float* output) const;
 
   std::string label_;
   tensor::ConvSpec spec_;
@@ -105,23 +143,24 @@ class ConvStep {
   DirectFilters filters_;
   Tensor alpha_w_;
   BnStep bn_;
+  std::optional<tensor::PoolSpec> pool_;
 };
 
-struct MaxPoolStep {
-  tensor::PoolSpec spec;
-  Tensor run(const Tensor& input) const;
-};
-
+// A residual block on the plan's slots. Its input X is in the main slot,
+// which holds the block's output afterwards. A projection shortcut runs
+// first, into the residual slot, while X is still warm; then the main
+// path a, b takes X's slot. With an identity shortcut X stays live, so a
+// and b take the residual slot and the sum lands in X's. Either way the
+// sum is main + shortcut, the operand order of ResidualBlock::forward.
 struct ResidualStep {
-  Tensor run(const Tensor& input) const;
+  void run(float* main, const ActShape& shape, float* residual,
+           std::byte* scratch) const;
+
+  ActShape output_shape(const ActShape& input) const;
 
   ConvStep a;
   ConvStep b;
   std::optional<ConvStep> shortcut;  // empty: identity connection
-};
-
-struct GlobalAvgPoolStep {
-  Tensor run(const Tensor& input) const;
 };
 
 struct LinearStep {
@@ -132,6 +171,23 @@ struct LinearStep {
   Tensor bias;      // [out] or empty
 };
 
+// The memory a run at one batch size needs, laid out when the plan
+// compiles from the steps' output shapes: three slots of one arena. Each
+// slot is as large as the largest tensor placed in it.
+struct MemoryPlan {
+  std::int64_t main_bytes = 0;      // the stem output and block activations
+  std::int64_t residual_bytes = 0;  // a shortcut output, or an identity
+                                    // block's main path
+  std::int64_t scratch_bytes = 0;   // one conv's sign streams and alpha_T
+  // The most bytes the tensors live at any one stage take, each rounded up
+  // to the slots' 64-byte alignment: no arena can be smaller.
+  std::int64_t live_bytes = 0;
+
+  std::int64_t arena_bytes() const {
+    return main_bytes + residual_bytes + scratch_bytes;
+  }
+};
+
 class InferencePlan {
  public:
   // Lowers `model` (read only; no module is retained) into a fresh
@@ -140,31 +196,42 @@ class InferencePlan {
 
   // One inference forward: logits [N, 2] for [N, C, ls, ls] images. Opens
   // the model chain's span labels (brnn.layer.*, brnn.conv.*,
-  // binary_conv.*) while tracing is enabled. Reentrant.
+  // binary_conv.*) while tracing is enabled. Reentrant: every activation
+  // lives in the calling thread's arena (see thread_arena_bytes).
   Tensor run(const Tensor& input) const;
+
+  MemoryPlan memory_plan(std::int64_t batch) const;
+
+  // Bytes of the calling thread's arena: grow-only, shared by every run
+  // of any plan on this thread, and released when the thread exits.
+  static std::int64_t thread_arena_bytes();
 
   const bitops::XnorKernel& kernel() const { return *kernel_; }
   // BrnnModel::state_version() at compile time.
   std::uint64_t state_version() const { return state_version_; }
 
  private:
-  using Step = std::variant<ConvStep, MaxPoolStep, ResidualStep, BnStep,
-                            GlobalAvgPoolStep, LinearStep>;
-  struct Layer {
-    std::string label;  // "brnn.layer.stem", ...
-    Step step;
+  struct Block {
+    std::string label;  // "brnn.layer.block1", ...
+    ResidualStep step;
   };
 
-  InferencePlan() = default;
+  explicit InferencePlan(BrnnModel& model);
 
-  std::vector<Layer> layers_;
-  // The first layer that reads NCHW (the head BN); the layers before it
-  // run channel-major.
-  std::size_t head_ = 0;
-  std::int64_t input_channels_ = 0;
-  std::int64_t image_size_ = 0;
-  const bitops::XnorKernel* kernel_ = nullptr;
-  std::uint64_t state_version_ = 0;
+  std::int64_t input_channels_;
+  std::int64_t image_size_;
+  const bitops::XnorKernel* kernel_;
+  std::uint64_t state_version_;
+  // The model's layers in order: the stem (with its max pool folded in),
+  // the residual blocks, the head BN and global average pool in one pass,
+  // and the fc.
+  std::string stem_label_;
+  ConvStep stem_;
+  std::vector<Block> blocks_;
+  std::string head_pool_label_;
+  BnStep head_bn_;
+  std::string head_fc_label_;
+  LinearStep head_fc_;
 };
 
 }  // namespace hotspot::core

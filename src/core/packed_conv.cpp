@@ -166,9 +166,10 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight) {
 void direct_conv(const bitops::XnorKernel& kern,
                  const bitops::SignStreams& bits,
                  const tensor::ConvSpec& spec, const DirectFilters& filters,
-                 const tensor::Tensor* alpha_lanes,
-                 const tensor::Tensor& alpha_w, const tensor::Tensor* post,
-                 tensor::Tensor& output) {
+                 const float* alpha_lanes, const float* alpha_w,
+                 const float* post, std::int64_t first_word,
+                 std::int64_t end_word, float* output,
+                 std::int64_t row_stride) {
   const std::int64_t cin = bits.channels();
   const std::int64_t cout = filters.out_channels;
   HOTSPOT_CHECK_EQ(filters.in_channels, cin);
@@ -176,6 +177,8 @@ void direct_conv(const bitops::XnorKernel& kern,
   HOTSPOT_CHECK(bitops::is_same_conv(spec) && spec.stride == bits.stride() &&
                 spec.pad == bits.pad())
       << "the direct conv reads streams laid out for its own same conv";
+  HOTSPOT_CHECK(0 <= first_word && first_word <= end_word &&
+                end_word <= bits.words());
   LaneGeometry geo{};
   geo.in_channels = cin;
   geo.channel_stride = filters.channel_stride;
@@ -197,27 +200,16 @@ void direct_conv(const bitops::XnorKernel& kern,
       geo.shift[t] = (dy >> 1) * bits.out_width() + (dx >> 1);
     }
   }
-  HOTSPOT_CHECK_EQ(output.dim(0), cout);
-  HOTSPOT_CHECK_EQ(output.dim(1), bits.batch());
-  HOTSPOT_CHECK_EQ(output.dim(2), bits.out_height());
-  HOTSPOT_CHECK_EQ(output.dim(3), bits.out_width());
-  std::int64_t alpha_stride = 0;  // kUnitAlpha without per-channel lanes
-  if (alpha_lanes != nullptr) {
-    HOTSPOT_CHECK_EQ(alpha_lanes->dim(0), cin);
-    HOTSPOT_CHECK_EQ(alpha_lanes->dim(1), geo.words * 64);
-    alpha_stride = geo.words * 64;
-  }
-  if (post != nullptr) {
-    HOTSPOT_CHECK_EQ(post->numel(), geo.lanes);
-  }
+  // kUnitAlpha at stride 0 without per-channel lanes.
+  const std::int64_t alpha_stride = alpha_lanes != nullptr ? geo.words * 64 : 0;
   const BorderMasks masks(bits, spec);
 
   // Lane words per block: the block's tap words (about 32 KB) stay in cache
   // while every filter reads them.
   const std::int64_t block =
       std::max<std::int64_t>(1, 4096 / (geo.taps * geo.channel_stride));
-  util::parallel_for(0, geo.words, block, [&](std::int64_t lo,
-                                              std::int64_t hi) {
+  util::parallel_for(first_word, end_word, block, [&](std::int64_t lo,
+                                                      std::int64_t hi) {
     // Per-chunk scratch; chunks never share it. The padding channels' tap
     // words stay 0.
     std::vector<std::uint64_t> taps(static_cast<std::size_t>(
@@ -227,17 +219,17 @@ void direct_conv(const bitops::XnorKernel& kern,
       const std::int64_t g1 = std::min(hi, g0 + block);
       build_taps(bits, geo, masks, g0, g1, taps.data());
       for (std::int64_t o = 0; o < cout; ++o) {
-        float* row = output.data() + o * geo.lanes;
+        float* row = output + o * row_stride;
         for (std::int64_t g = g0; g < g1; ++g) {
           // The word's results go straight to their lanes; only a partial
           // last word goes through `partial`.
           const std::int64_t live =
               std::min<std::int64_t>(64, geo.lanes - g * 64);
-          float* dst = row + g * 64;
+          float* dst = row + (g - first_word) * 64;
           kern.direct_accumulate(
               taps.data() + (g - g0) * geo.taps * geo.channel_stride,
               filters.bits.data() + o * geo.channel_stride,
-              alpha_lanes != nullptr ? alpha_lanes->data() + g * 64
+              alpha_lanes != nullptr ? alpha_lanes + g * 64
                                      : kUnitAlpha.data(),
               alpha_stride, cin, geo.channel_stride, geo.taps, alpha_w[o],
               live == 64 ? dst : partial);
@@ -246,7 +238,7 @@ void direct_conv(const bitops::XnorKernel& kern,
                         static_cast<std::size_t>(live) * sizeof(float));
           }
           if (post != nullptr) {
-            const float* factor = post->data() + g * 64;
+            const float* factor = post + g * 64;
             for (std::int64_t i = 0; i < live; ++i) {
               dst[i] = dst[i] * factor[i];
             }
@@ -255,6 +247,30 @@ void direct_conv(const bitops::XnorKernel& kern,
       }
     }
   });
+}
+
+void direct_conv(const bitops::XnorKernel& kern,
+                 const bitops::SignStreams& bits,
+                 const tensor::ConvSpec& spec, const DirectFilters& filters,
+                 const tensor::Tensor* alpha_lanes,
+                 const tensor::Tensor& alpha_w, const tensor::Tensor* post,
+                 tensor::Tensor& output) {
+  HOTSPOT_CHECK_EQ(alpha_w.numel(), filters.out_channels);
+  HOTSPOT_CHECK_EQ(output.dim(0), filters.out_channels);
+  HOTSPOT_CHECK_EQ(output.dim(1), bits.batch());
+  HOTSPOT_CHECK_EQ(output.dim(2), bits.out_height());
+  HOTSPOT_CHECK_EQ(output.dim(3), bits.out_width());
+  if (alpha_lanes != nullptr) {
+    HOTSPOT_CHECK_EQ(alpha_lanes->dim(0), bits.channels());
+    HOTSPOT_CHECK_EQ(alpha_lanes->dim(1), bits.words() * 64);
+  }
+  if (post != nullptr) {
+    HOTSPOT_CHECK_EQ(post->numel(), bits.lanes());
+  }
+  direct_conv(kern, bits, spec, filters,
+              alpha_lanes != nullptr ? alpha_lanes->data() : nullptr,
+              alpha_w.data(), post != nullptr ? post->data() : nullptr, 0,
+              bits.words(), output.data(), bits.lanes());
 }
 
 void packed_conv_per_channel(const bitops::XnorKernel& /*kern*/,

@@ -71,6 +71,20 @@ void direct_conv(const bitops::XnorKernel& kern,
                  const tensor::Tensor& alpha_w, const tensor::Tensor* post,
                  tensor::Tensor& output);
 
+// The same conv over lane words [first_word, end_word) into caller memory:
+// lane 64g + j of output channel o lands at output[o * row_stride +
+// 64 * (g - first_word) + j], and only the batch's live lanes are written.
+// `alpha_lanes` (or null) and `post` (or null) are the tensors above, read
+// at their global lane index; `alpha_w` holds Cout floats. The inference
+// plan runs the stem a tile of samples at a time this way.
+void direct_conv(const bitops::XnorKernel& kern,
+                 const bitops::SignStreams& bits,
+                 const tensor::ConvSpec& spec, const DirectFilters& filters,
+                 const float* alpha_lanes, const float* alpha_w,
+                 const float* post, std::int64_t first_word,
+                 std::int64_t end_word, float* output,
+                 std::int64_t row_stride);
+
 // Per-channel-scaled convolution over the channel-blocked layout
 // (bitops::pack_patches_channel_blocked / pack_filters_channel_blocked):
 // the plan no longer uses it; it stays as the subject of the bench/e2e

@@ -5,7 +5,6 @@
 #include <vector>
 
 namespace hotspot::tensor {
-namespace {
 
 std::int64_t pool_out_extent(std::int64_t in, const PoolSpec& spec) {
   HOTSPOT_CHECK_GT(spec.stride, 0);
@@ -15,6 +14,8 @@ std::int64_t pool_out_extent(std::int64_t in, const PoolSpec& spec) {
   }
   return (in - spec.window) / spec.stride + 1;
 }
+
+namespace {
 
 // One plane of max_pool2d, an output row at a time. Every window starts at
 // (oy * stride, ox * stride) and spans ky x kx elements: pool_out_extent
@@ -83,19 +84,30 @@ Tensor max_pool2d(const Tensor& input, const PoolSpec& spec, Tensor* argmax) {
     *argmax = Tensor(out.shape());
     index.resize(static_cast<std::size_t>(out_w));
   }
+  if (argmax == nullptr) {
+    max_pool_planes(input.data(), planes, h, w, spec, out.data());
+    return out;
+  }
   for (std::int64_t plane = 0; plane < planes; ++plane) {
-    const float* src = input.data() + plane * h * w;
     const std::int64_t at = plane * out_h * out_w;
-    if (argmax != nullptr) {
-      max_pool_plane<true>(src, w, out_h, out_w, ky, kx, spec.stride,
-                           out.data() + at, argmax->data() + at,
-                           index.data());
-    } else {
-      max_pool_plane<false>(src, w, out_h, out_w, ky, kx, spec.stride,
-                            out.data() + at, nullptr, nullptr);
-    }
+    max_pool_plane<true>(input.data() + plane * h * w, w, out_h, out_w, ky,
+                         kx, spec.stride, out.data() + at,
+                         argmax->data() + at, index.data());
   }
   return out;
+}
+
+void max_pool_planes(const float* src, std::int64_t planes, std::int64_t h,
+                     std::int64_t w, const PoolSpec& spec, float* dst) {
+  const std::int64_t out_h = pool_out_extent(h, spec);
+  const std::int64_t out_w = pool_out_extent(w, spec);
+  const std::int64_t ky = std::min(spec.window, h);
+  const std::int64_t kx = std::min(spec.window, w);
+  for (std::int64_t plane = 0; plane < planes; ++plane) {
+    max_pool_plane<false>(src + plane * h * w, w, out_h, out_w, ky, kx,
+                          spec.stride, dst + plane * out_h * out_w, nullptr,
+                          nullptr);
+  }
 }
 
 Tensor max_pool2d_backward(const Tensor& grad_output, const Tensor& argmax,

@@ -23,6 +23,7 @@
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
 #include "support/test_support.h"
+#include "tensor/pool.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -269,10 +270,16 @@ TEST(BnAffineIdentity, ScalarScalesMatchMaterialized) {
   });
 }
 
+// The plan's head evaluates the BN inside the global average pool, on the
+// channel-major activation.
 TEST(BnAffineIdentity, BnStepMatchesBatchNormForward) {
   for_each_edge_group([](nn::BatchNorm2d& bn, const BnStep& step,
                          const Tensor& x, const std::string& context) {
-    expect_bit_identical(step.run(x), bn.forward(x), context);
+    const Tensor channel_major = tensor::swap_leading_axes(x);
+    expect_bit_identical(
+        step.global_avg_pool(channel_major.data(),
+                             {x.dim(1), x.dim(0), x.dim(2), x.dim(3)}),
+        tensor::global_avg_pool(bn.forward(x)), context);
   });
 }
 
