@@ -2,8 +2,9 @@
 // BrnnModel::forward, BrnnModel::predict (what the scan pipeline calls)
 // and serve::ServableModel::predict must get results bit-identical to the
 // single-threaded reference, with no lock around inference — every forward
-// runs the model's immutable compiled plan on call-local scratch. The plan
-// must also follow every change of the model state it was compiled from.
+// runs the model's immutable compiled plan in the calling thread's arena.
+// The plan must also follow every change of the model state it was
+// compiled from.
 #include <gtest/gtest.h>
 
 #include <atomic>
