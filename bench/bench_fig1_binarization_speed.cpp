@@ -41,7 +41,7 @@ tensor::Tensor make_input(std::int64_t channels) {
 void BM_FloatConv(benchmark::State& state) {
   const std::int64_t channels = state.range(0);
   util::Rng rng(1);
-  nn::Conv2d conv(channels, channels, 3, 1, 1, false, rng);
+  nn::Conv2d conv(channels, channels, 3, 1, 1, rng);
   conv.set_training(false);
   const tensor::Tensor x = make_input(channels);
   for (auto _ : state) {

@@ -44,21 +44,21 @@ void DctCnnDetector::fit(const dataset::HotspotDataset& train,
   net_.emplace();
   // Stage 1: two 3x3 convs + pool (DAC'17's paired-conv stage).
   net_->emplace<nn::Conv2d>(config_.dct.coefficients, config_.stage1_channels,
-                            3, 1, 1, /*with_bias=*/false, init_rng);
+                            3, 1, 1, init_rng);
   net_->emplace<nn::BatchNorm2d>(config_.stage1_channels);
   net_->emplace<nn::ReLU>();
   net_->emplace<nn::Conv2d>(config_.stage1_channels, config_.stage1_channels,
-                            3, 1, 1, /*with_bias=*/false, init_rng);
+                            3, 1, 1, init_rng);
   net_->emplace<nn::BatchNorm2d>(config_.stage1_channels);
   net_->emplace<nn::ReLU>();
   net_->emplace<nn::MaxPool2d>(2);
   // Stage 2.
   net_->emplace<nn::Conv2d>(config_.stage1_channels, config_.stage2_channels,
-                            3, 1, 1, /*with_bias=*/false, init_rng);
+                            3, 1, 1, init_rng);
   net_->emplace<nn::BatchNorm2d>(config_.stage2_channels);
   net_->emplace<nn::ReLU>();
   net_->emplace<nn::Conv2d>(config_.stage2_channels, config_.stage2_channels,
-                            3, 1, 1, /*with_bias=*/false, init_rng);
+                            3, 1, 1, init_rng);
   net_->emplace<nn::BatchNorm2d>(config_.stage2_channels);
   net_->emplace<nn::ReLU>();
   net_->emplace<nn::MaxPool2d>(2);
@@ -66,11 +66,9 @@ void DctCnnDetector::fit(const dataset::HotspotDataset& train,
   const std::int64_t flat =
       config_.stage2_channels * (tiles / 4) * (tiles / 4);
   net_->emplace<nn::Flatten>();
-  net_->emplace<nn::Linear>(flat, config_.fc_hidden, /*with_bias=*/true,
-                            init_rng);
+  net_->emplace<nn::Linear>(flat, config_.fc_hidden, init_rng);
   net_->emplace<nn::ReLU>();
-  net_->emplace<nn::Linear>(config_.fc_hidden, 2, /*with_bias=*/true,
-                            init_rng);
+  net_->emplace<nn::Linear>(config_.fc_hidden, 2, init_rng);
 
   core::TrainerConfig trainer_config = config_.trainer;
   trainer_config.seed = rng.next_u64();

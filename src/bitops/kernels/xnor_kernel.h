@@ -24,9 +24,9 @@
 //            is acc * alpha_W. There is no cross-lane reduction: a vector
 //            kernel runs independent lanes side by side, so the order is
 //            the same at every vector width. With alpha_T = 1 (the scalar
-//            and unscaled modes) every partial sum is an integer of
-//            magnitude at most Cin*k*k, exact in float, so acc is the
-//            integer +/-1 patch count.
+//            mode) every partial sum is an integer of magnitude at most
+//            Cin*k*k, exact in float, so acc is the integer +/-1 patch
+//            count.
 //
 // This dispatch seam is also the backend plug point for the compiled
 // inference plan (core/inference_plan.h): a backend provides an XnorKernel
@@ -61,7 +61,7 @@ struct XnorKernel {
   //   out[j] = acc * scale
   // in the canonical weighted order above. alpha_stride may be 0: every
   // channel then reads the same 64-float row (a row of 1.0f is the unit
-  // alpha_T of the scalar and unscaled modes).
+  // alpha_T of the scalar mode).
   void (*direct_accumulate)(const std::uint64_t* taps,
                             const std::uint16_t* weights, const float* alpha,
                             std::int64_t alpha_stride, std::int64_t channels,

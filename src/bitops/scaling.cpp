@@ -16,8 +16,6 @@ const char* to_string(InputScaling mode) {
       return "per-channel";
     case InputScaling::kScalar:
       return "scalar";
-    case InputScaling::kNone:
-      return "none";
   }
   return "?";
 }
@@ -172,7 +170,7 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
                    tensor::Tensor()};
   if (scaling == InputScaling::kPerChannel) {
     result.alpha = tensor::Tensor({input.dim(0), result.bits.words() * 64});
-  } else if (scaling == InputScaling::kScalar) {
+  } else {
     result.alpha = tensor::Tensor({input.dim(1), 1,
                                    result.bits.out_height(),
                                    result.bits.out_width()});
@@ -203,7 +201,7 @@ void conv_input(const float* input, const ChannelAffine& affine,
   const std::int64_t lanes_per_sample = bits.phases() * positions;
   const bool phase_zero = spec.stride == 2 && bits.phases() == 1;
   const bool split = bits.phases() == 4;
-  const bool boxed = scaling != InputScaling::kNone && !phase_zero;
+  const bool boxed = !phase_zero;
   const bool scalar = scaling == InputScaling::kScalar;
   // The scalar mode's channel means are taken in plane order: a stride-2
   // split also keeps y in plane order for them.
@@ -315,14 +313,12 @@ void conv_input(const float* input, const ChannelAffine& affine,
   };
 
   if (!scalar) {
-    // One unit per (channel, tile).
+    // kPerChannel: one unit per (channel, tile).
     const std::int64_t lane_count = bits.words() * 64;
-    if (scaling == InputScaling::kPerChannel) {
-      // The lanes past the batch, which the conv's last word reads.
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        std::fill(alpha_out + ci * lane_count + bits.lanes(),
-                  alpha_out + (ci + 1) * lane_count, 0.0f);
-      }
+    // The lanes past the batch, which the conv's last word reads.
+    for (std::int64_t ci = 0; ci < c; ++ci) {
+      std::fill(alpha_out + ci * lane_count + bits.lanes(),
+                alpha_out + (ci + 1) * lane_count, 0.0f);
     }
     util::parallel_for(0, c * tiles, chunk_grain(c * tiles),
                        [&](std::int64_t lo, std::int64_t hi) {
@@ -335,9 +331,7 @@ void conv_input(const float* input, const ChannelAffine& affine,
         const std::int64_t ci = unit / tiles;
         const std::int64_t n0 = unit % tiles * tile;
         const std::int64_t count = std::min(tile, n - n0);
-        float* alpha = scaling == InputScaling::kPerChannel
-                           ? alpha_out + ci * lane_count + n0 * positions
-                           : nullptr;
+        float* alpha = alpha_out + ci * lane_count + n0 * positions;
         evaluate(ci, n0, count, lanes.get(), box ? &*box : nullptr, nullptr,
                  box ? nullptr : alpha);
         bits.set_samples(ci, n0, count, lanes.get());

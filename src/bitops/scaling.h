@@ -18,8 +18,8 @@ namespace hotspot::bitops {
 
 // Which input scaling the binary convolution applies. kPerChannel is the
 // paper's contribution; kScalar is XNOR-Net's single shared factor (channel
-// mean of |T_in| before the box filter); kNone disables input scaling.
-enum class InputScaling { kPerChannel, kScalar, kNone };
+// mean of |T_in| before the box filter).
+enum class InputScaling { kPerChannel, kScalar };
 
 const char* to_string(InputScaling mode);
 
@@ -54,7 +54,6 @@ tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
 //          the columns past N*outH*outW zero;
 //          kScalar: input_scales_scalar(y, spec), [N,1,outH,outW], whose
 //          flat index is the lane;
-//          kNone: empty;
 // bit for bit, because the same float values feed the same sums in the
 // same order, without the intermediate BN tensor. A 1x1 stride-2 conv
 // reads only the phase-(0, 0) inputs, so the stage evaluates only those.
@@ -70,9 +69,9 @@ ConvInput conv_input(const tensor::Tensor& input, const ChannelAffine& affine,
 // The same stage into caller memory, for the inference plan's arena: the
 // input is the channel-major [C, N, H, W] of `bits`' shape at `input`,
 // `bits` may be streams over caller storage, and `alpha` has room for
-// ConvInput::alpha's floats in its layout (none for kNone). Nothing needs zeroing beforehand: the stage stores every
-// lane word and every alpha float, the per-channel lanes past N*outH*outW
-// included.
+// ConvInput::alpha's floats in its layout. Nothing needs zeroing
+// beforehand: the stage stores every lane word and every alpha float, the
+// per-channel lanes past N*outH*outW included.
 void conv_input(const float* input, const ChannelAffine& affine,
                 const tensor::ConvSpec& spec, InputScaling scaling,
                 SignStreams& bits, float* alpha);

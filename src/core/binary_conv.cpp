@@ -98,9 +98,6 @@ Tensor BinaryConv2d::forward_float_sim(const Tensor& input) {
     case bitops::InputScaling::kScalar:
       cached_alpha_ = bitops::input_scales_scalar(input, spec_);
       break;
-    case bitops::InputScaling::kNone:
-      cached_alpha_ = Tensor();
-      break;
   }
   cached_cols_ = std::move(cols);
 

@@ -28,8 +28,8 @@ BrnnModel::BrnnModel(const BrnnConfig& config, util::Rng& rng)
   HOTSPOT_CHECK(!config.block_filters.empty());
 
   // Stem.
-  net_.add(conv_block(config.input_channels, config.stem_filters, 3,
-                      config.stem_stride, 1, "brnn.conv.stem", rng));
+  net_.add(conv_block(1, config.stem_filters, 3, config.stem_stride, 1,
+                      "brnn.conv.stem", rng));
   layer_labels_.push_back("brnn.layer.stem");
   if (config.stem_pool) {
     net_.emplace<nn::MaxPool2d>(2);
@@ -65,7 +65,7 @@ BrnnModel::BrnnModel(const BrnnConfig& config, util::Rng& rng)
   layer_labels_.push_back("brnn.layer.head_bn");
   net_.emplace<nn::GlobalAvgPool>();
   layer_labels_.push_back("brnn.layer.head_pool");
-  net_.add(std::make_unique<nn::Linear>(channels, 2, /*with_bias=*/true, rng));
+  net_.add(std::make_unique<nn::Linear>(channels, 2, rng));
   layer_labels_.push_back("brnn.layer.head_fc");
   HOTSPOT_CHECK_EQ(layer_labels_.size(), net_.size());
   parameters_ = net_.parameters();
@@ -87,7 +87,7 @@ nn::ModulePtr BrnnModel::conv_block(std::int64_t in, std::int64_t out,
 
 tensor::Tensor BrnnModel::forward(const Tensor& input) {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
-  HOTSPOT_CHECK_EQ(input.dim(1), config_.input_channels);
+  HOTSPOT_CHECK_EQ(input.dim(1), 1);
   HOTSPOT_CHECK_EQ(input.dim(2), config_.image_size);
   HOTSPOT_CHECK_EQ(input.dim(3), config_.image_size);
   // Unrolled net_.forward() with one trace span per top-level layer;

@@ -28,8 +28,8 @@ namespace hotspot::core {
 enum class Backend { kFloatSim, kPacked };
 
 struct BrnnConfig {
+  // Clips are one binary raster channel, [N, 1, image_size, image_size].
   std::int64_t image_size = 128;
-  std::int64_t input_channels = 1;
   std::int64_t stem_filters = 16;
   std::int64_t stem_stride = 2;
   bool stem_pool = true;  // 2x2 max pool after the stem (ResNet-style)

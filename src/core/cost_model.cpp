@@ -65,7 +65,7 @@ LayerCost binary_conv_cost(std::int64_t in_channels, std::int64_t out_channels,
       2 * cost.output_positions * out_channels * in_channels;  // mul, add
   if (scaling == bitops::InputScaling::kPerChannel) {
     cost.packed_float_ops += cost.output_positions * in_channels * 4;
-  } else if (scaling == bitops::InputScaling::kScalar) {
+  } else {
     cost.packed_float_ops += cost.output_positions * (4 + out_channels);
   }
   cost.packed_weight_bytes = (out_channels * in_channels * taps + 7) / 8;
@@ -85,9 +85,8 @@ NetworkCost network_cost(const BrnnConfig& config) {
   };
 
   std::int64_t resolution = config.image_size;
-  push(binary_conv_cost(config.input_channels, config.stem_filters, 3,
-                        config.stem_stride, 1, resolution, resolution,
-                        config.scaling));
+  push(binary_conv_cost(1, config.stem_filters, 3, config.stem_stride, 1,
+                        resolution, resolution, config.scaling));
   resolution = tensor::conv_out_extent(resolution, 3, config.stem_stride, 1);
   if (config.stem_pool) {
     resolution /= 2;

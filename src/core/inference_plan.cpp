@@ -187,12 +187,9 @@ std::int64_t ConvStep::scratch_bytes(const ActShape& input) const {
                               spec_.pad) *
       tensor::conv_out_extent(input.width, spec_.kernel_w, spec_.stride,
                               spec_.pad);
-  std::int64_t alpha = 0;
-  if (scaling_ == bitops::InputScaling::kPerChannel) {
-    alpha = in_channels_ * ((lanes + 63) / 64 * 64);
-  } else if (scaling_ == bitops::InputScaling::kScalar) {
-    alpha = lanes;
-  }
+  const std::int64_t alpha = scaling_ == bitops::InputScaling::kPerChannel
+                                 ? in_channels_ * ((lanes + 63) / 64 * 64)
+                                 : lanes;
   return aligned(streams * static_cast<std::int64_t>(sizeof(std::uint64_t))) +
          aligned(alpha * static_cast<std::int64_t>(sizeof(float)));
 }
@@ -310,16 +307,14 @@ void ResidualStep::run(float* main, const ActShape& shape, float* residual,
 
 LinearStep::LinearStep(nn::Linear& fc)
     : weight_t(tensor::transpose2d(fc.weight().value)),
-      bias(fc.has_bias() ? fc.bias().value : Tensor()) {}
+      bias(fc.bias().value) {}
 
 Tensor LinearStep::run(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.rank(), 2);
   Tensor output = tensor::matmul(input, weight_t);
-  if (bias.numel() > 0) {
-    for (std::int64_t r = 0; r < output.dim(0); ++r) {
-      for (std::int64_t c = 0; c < output.dim(1); ++c) {
-        output.at2(r, c) += bias[c];
-      }
+  for (std::int64_t r = 0; r < output.dim(0); ++r) {
+    for (std::int64_t c = 0; c < output.dim(1); ++c) {
+      output.at2(r, c) += bias[c];
     }
   }
   return output;
@@ -333,8 +328,7 @@ std::shared_ptr<const InferencePlan> InferencePlan::compile(BrnnModel& model) {
 }
 
 InferencePlan::InferencePlan(BrnnModel& model)
-    : input_channels_(model.config().input_channels),
-      image_size_(model.config().image_size),
+    : image_size_(model.config().image_size),
       kernel_(&bitops::active_xnor_kernel()),
       state_version_(model.state_version()),
       stem_label_(model.layer_labels().at(0)),
@@ -361,12 +355,10 @@ MemoryPlan InferencePlan::memory_plan(std::int64_t batch) const {
     plan.scratch_bytes = std::max(plan.scratch_bytes, scratch);
     plan.live_bytes = std::max(plan.live_bytes, main + residual + scratch);
   };
-  // Each conv as its input stage, then its aggregate.
-  ActShape shape{input_channels_, batch, image_size_, image_size_};
+  // Each conv as its input stage, then its aggregate. The stem reads the
+  // caller's batch in place, so its input stage has no slot but scratch.
+  ActShape shape{1, batch, image_size_, image_size_};
   const std::int64_t stem_scratch = stem_.scratch_bytes(shape);
-  // Several input channels are copied channel-major into the main slot;
-  // one is read in place.
-  stage(input_channels_ == 1 ? 0 : float_bytes(shape), 0, stem_scratch);
   shape = stem_.output_shape(shape);
   stage(float_bytes(shape), 0, stem_scratch);
   for (const Block& block : blocks_) {
@@ -400,7 +392,7 @@ std::int64_t InferencePlan::thread_arena_bytes() { return t_arena.capacity(); }
 
 Tensor InferencePlan::run(const Tensor& input) const {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
-  HOTSPOT_CHECK_EQ(input.dim(1), input_channels_);
+  HOTSPOT_CHECK_EQ(input.dim(1), 1);
   HOTSPOT_CHECK_EQ(input.dim(2), image_size_);
   HOTSPOT_CHECK_EQ(input.dim(3), image_size_);
   const std::int64_t n = input.dim(0);
@@ -410,22 +402,11 @@ Tensor InferencePlan::run(const Tensor& input) const {
   auto* residual = reinterpret_cast<float*>(arena + memory.main_bytes);
   std::byte* scratch = arena + memory.main_bytes + memory.residual_bytes;
 
-  ActShape shape{input_channels_, n, image_size_, image_size_};
-  const float* stem_input = input.data();
-  if (input_channels_ != 1) {
-    // [N, C, H, W] -> channel-major [C, N, H, W]; one channel is both.
-    const std::int64_t plane = image_size_ * image_size_;
-    for (std::int64_t ni = 0; ni < n; ++ni) {
-      for (std::int64_t ci = 0; ci < input_channels_; ++ci) {
-        const float* src = input.data() + (ni * input_channels_ + ci) * plane;
-        std::copy(src, src + plane, main + (ci * n + ni) * plane);
-      }
-    }
-    stem_input = main;
-  }
+  // One channel: the NCHW batch is already channel-major.
+  ActShape shape{1, n, image_size_, image_size_};
   {
     obs::TraceSpan span(stem_label_);
-    stem_.run(stem_input, shape, scratch, main);
+    stem_.run(input.data(), shape, scratch, main);
   }
   shape = stem_.output_shape(shape);
   for (const Block& block : blocks_) {

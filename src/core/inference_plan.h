@@ -19,15 +19,15 @@
 //
 // The conv and residual activations are channel-major, [C, N, H, W], so a
 // conv's output, the next conv's alpha_T rows and its sign streams share
-// the direct conv's lane order (lane = n*H*W + p). With one input channel
-// run() reads the NCHW input in place, as it is already in that order; the
-// head reads the channel-major activation directly.
+// the direct conv's lane order (lane = n*H*W + p). The input has one
+// channel, so run() reads the NCHW batch in place, as it is already in that
+// order; the head reads the channel-major activation directly.
 //
 // Each conv step runs two stages, in the style of lib_nn's Filter2D
 // (SNIPPETS.md snippet 1):
 //   input     - sign streams of the BN output and the alpha_T of the
-//               layer's scaling (per-channel lanes, the scalar map, or
-//               none), both from one pass over the raw input
+//               layer's scaling (per-channel lanes or the scalar map),
+//               both from one pass over the raw input
 //               (bitops::conv_input) that evaluates the BN expression
 //               (bitops/channel_affine.h) once per element, so no BN tensor
 //               is materialized;
@@ -118,10 +118,11 @@ class ConvStep {
   // uses scratch_bytes(shape) bytes of `scratch` (aligned for
   // std::uint64_t) for the sign streams and alpha_T, and writes
   // output_shape(shape) floats to `output`, which may be `input`: the
-  // input stage has read all of it before the aggregate writes. A pooling step convolves a tile of whole
-  // samples at a time into per-thread scratch and pools each tile
-  // straight into `output`, so the full-resolution conv output never
-  // exists; bit for bit the conv then the pool.
+  // input stage has read all of it before the aggregate writes. A pooling
+  // step convolves a tile of whole samples at a time into per-thread
+  // scratch and pools each tile straight into `output`, so the
+  // full-resolution conv output never exists; bit for bit the conv then
+  // the pool.
   void run(const float* input, const ActShape& shape, std::byte* scratch,
            float* output) const;
 
@@ -168,7 +169,7 @@ struct LinearStep {
   Tensor run(const Tensor& input) const;
 
   Tensor weight_t;  // [in, out]
-  Tensor bias;      // [out] or empty
+  Tensor bias;      // [out]
 };
 
 // The memory a run at one batch size needs, laid out when the plan
@@ -194,7 +195,7 @@ class InferencePlan {
   // immutable plan for the XNOR kernel active now.
   static std::shared_ptr<const InferencePlan> compile(BrnnModel& model);
 
-  // One inference forward: logits [N, 2] for [N, C, ls, ls] images. Opens
+  // One inference forward: logits [N, 2] for [N, 1, ls, ls] images. Opens
   // the model chain's span labels (brnn.layer.*, brnn.conv.*,
   // binary_conv.*) while tracing is enabled. Reentrant: every activation
   // lives in the calling thread's arena (see thread_arena_bytes).
@@ -218,7 +219,6 @@ class InferencePlan {
 
   explicit InferencePlan(BrnnModel& model);
 
-  std::int64_t input_channels_;
   std::int64_t image_size_;
   const bitops::XnorKernel* kernel_;
   std::uint64_t state_version_;

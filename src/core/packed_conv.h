@@ -1,8 +1,8 @@
 // Shared inner loops of the packed XNOR binary convolution.
 //
 // Every conv step of the inference plan (core/inference_plan.h) runs one
-// aggregate, written once: the position-sliced direct binary conv, for all
-// three alpha_T scalings. Its float accumulation order is pinned by the
+// aggregate, written once: the position-sliced direct binary conv, for both
+// alpha_T scalings. Its float accumulation order is pinned by the
 // XnorKernel contract (kernels/xnor_kernel.h), so outputs are identical
 // across scalar/AVX2/AVX-512.
 #pragma once
@@ -52,7 +52,7 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight);
 // weighted order and scales by alpha_W.
 //
 // `bits` are the sign streams of the conv input (bitops::conv_input) and
-// `alpha_w` is [Cout]. The three scalings differ only in the alpha they
+// `alpha_w` is [Cout]. The two scalings differ only in the alpha they
 // pass:
 //   kPerChannel  `alpha_lanes` is the [Cin, lanes] alpha_T of
 //                bitops::conv_input; no `post`.
@@ -60,7 +60,7 @@ DirectFilters pack_direct_filters(const tensor::Tensor& weight);
 //                integer patch count); `post` is the [N,1,outH,outW] alpha
 //                map of bitops::conv_input, whose flat index is the lane,
 //                applied as out = (acc * alpha_W) * post.
-//   kNone        neither.
+// With neither, out is the integer patch count times alpha_W.
 // Writes the channel-major [Cout, N, outH, outW] into `output`, which the
 // caller allocates: row o is output channel o in lane order, so each lane
 // word's results land in place.

@@ -58,8 +58,9 @@ tensor::Tensor HotspotDataset::batch_images(
   tensor::Tensor batch(
       {static_cast<std::int64_t>(indices.size()), 1, ls, ls});
   // Augmentation decisions come from a shared sequential RNG stream, so draw
-  // them up front in index order; the per-sample flip + rasterized copy is
-  // then data-parallel (each sample owns one batch plane).
+  // them up front in index order; the copy is then data-parallel (each
+  // sample owns one batch plane) and reads each pixel from its mirrored
+  // index in the stored sample.
   std::vector<std::uint8_t> flip_h(indices.size(), 0);
   std::vector<std::uint8_t> flip_v(indices.size(), 0);
   for (std::size_t b = 0; b < indices.size(); ++b) {
@@ -74,16 +75,24 @@ tensor::Tensor HotspotDataset::batch_images(
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t b = lo; b < hi; ++b) {
           const auto bu = static_cast<std::size_t>(b);
-          ClipSample view = samples_[indices[bu]];  // copy: flips mutate
-          if (flip_h[bu] != 0) {
-            view.flip_horizontal();
-          }
-          if (flip_v[bu] != 0) {
-            view.flip_vertical();
-          }
+          const std::uint8_t* src = samples_[indices[bu]].pixels.data();
+          // Read once: a float store may alias the byte vectors, so reading
+          // them inside the row loops would reload them per pixel and keep
+          // the loops from vectorizing.
+          const bool mirror_x = flip_h[bu] != 0;
+          const bool mirror_y = flip_v[bu] != 0;
           float* dst = batch.data() + b * ls * ls;
-          for (std::size_t i = 0; i < view.pixels.size(); ++i) {
-            dst[i] = view.pixels[i] ? 1.0f : 0.0f;
+          for (std::int64_t y = 0; y < ls; ++y, dst += ls) {
+            const std::uint8_t* row = src + (mirror_y ? ls - 1 - y : y) * ls;
+            if (mirror_x) {
+              for (std::int64_t x = 0; x < ls; ++x) {
+                dst[x] = row[ls - 1 - x] ? 1.0f : 0.0f;
+              }
+            } else {
+              for (std::int64_t x = 0; x < ls; ++x) {
+                dst[x] = row[x] ? 1.0f : 0.0f;
+              }
+            }
           }
         }
       });

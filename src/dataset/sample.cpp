@@ -1,7 +1,5 @@
 #include "dataset/sample.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace hotspot::dataset {
@@ -47,22 +45,6 @@ ClipSample ClipSample::from_image(const tensor::Tensor& image, int label,
     sample.pixels[static_cast<std::size_t>(i)] = image[i] >= 0.5f ? 1 : 0;
   }
   return sample;
-}
-
-void ClipSample::flip_horizontal() {
-  for (std::int32_t y = 0; y < size; ++y) {
-    std::uint8_t* row = pixels.data() + static_cast<std::size_t>(y) * size;
-    std::reverse(row, row + size);
-  }
-}
-
-void ClipSample::flip_vertical() {
-  for (std::int32_t y = 0; y < size / 2; ++y) {
-    std::uint8_t* top = pixels.data() + static_cast<std::size_t>(y) * size;
-    std::uint8_t* bottom =
-        pixels.data() + static_cast<std::size_t>(size - 1 - y) * size;
-    std::swap_ranges(top, top + size, bottom);
-  }
 }
 
 }  // namespace hotspot::dataset

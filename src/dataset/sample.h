@@ -34,10 +34,6 @@ struct ClipSample {
   // Builds a sample from a binary raster.
   static ClipSample from_image(const tensor::Tensor& image, int label,
                                Family family);
-
-  // In-place mirror augmentations.
-  void flip_horizontal();
-  void flip_vertical();
 };
 
 }  // namespace hotspot::dataset

@@ -9,20 +9,16 @@ namespace hotspot::nn {
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-               bool with_bias, util::Rng& rng)
+               util::Rng& rng)
     : in_channels_(in_channels),
       out_channels_(out_channels),
-      spec_{kernel, kernel, stride, pad},
-      with_bias_(with_bias) {
+      spec_{kernel, kernel, stride, pad} {
   HOTSPOT_CHECK_GT(in_channels, 0);
   HOTSPOT_CHECK_GT(out_channels, 0);
   const tensor::Shape weight_shape{out_channels, in_channels, kernel, kernel};
   const auto [fan_in, fan_out] = compute_fans(weight_shape);
   weight_ = Parameter("weight",
                       xavier_uniform(weight_shape, fan_in, fan_out, rng));
-  if (with_bias_) {
-    bias_ = Parameter("bias", Tensor({out_channels}));
-  }
 }
 
 Tensor Conv2d::forward(const Tensor& input) {
@@ -31,31 +27,19 @@ Tensor Conv2d::forward(const Tensor& input) {
   if (training()) {
     cached_input_ = input;
   }
-  return tensor::conv2d(input, weight_.value,
-                        with_bias_ ? &bias_.value : nullptr, spec_);
+  return tensor::conv2d(input, weight_.value, spec_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   Tensor grad_input;
   Tensor grad_weight;
-  Tensor grad_bias;
   tensor::conv2d_backward(cached_input_, weight_.value, grad_output, spec_,
-                          &grad_input, &grad_weight,
-                          with_bias_ ? &grad_bias : nullptr);
+                          &grad_input, &grad_weight);
   tensor::add_inplace(weight_.grad, grad_weight);
-  if (with_bias_) {
-    tensor::add_inplace(bias_.grad, grad_bias);
-  }
   return grad_input;
 }
 
-std::vector<Parameter*> Conv2d::parameters() {
-  std::vector<Parameter*> params{&weight_};
-  if (with_bias_) {
-    params.push_back(&bias_);
-  }
-  return params;
-}
+std::vector<Parameter*> Conv2d::parameters() { return {&weight_}; }
 
 std::string Conv2d::name() const {
   std::ostringstream out;

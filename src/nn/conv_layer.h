@@ -10,11 +10,11 @@ namespace hotspot::nn {
 
 class Conv2d : public Module {
  public:
-  // Xavier-initialized convolution. `bias` may be disabled (ResNet-style
-  // conv+BN pairs do not need it).
+  // Xavier-initialized convolution without a bias (each conv of the DAC'17
+  // CNN baseline feeds a batch norm, whose beta is the bias).
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-         bool with_bias, util::Rng& rng);
+         util::Rng& rng);
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -26,16 +26,12 @@ class Conv2d : public Module {
   std::int64_t out_channels() const { return out_channels_; }
 
   Parameter& weight() { return weight_; }
-  Parameter& bias() { return bias_; }
-  bool has_bias() const { return with_bias_; }
 
  private:
   std::int64_t in_channels_;
   std::int64_t out_channels_;
   tensor::ConvSpec spec_;
-  bool with_bias_;
   Parameter weight_;
-  Parameter bias_;
   Tensor cached_input_;
 };
 

@@ -8,8 +8,8 @@ namespace hotspot::nn {
 
 class Linear : public Module {
  public:
-  Linear(std::int64_t in_features, std::int64_t out_features, bool with_bias,
-         util::Rng& rng);
+  // Xavier-initialized weight and a zero bias.
+  Linear(std::int64_t in_features, std::int64_t out_features, util::Rng& rng);
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -20,12 +20,10 @@ class Linear : public Module {
   std::int64_t out_features() const { return out_features_; }
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
-  bool has_bias() const { return with_bias_; }
 
  private:
   std::int64_t in_features_;
   std::int64_t out_features_;
-  bool with_bias_;
   Parameter weight_;  // [out, in]
   Parameter bias_;    // [out]
   Tensor cached_input_;

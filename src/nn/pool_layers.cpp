@@ -4,8 +4,7 @@
 
 namespace hotspot::nn {
 
-MaxPool2d::MaxPool2d(std::int64_t window, std::int64_t stride)
-    : spec_{window, stride > 0 ? stride : window} {}
+MaxPool2d::MaxPool2d(std::int64_t window) : spec_{window, window} {}
 
 Tensor MaxPool2d::forward(const Tensor& input) {
   cached_input_shape_ = input.shape();

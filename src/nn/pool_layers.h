@@ -8,7 +8,8 @@ namespace hotspot::nn {
 
 class MaxPool2d : public Module {
  public:
-  explicit MaxPool2d(std::int64_t window, std::int64_t stride = -1);
+  // Non-overlapping window x window pooling (stride = window).
+  explicit MaxPool2d(std::int64_t window);
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;

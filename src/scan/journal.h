@@ -54,7 +54,7 @@ struct JournalMeta {
   std::int64_t origin_x = 0;
   std::int64_t origin_y = 0;
   std::int32_t batch_size = 0;
-  std::uint8_t dedup = 0;
+  std::uint8_t dedup = 0;  // ScanPipeline writes 1: scans always dedup
   std::uint64_t dedup_max_entries = 0;
   std::uint64_t dedup_max_bytes = 0;
 

@@ -126,7 +126,7 @@ class BatchProducer {
     for (std::int64_t w = 0; w < state.windows_done; ++w) {
       const std::int64_t entry = state.window_entry[static_cast<std::size_t>(w)];
       window_entry_[static_cast<std::size_t>(w)] = entry;
-      if (!config_.dedup || entry < 0) {
+      if (entry < 0) {
         continue;
       }
       const RasterKey& pixels =
@@ -246,14 +246,12 @@ class BatchProducer {
             pixels[static_cast<std::size_t>(i)] = src[i] != 0.0f ? 1 : 0;
           }
           clock.check_deadline();
-          if (config_.dedup) {
-            const std::uint64_t hash = hash_raster(pixels);
-            const std::int64_t cached = cache_.find(hash, pixels);
-            if (cached >= 0) {
-              return WindowOutcome{false, cached, {}};
-            }
-            cache_.insert(hash, pixels, next_entry_);
+          const std::uint64_t hash = hash_raster(pixels);
+          const std::int64_t cached = cache_.find(hash, pixels);
+          if (cached >= 0) {
+            return WindowOutcome{false, cached, {}};
           }
+          cache_.insert(hash, pixels, next_entry_);
           return WindowOutcome{true, next_entry_, std::move(pixels)};
         });
   }
@@ -326,7 +324,7 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
     meta.origin_x = stream.origin_x();
     meta.origin_y = stream.origin_y();
     meta.batch_size = config_.batch_size;
-    meta.dedup = config_.dedup ? 1 : 0;
+    meta.dedup = 1;  // scans always deduplicate
     meta.dedup_max_entries = config_.dedup_max_entries;
     meta.dedup_max_bytes = config_.dedup_max_bytes;
     JournalState recovered;

@@ -54,7 +54,6 @@ struct ScanConfig {
   std::int64_t step_nm = 0;    // scan stride; 0 = window_nm (non-overlapping)
   std::int64_t grid = 32;      // raster resolution fed to the classifier
   int batch_size = 64;         // distinct rasters per inference batch
-  bool dedup = true;           // raster dedup cache on/off
   std::size_t dedup_max_entries = 0;  // LRU entry cap; 0 = unlimited
   std::size_t dedup_max_bytes = 0;    // LRU payload-byte cap; 0 = unlimited
 

@@ -97,8 +97,7 @@ Tensor col2im(const Tensor& cols, const Shape& input_shape,
   return image;
 }
 
-Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
-              const ConvSpec& spec) {
+Tensor conv2d(const Tensor& input, const Tensor& weight, const ConvSpec& spec) {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(weight.rank(), 4);
   HOTSPOT_CHECK_EQ(weight.dim(1), input.dim(1))
@@ -127,8 +126,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
       const float* src = prod.data() + row * cout;
       float* dst = out.data() + ni * cout * positions + p;
       for (std::int64_t co = 0; co < cout; ++co) {
-        dst[co * positions] =
-            bias != nullptr ? src[co] + (*bias)[co] : src[co];
+        dst[co * positions] = src[co];
       }
     }
   });
@@ -137,8 +135,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
 
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const ConvSpec& spec,
-                     Tensor* grad_input, Tensor* grad_weight,
-                     Tensor* grad_bias) {
+                     Tensor* grad_input, Tensor* grad_weight) {
   HOTSPOT_CHECK_EQ(grad_output.rank(), 4);
   const std::int64_t n = input.dim(0);
   const std::int64_t cout = weight.dim(0);
@@ -169,22 +166,6 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
     // dW = grad_rows^T @ cols, reshaped to weight shape.
     const Tensor gw = matmul(transpose2d(grad_rows), cols);  // [cout, patch]
     *grad_weight = gw.reshaped(weight.shape());
-  }
-
-  if (grad_bias != nullptr) {
-    *grad_bias = Tensor({cout});
-    // Parallel over output channels: each channel's reduction runs start to
-    // finish inside one chunk, keeping the summation order fixed.
-    util::parallel_for(0, cout, /*grain=*/1, [&](std::int64_t co_lo,
-                                                 std::int64_t co_hi) {
-      for (std::int64_t co = co_lo; co < co_hi; ++co) {
-        double total = 0.0;
-        for (std::int64_t r = 0; r < n * positions; ++r) {
-          total += static_cast<double>(grad_rows.at2(r, co));
-        }
-        (*grad_bias)[co] = static_cast<float>(total);
-      }
-    });
   }
 
   if (grad_input != nullptr) {

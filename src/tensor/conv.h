@@ -30,16 +30,14 @@ Tensor im2col(const Tensor& input, const ConvSpec& spec,
 Tensor col2im(const Tensor& cols, const Shape& input_shape,
               const ConvSpec& spec);
 
-// Forward convolution: input [N,Cin,H,W], weight [Cout,Cin,kh,kw],
-// optional bias [Cout] -> [N,Cout,outH,outW].
-Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
-              const ConvSpec& spec);
+// Forward convolution without a bias: input [N,Cin,H,W], weight
+// [Cout,Cin,kh,kw] -> [N,Cout,outH,outW].
+Tensor conv2d(const Tensor& input, const Tensor& weight, const ConvSpec& spec);
 
 // Gradients of conv2d. `grad_output` is [N,Cout,outH,outW].
 // Any of the outputs may be null to skip its computation.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const ConvSpec& spec,
-                     Tensor* grad_input, Tensor* grad_weight,
-                     Tensor* grad_bias);
+                     Tensor* grad_input, Tensor* grad_weight);
 
 }  // namespace hotspot::tensor

@@ -145,9 +145,6 @@ void expect_exact(const Tensor& x_nchw, const ConvSpec& spec,
   expect_bit_identical(scalar.alpha, eq15::alpha_t_scalar(y, spec),
                        context + ", conv_input scalar");
   expect_sign_words(scalar.bits, y, spec, context + ", scalar bits");
-  expect_sign_words(
-      conv_input(x, affine.view(), spec, InputScaling::kNone).bits, y, spec,
-      context + ", unscaled bits");
 }
 
 std::string label(const tensor::Shape& shape, const ConvSpec& spec) {
@@ -273,8 +270,7 @@ TEST(AlphaTExact, EmptyBatch) {
               0);
     EXPECT_EQ(input_scales_scalar(Tensor({0, 2, 4, 4}), spec).numel(), 0);
     for (const InputScaling scaling :
-         {InputScaling::kPerChannel, InputScaling::kScalar,
-          InputScaling::kNone}) {
+         {InputScaling::kPerChannel, InputScaling::kScalar}) {
       const ConvInput in = conv_input(Tensor({2, 0, 4, 4}),
                                       Affine::identity(2).view(), spec,
                                       scaling);

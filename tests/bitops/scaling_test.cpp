@@ -91,7 +91,6 @@ TEST(InputScales, NonNegative) {
 TEST(ScalingMode, Names) {
   EXPECT_STREQ(to_string(InputScaling::kPerChannel), "per-channel");
   EXPECT_STREQ(to_string(InputScaling::kScalar), "scalar");
-  EXPECT_STREQ(to_string(InputScaling::kNone), "none");
 }
 
 }  // namespace

@@ -13,24 +13,12 @@ namespace {
 using bitops::InputScaling;
 using tensor::Tensor;
 
-TEST(BinaryConv, OutputInvariantToInputMagnitudeWithoutScaling) {
-  // With kNone, only input signs matter: scaling the input leaves the
-  // output unchanged — the defining property of binarized activations.
-  util::Rng rng(4);
-  BinaryConv2d conv(2, 3, 3, 1, 1, InputScaling::kNone, rng);
-  conv.set_training(true);
-  const Tensor x = Tensor::normal({1, 2, 5, 5}, rng, 0.0f, 1.0f);
-  const Tensor scaled = tensor::scale(x, 7.5f);
-  EXPECT_TRUE(
-      tensor::allclose(conv.forward(x), conv.forward(scaled), 1e-4));
-}
-
 TEST(BinaryConv, WeightGradFollowsEq13Structure) {
   // Eq. 13: dl/dW = dl/dW~ * (1/n + alpha_W * 1_{|W|<1}). Verify the STE
   // part by comparing gradients at weights inside vs outside the clip
   // region: for |W| >= 1 the gradient collapses to the 1/n term.
   util::Rng rng(5);
-  BinaryConv2d conv(1, 1, 3, 1, 1, InputScaling::kNone, rng);
+  BinaryConv2d conv(1, 1, 3, 1, 1, InputScaling::kPerChannel, rng);
   conv.set_training(true);
   // Put one weight far outside [-1, 1].
   conv.weight().value[0] = 5.0f;
@@ -49,7 +37,7 @@ TEST(BinaryConv, WeightGradFollowsEq13Structure) {
 TEST(BinaryConv, InputGradZeroWhereSaturated) {
   // Eq. 10-11: no gradient flows to inputs with |x| >= 1.
   util::Rng rng(6);
-  BinaryConv2d conv(1, 2, 3, 1, 1, InputScaling::kNone, rng);
+  BinaryConv2d conv(1, 2, 3, 1, 1, InputScaling::kPerChannel, rng);
   conv.set_training(true);
   Tensor x({1, 1, 3, 3}, 0.5f);
   x[4] = 3.0f;  // saturated centre
@@ -85,7 +73,7 @@ TEST(BinaryConvDeath, RejectsConvThatIsNotSame) {
   util::Rng rng(10);
   EXPECT_DEATH(BinaryConv2d(1, 1, 3, 1, 0, InputScaling::kPerChannel, rng),
                "HOTSPOT_CHECK");
-  EXPECT_DEATH(BinaryConv2d(1, 1, 3, 3, 1, InputScaling::kNone, rng),
+  EXPECT_DEATH(BinaryConv2d(1, 1, 3, 3, 1, InputScaling::kScalar, rng),
                "HOTSPOT_CHECK");
 }
 

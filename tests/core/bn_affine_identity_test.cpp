@@ -150,8 +150,7 @@ void for_each_edge_group(Check&& check) {
 
 const tensor::ConvSpec kSpecs[] = {{3, 3, 1, 1}, {3, 3, 2, 1}, {1, 1, 2, 0}};
 const bitops::InputScaling kScalings[] = {bitops::InputScaling::kPerChannel,
-                                          bitops::InputScaling::kScalar,
-                                          bitops::InputScaling::kNone};
+                                          bitops::InputScaling::kScalar};
 
 // Every stored word of the sign streams `bits`, guard words included,
 // against streams built from the materialized NCHW BN output `y`: bit

@@ -35,6 +35,17 @@ TEST(BrnnModel, RejectsWrongInputSize) {
   EXPECT_DEATH(model.forward(Tensor({1, 1, 64, 64})), "HOTSPOT_CHECK");
 }
 
+// Clips are one raster channel, which the plan reads in place as its
+// channel-major stem input: any other channel count is rejected.
+TEST(InferencePlanDeath, RunRejectsTwoChannelBatch) {
+  util::Rng rng(2);
+  BrnnModel model(BrnnConfig::compact(32), rng);
+  model.set_training(false);
+  const Tensor two_channels({1, 2, 32, 32});
+  EXPECT_DEATH(model.plan()->run(two_channels), "HOTSPOT_CHECK");
+  EXPECT_DEATH(model.forward(two_channels), "HOTSPOT_CHECK");
+}
+
 TEST(BrnnModel, BackwardProducesInputShapedGradient) {
   util::Rng rng(3);
   BrnnModel model(BrnnConfig::compact(32), rng);
@@ -134,10 +145,8 @@ TEST(BrnnModel, PredictReturnsBinaryLabels) {
 }
 
 TEST(FusionPasses, PipelineIsIdempotent) {
-  BrnnConfig config = BrnnConfig::compact(32);
-  config.scaling = bitops::InputScaling::kNone;
   util::Rng rng(31);
-  BrnnModel model(config, rng);
+  BrnnModel model(BrnnConfig::compact(32), rng);
   model.set_training(false);
   const Tensor x = Tensor::uniform({3, 1, 32, 32}, rng, 0.0f, 1.0f);
 

@@ -42,21 +42,19 @@ using test_support::ThreadsGuard;
 constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
 const int kThreadCounts[] = {1, 4};
 
-// Names the parameterized cases: "PerChannel", "Scalar", "None".
+// Names the parameterized cases: "PerChannel", "Scalar".
 std::string scaling_name(InputScaling scaling) {
   switch (scaling) {
     case InputScaling::kPerChannel:
       return "PerChannel";
     case InputScaling::kScalar:
       return "Scalar";
-    case InputScaling::kNone:
-      return "None";
   }
   return "Unknown";
 }
 
 const InputScaling kScalings[] = {InputScaling::kPerChannel,
-                                  InputScaling::kScalar, InputScaling::kNone};
+                                  InputScaling::kScalar};
 
 // The kernel primitive against its plain definition. Every runnable
 // kernel, scalar included, meets the same definition, so every kernel also
@@ -67,7 +65,7 @@ const InputScaling kScalings[] = {InputScaling::kPerChannel,
 // tail of the 8-channel and 4-channel adder-tree blocks), for 3x3 and 1x1
 // taps, alpha rows wider than the 64 lanes (as the plan's lane layout is)
 // with exact zeros and denormals, and random tap words and weight bits.
-// Then the unit alpha of the scalar and unscaled modes (one row of 1.0f at
+// Then the unit alpha of the scalar mode (one row of 1.0f at
 // alpha_stride 0): the result is also the reference's dense epilogue of
 // the integer patch count, count * scale.
 TEST(KernelIdentity, DirectAccumulateMatchesCanonicalOrder) {
@@ -189,8 +187,8 @@ void PrintTo(const BlockCase& c, std::ostream* os) {
 // direct conv (output planes under 64 positions, so lane words span samples
 // and split them: 2x2, 3x3, 5x5; batches of 1, 3, 17 and 64; odd widths and
 // heights at stride 2; output rows wider than 64; 1x1 stride-2 shortcuts);
-// then seeded random shapes. Every shape runs under all three scalings,
-// with ordinary and with edge BN statistics.
+// then seeded random shapes. Every shape runs under both scalings, with
+// ordinary and with edge BN statistics.
 std::vector<BlockCase> block_cases() {
   struct Shape {
     std::int64_t cin, cout, height, width, kernel, stride;
@@ -389,7 +387,7 @@ std::unique_ptr<BrnnModel> make_model(const BrnnConfig& config,
   model->set_training(true);
   for (int i = 0; i < 3; ++i) {
     model->forward(Tensor::uniform(
-        {6, config.input_channels, config.image_size, config.image_size}, rng,
+        {6, 1, config.image_size, config.image_size}, rng,
         0.0f, 1.0f));
   }
   model->set_training(false);
@@ -408,7 +406,7 @@ Tensor images_for(const BrnnConfig& config, std::int64_t n,
                   std::uint64_t seed) {
   util::Rng rng(seed);
   return Tensor::uniform(
-      {n, config.input_channels, config.image_size, config.image_size}, rng,
+      {n, 1, config.image_size, config.image_size}, rng,
       0.0f, 1.0f);
 }
 

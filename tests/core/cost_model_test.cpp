@@ -36,23 +36,18 @@ TEST(CostModel, ScalarModeWordOpsMatchPerChannel) {
       16, 32, 3, 1, 1, 8, 8, bitops::InputScaling::kPerChannel);
   const LayerCost scalar = binary_conv_cost(
       16, 32, 3, 1, 1, 8, 8, bitops::InputScaling::kScalar);
-  const LayerCost none =
-      binary_conv_cost(16, 32, 3, 1, 1, 8, 8, bitops::InputScaling::kNone);
-  for (const LayerCost& cost : {scalar, none}) {
-    EXPECT_EQ(cost.packed_word_ops, per_channel.packed_word_ops);
-    EXPECT_EQ(cost.packed_weight_bytes, 32 * 16 * 9 / 8);
-  }
+  EXPECT_EQ(scalar.packed_word_ops, per_channel.packed_word_ops);
+  EXPECT_EQ(scalar.packed_weight_bytes, 32 * 16 * 9 / 8);
   // One multiply and one add per (channel, filter, position); the scalar
   // map at ~4 ops per position, then one post multiply per output.
-  EXPECT_EQ(none.packed_float_ops, 2 * 64 * 32 * 16);
   EXPECT_EQ(scalar.packed_float_ops, 2 * 64 * 32 * 16 + 64 * 4 + 64 * 32);
 }
 
 TEST(CostModel, StrideShrinksPositions) {
-  const LayerCost s1 =
-      binary_conv_cost(8, 8, 3, 1, 1, 16, 16, bitops::InputScaling::kNone);
-  const LayerCost s2 =
-      binary_conv_cost(8, 8, 3, 2, 1, 16, 16, bitops::InputScaling::kNone);
+  const LayerCost s1 = binary_conv_cost(8, 8, 3, 1, 1, 16, 16,
+                                       bitops::InputScaling::kPerChannel);
+  const LayerCost s2 = binary_conv_cost(8, 8, 3, 2, 1, 16, 16,
+                                       bitops::InputScaling::kPerChannel);
   EXPECT_EQ(s1.output_positions, 256);
   EXPECT_EQ(s2.output_positions, 64);
 }

@@ -39,8 +39,7 @@ TEST_F(ParallelDeterminismTest, BinaryConvCountsBitIdentical) {
   util::Rng rng(12);
   const Tensor input = Tensor::uniform({3, 4, 9, 9}, rng, -1.0f, 1.0f);
   const Tensor weight = Tensor::uniform({6, 4, 3, 3}, rng, -1.0f, 1.0f);
-  // The unit-alpha direct conv of the scalar and unscaled modes, at both
-  // strides.
+  // The unit-alpha direct conv of the scalar mode, at both strides.
   for (const tensor::ConvSpec& spec :
        {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1}}) {
     for (const bitops::XnorKernel* kernel : test_support::runnable_kernels()) {
@@ -95,8 +94,7 @@ TEST_F(ParallelDeterminismTest, AlphaTBitIdenticalAcrossThreadCounts) {
          {tensor::ConvSpec{3, 3, 1, 1}, tensor::ConvSpec{3, 3, 2, 1},
           tensor::ConvSpec{1, 1, 2, 0}}) {
       for (const bitops::InputScaling scaling :
-           {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
-            bitops::InputScaling::kNone}) {
+           {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar}) {
         const std::string label =
             std::string("conv_input ") + bitops::to_string(scaling) +
             " stride " + std::to_string(spec.stride) + " shape " +
@@ -180,14 +178,13 @@ TEST_F(ParallelDeterminismTest, FloatConvBitIdentical) {
   util::Rng rng(13);
   const Tensor input = Tensor::uniform({2, 3, 8, 8}, rng, -1.0f, 1.0f);
   const Tensor weight = Tensor::uniform({5, 3, 3, 3}, rng, -0.5f, 0.5f);
-  const Tensor bias = Tensor::uniform({5}, rng, -0.1f, 0.1f);
   const tensor::ConvSpec spec{3, 3, 1, 1};
 
   util::set_parallel_threads(1);
-  const Tensor reference = tensor::conv2d(input, weight, &bias, spec);
+  const Tensor reference = tensor::conv2d(input, weight, spec);
   for (const int threads : kThreadCounts) {
     util::set_parallel_threads(threads);
-    expect_bit_identical(tensor::conv2d(input, weight, &bias, spec),
+    expect_bit_identical(tensor::conv2d(input, weight, spec),
                          reference, "conv2d", threads);
   }
 }

@@ -19,7 +19,6 @@
 #include "core/brnn.h"
 #include "core/inference_plan.h"
 #include "nn/batchnorm_layer.h"
-#include "support/eq15_reference.h"
 #include "support/test_support.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
@@ -41,8 +40,7 @@ std::unique_ptr<BrnnModel> make_model(const BrnnConfig& config,
   model->set_training(true);
   for (int i = 0; i < 3; ++i) {
     model->forward(Tensor::uniform(
-        {6, config.input_channels, config.image_size, config.image_size}, rng,
-        -1.0f, 1.0f));
+        {6, 1, config.image_size, config.image_size}, rng, -1.0f, 1.0f));
   }
   model->set_training(false);
   return model;
@@ -50,9 +48,8 @@ std::unique_ptr<BrnnModel> make_model(const BrnnConfig& config,
 
 Tensor images(const BrnnConfig& config, std::int64_t n, std::uint64_t seed) {
   util::Rng rng(seed);
-  return Tensor::uniform(
-      {n, config.input_channels, config.image_size, config.image_size}, rng,
-      -1.0f, 1.0f);
+  return Tensor::uniform({n, 1, config.image_size, config.image_size}, rng,
+                         -1.0f, 1.0f);
 }
 
 BrnnConfig paper_at(std::int64_t image_size) {
@@ -100,8 +97,7 @@ TEST(PlanMemory, StaleArenaNaNsAreNeverRead) {
     const std::unique_ptr<BrnnModel> model = make_model(config, 4);
     const std::shared_ptr<const InferencePlan> plan = model->plan();
     const Tensor poison =
-        Tensor({65, config.input_channels, config.image_size,
-                config.image_size},
+        Tensor({65, 1, config.image_size, config.image_size},
                std::numeric_limits<float>::quiet_NaN());
     std::thread([&] {
       // NaN in every activation, sign stream, alpha_T and pooling tile the
@@ -169,19 +165,6 @@ TEST(PlanMemory, PaperArenaWithinLivenessBound) {
     arena = InferencePlan::thread_arena_bytes();
   }).join();
   EXPECT_EQ(arena, memory.arena_bytes());
-}
-
-// More than one input channel is copied channel-major into the main slot,
-// which the stem's output then takes over.
-TEST(PlanMemory, TwoInputChannelsMatchReference) {
-  for (BrnnConfig config : {BrnnConfig::compact(32), paper_at(32)}) {
-    config.input_channels = 2;
-    const std::unique_ptr<BrnnModel> model = make_model(config, 6);
-    const Tensor x = images(config, 5, 8);
-    expect_bit_identical(model->plan()->run(x),
-                         eq15::network_logits(model->net(), x),
-                         "image size " + std::to_string(config.image_size));
-  }
 }
 
 // Threads with arenas of their own run one plan at once, each cycling

@@ -210,8 +210,7 @@ TEST_F(GraphRoofline, OneRowPerFusedConvPlusHead) {
   // Every scaling mode runs the direct aggregate and reports its input and
   // aggregate stages.
   for (const bitops::InputScaling scaling :
-       {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar,
-        bitops::InputScaling::kNone}) {
+       {bitops::InputScaling::kPerChannel, bitops::InputScaling::kScalar}) {
     SCOPED_TRACE(bitops::to_string(scaling));
     BrnnConfig config = BrnnConfig::compact(32);
     config.scaling = scaling;

@@ -45,7 +45,7 @@ nn::Sequential linear_probe(std::uint64_t seed) {
   util::Rng rng(seed);
   nn::Sequential net;
   net.emplace<nn::Flatten>();
-  net.emplace<nn::Linear>(64, 2, true, rng);
+  net.emplace<nn::Linear>(64, 2, rng);
   return net;
 }
 

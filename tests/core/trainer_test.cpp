@@ -33,7 +33,7 @@ dataset::HotspotDataset coverage_dataset(std::size_t count, util::Rng& rng) {
 nn::Sequential linear_probe(util::Rng& rng) {
   nn::Sequential net;
   net.emplace<nn::Flatten>();
-  net.emplace<nn::Linear>(64, 2, true, rng);
+  net.emplace<nn::Linear>(64, 2, rng);
   return net;
 }
 

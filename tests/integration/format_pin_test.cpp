@@ -223,7 +223,7 @@ TEST(FormatPin, TrainerStateV1Decodes) {
   util::Rng init(5);
   nn::Sequential model;
   model.emplace<nn::Flatten>();
-  model.emplace<nn::Linear>(16, 2, true, init);
+  model.emplace<nn::Linear>(16, 2, init);
   // The archive a trainer over this model writes: model tensors, then the
   // NAdam moment slots, then the trainer_state blob.
   std::vector<nn::NamedTensor> tensors;

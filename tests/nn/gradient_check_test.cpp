@@ -65,27 +65,27 @@ void check_gradients(Module& module, const Tensor& x, double step,
 
 TEST(GradientCheck, Linear) {
   util::Rng rng(1);
-  Linear layer(4, 3, true, rng);
+  Linear layer(4, 3, rng);
   check_gradients(layer, Tensor::normal({3, 4}, rng, 0.0f, 1.0f), 1e-2, 5e-2);
 }
 
 TEST(GradientCheck, Conv2d) {
   util::Rng rng(2);
-  Conv2d layer(2, 3, 3, 1, 1, true, rng);
+  Conv2d layer(2, 3, 3, 1, 1, rng);
   check_gradients(layer, Tensor::normal({2, 2, 4, 4}, rng, 0.0f, 1.0f), 1e-2,
                   5e-2);
 }
 
 TEST(GradientCheck, Conv2dStrided) {
   util::Rng rng(3);
-  Conv2d layer(2, 2, 3, 2, 1, false, rng);
+  Conv2d layer(2, 2, 3, 2, 1, rng);
   check_gradients(layer, Tensor::normal({1, 2, 5, 5}, rng, 0.0f, 1.0f), 1e-2,
                   5e-2);
 }
 
 TEST(GradientCheck, Conv2dOneByOne) {
   util::Rng rng(4);
-  Conv2d layer(3, 2, 1, 1, 0, false, rng);
+  Conv2d layer(3, 2, 1, 1, 0, rng);
   check_gradients(layer, Tensor::normal({2, 3, 3, 3}, rng, 0.0f, 1.0f), 1e-2,
                   5e-2);
 }
@@ -142,8 +142,8 @@ TEST(GradientCheck, GlobalAvgPool) {
 TEST(GradientCheck, ResidualWithProjection) {
   util::Rng rng(11);
   auto main_path = std::make_unique<Sequential>();
-  main_path->emplace<Conv2d>(2, 3, 3, 2, 1, false, rng);
-  auto shortcut = std::make_unique<Conv2d>(2, 3, 1, 2, 0, false, rng);
+  main_path->emplace<Conv2d>(2, 3, 3, 2, 1, rng);
+  auto shortcut = std::make_unique<Conv2d>(2, 3, 1, 2, 0, rng);
   ResidualBlock block(std::move(main_path), std::move(shortcut));
   check_gradients(block, Tensor::normal({1, 2, 4, 4}, rng, 0.0f, 1.0f), 1e-2,
                   5e-2);
@@ -152,9 +152,9 @@ TEST(GradientCheck, ResidualWithProjection) {
 TEST(GradientCheck, SmallMlpEndToEnd) {
   util::Rng rng(12);
   Sequential net;
-  net.emplace<Linear>(6, 4, true, rng);
+  net.emplace<Linear>(6, 4, rng);
   net.emplace<ReLU>();
-  net.emplace<Linear>(4, 2, true, rng);
+  net.emplace<Linear>(4, 2, rng);
   // Nudge pre-activations away from ReLU kinks by scaling up.
   const Tensor x = tensor::scale(Tensor::normal({3, 6}, rng, 0.0f, 1.0f), 1.5f);
   check_gradients(net, x, 1e-2, 6e-2);

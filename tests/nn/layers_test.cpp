@@ -141,7 +141,7 @@ TEST(BatchNormLayer, InferenceInvStdMatchesForwardFactors) {
 
 TEST(LinearLayer, KnownAffineMap) {
   util::Rng rng(6);
-  Linear linear(2, 2, true, rng);
+  Linear linear(2, 2, rng);
   linear.weight().value = Tensor({2, 2}, {1, 2, 3, 4});
   linear.bias().value = Tensor({2}, {10, 20});
   const Tensor out = linear.forward(Tensor({1, 2}, {1, 1}));
@@ -151,8 +151,8 @@ TEST(LinearLayer, KnownAffineMap) {
 
 TEST(Conv2dLayer, ShapeAndParameterCount) {
   util::Rng rng(7);
-  Conv2d conv(3, 8, 3, 1, 1, true, rng);
-  EXPECT_EQ(conv.parameter_count(), 8 * 3 * 3 * 3 + 8);
+  Conv2d conv(3, 8, 3, 1, 1, rng);
+  EXPECT_EQ(conv.parameter_count(), 8 * 3 * 3 * 3);  // no bias
   const Tensor out = conv.forward(Tensor({2, 3, 6, 6}));
   EXPECT_EQ(out.shape(), (tensor::Shape{2, 8, 6, 6}));
 }
@@ -160,9 +160,9 @@ TEST(Conv2dLayer, ShapeAndParameterCount) {
 TEST(Sequential, ComposesForwardAndBackward) {
   util::Rng rng(8);
   Sequential net;
-  net.emplace<Linear>(4, 3, true, rng);
+  net.emplace<Linear>(4, 3, rng);
   net.emplace<ReLU>();
-  net.emplace<Linear>(3, 2, true, rng);
+  net.emplace<Linear>(3, 2, rng);
   EXPECT_EQ(net.size(), 3u);
   const Tensor x = Tensor::normal({5, 4}, rng, 0.0f, 1.0f);
   const Tensor out = net.forward(x);
@@ -201,8 +201,8 @@ TEST(Residual, BackwardSumsBothPaths) {
 TEST(Residual, ProjectionShortcutChangesShape) {
   util::Rng rng(10);
   auto main_path = std::make_unique<Sequential>();
-  main_path->emplace<Conv2d>(2, 4, 3, 2, 1, false, rng);
-  auto shortcut = std::make_unique<Conv2d>(2, 4, 1, 2, 0, false, rng);
+  main_path->emplace<Conv2d>(2, 4, 3, 2, 1, rng);
+  auto shortcut = std::make_unique<Conv2d>(2, 4, 1, 2, 0, rng);
   ResidualBlock block(std::move(main_path), std::move(shortcut));
   EXPECT_TRUE(block.has_projection());
   const Tensor out = block.forward(Tensor({1, 2, 8, 8}));
@@ -212,14 +212,14 @@ TEST(Residual, ProjectionShortcutChangesShape) {
 TEST(Module, ParameterCountAggregates) {
   util::Rng rng(11);
   Sequential net;
-  net.emplace<Linear>(10, 5, true, rng);   // 55
-  net.emplace<Linear>(5, 2, false, rng);   // 10
-  EXPECT_EQ(net.parameter_count(), 65);
+  net.emplace<Linear>(10, 5, rng);  // 55
+  net.emplace<Linear>(5, 2, rng);   // 12
+  EXPECT_EQ(net.parameter_count(), 67);
 }
 
 TEST(Module, ZeroGradClearsAccumulation) {
   util::Rng rng(12);
-  Linear linear(2, 2, true, rng);
+  Linear linear(2, 2, rng);
   linear.forward(Tensor({1, 2}, {1, 1}));
   linear.backward(Tensor({1, 2}, {1, 1}));
   EXPECT_GT(tensor::l1_norm(linear.weight().grad), 0.0);

@@ -27,9 +27,9 @@ using test_support::test_path;
 Sequential make_net(std::uint64_t seed) {
   util::Rng rng(seed);
   Sequential net;
-  net.emplace<Linear>(16, 8, true, rng);
+  net.emplace<Linear>(16, 8, rng);
   net.emplace<BatchNorm2d>(8);
-  net.emplace<Linear>(8, 2, true, rng);
+  net.emplace<Linear>(8, 2, rng);
   return net;
 }
 

@@ -19,7 +19,7 @@ using test_support::test_path;
 Sequential make_net(std::uint64_t seed) {
   util::Rng rng(seed);
   Sequential net;
-  net.emplace<Linear>(4, 3, true, rng);
+  net.emplace<Linear>(4, 3, rng);
   net.emplace<BatchNorm2d>(3);
   return net;
 }
@@ -61,7 +61,7 @@ TEST(Serialize, RejectsArchitectureMismatch) {
 
   util::Rng rng(5);
   Sequential bigger;
-  bigger.emplace<Linear>(4, 5, true, rng);  // different shape
+  bigger.emplace<Linear>(4, 5, rng);  // different shape
   bigger.emplace<BatchNorm2d>(5);
   EXPECT_FALSE(load_checkpoint(path, bigger));
 }

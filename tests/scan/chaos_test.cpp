@@ -114,7 +114,7 @@ JournalMeta make_meta(const Pattern& chip, const ScanConfig& config) {
   meta.origin_x = stream.origin_x();
   meta.origin_y = stream.origin_y();
   meta.batch_size = config.batch_size;
-  meta.dedup = config.dedup ? 1 : 0;
+  meta.dedup = 1;
   meta.dedup_max_entries = config.dedup_max_entries;
   meta.dedup_max_bytes = config.dedup_max_bytes;
   return meta;

@@ -6,7 +6,8 @@
 //   aggregate per-channel: the canonical weighted order of
 //             kernels/xnor_kernel.h (per output position, channels
 //             ascending from +0.0f) over the integer per-channel dots, times
-//             alpha_W; otherwise the integer patch count * alpha_W * post.
+//             alpha_W; scalar: the integer patch count * alpha_W * the
+//             alpha_T map.
 // It shares no code with BitPlanes, BitMatrix, the XNOR GEMM, packed_conv,
 // the inference plan or any XnorKernel. The float order is part of the
 // contract, so it is spelled out here rather than summed in double; the
@@ -148,12 +149,8 @@ inline Tensor binary_conv(const Tensor& bn_out, const Tensor& weight,
       tensor::conv_out_extent(w, spec.kernel_w, spec.stride, spec.pad);
   const Tensor alpha_w = bitops::weight_scales(weight);
   const bool per_channel = scaling == bitops::InputScaling::kPerChannel;
-  Tensor alpha_t;
-  if (per_channel) {
-    alpha_t = alpha_t_per_channel(bn_out, spec);
-  } else if (scaling == bitops::InputScaling::kScalar) {
-    alpha_t = alpha_t_scalar(bn_out, spec);
-  }
+  const Tensor alpha_t = per_channel ? alpha_t_per_channel(bn_out, spec)
+                                     : alpha_t_scalar(bn_out, spec);
 
   Tensor out({n, cout, out_h, out_w});
   std::vector<std::int64_t> dots(static_cast<std::size_t>(cin));
@@ -188,10 +185,8 @@ inline Tensor binary_conv(const Tensor& bn_out, const Tensor& weight,
                 canonical_weighted_sum(alpha.data(), dots.data(), cin) *
                 alpha_w[co];
           } else {
-            const float post = scaling == bitops::InputScaling::kScalar
-                                   ? alpha_t.at4(ni, 0, oy, ox)
-                                   : 1.0f;
-            out.at4(ni, co, oy, ox) = dense_epilogue(count, alpha_w[co], post);
+            out.at4(ni, co, oy, ox) = dense_epilogue(
+                count, alpha_w[co], alpha_t.at4(ni, 0, oy, ox));
           }
         }
       }

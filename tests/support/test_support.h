@@ -123,7 +123,8 @@ inline tensor::Tensor packed_sign_product(const bitops::BitMatrix& a,
 
 // The sign streams of a plain channel-major tensor [C, N, H, W] for `spec`:
 // the conv input stage under the identity affine, whose BN expression
-// returns every input unchanged but -0, and sign(-0) = sign(+0).
+// returns every input unchanged but -0, and sign(-0) = sign(+0). The
+// stage's alpha_T is not used.
 inline bitops::SignStreams sign_streams(const tensor::Tensor& channel_major,
                                         const tensor::ConvSpec& spec) {
   const std::vector<float> zeros(
@@ -132,7 +133,7 @@ inline bitops::SignStreams sign_streams(const tensor::Tensor& channel_major,
   return bitops::conv_input(channel_major,
                             {zeros.data(), ones.data(), ones.data(),
                              zeros.data()},
-                            spec, bitops::InputScaling::kNone)
+                            spec, bitops::InputScaling::kPerChannel)
       .bits;
 }
 
