@@ -1,9 +1,6 @@
 #include "dataset/dataset.h"
 
-#include <fstream>
-
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace hotspot::dataset {
@@ -119,77 +116,6 @@ std::vector<std::size_t> HotspotDataset::all_indices(util::Rng* rng) const {
     rng->shuffle(indices);
   }
   return indices;
-}
-
-namespace {
-constexpr std::uint32_t kMagic = 0x48534453;  // "HSDS"
-}  // namespace
-
-bool HotspotDataset::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    HOTSPOT_LOG(kError) << "cannot open " << path << " for writing";
-    return false;
-  }
-  const std::uint32_t magic = kMagic;
-  const auto count = static_cast<std::uint64_t>(samples_.size());
-  const auto size = static_cast<std::uint32_t>(image_size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-  for (const auto& sample : samples_) {
-    const auto label = static_cast<std::uint8_t>(sample.label);
-    const auto family = static_cast<std::uint8_t>(sample.family);
-    out.write(reinterpret_cast<const char*>(&label), 1);
-    out.write(reinterpret_cast<const char*>(&family), 1);
-    out.write(reinterpret_cast<const char*>(sample.pixels.data()),
-              static_cast<std::streamsize>(sample.pixels.size()));
-  }
-  return out.good();
-}
-
-std::optional<HotspotDataset> HotspotDataset::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    HOTSPOT_LOG(kError) << "cannot open " << path << " for reading";
-    return std::nullopt;
-  }
-  std::uint32_t magic = 0;
-  std::uint64_t count = 0;
-  std::uint32_t size = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  if (!in.good() || magic != kMagic || size == 0) {
-    HOTSPOT_LOG(kError) << path << ": not a dataset file";
-    return std::nullopt;
-  }
-  HotspotDataset dataset;
-  dataset.reserve(count);
-  const std::size_t pixel_count = static_cast<std::size_t>(size) * size;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ClipSample sample;
-    sample.size = static_cast<std::int32_t>(size);
-    std::uint8_t label = 0;
-    std::uint8_t family = 0;
-    in.read(reinterpret_cast<char*>(&label), 1);
-    in.read(reinterpret_cast<char*>(&family), 1);
-    if (family >= kFamilyCount || label > 1) {
-      HOTSPOT_LOG(kError) << path << ": corrupt sample header";
-      return std::nullopt;
-    }
-    sample.label = static_cast<std::int8_t>(label);
-    sample.family = static_cast<Family>(family);
-    sample.pixels.resize(pixel_count);
-    in.read(reinterpret_cast<char*>(sample.pixels.data()),
-            static_cast<std::streamsize>(pixel_count));
-    if (!in.good()) {
-      HOTSPOT_LOG(kError) << path << ": truncated dataset";
-      return std::nullopt;
-    }
-    dataset.add(std::move(sample));
-  }
-  return dataset;
 }
 
 }  // namespace hotspot::dataset

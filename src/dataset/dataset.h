@@ -1,8 +1,6 @@
-// Container for labelled clip samples, batch assembly, and (de)serialization.
+// Container for labelled clip samples and batch assembly.
 #pragma once
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "dataset/sample.h"
@@ -48,10 +46,6 @@ class HotspotDataset {
 
   // Indices of all samples, shuffled when an rng is supplied.
   std::vector<std::size_t> all_indices(util::Rng* rng = nullptr) const;
-
-  // Binary file round trip. Returns false on I/O failure or corrupt data.
-  bool save(const std::string& path) const;
-  static std::optional<HotspotDataset> load(const std::string& path);
 
  private:
   std::vector<ClipSample> samples_;

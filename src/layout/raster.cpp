@@ -2,15 +2,26 @@
 
 #include <algorithm>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace hotspot::layout {
+namespace {
 
-tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
-                                  std::int64_t grid) {
-  HOTSPOT_CHECK_GT(grid, 0);
+// Adds the area fraction each rect of `pattern` covers to
+// coverage[0, grid * grid), saturating at 1, rect by rect in pattern order.
+// A rect's x-overlap with each column it touches is computed once into
+// `column_overlap` and reused down its rows. Every pixel must get the same
+// doubles in the same order whichever entry point runs, so that
+// rasterize_bits stays bit-identical to thresholding rasterize_coverage.
+void accumulate_coverage(const Pattern& pattern, const Rect& window,
+                         std::int64_t grid, float* coverage,
+                         std::vector<double>& column_overlap) {
   HOTSPOT_CHECK(!window.empty()) << "window " << to_string(window);
-  tensor::Tensor raster({grid, grid});
   const double px_w = static_cast<double>(window.width()) /
                       static_cast<double>(grid);
   const double px_h = static_cast<double>(window.height()) /
@@ -32,6 +43,18 @@ tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
     const auto py1 = std::min<std::int64_t>(
         grid - 1, static_cast<std::int64_t>(
                       (static_cast<double>(cut.y1 - window.y0) - 1e-9) / px_h));
+    if (px1 < px0) {
+      continue;
+    }
+    column_overlap.resize(static_cast<std::size_t>(px1 - px0 + 1));
+    for (std::int64_t px = px0; px <= px1; ++px) {
+      const double cell_x0 = static_cast<double>(window.x0) +
+                             static_cast<double>(px) * px_w;
+      const double cell_x1 = cell_x0 + px_w;
+      column_overlap[static_cast<std::size_t>(px - px0)] =
+          std::min(cell_x1, static_cast<double>(cut.x1)) -
+          std::max(cell_x0, static_cast<double>(cut.x0));
+    }
     for (std::int64_t py = py0; py <= py1; ++py) {
       const double cell_y0 = static_cast<double>(window.y0) +
                              static_cast<double>(py) * px_h;
@@ -41,21 +64,46 @@ tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
       if (oy <= 0.0) {
         continue;
       }
-      for (std::int64_t px = px0; px <= px1; ++px) {
-        const double cell_x0 = static_cast<double>(window.x0) +
-                               static_cast<double>(px) * px_w;
-        const double cell_x1 = cell_x0 + px_w;
-        const double ox = std::min(cell_x1, static_cast<double>(cut.x1)) -
-                          std::max(cell_x0, static_cast<double>(cut.x0));
+      float* row = coverage + py * grid + px0;
+      for (std::size_t i = 0; i < column_overlap.size(); ++i) {
+        const double ox = column_overlap[i];
         if (ox <= 0.0) {
           continue;
         }
-        raster.at2(py, px) = std::min(
-            1.0f, raster.at2(py, px) +
-                      static_cast<float>(ox * oy / px_area));
+        row[i] = std::min(1.0f, row[i] + static_cast<float>(ox * oy / px_area));
       }
     }
   }
+}
+
+// Packs coverage[i] >= 0.5 into out[0, packed_bytes(count)) in pack_bits
+// order. SSE2 compares four pixels per instruction, a byte per two
+// compares; the tail past the last whole byte goes through pack_bits.
+void pack_threshold(const float* coverage, std::size_t count,
+                    std::uint8_t* out) {
+  const auto is_set = [](float value) { return value >= 0.5f; };
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128 half = _mm_set1_ps(0.5f);
+  for (; i + 8 <= count; i += 8) {
+    const int low =
+        _mm_movemask_ps(_mm_cmpge_ps(_mm_loadu_ps(coverage + i), half));
+    const int high =
+        _mm_movemask_ps(_mm_cmpge_ps(_mm_loadu_ps(coverage + i + 4), half));
+    out[i / 8] = static_cast<std::uint8_t>(low | (high << 4));
+  }
+#endif
+  util::pack_bits(coverage + i, count - i, is_set, out + i / 8);
+}
+
+}  // namespace
+
+tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
+                                  std::int64_t grid) {
+  HOTSPOT_CHECK_GT(grid, 0);
+  tensor::Tensor raster({grid, grid});
+  std::vector<double> column_overlap;
+  accumulate_coverage(pattern, window, grid, raster.data(), column_overlap);
   return raster;
 }
 
@@ -66,6 +114,18 @@ tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
     coverage[i] = coverage[i] >= 0.5f ? 1.0f : 0.0f;
   }
   return coverage;
+}
+
+void rasterize_bits(const Pattern& pattern, const Rect& window,
+                    std::int64_t grid, RasterScratch& scratch,
+                    std::vector<std::uint8_t>& out) {
+  HOTSPOT_CHECK_GT(grid, 0);
+  const auto pixels = static_cast<std::size_t>(grid * grid);
+  scratch.coverage.assign(pixels, 0.0f);
+  accumulate_coverage(pattern, window, grid, scratch.coverage.data(),
+                      scratch.column_overlap);
+  out.resize(util::packed_bytes(pixels));
+  pack_threshold(scratch.coverage.data(), pixels, out.data());
 }
 
 }  // namespace hotspot::layout

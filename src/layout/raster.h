@@ -1,6 +1,9 @@
 // Rasterization of Manhattan patterns to pixel grids.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "layout/geometry.h"
 #include "tensor/tensor.h"
 
@@ -15,5 +18,21 @@ tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
 // Coverage raster thresholded at 0.5 into a binary {0,1} image.
 tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
                                 std::int64_t grid);
+
+// Buffers rasterize_bits accumulates in. A caller that rasterizes window
+// after window keeps one, so a window allocates nothing once the buffers
+// have grown to the grid.
+struct RasterScratch {
+  std::vector<float> coverage;         // grid * grid area fractions
+  std::vector<double> column_overlap;  // one rect's x-overlap per column
+};
+
+// The binary raster, bit-packed LSB-first (util::pack_bits): pixel i in
+// row-major order is bit i % 8 of out[i / 8]. `out` is resized to
+// util::packed_bytes(grid * grid) and its pad bits are zero, so the bytes
+// equal pack_bits over rasterize_binary's output.
+void rasterize_bits(const Pattern& pattern, const Rect& window,
+                    std::int64_t grid, RasterScratch& scratch,
+                    std::vector<std::uint8_t>& out);
 
 }  // namespace hotspot::layout

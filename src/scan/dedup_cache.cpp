@@ -1,23 +1,42 @@
 #include "scan/dedup_cache.h"
 
+#include <cstring>
 #include <new>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/fault_injection.h"
 
 namespace hotspot::scan {
 
 std::uint64_t hash_raster(const RasterKey& pixels) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV offset basis
-  for (const std::uint8_t byte : pixels) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;  // FNV prime
+  // Every step below is a bijection of the state for a fixed input word,
+  // and xor-ing in a word is injective in that word, so two keys of one
+  // length that differ in any bit hash differently. The length goes in
+  // last: "n zero bytes" and "m zero bytes" differ there even though the
+  // zero-padded words would not.
+  constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ULL;  // odd
+  const auto mix = [](std::uint64_t state, std::uint64_t word) {
+    state = (state ^ word) * kMultiplier;
+    return state ^ (state >> 29);
+  };
+  std::uint64_t hash = 0x243f6a8885a308d3ULL;
+  const std::size_t size = pixels.size();
+  const std::size_t whole = size - size % 8;
+  for (std::size_t at = 0; at < whole; at += 8) {
+    hash = mix(hash, util::load_le<std::uint64_t>(pixels.data() + at));
   }
-  // Mix in the length so "all zeros, n pixels" and "all zeros, m pixels"
-  // differ even though the byte stream hash would not.
-  hash ^= static_cast<std::uint64_t>(pixels.size());
-  hash *= 1099511628211ULL;
-  return hash;
+  if (whole < size) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, pixels.data() + whole, size - whole);
+    hash = mix(hash, tail);
+  }
+  hash = mix(hash, static_cast<std::uint64_t>(size));
+  // A final avalanche so the bucket index (hash modulo the table size)
+  // depends on every word.
+  hash ^= hash >> 32;
+  hash *= 0xd6e8feb86659fd93ULL;
+  return hash ^ (hash >> 32);
 }
 
 std::int64_t RasterDedupCache::find(std::uint64_t hash,

@@ -3,9 +3,11 @@
 // Tiled chips repeat their window rasters heavily; two windows with the
 // same binary raster must get the same verdict from a deterministic
 // detector, so the scan only pays inference once per distinct raster. The
-// cache keys on the raw {0,1} pixel bytes: a 64-bit FNV-1a hash picks the
-// bucket and a full byte comparison confirms the match, so a hash collision
-// can never replay the wrong verdict — the bit-identical guarantee survives.
+// cache keys on the raster's bytes; the scan's keys are the binary raster
+// bit-packed LSB-first (layout::rasterize_bits), (grid² + 7) / 8 bytes —
+// 128 B at 32 px. A 64-bit hash over 8-byte words picks the bucket and a
+// full byte comparison confirms the match, so a hash collision can never
+// replay the wrong verdict — the bit-identical guarantee survives.
 //
 // Memory is bounded: an entry cap and a payload-byte cap (either 0 =
 // unlimited) evict the least-recently-used raster to make room, so a
@@ -15,7 +17,8 @@
 // are never wrong, and the eviction order is a pure function of the access
 // sequence, so journal resume replays it exactly. Evictions are counted
 // locally (evictions()) and on the scan.dedup.evictions counter; the live
-// payload size is mirrored onto the scan.dedup.bytes gauge.
+// payload size is mirrored onto the scan.dedup.bytes gauge. Payload bytes
+// are key bytes: a packed scan key costs one byte per eight pixels.
 //
 // The cache is single-writer (the scan producer); it is not thread-safe.
 // find() refreshes recency, so it is not const.
@@ -28,16 +31,20 @@
 
 namespace hotspot::scan {
 
+// A raster as the cache keys it; the cache treats a key as opaque bytes.
 using RasterKey = std::vector<std::uint8_t>;
 
-// FNV-1a over the pixel bytes.
+// A 64-bit hash of the key read in 8-byte words (the last one zero-padded)
+// and then its length. Any single-bit change changes the hash. The hash is
+// never persisted, so it may change between builds.
 std::uint64_t hash_raster(const RasterKey& pixels);
 
 class RasterDedupCache {
  public:
   // `max_entries` bounds the number of distinct rasters remembered and
-  // `max_bytes` their total pixel payload; 0 = unlimited. When a cap would
-  // be exceeded the least-recently-used entries are evicted to make room.
+  // `max_bytes` the total bytes of their keys; 0 = unlimited. When a cap
+  // would be exceeded the least-recently-used entries are evicted to make
+  // room.
   explicit RasterDedupCache(std::size_t max_entries = 0,
                             std::size_t max_bytes = 0)
       : max_entries_(max_entries), max_bytes_(max_bytes) {}

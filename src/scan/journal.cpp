@@ -26,18 +26,27 @@ std::int64_t packed_raster_bytes(std::int64_t grid) {
       util::packed_bytes(static_cast<std::size_t>(grid * grid)));
 }
 
-// Journal rasters hold {0,1} bytes; any non-zero byte is a set pixel.
+// Journal rasters are scan keys: the binary raster already bit-packed in
+// util::pack_bits order, so they are written and read as the bytes they are.
 void put_raster(ByteWriter& out, const RasterKey& pixels, std::int64_t grid) {
-  HOTSPOT_CHECK_EQ(static_cast<std::int64_t>(pixels.size()), grid * grid)
+  HOTSPOT_CHECK_EQ(static_cast<std::int64_t>(pixels.size()),
+                   packed_raster_bytes(grid))
       << "raster size does not match the journal's grid";
-  out.bits(pixels.data(), pixels.size(),
-           [](std::uint8_t pixel) { return pixel != 0; });
+  out.bytes(pixels);
 }
 
+// Clears the pad bits past grid², which readers of the format ignore, so a
+// recovered key equals the one the producer built from the same window.
 bool read_raster(ByteReader& reader, std::int64_t grid, RasterKey& out) {
-  out.resize(static_cast<std::size_t>(grid * grid));
-  return reader.bits(out.size(), std::uint8_t{0}, std::uint8_t{1},
-                     out.data());
+  if (!reader.bytes(static_cast<std::size_t>(packed_raster_bytes(grid)),
+                    &out)) {
+    return false;
+  }
+  const std::int64_t tail_bits = (grid * grid) % 8;
+  if (tail_bits != 0) {
+    out.back() &= static_cast<std::uint8_t>((1u << tail_bits) - 1u);
+  }
+  return true;
 }
 
 std::vector<std::uint8_t> encode_header(const JournalMeta& meta) {

@@ -12,12 +12,12 @@
 //
 // Each batch record carries the window span the batch consumed, the
 // window -> entry mapping over that span, and — for every *new* distinct
-// raster the batch classified — its verdict plus the bit-packed raster
-// pixels. That is exactly the state a resumed scan needs to (a) skip the
-// journaled windows, (b) rebuild the dedup cache (including LRU order, by
-// replaying the access sequence), and (c) replay journaled verdicts into
-// the final label grid — so a `--resume` run is bit-identical to an
-// uninterrupted one.
+// raster the batch classified — its verdict plus its dedup key, the
+// bit-packed raster, byte for byte. That is exactly the state a resumed
+// scan needs to (a) skip the journaled windows, (b) rebuild the dedup cache
+// (including LRU order, by replaying the access sequence), and (c) replay
+// journaled verdicts into the final label grid — so a `--resume` run is
+// bit-identical to an uninterrupted one.
 //
 // Appends are fsync'ed per record. A crash mid-append leaves a torn tail
 // record whose CRC (or truncated frame) fails; recovery keeps the longest
@@ -75,8 +75,9 @@ struct JournalState {
   std::vector<std::int64_t> window_entry;
   // Verdict per entry id; -1 = quarantined entry (classification failed).
   std::vector<std::int32_t> entry_verdicts;
-  // Unpacked {0,1} pixel bytes per entry id (grid*grid each) — the dedup
-  // cache's rebuild material.
+  // Packed raster key per entry id ((grid² + 7) / 8 bytes each, pad bits
+  // zero), equal to the producer's key — the dedup cache's rebuild
+  // material.
   std::vector<RasterKey> entry_pixels;
 
   std::int64_t entry_count() const {

@@ -7,11 +7,13 @@
 #include <thread>
 #include <utility>
 
+#include "layout/raster.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scan/dedup_cache.h"
 #include "scan/journal.h"
 #include "util/bounded_queue.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/stopwatch.h"
@@ -80,7 +82,8 @@ struct BatchPlan {
   std::int64_t win_end = 0;
   // window_entry slice over [win_begin, win_end); -1 = quarantined.
   std::vector<std::int64_t> entries;
-  // Pixels of the `count` new entries, in entry order (journaling only).
+  // Packed keys of the `count` new entries, in entry order (journaling
+  // only).
   std::vector<RasterKey> pixels;
 };
 
@@ -160,8 +163,7 @@ class BatchProducer {
     WindowRef ref;
     while (count < config_.batch_size && stream_.next(ref)) {
       ++windows_in_batch;
-      std::optional<WindowOutcome> outcome =
-          process_window(ref, pixels_per_window);
+      std::optional<WindowOutcome> outcome = process_window(ref);
       if (!outcome) {
         window_entry_[static_cast<std::size_t>(ref.index)] = -1;
         continue;
@@ -171,11 +173,14 @@ class BatchProducer {
         ++hits_in_batch;
         continue;
       }
-      for (const std::uint8_t pixel : outcome->pixels) {
-        slots.push_back(static_cast<float>(pixel));
-      }
+      // The miss's only unpack: its key, into its batch slot.
+      const std::size_t slot = slots.size();
+      slots.resize(slot + static_cast<std::size_t>(pixels_per_window));
+      util::unpack_bits(key_.data(),
+                        static_cast<std::size_t>(pixels_per_window), 0.0f,
+                        1.0f, slots.data() + slot);
       if (keep_pixels_) {
-        batch_pixels.push_back(std::move(outcome->pixels));
+        batch_pixels.push_back(key_);
       }
       ++next_entry_;
       ++count;
@@ -219,17 +224,17 @@ class BatchProducer {
 
  private:
   struct WindowOutcome {
-    bool is_new = false;        // a new distinct raster (needs inference)
-    std::int64_t entry = -1;    // entry id (existing on a dedup hit)
-    RasterKey pixels;           // set when is_new
+    bool is_new = false;      // a new distinct raster, left in key_
+    std::int64_t entry = -1;  // entry id (existing on a dedup hit)
   };
 
   // One window under the scan's guard; nullopt = quarantined. The attempt
-  // keeps all cache mutation last, after its deadline check (and
-  // RasterDedupCache::insert probes its fault before mutating), so a failed
-  // attempt leaves no partial state behind and the retry replays cleanly.
-  std::optional<WindowOutcome> process_window(
-      const WindowRef& ref, std::int64_t pixels_per_window) {
+  // rasterizes into key_, reusing scratch_ and key_'s storage, so a dedup
+  // hit allocates no raster. It keeps all cache mutation last, after its
+  // deadline check (and RasterDedupCache::insert probes its fault before
+  // mutating), so a failed attempt leaves no partial state behind and the
+  // retry replays cleanly.
+  std::optional<WindowOutcome> process_window(const WindowRef& ref) {
     return run_guarded(
         config_, config_.window_deadline_ms, stats_.retries,
         [&](const AttemptClock& clock) {
@@ -239,26 +244,24 @@ class BatchProducer {
             throw std::runtime_error("injected raster compute fault");
           }
           const layout::Clip clip = stream_.materialize(ref);
-          const tensor::Tensor raster = clip.binary(config_.grid);
-          RasterKey pixels(static_cast<std::size_t>(pixels_per_window));
-          const float* src = raster.data();
-          for (std::int64_t i = 0; i < pixels_per_window; ++i) {
-            pixels[static_cast<std::size_t>(i)] = src[i] != 0.0f ? 1 : 0;
-          }
+          layout::rasterize_bits(clip.pattern, clip.window(), config_.grid,
+                                 scratch_, key_);
           clock.check_deadline();
-          const std::uint64_t hash = hash_raster(pixels);
-          const std::int64_t cached = cache_.find(hash, pixels);
+          const std::uint64_t hash = hash_raster(key_);
+          const std::int64_t cached = cache_.find(hash, key_);
           if (cached >= 0) {
-            return WindowOutcome{false, cached, {}};
+            return WindowOutcome{false, cached};
           }
-          cache_.insert(hash, pixels, next_entry_);
-          return WindowOutcome{true, next_entry_, std::move(pixels)};
+          cache_.insert(hash, key_, next_entry_);
+          return WindowOutcome{true, next_entry_};
         });
   }
 
   ScanConfig config_;
   ClipWindowStream stream_;
   RasterDedupCache cache_;
+  layout::RasterScratch scratch_;  // coverage buffers, reused per window
+  RasterKey key_;                  // the last window's packed raster
   bool keep_pixels_;
   ScanStats& stats_;
   std::vector<std::int64_t> window_entry_;  // window index -> entry id

@@ -55,7 +55,9 @@ struct ScanConfig {
   std::int64_t grid = 32;      // raster resolution fed to the classifier
   int batch_size = 64;         // distinct rasters per inference batch
   std::size_t dedup_max_entries = 0;  // LRU entry cap; 0 = unlimited
-  std::size_t dedup_max_bytes = 0;    // LRU payload-byte cap; 0 = unlimited
+  // LRU cap on the dedup keys' bytes; 0 = unlimited. A key is the window's
+  // binary raster bit-packed, (grid² + 7) / 8 bytes (128 B at 32 px).
+  std::size_t dedup_max_bytes = 0;
 
   // Fault tolerance (DESIGN.md §13).
   int window_deadline_ms = 0;  // per-window attempt budget; 0 = no deadline

@@ -125,15 +125,6 @@ class ByteWriter {
     return length<Len>(text.size()).bytes(text.data(), text.size());
   }
 
-  // values[0, count) bit-packed (see pack_bits).
-  template <typename T, typename IsSet>
-  ByteWriter& bits(const T* values, std::size_t count, IsSet is_set) {
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + packed_bytes(count));
-    pack_bits(values, count, is_set, bytes_.data() + at);
-    return *this;
-  }
-
   const std::uint8_t* data() const { return bytes_.data(); }
   std::size_t size() const { return bytes_.size(); }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -222,18 +213,6 @@ class ByteReader {
       return false;
     }
     out->assign(reinterpret_cast<const char*>(at), size);
-    return true;
-  }
-
-  // `count` bit-packed values expanded into out[0, count) (see
-  // unpack_bits).
-  template <typename T>
-  bool bits(std::size_t count, T zero, T one, T* out) {
-    const std::uint8_t* packed = bytes(packed_bytes(count));
-    if (packed == nullptr) {
-      return false;
-    }
-    unpack_bits(packed, count, zero, one, out);
     return true;
   }
 

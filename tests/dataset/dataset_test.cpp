@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <string>
 
-#include "support/test_support.h"
 #include "tensor/tensor_ops.h"
 
 namespace hotspot::dataset {
@@ -86,24 +84,6 @@ TEST(Dataset, AllIndicesShuffledIsPermutation) {
   const auto indices = data.all_indices(&rng);
   std::set<std::size_t> unique(indices.begin(), indices.end());
   EXPECT_EQ(unique.size(), 20u);
-}
-
-TEST(Dataset, SaveLoadRoundTrip) {
-  HotspotDataset data;
-  data.add(make_sample(1, Family::kTipToTip));
-  data.add(make_sample(0, Family::kComb, 0.0f));
-  const std::string path = test_support::test_path("dataset_roundtrip.bin");
-  ASSERT_TRUE(data.save(path));
-  const auto loaded = HotspotDataset::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ(loaded->sample(0).label, 1);
-  EXPECT_EQ(loaded->sample(0).family, Family::kTipToTip);
-  EXPECT_EQ(loaded->sample(1).pixels, data.sample(1).pixels);
-}
-
-TEST(Dataset, LoadMissingFileFails) {
-  EXPECT_FALSE(HotspotDataset::load("/nonexistent/nope.bin").has_value());
 }
 
 TEST(Dataset, EmptyDatasetProperties) {

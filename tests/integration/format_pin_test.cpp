@@ -24,6 +24,7 @@
 #include "scan/journal.h"
 #include "serve/protocol.h"
 #include "support/test_support.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace hotspot {
@@ -149,8 +150,16 @@ scan::JournalMeta pin_meta() {
 
 const std::vector<std::int64_t> kWindowEntries = {0, 1, -1, 0};
 const std::vector<std::int32_t> kVerdicts = {1, -1};
-const std::vector<scan::RasterKey> kPixels = {{1, 0, 1, 0, 1, 0, 1, 1, 1},
-                                              {0, 1, 1, 0, 0, 0, 1, 0, 0}};
+// The scan's keys: each raster's pixels bit-packed LSB-first.
+scan::RasterKey packed(std::initializer_list<int> pixels) {
+  scan::RasterKey key(util::packed_bytes(pixels.size()));
+  util::pack_bits(pixels.begin(), pixels.size(),
+                  [](int pixel) { return pixel != 0; }, key.data());
+  return key;
+}
+
+const std::vector<scan::RasterKey> kPixels = {
+    packed({1, 0, 1, 0, 1, 0, 1, 1, 1}), packed({0, 1, 1, 0, 0, 0, 1, 0, 0})};
 
 TEST(FormatPin, ScanJournalHeaderAndBatchRecord) {
   const std::string path = test_path("pin.journal");

@@ -197,12 +197,19 @@ TEST(HashRaster, LengthDisambiguatesZeroRuns) {
 }
 
 TEST(HashRaster, SensitiveToEveryPixel) {
-  RasterKey base(64, 0);
-  const std::uint64_t reference = hash_raster(base);
+  // A packed 30 x 30 key: 900 pixels in 113 bytes, so the hash reads 14
+  // whole words and a one-byte tail whose last four bits are pixels.
+  constexpr std::size_t kPixels = 30 * 30;
+  RasterKey base((kPixels + 7) / 8, 0);
   for (std::size_t i = 0; i < base.size(); ++i) {
+    base[i] = static_cast<std::uint8_t>(i * 37);
+  }
+  base.back() &= 0x0f;
+  const std::uint64_t reference = hash_raster(base);
+  for (std::size_t bit = 0; bit < kPixels; ++bit) {
     RasterKey flipped = base;
-    flipped[i] = 1;
-    EXPECT_NE(hash_raster(flipped), reference) << "pixel " << i;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_NE(hash_raster(flipped), reference) << "pixel " << bit;
   }
 }
 

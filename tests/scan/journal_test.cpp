@@ -49,11 +49,11 @@ JournalMeta test_meta() {
   return meta;
 }
 
+// A raster as the scan keys it: its pixels bit-packed LSB-first.
 RasterKey raster(std::initializer_list<int> bits) {
-  RasterKey key;
-  for (const int bit : bits) {
-    key.push_back(static_cast<std::uint8_t>(bit));
-  }
+  RasterKey key(util::packed_bytes(bits.size()));
+  util::pack_bits(bits.begin(), bits.size(),
+                  [](int bit) { return bit != 0; }, key.data());
   return key;
 }
 
@@ -374,6 +374,25 @@ TEST(ScanJournal, InjectedAppendFaultLeavesRecoverableTornTail) {
   ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
   EXPECT_EQ(state.windows_done, 2);  // the half-written record is dropped
   EXPECT_EQ(state.entry_count(), 2);
+}
+
+// Readers ignore the pad bits past grid² (here the high four bits of a 2x2
+// raster's byte), and a recovered key has them clear, so it equals the key
+// the producer builds from the same window and the rebuilt cache hits.
+TEST(ScanJournal, RecoveredKeyClearsPadBits) {
+  const std::string path = test_path("journal_pad_bits.bin");
+  remove_journal(path);
+  {
+    ScanJournal journal;
+    JournalState fresh;
+    ASSERT_TRUE(journal.open(path, test_meta(), /*resume=*/false, &fresh));
+    ASSERT_TRUE(journal.append_batch(0, 1, 0, {0}, {1}, {RasterKey{0xa5}}));
+  }
+  JournalState state;
+  ASSERT_TRUE(ScanJournal::recover(path, test_meta(), &state));
+  ASSERT_EQ(state.entry_pixels.size(), 1u);
+  EXPECT_EQ(state.entry_pixels[0], raster({1, 0, 1, 0}));
+  remove_journal(path);
 }
 
 TEST(ScanJournal, BadMagicIsBadFormat) {

@@ -90,7 +90,6 @@ TEST(ByteCodec, FieldsAreLittleEndian) {
 
 // One of every field kind, in the order decode_sample reads them back.
 std::vector<std::uint8_t> encode_sample() {
-  const std::vector<std::uint8_t> raster = {1, 0, 1, 1, 0, 0, 0, 1, 1, 1};
   const std::vector<std::int32_t> ints = {-7, 9};
   ByteWriter writer;
   writer.put(std::uint8_t{0xab})
@@ -100,9 +99,7 @@ std::vector<std::uint8_t> encode_sample() {
       .put(1.5f)
       .put(-2.25)
       .string<std::uint8_t>("tenant")
-      .array(ints.data(), ints.size())
-      .bits(raster.data(), raster.size(),
-            [](std::uint8_t pixel) { return pixel != 0; });
+      .array(ints.data(), ints.size());
   return writer.take();
 }
 
@@ -116,13 +113,10 @@ bool decode_sample(ByteReader& reader) {
   std::uint8_t text_len = 0;
   std::string text;
   std::vector<std::int32_t> ints;
-  std::vector<std::uint8_t> raster(10);
   if (!reader.read(&u8) || !reader.read(&u16) || !reader.read(&u32) ||
       !reader.read(&u64) || !reader.read(&f32) || !reader.read(&f64) ||
       !reader.read(&text_len) || !reader.string(text_len, 16, &text) ||
-      !reader.array(2, &ints) ||
-      !reader.bits(raster.size(), std::uint8_t{0}, std::uint8_t{1},
-                   raster.data())) {
+      !reader.array(2, &ints)) {
     return false;
   }
   EXPECT_EQ(u8, 0xab);
@@ -133,7 +127,6 @@ bool decode_sample(ByteReader& reader) {
   EXPECT_EQ(f64, -2.25);
   EXPECT_EQ(text, "tenant");
   EXPECT_EQ(ints, (std::vector<std::int32_t>{-7, 9}));
-  EXPECT_EQ(raster, (std::vector<std::uint8_t>{1, 0, 1, 1, 0, 0, 0, 1, 1, 1}));
   return true;
 }
 
