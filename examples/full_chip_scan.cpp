@@ -39,6 +39,7 @@
 #include <ctime>
 #include <exception>
 #include <string>
+#include <vector>
 
 #include "cli_util.h"
 #include "core/brnn.h"
@@ -233,8 +234,10 @@ int main(int argc, char** argv) {
   eval::ConfusionMatrix matrix;
   util::Stopwatch litho_timer;
   scan::WindowRef ref;
+  layout::Clip clip{layout::Pattern(), scan_config.window_nm};
+  std::vector<std::int64_t> candidates;
   while (oracle_stream.next(ref)) {
-    const layout::Clip clip = oracle_stream.materialize(ref);
+    oracle_stream.materialize(ref, clip.pattern, candidates);
     matrix.record(simulator.is_hotspot(clip) ? 1 : 0,
                   result.labels[static_cast<std::size_t>(ref.index)]);
   }

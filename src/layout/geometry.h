@@ -48,6 +48,9 @@ class Pattern {
 
   void add(const Rect& rect);
 
+  // Removes every rect, keeping the storage for the next add().
+  void clear() { rects_.clear(); }
+
   const std::vector<Rect>& rects() const { return rects_; }
   bool empty() const { return rects_.empty(); }
   std::size_t size() const { return rects_.size(); }

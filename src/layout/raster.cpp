@@ -15,18 +15,25 @@ namespace {
 // Adds the area fraction each rect of `pattern` covers to
 // coverage[0, grid * grid), saturating at 1, rect by rect in pattern order.
 // A rect's x-overlap with each column it touches is computed once into
-// `column_overlap` and reused down its rows. Every pixel must get the same
-// doubles in the same order whichever entry point runs, so that
+// scratch.column_overlap, clamped at 0 so a column the rect misses gains +0
+// (and min(1, c + 0) == c on [0, 1], as if it were skipped). A row's gains
+// float(ox * oy / px_area) go into scratch.row_gain, evaluated again only
+// when the row's y-overlap oy differs from the last one evaluated for this
+// rect, so a rect's interior rows share one evaluation; the add-and-saturate
+// over the row then vectorizes. Every pixel gets the same doubles, the same
+// expression and the same order whichever entry point runs, so that
 // rasterize_bits stays bit-identical to thresholding rasterize_coverage.
 void accumulate_coverage(const Pattern& pattern, const Rect& window,
                          std::int64_t grid, float* coverage,
-                         std::vector<double>& column_overlap) {
+                         RasterScratch& scratch) {
   HOTSPOT_CHECK(!window.empty()) << "window " << to_string(window);
   const double px_w = static_cast<double>(window.width()) /
                       static_cast<double>(grid);
   const double px_h = static_cast<double>(window.height()) /
                       static_cast<double>(grid);
   const double px_area = px_w * px_h;
+  std::vector<double>& column_overlap = scratch.column_overlap;
+  std::vector<float>& row_gain = scratch.row_gain;
   for (const Rect& rect : pattern.rects()) {
     const Rect cut = intersect(rect, window);
     if (cut.empty()) {
@@ -46,15 +53,20 @@ void accumulate_coverage(const Pattern& pattern, const Rect& window,
     if (px1 < px0) {
       continue;
     }
-    column_overlap.resize(static_cast<std::size_t>(px1 - px0 + 1));
+    const auto columns = static_cast<std::size_t>(px1 - px0 + 1);
+    column_overlap.resize(columns);
+    row_gain.resize(columns);
     for (std::int64_t px = px0; px <= px1; ++px) {
       const double cell_x0 = static_cast<double>(window.x0) +
                              static_cast<double>(px) * px_w;
       const double cell_x1 = cell_x0 + px_w;
-      column_overlap[static_cast<std::size_t>(px - px0)] =
-          std::min(cell_x1, static_cast<double>(cut.x1)) -
-          std::max(cell_x0, static_cast<double>(cut.x0));
+      column_overlap[static_cast<std::size_t>(px - px0)] = std::max(
+          0.0, std::min(cell_x1, static_cast<double>(cut.x1)) -
+                   std::max(cell_x0, static_cast<double>(cut.x0)));
     }
+    // The oy row_gain holds for this rect; 0 means none yet, since rows
+    // with oy <= 0 are skipped.
+    double gain_oy = 0.0;
     for (std::int64_t py = py0; py <= py1; ++py) {
       const double cell_y0 = static_cast<double>(window.y0) +
                              static_cast<double>(py) * px_h;
@@ -64,13 +76,16 @@ void accumulate_coverage(const Pattern& pattern, const Rect& window,
       if (oy <= 0.0) {
         continue;
       }
-      float* row = coverage + py * grid + px0;
-      for (std::size_t i = 0; i < column_overlap.size(); ++i) {
-        const double ox = column_overlap[i];
-        if (ox <= 0.0) {
-          continue;
+      if (oy != gain_oy) {
+        for (std::size_t i = 0; i < columns; ++i) {
+          row_gain[i] = static_cast<float>(column_overlap[i] * oy / px_area);
         }
-        row[i] = std::min(1.0f, row[i] + static_cast<float>(ox * oy / px_area));
+        gain_oy = oy;
+      }
+      float* row = coverage + py * grid + px0;
+      const float* gain = row_gain.data();
+      for (std::size_t i = 0; i < columns; ++i) {
+        row[i] = std::min(1.0f, row[i] + gain[i]);
       }
     }
   }
@@ -102,8 +117,8 @@ tensor::Tensor rasterize_coverage(const Pattern& pattern, const Rect& window,
                                   std::int64_t grid) {
   HOTSPOT_CHECK_GT(grid, 0);
   tensor::Tensor raster({grid, grid});
-  std::vector<double> column_overlap;
-  accumulate_coverage(pattern, window, grid, raster.data(), column_overlap);
+  RasterScratch scratch;
+  accumulate_coverage(pattern, window, grid, raster.data(), scratch);
   return raster;
 }
 
@@ -123,7 +138,7 @@ void rasterize_bits(const Pattern& pattern, const Rect& window,
   const auto pixels = static_cast<std::size_t>(grid * grid);
   scratch.coverage.assign(pixels, 0.0f);
   accumulate_coverage(pattern, window, grid, scratch.coverage.data(),
-                      scratch.column_overlap);
+                      scratch);
   out.resize(util::packed_bytes(pixels));
   pack_threshold(scratch.coverage.data(), pixels, out.data());
 }

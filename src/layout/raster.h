@@ -21,10 +21,14 @@ tensor::Tensor rasterize_binary(const Pattern& pattern, const Rect& window,
 
 // Buffers rasterize_bits accumulates in. A caller that rasterizes window
 // after window keeps one, so a window allocates nothing once the buffers
-// have grown to the grid.
+// have grown to the grid. Only `coverage` outlives a rect; the other two are
+// rewritten for each rect the window holds.
 struct RasterScratch {
   std::vector<float> coverage;         // grid * grid area fractions
-  std::vector<double> column_overlap;  // one rect's x-overlap per column
+  std::vector<double> column_overlap;  // one rect's x-overlap per column,
+                                       // clamped at 0
+  std::vector<float> row_gain;         // one row's coverage gain per column:
+                                       // float(overlap * oy / pixel area)
 };
 
 // The binary raster, bit-packed LSB-first (util::pack_bits): pixel i in

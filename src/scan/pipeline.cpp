@@ -229,11 +229,12 @@ class BatchProducer {
   };
 
   // One window under the scan's guard; nullopt = quarantined. The attempt
-  // rasterizes into key_, reusing scratch_ and key_'s storage, so a dedup
-  // hit allocates no raster. It keeps all cache mutation last, after its
-  // deadline check (and RasterDedupCache::insert probes its fault before
-  // mutating), so a failed attempt leaves no partial state behind and the
-  // retry replays cleanly.
+  // materializes into window_pattern_ and rasterizes into key_, reusing
+  // their storage, candidates_ and scratch_, so a dedup hit allocates
+  // nothing. It keeps all cache mutation last, after its deadline check
+  // (and RasterDedupCache::insert probes its fault before mutating), so a
+  // failed attempt leaves no partial state behind and the retry replays
+  // cleanly.
   std::optional<WindowOutcome> process_window(const WindowRef& ref) {
     return run_guarded(
         config_, config_.window_deadline_ms, stats_.retries,
@@ -243,9 +244,11 @@ class BatchProducer {
                   util::FaultPoint::kScanRasterCompute)) {
             throw std::runtime_error("injected raster compute fault");
           }
-          const layout::Clip clip = stream_.materialize(ref);
-          layout::rasterize_bits(clip.pattern, clip.window(), config_.grid,
-                                 scratch_, key_);
+          stream_.materialize(ref, window_pattern_, candidates_);
+          layout::rasterize_bits(
+              window_pattern_,
+              layout::Rect{0, 0, stream_.size_nm(), stream_.size_nm()},
+              config_.grid, scratch_, key_);
           clock.check_deadline();
           const std::uint64_t hash = hash_raster(key_);
           const std::int64_t cached = cache_.find(hash, key_);
@@ -260,8 +263,11 @@ class BatchProducer {
   ScanConfig config_;
   ClipWindowStream stream_;
   RasterDedupCache cache_;
-  layout::RasterScratch scratch_;  // coverage buffers, reused per window
-  RasterKey key_;                  // the last window's packed raster
+  // Per-window buffers, reused from window to window.
+  layout::Pattern window_pattern_;       // the window's clipped geometry
+  std::vector<std::int64_t> candidates_;  // the stream's candidate scratch
+  layout::RasterScratch scratch_;        // coverage buffers
+  RasterKey key_;                        // the last window's packed raster
   bool keep_pixels_;
   ScanStats& stats_;
   std::vector<std::int64_t> window_entry_;  // window index -> entry id

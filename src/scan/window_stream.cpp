@@ -1,6 +1,7 @@
 #include "scan/window_stream.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.h"
 
@@ -10,6 +11,23 @@ namespace {
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
+}
+
+// The cells [first, last] that the half-open interval [lo, hi) touches,
+// cells `edge` wide from `origin` (lo >= origin for every rect and every
+// window the stream yields). One division finds the first cell; the last
+// needs a second only when the interval reaches past the first cell's far
+// edge. Callers clamp the span to the grid.
+struct CellSpan {
+  std::int64_t first = 0;
+  std::int64_t last = 0;
+};
+
+CellSpan cell_span(std::int64_t lo, std::int64_t hi, std::int64_t origin,
+                   std::int64_t edge) {
+  const std::int64_t first = (lo - origin) / edge;
+  const std::int64_t far_edge = origin + (first + 1) * edge;
+  return {first, hi - 1 < far_edge ? first : (hi - 1 - origin) / edge};
 }
 
 }  // namespace
@@ -34,22 +52,34 @@ ClipWindowStream::ClipWindowStream(const layout::Pattern& full,
   rows_ = ceil_div(box.y1 - box.y0, step_nm_);
 
   // Bucket the rects by size_nm-edge cells so one window materialization
-  // only visits candidates, not the whole chip.
+  // only visits candidates, not the whole chip. A counting sort into one
+  // flat array: count each cell's rects, prefix-sum the counts into each
+  // cell's end, then fill back to front so each cell's end walks down to
+  // its begin and its rect indices come out ascending.
   cell_cols_ = ceil_div(box.x1 - box.x0, size_nm_);
   cell_rows_ = ceil_div(box.y1 - box.y0, size_nm_);
-  cells_.resize(static_cast<std::size_t>(cell_cols_ * cell_rows_));
+  cell_begin_.assign(static_cast<std::size_t>(cell_cols_ * cell_rows_ + 1), 0);
   const auto& rects = full.rects();
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(rects.size()); ++i) {
-    const layout::Rect& rect = rects[static_cast<std::size_t>(i)];
-    const std::int64_t cx0 = (rect.x0 - origin_x_) / size_nm_;
-    const std::int64_t cx1 = (rect.x1 - 1 - origin_x_) / size_nm_;
-    const std::int64_t cy0 = (rect.y0 - origin_y_) / size_nm_;
-    const std::int64_t cy1 = (rect.y1 - 1 - origin_y_) / size_nm_;
-    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-      for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-        cells_[static_cast<std::size_t>(cy * cell_cols_ + cx)].push_back(i);
+  const auto for_each_cell = [&](const layout::Rect& rect, auto&& visit) {
+    const CellSpan xs = cell_span(rect.x0, rect.x1, origin_x_, size_nm_);
+    const CellSpan ys = cell_span(rect.y0, rect.y1, origin_y_, size_nm_);
+    for (std::int64_t cy = ys.first; cy <= ys.last; ++cy) {
+      for (std::int64_t cx = xs.first; cx <= xs.last; ++cx) {
+        visit(static_cast<std::size_t>(cy * cell_cols_ + cx));
       }
     }
+  };
+  for (const layout::Rect& rect : rects) {
+    for_each_cell(rect, [&](std::size_t cell) { ++cell_begin_[cell]; });
+  }
+  for (std::size_t cell = 1; cell < cell_begin_.size(); ++cell) {
+    cell_begin_[cell] += cell_begin_[cell - 1];
+  }
+  cell_rects_.resize(static_cast<std::size_t>(cell_begin_.back()));
+  for (auto i = static_cast<std::int64_t>(rects.size()) - 1; i >= 0; --i) {
+    for_each_cell(rects[static_cast<std::size_t>(i)], [&](std::size_t cell) {
+      cell_rects_[static_cast<std::size_t>(--cell_begin_[cell])] = i;
+    });
   }
 }
 
@@ -75,31 +105,47 @@ bool ClipWindowStream::next(WindowRef& out) {
   return true;
 }
 
-layout::Clip ClipWindowStream::materialize(const WindowRef& ref) const {
+void ClipWindowStream::materialize(
+    const WindowRef& ref, layout::Pattern& out,
+    std::vector<std::int64_t>& candidates) const {
+  out.clear();
   // Candidate rects from the cells the window overlaps, visited in
-  // insertion order so the result matches Pattern::clipped_to exactly.
-  std::vector<std::int64_t> candidates;
-  const std::int64_t cx0 =
-      std::max<std::int64_t>(0, (ref.window.x0 - origin_x_) / size_nm_);
-  const std::int64_t cx1 = std::min<std::int64_t>(
-      cell_cols_ - 1, (ref.window.x1 - 1 - origin_x_) / size_nm_);
-  const std::int64_t cy0 =
-      std::max<std::int64_t>(0, (ref.window.y0 - origin_y_) / size_nm_);
-  const std::int64_t cy1 = std::min<std::int64_t>(
-      cell_rows_ - 1, (ref.window.y1 - 1 - origin_y_) / size_nm_);
-  for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-    for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-      const auto& cell = cells_[static_cast<std::size_t>(cy * cell_cols_ + cx)];
-      candidates.insert(candidates.end(), cell.begin(), cell.end());
+  // ascending (insertion) order so the result matches Pattern::clipped_to
+  // exactly. One cell's list is already ascending and unique, so only a
+  // window spanning several cells gathers, sorts and dedups.
+  const CellSpan xs =
+      cell_span(ref.window.x0, ref.window.x1, origin_x_, size_nm_);
+  const CellSpan ys =
+      cell_span(ref.window.y0, ref.window.y1, origin_y_, size_nm_);
+  const std::int64_t cx0 = std::max<std::int64_t>(0, xs.first);
+  const std::int64_t cx1 = std::min<std::int64_t>(cell_cols_ - 1, xs.last);
+  const std::int64_t cy0 = std::max<std::int64_t>(0, ys.first);
+  const std::int64_t cy1 = std::min<std::int64_t>(cell_rows_ - 1, ys.last);
+  const auto cell_list = [&](std::int64_t cx, std::int64_t cy) {
+    const auto cell = static_cast<std::size_t>(cy * cell_cols_ + cx);
+    return std::span<const std::int64_t>(cell_rects_).subspan(
+        static_cast<std::size_t>(cell_begin_[cell]),
+        static_cast<std::size_t>(cell_begin_[cell + 1] - cell_begin_[cell]));
+  };
+  std::span<const std::int64_t> visit;
+  if (cx0 == cx1 && cy0 == cy1) {
+    visit = cell_list(cx0, cy0);
+  } else {
+    candidates.clear();
+    for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
+      for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+        const auto cell = cell_list(cx, cy);
+        candidates.insert(candidates.end(), cell.begin(), cell.end());
+      }
     }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    visit = candidates;
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
 
-  layout::Pattern clipped;
   const auto& rects = full_->rects();
-  for (const std::int64_t i : candidates) {
+  for (const std::int64_t i : visit) {
     layout::Rect cut =
         layout::intersect(rects[static_cast<std::size_t>(i)], ref.window);
     if (!cut.empty()) {
@@ -107,10 +153,16 @@ layout::Clip ClipWindowStream::materialize(const WindowRef& ref) const {
       cut.x1 -= ref.window.x0;
       cut.y0 -= ref.window.y0;
       cut.y1 -= ref.window.y0;
-      clipped.add(cut);
+      out.add(cut);
     }
   }
-  return layout::Clip{std::move(clipped), size_nm_};
+}
+
+layout::Clip ClipWindowStream::materialize(const WindowRef& ref) const {
+  layout::Clip clip{layout::Pattern(), size_nm_};
+  std::vector<std::int64_t> candidates;
+  materialize(ref, clip.pattern, candidates);
+  return clip;
 }
 
 }  // namespace hotspot::scan

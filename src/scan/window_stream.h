@@ -8,9 +8,12 @@
 //
 // A bucket index over the chip's rects (cell edge = window edge) makes each
 // materialization touch only the rects that can intersect the window,
-// instead of every rect on the chip. Candidates are visited in insertion
-// order, so the produced Clip is bit-identical — same rects, same order —
-// to Pattern::clipped_to over the full rect list.
+// instead of every rect on the chip. The index is one flat array of rect
+// indices, each cell's ascending, built by a counting sort. Candidates are
+// visited in insertion order, so the produced Clip is bit-identical — same
+// rects, same order — to Pattern::clipped_to over the full rect list. A
+// caller that materializes window after window passes its own pattern and
+// candidate buffers, so a window allocates nothing once they have grown.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +68,14 @@ class ClipWindowStream {
   // Window geometry for an arbitrary grid index (0 <= index < count).
   WindowRef window_at(std::int64_t index) const;
 
-  // Clipped geometry of one window, translated to the window's local frame.
-  // Bit-identical to full.clipped_to(ref.window) wrapped in a Clip.
+  // Clipped geometry of one window, translated to the window's local frame:
+  // `out` is cleared, then holds exactly full.clipped_to(ref.window)'s
+  // rects. `candidates` is scratch for windows spanning several index
+  // cells. Both keep their capacity across calls.
+  void materialize(const WindowRef& ref, layout::Pattern& out,
+                   std::vector<std::int64_t>& candidates) const;
+
+  // The same geometry in a fresh Clip of edge size_nm().
   layout::Clip materialize(const WindowRef& ref) const;
 
  private:
@@ -79,11 +88,13 @@ class ClipWindowStream {
   std::int64_t rows_ = 0;
   std::int64_t cursor_ = 0;
 
-  // Bucket index: rect indices per cell, cell edge = size_nm, anchored at
-  // the bounding-box origin.
+  // Bucket index, cell edge = size_nm, anchored at the bounding-box origin:
+  // cell c's rect indices, ascending, are
+  // cell_rects_[cell_begin_[c], cell_begin_[c + 1]).
   std::int64_t cell_cols_ = 0;
   std::int64_t cell_rows_ = 0;
-  std::vector<std::vector<std::int64_t>> cells_;
+  std::vector<std::int64_t> cell_begin_;
+  std::vector<std::int64_t> cell_rects_;
 };
 
 }  // namespace hotspot::scan

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "dataset/patterns.h"
+#include "support/raster_reference.h"
 #include "tensor/tensor_ops.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -54,6 +56,90 @@ TEST(RasterizeCoverage, GeometryOutsideWindowIgnored) {
   const Tensor raster =
       rasterize_coverage(pattern, Rect{0, 0, 100, 100}, 4);
   EXPECT_EQ(raster.max(), 0.0f);
+}
+
+// rasterize_coverage's floats, and rasterize_bits' coverage buffer through
+// `scratch` (reused across calls), equal the per-pixel reference bit for bit.
+void expect_coverage_matches_reference(const Pattern& pattern,
+                                       const Rect& window, std::int64_t grid,
+                                       RasterScratch& scratch) {
+  const std::vector<float> expected =
+      test_support::reference_coverage(pattern, window, grid);
+  const auto first_mismatch = [&](const float* actual) {
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      if (std::memcmp(&actual[i], &expected[i], sizeof(float)) != 0) {
+        return i;
+      }
+    }
+    return expected.size();
+  };
+  const Tensor coverage = rasterize_coverage(pattern, window, grid);
+  ASSERT_EQ(static_cast<std::size_t>(coverage.numel()), expected.size());
+  const std::size_t bad = first_mismatch(coverage.data());
+  EXPECT_EQ(bad, expected.size())
+      << "rasterize_coverage, window " << to_string(window) << " grid "
+      << grid << ": pixel " << bad << " is " << coverage.data()[bad]
+      << ", reference " << expected[bad];
+  std::vector<std::uint8_t> bits;
+  rasterize_bits(pattern, window, grid, scratch, bits);
+  ASSERT_EQ(scratch.coverage.size(), expected.size());
+  EXPECT_EQ(first_mismatch(scratch.coverage.data()), expected.size())
+      << "rasterize_bits, window " << to_string(window) << " grid " << grid;
+}
+
+TEST(RasterizeCoverage, MatchesPerPixelReference) {
+  RasterScratch scratch;
+  dataset::PatternParams params;
+  // Every pattern family over several seeds, at the window it was drawn for
+  // and at windows its rects cross, on dyadic and non-dyadic pitches.
+  for (const auto& [edge, grid] :
+       {std::pair<std::int64_t, std::int64_t>{1024, 32}, {1000, 30},
+        {1201, 32}, {999, 7}, {1024, 30}, {1000, 128}}) {
+    params.clip_nm = edge;
+    for (int family = 0; family < dataset::kFamilyCount; ++family) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        util::Rng rng(seed * 131 + static_cast<std::uint64_t>(edge + family));
+        const Pattern pattern = dataset::generate_pattern(
+            static_cast<dataset::Family>(family), params, rng);
+        for (const Rect& window :
+             {Rect{0, 0, edge, edge},
+              Rect{edge / 3, -edge / 5, edge / 3 + edge, -edge / 5 + edge},
+              Rect{-edge / 2, edge / 4, edge / 2, edge / 4 + edge}}) {
+          expect_coverage_matches_reference(pattern, window, grid, scratch);
+        }
+      }
+    }
+  }
+
+  // Overlapping rects, and rects crossing every edge of the window.
+  const Pattern overlapping({Rect{0, 0, 700, 600}, Rect{300, 200, 1000, 1000},
+                             Rect{100, 500, 900, 800}, Rect{0, 0, 700, 600}});
+  const Pattern crossing({Rect{-500, -500, 400, 3000},
+                          Rect{900, 100, 4000, 350},
+                          Rect{200, 950, 700, 2500},
+                          Rect{-100, 600, 1100, 700}});
+  // Slivers narrower than a pixel in x, in y and in both: inside one pixel,
+  // straddling a pixel edge, on the window's far edges, and 1 nm wide.
+  const std::vector<Rect> slivers{
+      Rect{40, 0, 50, 1000},    Rect{60, 100, 70, 900},
+      Rect{32, 0, 33, 1000},    Rect{999, 0, 1000, 1000},
+      Rect{0, 500, 1000, 507},  Rect{100, 660, 900, 670},
+      Rect{0, 999, 1000, 1000}, Rect{300, 300, 305, 309},
+      Rect{64, 64, 69, 69},     Rect{995, 995, 1000, 1000},
+      Rect{500, 500, 501, 501}};
+  for (const auto& [edge, grid] :
+       {std::pair<std::int64_t, std::int64_t>{1000, 30}, {1024, 32},
+        {1201, 32}, {1000, 128}, {999, 7}}) {
+    const Rect window{0, 0, edge, edge};
+    expect_coverage_matches_reference(overlapping, window, grid, scratch);
+    expect_coverage_matches_reference(crossing, window, grid, scratch);
+    expect_coverage_matches_reference(Pattern(slivers), window, grid,
+                                      scratch);
+    for (const Rect& sliver : slivers) {
+      expect_coverage_matches_reference(Pattern({sliver}), window, grid,
+                                        scratch);
+    }
+  }
 }
 
 TEST(RasterizeBinary, ThresholdAtHalf) {
