@@ -1,4 +1,4 @@
-// Crash-safe binary checkpoint format for model and training state.
+// Crash-safe binary checkpoint format for model weights.
 //
 // Archive layout (format version 2; fields encoded with util/bytes.h, the
 // one place the byte layout lives):
@@ -23,9 +23,10 @@
 //     `path`.
 //   * Loading is strict: tensor names, order, and shapes must match the
 //     target model, making silent architecture drift impossible. The blob
-//     section carries non-tensor training state (optimizer counters, RNG
-//     streams); model-only loads skip it, so a deployment can read just the
-//     weights out of a full training checkpoint.
+//     section carries named opaque payloads beside the tensors. Model-only
+//     loads skip trailing tensors and blobs (still validated and
+//     checksummed), so a deployment can read just the weights out of an
+//     archive that carries more.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +44,7 @@ namespace hotspot::nn {
 using LoadResult = util::IoResult;
 using SaveResult = util::IoResult;
 
-// An opaque named byte payload stored alongside tensors (optimizer moments
-// metadata, RNG state, epoch counters, ...).
+// An opaque named byte payload stored alongside tensors.
 struct NamedBlob {
   std::string name;
   std::vector<std::uint8_t> bytes;
@@ -76,7 +76,8 @@ LoadResult load_tensors(const std::string& path,
                         const std::vector<NamedTensor>& tensors);
 
 // Writes / reads the module's state (collect_state). load_checkpoint also
-// accepts full training checkpoints, reading just the model tensors.
+// accepts archives with trailing tensors and blobs, reading just the model
+// tensors.
 SaveResult save_checkpoint(const std::string& path, Module& module);
 LoadResult load_checkpoint(const std::string& path, Module& module);
 

@@ -34,10 +34,4 @@ bool PlateauDecay::observe(double validation_metric) {
   return true;
 }
 
-void PlateauDecay::load_state(const State& state) {
-  HOTSPOT_CHECK_GE(state.stall_count, 0);
-  best_metric_ = state.best_metric;
-  stall_count_ = state.stall_count;
-}
-
 }  // namespace hotspot::optim

@@ -23,14 +23,6 @@ class PlateauDecay {
   int epochs_since_improvement() const { return stall_count_; }
   double best_metric() const { return best_metric_; }
 
-  // Checkpointable progress (the LR itself lives in the optimizer state).
-  struct State {
-    double best_metric = 0.0;
-    int stall_count = 0;
-  };
-  State state() const { return {best_metric_, stall_count_}; }
-  void load_state(const State& state);
-
  private:
   Optimizer& optimizer_;
   float factor_;

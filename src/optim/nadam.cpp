@@ -24,18 +24,6 @@ NAdam::NAdam(std::vector<nn::Parameter*> params, float learning_rate,
   }
 }
 
-OptimizerState NAdam::state() {
-  OptimizerState snapshot = Optimizer::state();
-  snapshot.slots.reserve(2 * params_.size());
-  for (std::size_t p = 0; p < params_.size(); ++p) {
-    snapshot.slots.push_back(
-        {"nadam.m." + std::to_string(p), &first_moment_[p]});
-    snapshot.slots.push_back(
-        {"nadam.v." + std::to_string(p), &second_moment_[p]});
-  }
-  return snapshot;
-}
-
 void NAdam::step() {
   const auto t = static_cast<double>(step_count_ + 1);
   const double b1 = static_cast<double>(beta1_);

@@ -15,11 +15,6 @@ class NAdam : public Optimizer {
 
   void step() override;
 
-  // Appends the first/second moment estimates as "nadam.m.<i>" /
-  // "nadam.v.<i>" slots so checkpoints can freeze and resume the update
-  // rule bit-for-bit.
-  OptimizerState state() override;
-
  private:
   float beta1_;
   float beta2_;

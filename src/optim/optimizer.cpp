@@ -44,27 +44,4 @@ void Optimizer::scale_gradients(float scale) {
   }
 }
 
-void Optimizer::clip_grad_norm(double max_norm) {
-  HOTSPOT_CHECK_GT(max_norm, 0.0);
-  const double norm = grad_norm();
-  if (norm <= max_norm) {
-    return;
-  }
-  scale_gradients(static_cast<float>(max_norm / norm));
-}
-
-OptimizerState Optimizer::state() {
-  OptimizerState snapshot;
-  snapshot.step_count = step_count_;
-  snapshot.learning_rate = learning_rate_;
-  return snapshot;
-}
-
-void Optimizer::load_state(const OptimizerState& snapshot) {
-  HOTSPOT_CHECK_GE(snapshot.step_count, 0);
-  HOTSPOT_CHECK_GT(snapshot.learning_rate, 0.0f);
-  step_count_ = snapshot.step_count;
-  learning_rate_ = snapshot.learning_rate;
-}
-
 }  // namespace hotspot::optim

@@ -11,18 +11,6 @@
 
 namespace hotspot::optim {
 
-// Checkpointable optimizer state. `slots` are named views into the
-// optimizer's live auxiliary tensors (moment estimates, velocities, ...):
-// serializing a snapshot writes through the views, and loading an archive
-// into the same views restores the tensors in place. The scalar counters
-// travel separately (in the checkpoint's metadata blob) and are applied via
-// load_state().
-struct OptimizerState {
-  std::int64_t step_count = 0;
-  float learning_rate = 0.0f;
-  std::vector<nn::NamedTensor> slots;
-};
-
 class Optimizer {
  public:
   explicit Optimizer(std::vector<nn::Parameter*> params, float learning_rate);
@@ -45,22 +33,8 @@ class Optimizer {
   // the result, which is what the trainer's numeric-health guard keys on.
   double grad_norm() const;
 
-  // Multiplies every gradient by `scale` (norm clipping, loss scaling).
+  // Multiplies every gradient by `scale` (the trainer's norm clipping).
   void scale_gradients(float scale);
-
-  // Global L2 gradient-norm clipping; no-op when the norm is under
-  // `max_norm`.
-  void clip_grad_norm(double max_norm);
-
-  // Snapshot of counters plus views of the auxiliary tensors, for
-  // checkpointing. Subclasses with per-parameter buffers override state()
-  // to append their slots in a stable order.
-  virtual OptimizerState state();
-
-  // Restores the counters from a snapshot. Slot tensors are restored in
-  // place by deserializing through the views returned by state(), so this
-  // only applies the scalars.
-  virtual void load_state(const OptimizerState& snapshot);
 
  protected:
   // Called by step() implementations after applying the update: advances the

@@ -1,7 +1,6 @@
 // The byte codec every binary format in the repo is written and read with:
-// the HSRV wire frames (serve/protocol), the HSJL journal (scan/journal),
-// the HSPT archive (nn/serialize) and the trainer_state blob inside it
-// (core/trainer). Each format owns its field order; this
+// the HSRV wire frames (serve/protocol), the HSJL journal (scan/journal)
+// and the HSPT archive (nn/serialize). Each format owns its field order; this
 // header owns, once, how a field sits in bytes and how a decoder checks it:
 //
 //   * Integers and floats are fixed-width little-endian. The formats also

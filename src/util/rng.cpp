@@ -101,27 +101,6 @@ Rng Rng::fork(std::uint64_t tag) {
   return Rng(base ^ (tag * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL));
 }
 
-RngState Rng::save_state() const {
-  RngState state;
-  for (int i = 0; i < 4; ++i) {
-    state.words[i] = state_[i];
-  }
-  state.spare_normal = spare_normal_;
-  state.has_spare_normal = has_spare_normal_;
-  return state;
-}
-
-void Rng::load_state(const RngState& state) {
-  HOTSPOT_CHECK(state.words[0] != 0 || state.words[1] != 0 ||
-                state.words[2] != 0 || state.words[3] != 0)
-      << "all-zero RNG state is invalid for xoshiro256**";
-  for (int i = 0; i < 4; ++i) {
-    state_[i] = state.words[i];
-  }
-  spare_normal_ = state.spare_normal;
-  has_spare_normal_ = state.has_spare_normal;
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) {

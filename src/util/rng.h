@@ -12,15 +12,6 @@
 
 namespace hotspot::util {
 
-// Full generator state, exposed so checkpoints can freeze and resume a
-// stream mid-run bit-for-bit (xoshiro words plus the cached Box-Muller
-// spare). Treat as opaque outside (de)serialization code.
-struct RngState {
-  std::uint64_t words[4] = {0, 0, 0, 0};
-  double spare_normal = 0.0;
-  bool has_spare_normal = false;
-};
-
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -63,13 +54,6 @@ class Rng {
 
   // Random permutation of [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
-
-  // Snapshot / restore of the complete stream position. A generator whose
-  // state was restored produces exactly the sequence the snapshotted one
-  // would have; load_state rejects the all-zero word state (invalid for
-  // xoshiro, and the marker of a corrupt checkpoint).
-  RngState save_state() const;
-  void load_state(const RngState& state);
 
  private:
   std::uint64_t state_[4];

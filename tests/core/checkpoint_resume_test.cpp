@@ -1,5 +1,6 @@
-// Crash-safety guarantees of the training loop:
-//  * resumed training is bit-identical to uninterrupted training,
+// Crash-safety guarantees of checkpoints and the training loop:
+//  * a model-only load reads the model out of an archive that also carries
+//    trailing tensors and a blob,
 //  * a simulated crash at any injected failure point during a checkpoint
 //    save leaves a fully loadable file (old or new, never torn),
 //  * the numeric-health guard drops the update of every NaN/Inf batch.
@@ -50,15 +51,6 @@ nn::Sequential linear_probe(std::uint64_t seed) {
   return net;
 }
 
-TrainerConfig full_schedule() {
-  TrainerConfig config;
-  config.epochs = 4;
-  config.finetune_epochs = 2;
-  config.learning_rate = 0.05f;
-  config.seed = 17;
-  return config;
-}
-
 std::vector<float> flat_state(nn::Module& net) {
   std::vector<nn::NamedTensor> state;
   net.collect_state("", state);
@@ -70,170 +62,42 @@ std::vector<float> flat_state(nn::Module& net) {
   return values;
 }
 
-void expect_bit_identical_stats(const std::vector<EpochStats>& a,
-                                const std::vector<EpochStats>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].epoch, b[i].epoch);
-    EXPECT_EQ(a[i].finetune, b[i].finetune);
-    // EXPECT_EQ on doubles is exact comparison — bit-identical, not close.
-    EXPECT_EQ(a[i].train_loss, b[i].train_loss) << "epoch " << i;
-    EXPECT_EQ(a[i].validation_loss, b[i].validation_loss) << "epoch " << i;
-    EXPECT_EQ(a[i].learning_rate, b[i].learning_rate) << "epoch " << i;
-    EXPECT_EQ(a[i].numeric_events, b[i].numeric_events);
-    EXPECT_EQ(a[i].skipped_batches, b[i].skipped_batches);
-  }
-}
-
-// Trains the first `kill_after` epochs of `full` (same seed, same phases)
-// with per-epoch checkpointing, simulating a run killed right after the
-// snapshot. Returns the checkpoint path.
-std::string train_until_killed(const dataset::HotspotDataset& data,
-                               const TrainerConfig& full, int kill_after,
-                               const char* file_name) {
-  TrainerConfig partial = full;
-  if (kill_after <= full.epochs) {
-    partial.epochs = kill_after;
-    partial.finetune_epochs = 0;
-  } else {
-    partial.finetune_epochs = kill_after - full.epochs;
-  }
-  partial.checkpoint_path = test_path(file_name);
-  partial.checkpoint_every = 1;
-  nn::Sequential net = linear_probe(1);
-  Trainer trainer(net, partial);
-  trainer.train(data);
-  return partial.checkpoint_path;
-}
-
-TEST(CheckpointResume, ResumeIsBitIdenticalMidMainPhase) {
-  util::Rng data_rng(4);
-  const auto data = coverage_dataset(120, data_rng);
-  const TrainerConfig full = full_schedule();
-
-  nn::Sequential straight_net = linear_probe(1);
-  Trainer straight(straight_net, full);
-  const auto straight_history = straight.train(data);
-
-  const std::string checkpoint =
-      train_until_killed(data, full, /*kill_after=*/2, "resume_main.ckpt");
-
-  // Different init seed: every learned value must come from the checkpoint.
-  nn::Sequential resumed_net = linear_probe(99);
-  Trainer resumed(resumed_net, full);
-  const nn::LoadResult loaded = resumed.resume_from(checkpoint);
-  ASSERT_TRUE(loaded.ok()) << loaded.message;
-  const auto resumed_history = resumed.train(data);
-
-  expect_bit_identical_stats(straight_history, resumed_history);
-  EXPECT_EQ(flat_state(straight_net), flat_state(resumed_net));
-}
-
-TEST(CheckpointResume, ResumeIsBitIdenticalInsideFinetunePhase) {
-  util::Rng data_rng(5);
-  const auto data = coverage_dataset(100, data_rng);
-  const TrainerConfig full = full_schedule();
-
-  nn::Sequential straight_net = linear_probe(1);
-  Trainer straight(straight_net, full);
-  const auto straight_history = straight.train(data);
-
-  const std::string checkpoint = train_until_killed(
-      data, full, /*kill_after=*/full.epochs + 1, "resume_finetune.ckpt");
-
-  nn::Sequential resumed_net = linear_probe(42);
-  Trainer resumed(resumed_net, full);
-  ASSERT_TRUE(resumed.resume_from(checkpoint).ok());
-  const auto resumed_history = resumed.train(data);
-
-  expect_bit_identical_stats(straight_history, resumed_history);
-  EXPECT_EQ(flat_state(straight_net), flat_state(resumed_net));
-}
-
-TEST(CheckpointResume, ResumeFromFinishedRunReplaysHistoryWithoutTraining) {
-  util::Rng data_rng(6);
-  const auto data = coverage_dataset(80, data_rng);
-  TrainerConfig config = full_schedule();
-  config.checkpoint_path = test_path("resume_finished.ckpt");
-  config.checkpoint_every = 1;
-
-  nn::Sequential net = linear_probe(1);
-  Trainer trainer(net, config);
-  const auto history = trainer.train(data);
-  const auto weights = flat_state(net);
-
-  nn::Sequential other = linear_probe(2);
-  Trainer replay(other, config);
-  ASSERT_TRUE(replay.resume_from(config.checkpoint_path).ok());
-  const auto replayed = replay.train(data);
-  expect_bit_identical_stats(history, replayed);
-  EXPECT_EQ(weights, flat_state(other));
-}
-
-TEST(CheckpointResume, TypedErrorsForBadCheckpoints) {
-  util::Rng data_rng(7);
-  const auto data = coverage_dataset(60, data_rng);
-  nn::Sequential net = linear_probe(1);
-  Trainer trainer(net, full_schedule());
-  EXPECT_EQ(trainer.resume_from(test_path("no_such.ckpt")).status,
-            util::IoStatus::kMissing);
-
-  // A model-only checkpoint is not a training snapshot: the blob section is
-  // missing, which must surface as a typed mismatch, not a crash.
-  const std::string model_only = test_path("model_only.ckpt");
-  ASSERT_TRUE(nn::save_checkpoint(model_only, net).ok());
-  EXPECT_EQ(trainer.resume_from(model_only).status,
-            util::IoStatus::kMismatch);
-}
-
-TEST(CheckpointResume, ModelOnlyLoadReadsTrainingCheckpoint) {
-  // Deployment path: load_checkpoint() must be able to pull just the model
-  // tensors out of a full training snapshot (blob section skipped).
-  util::Rng data_rng(8);
-  const auto data = coverage_dataset(60, data_rng);
-  TrainerConfig config = full_schedule();
-  config.epochs = 2;
-  config.finetune_epochs = 0;
-  config.checkpoint_path = test_path("deployable.ckpt");
-  nn::Sequential net = linear_probe(1);
-  Trainer trainer(net, config);
-  trainer.train(data);
-
-  nn::Sequential fresh = linear_probe(33);
-  const nn::LoadResult loaded =
-      nn::load_checkpoint(config.checkpoint_path, fresh);
-  ASSERT_TRUE(loaded.ok()) << loaded.message;
-  EXPECT_EQ(flat_state(net), flat_state(fresh));
-}
-
-TEST(CheckpointResume, BestModelSnapshotTracksLowestValidationLoss) {
-  util::Rng data_rng(9);
-  const auto data = coverage_dataset(120, data_rng);
-  TrainerConfig config = full_schedule();
-  config.checkpoint_path = test_path("with_best.ckpt");
-  nn::Sequential net = linear_probe(1);
-  Trainer trainer(net, config);
-  const auto history = trainer.train(data);
-
-  double lowest = std::numeric_limits<double>::infinity();
-  for (const auto& stats : history) {
-    lowest = std::min(lowest, stats.validation_loss);
-  }
-  EXPECT_EQ(trainer.best_validation_loss(), lowest);
-
-  nn::Sequential best = linear_probe(2);
-  EXPECT_TRUE(
-      nn::load_checkpoint(config.checkpoint_path + ".best", best).ok());
-}
-
-// --- Fault-injection: atomicity of checkpoint saves ---------------------
-
 std::vector<nn::NamedBlob> one_blob(const char* name, std::size_t size) {
   std::vector<nn::NamedBlob> blobs(1);
   blobs[0].name = name;
   blobs[0].bytes.assign(size, 0x5a);
   return blobs;
 }
+
+TEST(CheckpointResume, ModelOnlyLoadReadsTrainingCheckpoint) {
+  // Deployment path: load_checkpoint() must be able to pull just the model
+  // tensors out of an archive shaped like a training snapshot (the model's
+  // tensors, then NAdam-shaped moment tensors, then a metadata blob); the
+  // trailing tensors and the blob are checked and skipped.
+  nn::Sequential net = linear_probe(1);
+  std::vector<nn::NamedTensor> tensors;
+  net.collect_state("", tensors);
+  const std::vector<nn::Parameter*> params = net.parameters();
+  std::vector<Tensor> moments;
+  moments.reserve(2 * params.size());  // `tensors` points into it
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    moments.emplace_back(params[p]->value.shape(), 0.125f);
+    tensors.push_back({"nadam.m." + std::to_string(p), &moments.back()});
+    moments.emplace_back(params[p]->value.shape(), 0.5f);
+    tensors.push_back({"nadam.v." + std::to_string(p), &moments.back()});
+  }
+  const std::string path = test_path("deployable.ckpt");
+  ASSERT_TRUE(nn::save_archive(path, tensors, one_blob("trainer_state", 64))
+                  .ok());
+
+  nn::Sequential fresh = linear_probe(33);
+  ASSERT_NE(flat_state(net), flat_state(fresh));
+  const nn::LoadResult loaded = nn::load_checkpoint(path, fresh);
+  ASSERT_TRUE(loaded.ok()) << loaded.message;
+  EXPECT_EQ(flat_state(net), flat_state(fresh));
+}
+
+// --- Fault-injection: atomicity of checkpoint saves ---------------------
 
 TEST(CheckpointFaultInjection, EveryWriteInterruptionLeavesOldFileIntact) {
   util::ScopedFaultInjection guard;
@@ -330,31 +194,6 @@ TEST(CheckpointFaultInjection, FirstSaveFailureLeavesNoFileBehind) {
       << "temp file must not litter the checkpoint directory";
 }
 
-TEST(CheckpointFaultInjection, TrainingSurvivesCheckpointFaults) {
-  // A mid-training checkpoint failure must not kill the run, and the
-  // previous snapshot must stay loadable.
-  util::ScopedFaultInjection guard;
-  util::Rng data_rng(10);
-  const auto data = coverage_dataset(80, data_rng);
-  TrainerConfig config = full_schedule();
-  config.epochs = 3;
-  config.finetune_epochs = 0;
-  config.checkpoint_path = test_path("fault_training.ckpt");
-  config.checkpoint_every = 1;
-
-  nn::Sequential net = linear_probe(1);
-  Trainer trainer(net, config);
-  // Fail the entire second snapshot (first probe of its rename).
-  util::fault_arm(util::FaultPoint::kCheckpointRename, 2);
-  const auto history = trainer.train(data);
-  EXPECT_EQ(history.size(), 3u);
-
-  util::fault_clear_all();
-  nn::Sequential resumed_net = linear_probe(2);
-  Trainer resumed(resumed_net, config);
-  EXPECT_TRUE(resumed.resume_from(config.checkpoint_path).ok());
-}
-
 // --- Numeric-health guard ----------------------------------------------
 
 // Wraps the default builder; poisons the images of chosen training batches
@@ -383,7 +222,6 @@ TrainerConfig guard_config() {
   config.epochs = 3;
   config.finetune_epochs = 0;
   config.learning_rate = 0.05f;
-  config.validation_fraction = 0.1;
   config.seed = 5;
   return config;
 }
@@ -395,15 +233,12 @@ TEST(NumericHealth, SkipBatchContainsNaNAndReportsIt) {
   Trainer trainer(net, guard_config(), poisoning_builder({1, 4}));
   const auto history = trainer.train(data);
 
-  int events = 0;
   int skipped = 0;
   for (const auto& stats : history) {
-    events += stats.numeric_events;
     skipped += stats.skipped_batches;
     EXPECT_TRUE(std::isfinite(stats.train_loss));
     EXPECT_TRUE(std::isfinite(stats.validation_loss));
   }
-  EXPECT_EQ(events, 2);
   EXPECT_EQ(skipped, 2);
   for (const float value : flat_state(net)) {
     ASSERT_TRUE(std::isfinite(value));

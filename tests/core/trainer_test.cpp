@@ -111,7 +111,6 @@ TEST(Trainer, OversampleGrowsEpochWorkOnImbalancedData) {
   config.epochs = 4;
   config.finetune_epochs = 0;
   config.hotspot_oversample = 5;
-  config.validation_fraction = 0.0;
   config.augment = false;
   Trainer trainer(net, config);
   trainer.train(data);

@@ -2,10 +2,6 @@
 // writes, produced from fixed inputs. A refactor of the encoders must leave
 // each pin unchanged; a deliberate format change must move the format's
 // version constant and re-pin here.
-//
-// The trainer_state blob's encoder is private to the trainer, so its pin is
-// a literal v1 blob that the decoder must accept field for field; the
-// CheckpointResume round trips tie the encoder to that decoder.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,12 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/trainer.h"
-#include "nn/activation_layers.h"
-#include "nn/linear_layer.h"
-#include "nn/sequential.h"
 #include "nn/serialize.h"
-#include "optim/nadam.h"
 #include "scan/journal.h"
 #include "serve/protocol.h"
 #include "support/test_support.h"
@@ -188,94 +179,6 @@ TEST(FormatPin, CheckpointArchive) {
                                       {"layer.bias", &bias}},
                                {{"meta", {1, 2, 3, 250, 0}}}));
   expect_pin(file_bytes(path), 139, 0x643ccb11, 0x643ccb11);
-}
-
-// --- trainer_state v1 (core/trainer.cpp) ----------------------------------
-
-// Every field of a v1 trainer_state blob, little-endian, in encoder order.
-const std::vector<std::uint8_t> kTrainerStateV1 = {
-    0x01, 0x00, 0x00, 0x00,                          // u32 version 1
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 rng word 1
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 rng word 2
-    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 rng word 3
-    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 rng word 4
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // f64 spare normal 0.5
-    0x01,                                            // u8 has spare normal
-    0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // i64 optimizer step 6
-    0x00, 0x00, 0x80, 0x3d,                          // f32 lr 0.0625
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,  // f64 plateau best 0.25
-    0x01, 0x00, 0x00, 0x00,                          // i32 plateau stall 1
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,  // f64 best val 0.25
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 validation count
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   index 0
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 training count
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   index 1
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   index 2
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // u64 history count
-    0x00, 0x00, 0x00, 0x00,                          // i32 epoch 0
-    0x00,                                            // u8 finetune 0
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f,  // f64 train loss 0.75
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // f64 val loss 0.5
-    0x00, 0x00, 0x80, 0x3d,                          // f32 lr 0.0625
-    0x00, 0x00, 0x00, 0x00,                          // i32 numeric events 0
-    0x00, 0x00, 0x00, 0x00,                          // i32 skipped 0
-    0x01, 0x00, 0x00, 0x00,                          // i32 epoch 1
-    0x01,                                            // u8 finetune 1
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd8, 0x3f,  // f64 train loss 0.375
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,  // f64 val loss 0.25
-    0x00, 0x00, 0x00, 0x3d,                          // f32 lr 0.03125
-    0x02, 0x00, 0x00, 0x00,                          // i32 numeric events 2
-    0x01, 0x00, 0x00, 0x00,                          // i32 skipped 1
-};
-
-TEST(FormatPin, TrainerStateV1Decodes) {
-  util::Rng init(5);
-  nn::Sequential model;
-  model.emplace<nn::Flatten>();
-  model.emplace<nn::Linear>(16, 2, init);
-  // The archive a trainer over this model writes: model tensors, then the
-  // NAdam moment slots, then the trainer_state blob.
-  std::vector<nn::NamedTensor> tensors;
-  model.collect_state("", tensors);
-  optim::NAdam moments(model.parameters(), 0.1f);
-  for (const nn::NamedTensor& slot : moments.state().slots) {
-    tensors.push_back(slot);
-  }
-  const std::string path = test_path("trainer_state_v1.hspt");
-  ASSERT_TRUE(
-      nn::save_archive(path, tensors, {{"trainer_state", kTrainerStateV1}}));
-
-  core::TrainerConfig config;
-  config.epochs = 1;
-  config.finetune_epochs = 1;
-  core::Trainer trainer(model, config);
-  const nn::LoadResult result = trainer.resume_from(path);
-  ASSERT_TRUE(result.ok()) << result.message;
-  EXPECT_EQ(trainer.best_validation_loss(), 0.25);
-  EXPECT_EQ(trainer.last_checkpoint_path(), path);
-
-  // Both epochs are journaled, so train() replays the history verbatim.
-  dataset::HotspotDataset data;
-  for (int i = 0; i < 3; ++i) {
-    data.add(dataset::ClipSample::from_image(tensor::Tensor({4, 4}), i % 2,
-                                             dataset::Family::kContacts));
-  }
-  const std::vector<core::EpochStats> history = trainer.train(data);
-  ASSERT_EQ(history.size(), 2u);
-  EXPECT_EQ(history[0].epoch, 0);
-  EXPECT_FALSE(history[0].finetune);
-  EXPECT_EQ(history[0].train_loss, 0.75);
-  EXPECT_EQ(history[0].validation_loss, 0.5);
-  EXPECT_EQ(history[0].learning_rate, 0.0625f);
-  EXPECT_EQ(history[0].numeric_events, 0);
-  EXPECT_EQ(history[0].skipped_batches, 0);
-  EXPECT_EQ(history[1].epoch, 1);
-  EXPECT_TRUE(history[1].finetune);
-  EXPECT_EQ(history[1].train_loss, 0.375);
-  EXPECT_EQ(history[1].validation_loss, 0.25);
-  EXPECT_EQ(history[1].learning_rate, 0.03125f);
-  EXPECT_EQ(history[1].numeric_events, 2);
-  EXPECT_EQ(history[1].skipped_batches, 1);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/test_support.h"
+
 namespace hotspot::layout {
 namespace {
 

@@ -67,22 +67,6 @@ TEST(Optimizer, StepCountIncrements) {
   EXPECT_EQ(optimizer.step_count(), 2);
 }
 
-TEST(Optimizer, ClipGradNormScalesDown) {
-  QuadraticProblem problem({0.0f});
-  problem.param().grad[0] = 30.0f;
-  NAdam optimizer({&problem.param()}, 0.1f);
-  optimizer.clip_grad_norm(3.0);
-  EXPECT_NEAR(problem.param().grad[0], 3.0f, 1e-4);
-}
-
-TEST(Optimizer, ClipGradNormNoopUnderLimit) {
-  QuadraticProblem problem({0.0f});
-  problem.param().grad[0] = 1.0f;
-  NAdam optimizer({&problem.param()}, 0.1f);
-  optimizer.clip_grad_norm(3.0);
-  EXPECT_FLOAT_EQ(problem.param().grad[0], 1.0f);
-}
-
 TEST(Optimizer, LearningRateMutable) {
   QuadraticProblem problem({1.0f});
   NAdam optimizer({&problem.param()}, 0.1f);

@@ -8,6 +8,7 @@
 #include "dataset/patterns.h"
 #include "layout/clip.h"
 #include "obs/metrics.h"
+#include "support/test_support.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "layout/clip.h"
+#include "support/test_support.h"
 #include "util/rng.h"
 
 namespace hotspot::scan {

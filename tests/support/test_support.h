@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "bitops/kernels/xnor_kernel.h"
 #include "bitops/scaling.h"
 #include "core/packed_conv.h"
+#include "layout/geometry.h"
 #include "tensor/conv.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -180,3 +182,17 @@ inline void expect_bit_identical(const tensor::Tensor& got,
 }
 
 }  // namespace hotspot::test_support
+
+namespace hotspot::layout {
+
+// gtest printer for rects: a failing EXPECT_EQ on a rect or a rect list
+// prints coordinates instead of a byte dump. It sits in Rect's namespace so
+// gtest finds it by argument-dependent lookup. Every test source that
+// compares rects includes this header: gtest's printer for a type is one
+// template instantiation per binary, and a source compiled without this
+// overload can leave the whole binary printing byte dumps.
+inline void PrintTo(const Rect& rect, std::ostream* os) {
+  *os << to_string(rect);
+}
+
+}  // namespace hotspot::layout
