@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
   util::Stopwatch litho_timer;
   scan::WindowRef ref;
   layout::Clip clip{layout::Pattern(), scan_config.window_nm};
-  std::vector<std::int64_t> candidates;
+  std::vector<std::uint32_t> candidates;
   while (oracle_stream.next(ref)) {
     oracle_stream.materialize(ref, clip.pattern, candidates);
     matrix.record(simulator.is_hotspot(clip) ? 1 : 0,
@@ -263,10 +263,12 @@ int main(int argc, char** argv) {
                 region.odst(10.0, 0.0));
   }
   std::printf("  dedup: %lld of %lld windows served from cache (%.0f%% hit "
-              "rate), %lld batches\n",
+              "rate; %lld by geometry alone, %.0f%%), %lld batches\n",
               static_cast<long long>(stats.dedup_hits),
               static_cast<long long>(stats.windows),
               100.0 * stats.dedup_hit_rate(),
+              static_cast<long long>(stats.memo_hits),
+              100.0 * stats.memo_hit_rate(),
               static_cast<long long>(stats.batches));
   if (stats.retries > 0 || stats.quarantined > 0) {
     std::printf("  fault tolerance: %lld retries, %lld windows "
@@ -300,6 +302,7 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     registry.gauge("scan.seconds").set(scan_seconds);
     registry.gauge("scan.dedup.hit_rate").set(stats.dedup_hit_rate());
+    registry.gauge("scan.memo.hit_rate").set(stats.memo_hit_rate());
     registry.gauge("scan.regions").set(
         static_cast<double>(result.regions.size()));
     const obs::RunManifest manifest = obs::collect_manifest(iso_timestamp());

@@ -160,6 +160,7 @@ class BatchProducer {
     std::int64_t count = 0;
     std::int64_t windows_in_batch = 0;
     std::int64_t hits_in_batch = 0;
+    std::int64_t memo_hits_in_batch = 0;
     WindowRef ref;
     while (count < config_.batch_size && stream_.next(ref)) {
       ++windows_in_batch;
@@ -171,6 +172,7 @@ class BatchProducer {
       window_entry_[static_cast<std::size_t>(ref.index)] = outcome->entry;
       if (!outcome->is_new) {
         ++hits_in_batch;
+        memo_hits_in_batch += outcome->memo_hit ? 1 : 0;
         continue;
       }
       // The miss's only unpack: its key, into its batch slot.
@@ -190,6 +192,7 @@ class BatchProducer {
     stats_.windows += windows_in_batch;
     windows_seen_ += windows_in_batch;
     stats_.dedup_hits += hits_in_batch;
+    stats_.memo_hits += memo_hits_in_batch;
     static obs::Histogram& raster_histogram =
         obs::MetricsRegistry::global().histogram(
             "scan.raster_seconds", obs::default_latency_buckets());
@@ -200,8 +203,12 @@ class BatchProducer {
         obs::MetricsRegistry::global().counter("scan.dedup.hits");
     static obs::Counter& misses_counter =
         obs::MetricsRegistry::global().counter("scan.dedup.misses");
+    static obs::Counter& memo_hits_counter =
+        obs::MetricsRegistry::global().counter("scan.memo.hits");
     windows_counter.increment(static_cast<std::uint64_t>(windows_in_batch));
     hits_counter.increment(static_cast<std::uint64_t>(hits_in_batch));
+    memo_hits_counter.increment(
+        static_cast<std::uint64_t>(memo_hits_in_batch));
     misses_counter.increment(static_cast<std::uint64_t>(count));
     if (windows_in_batch == 0) {
       return false;
@@ -225,16 +232,20 @@ class BatchProducer {
  private:
   struct WindowOutcome {
     bool is_new = false;      // a new distinct raster, left in key_
+    bool memo_hit = false;    // served by the geometry memo, not rasterized
     std::int64_t entry = -1;  // entry id (existing on a dedup hit)
   };
 
   // One window under the scan's guard; nullopt = quarantined. The attempt
-  // materializes into window_pattern_ and rasterizes into key_, reusing
-  // their storage, candidates_ and scratch_, so a dedup hit allocates
-  // nothing. It keeps all cache mutation last, after its deadline check
-  // (and RasterDedupCache::insert probes its fault before mutating), so a
-  // failed attempt leaves no partial state behind and the retry replays
-  // cleanly.
+  // materializes into window_pattern_ and looks its rect list up in the
+  // geometry memo; only a memo miss rasterizes, into key_. It reuses their
+  // storage, candidates_ and scratch_, so a dedup hit allocates nothing. A
+  // raster hit records the window's rect list on its entry if the entry
+  // has none yet, so the entry's next repeat is a memo hit. Each cache
+  // lookup comes after a deadline check, and RasterDedupCache::insert
+  // probes its fault before mutating, so a failed attempt leaves no
+  // partial state behind and the retry replays cleanly; a lookup's LRU
+  // refresh is idempotent.
   std::optional<WindowOutcome> process_window(const WindowRef& ref) {
     return run_guarded(
         config_, config_.window_deadline_ms, stats_.retries,
@@ -245,6 +256,14 @@ class BatchProducer {
             throw std::runtime_error("injected raster compute fault");
           }
           stream_.materialize(ref, window_pattern_, candidates_);
+          const WindowGeometry geometry = window_pattern_.rects();
+          const std::uint64_t geometry_hash = hash_geometry(geometry);
+          clock.check_deadline();
+          const std::int64_t memo = cache_.find_geometry(geometry_hash,
+                                                         geometry);
+          if (memo >= 0) {
+            return WindowOutcome{.memo_hit = true, .entry = memo};
+          }
           layout::rasterize_bits(
               window_pattern_,
               layout::Rect{0, 0, stream_.size_nm(), stream_.size_nm()},
@@ -253,10 +272,11 @@ class BatchProducer {
           const std::uint64_t hash = hash_raster(key_);
           const std::int64_t cached = cache_.find(hash, key_);
           if (cached >= 0) {
-            return WindowOutcome{false, cached};
+            cache_.attach_geometry(hash, key_, geometry_hash, geometry);
+            return WindowOutcome{.entry = cached};
           }
           cache_.insert(hash, key_, next_entry_);
-          return WindowOutcome{true, next_entry_};
+          return WindowOutcome{.is_new = true, .entry = next_entry_};
         });
   }
 
@@ -264,10 +284,10 @@ class BatchProducer {
   ClipWindowStream stream_;
   RasterDedupCache cache_;
   // Per-window buffers, reused from window to window.
-  layout::Pattern window_pattern_;       // the window's clipped geometry
-  std::vector<std::int64_t> candidates_;  // the stream's candidate scratch
-  layout::RasterScratch scratch_;        // coverage buffers
-  RasterKey key_;                        // the last window's packed raster
+  layout::Pattern window_pattern_;         // the window's clipped geometry
+  std::vector<std::uint32_t> candidates_;  // the stream's candidate scratch
+  layout::RasterScratch scratch_;          // coverage buffers
+  RasterKey key_;  // the packed raster of the last window rasterized
   bool keep_pixels_;
   ScanStats& stats_;
   std::vector<std::int64_t> window_entry_;  // window index -> entry id

@@ -3,12 +3,14 @@
 // Replaces the eager extract-everything-then-predict scan with a bounded-
 // memory pipeline:
 //
-//   ClipWindowStream -> rasterize -> dedup -> batch -> classifier
-//        (lazy)         (producer)   (cache)  (double-buffered)
+//   ClipWindowStream -> memo -> rasterize -> dedup -> batch -> classifier
+//        (lazy)        (geometry) (producer) (cache)  (double-buffered)
 //
 // The producer walks the window grid in scan order, rasterizes each window
 // and folds duplicate rasters through RasterDedupCache, so each *distinct*
 // raster occupies exactly one batch slot and pays inference exactly once.
+// A window whose local rect list equals one a cache entry holds is that
+// entry's raster, so it skips rasterization (the geometry memo).
 // The producer runs on a helper thread and assembles batch N+1 while the
 // classifier — which internally fans out on util::parallel_for's pool —
 // consumes batch N on the calling thread, so rasterization hides behind
@@ -71,17 +73,22 @@ struct ScanStats {
   std::int64_t windows = 0;         // window positions scanned this run
   std::int64_t unique_windows = 0;  // rasters that paid inference
   std::int64_t dedup_hits = 0;      // windows served from the cache
+  std::int64_t memo_hits = 0;       // of those, served by geometry alone
   std::int64_t batches = 0;         // inference batches issued
   std::int64_t retries = 0;         // failed attempts that were retried
   std::int64_t quarantined = 0;     // windows abandoned past the retry budget
   std::int64_t resume_skipped = 0;  // windows recovered from the journal
-  double raster_seconds = 0.0;      // producer time (rasterize + dedup)
+  double raster_seconds = 0.0;      // producer time (memo, raster, dedup)
   double infer_seconds = 0.0;       // classifier time
   double total_seconds = 0.0;       // wall time of the whole scan
 
-  double dedup_hit_rate() const {
+  double dedup_hit_rate() const { return share_of_windows(dedup_hits); }
+  double memo_hit_rate() const { return share_of_windows(memo_hits); }
+
+ private:
+  double share_of_windows(std::int64_t count) const {
     return windows == 0 ? 0.0
-                        : static_cast<double>(dedup_hits) /
+                        : static_cast<double>(count) /
                               static_cast<double>(windows);
   }
 };
@@ -137,9 +144,9 @@ class ScanPipeline {
 
   // Sweeps the window grid over `chip` and returns per-window verdicts,
   // merged hotspot regions, and scan statistics. Also bumps the
-  // scan.windows / scan.dedup.{hits,misses} / scan.batches /
-  // scan.retries / scan.quarantined / scan.resume.skipped counters in
-  // obs::MetricsRegistry::global().
+  // scan.windows / scan.dedup.{hits,misses} / scan.memo.hits /
+  // scan.batches / scan.retries / scan.quarantined / scan.resume.skipped
+  // counters in obs::MetricsRegistry::global().
   //
   // Throws ScanAborted when the kScanAbort fault point fires and
   // std::runtime_error when the journal cannot be opened or appended to

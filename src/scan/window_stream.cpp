@@ -60,6 +60,9 @@ ClipWindowStream::ClipWindowStream(const layout::Pattern& full,
   cell_rows_ = ceil_div(box.y1 - box.y0, size_nm_);
   cell_begin_.assign(static_cast<std::size_t>(cell_cols_ * cell_rows_ + 1), 0);
   const auto& rects = full.rects();
+  constexpr std::uint64_t kIndexLimit = std::uint64_t{1} << 32;
+  HOTSPOT_CHECK_LT(static_cast<std::uint64_t>(rects.size()), kIndexLimit)
+      << "the bucket index holds 32-bit rect indices";
   const auto for_each_cell = [&](const layout::Rect& rect, auto&& visit) {
     const CellSpan xs = cell_span(rect.x0, rect.x1, origin_x_, size_nm_);
     const CellSpan ys = cell_span(rect.y0, rect.y1, origin_y_, size_nm_);
@@ -72,13 +75,19 @@ ClipWindowStream::ClipWindowStream(const layout::Pattern& full,
   for (const layout::Rect& rect : rects) {
     for_each_cell(rect, [&](std::size_t cell) { ++cell_begin_[cell]; });
   }
-  for (std::size_t cell = 1; cell < cell_begin_.size(); ++cell) {
-    cell_begin_[cell] += cell_begin_[cell - 1];
+  // A rect counts once per cell it touches, so the list lengths can sum
+  // past the rect count; the prefix sum runs in 64 bits and is checked.
+  std::uint64_t total = 0;
+  for (std::uint32_t& end : cell_begin_) {
+    total += end;
+    HOTSPOT_CHECK_LT(total, kIndexLimit)
+        << "the bucket index holds 32-bit offsets";
+    end = static_cast<std::uint32_t>(total);
   }
-  cell_rects_.resize(static_cast<std::size_t>(cell_begin_.back()));
-  for (auto i = static_cast<std::int64_t>(rects.size()) - 1; i >= 0; --i) {
-    for_each_cell(rects[static_cast<std::size_t>(i)], [&](std::size_t cell) {
-      cell_rects_[static_cast<std::size_t>(--cell_begin_[cell])] = i;
+  cell_rects_.resize(static_cast<std::size_t>(total));
+  for (std::size_t i = rects.size(); i-- > 0;) {
+    for_each_cell(rects[i], [&](std::size_t cell) {
+      cell_rects_[--cell_begin_[cell]] = static_cast<std::uint32_t>(i);
     });
   }
 }
@@ -107,7 +116,7 @@ bool ClipWindowStream::next(WindowRef& out) {
 
 void ClipWindowStream::materialize(
     const WindowRef& ref, layout::Pattern& out,
-    std::vector<std::int64_t>& candidates) const {
+    std::vector<std::uint32_t>& candidates) const {
   out.clear();
   // Candidate rects from the cells the window overlaps, visited in
   // ascending (insertion) order so the result matches Pattern::clipped_to
@@ -123,11 +132,10 @@ void ClipWindowStream::materialize(
   const std::int64_t cy1 = std::min<std::int64_t>(cell_rows_ - 1, ys.last);
   const auto cell_list = [&](std::int64_t cx, std::int64_t cy) {
     const auto cell = static_cast<std::size_t>(cy * cell_cols_ + cx);
-    return std::span<const std::int64_t>(cell_rects_).subspan(
-        static_cast<std::size_t>(cell_begin_[cell]),
-        static_cast<std::size_t>(cell_begin_[cell + 1] - cell_begin_[cell]));
+    return std::span<const std::uint32_t>(cell_rects_).subspan(
+        cell_begin_[cell], cell_begin_[cell + 1] - cell_begin_[cell]);
   };
-  std::span<const std::int64_t> visit;
+  std::span<const std::uint32_t> visit;
   if (cx0 == cx1 && cy0 == cy1) {
     visit = cell_list(cx0, cy0);
   } else {
@@ -145,9 +153,8 @@ void ClipWindowStream::materialize(
   }
 
   const auto& rects = full_->rects();
-  for (const std::int64_t i : visit) {
-    layout::Rect cut =
-        layout::intersect(rects[static_cast<std::size_t>(i)], ref.window);
+  for (const std::uint32_t i : visit) {
+    layout::Rect cut = layout::intersect(rects[i], ref.window);
     if (!cut.empty()) {
       cut.x0 -= ref.window.x0;
       cut.x1 -= ref.window.x0;
@@ -160,7 +167,7 @@ void ClipWindowStream::materialize(
 
 layout::Clip ClipWindowStream::materialize(const WindowRef& ref) const {
   layout::Clip clip{layout::Pattern(), size_nm_};
-  std::vector<std::int64_t> candidates;
+  std::vector<std::uint32_t> candidates;
   materialize(ref, clip.pattern, candidates);
   return clip;
 }

@@ -9,7 +9,8 @@
 // A bucket index over the chip's rects (cell edge = window edge) makes each
 // materialization touch only the rects that can intersect the window,
 // instead of every rect on the chip. The index is one flat array of rect
-// indices, each cell's ascending, built by a counting sort. Candidates are
+// indices, each cell's ascending, built by a counting sort; its entries are
+// 32-bit, so a chip holds fewer than 2^32 rects. Candidates are
 // visited in insertion order, so the produced Clip is bit-identical — same
 // rects, same order — to Pattern::clipped_to over the full rect list. A
 // caller that materializes window after window passes its own pattern and
@@ -73,7 +74,7 @@ class ClipWindowStream {
   // rects. `candidates` is scratch for windows spanning several index
   // cells. Both keep their capacity across calls.
   void materialize(const WindowRef& ref, layout::Pattern& out,
-                   std::vector<std::int64_t>& candidates) const;
+                   std::vector<std::uint32_t>& candidates) const;
 
   // The same geometry in a fresh Clip of edge size_nm().
   layout::Clip materialize(const WindowRef& ref) const;
@@ -90,11 +91,13 @@ class ClipWindowStream {
 
   // Bucket index, cell edge = size_nm, anchored at the bounding-box origin:
   // cell c's rect indices, ascending, are
-  // cell_rects_[cell_begin_[c], cell_begin_[c + 1]).
+  // cell_rects_[cell_begin_[c], cell_begin_[c + 1]). Both are 32-bit:
+  // the constructor checks that the rect count and the total of per-cell
+  // list lengths fit.
   std::int64_t cell_cols_ = 0;
   std::int64_t cell_rows_ = 0;
-  std::vector<std::int64_t> cell_begin_;
-  std::vector<std::int64_t> cell_rects_;
+  std::vector<std::uint32_t> cell_begin_;
+  std::vector<std::uint32_t> cell_rects_;
 };
 
 }  // namespace hotspot::scan

@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "scan/journal.h"
 #include "scan/pipeline.h"
+#include "support/scan_journal_meta.h"
 #include "support/test_support.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -96,28 +97,6 @@ ScanConfig chaos_config() {
   config.dedup_max_entries = 3;
   config.retry_backoff_ms = 0;
   return config;
-}
-
-// The JournalMeta the pipeline derives for (chip, config) — lets tests call
-// ScanJournal::recover directly and compare against resume_skipped.
-JournalMeta make_meta(const Pattern& chip, const ScanConfig& config) {
-  const ClipWindowStream stream(
-      chip, config.window_nm,
-      config.step_nm > 0 ? config.step_nm : config.window_nm);
-  JournalMeta meta;
-  meta.chip_fingerprint = chip_fingerprint(chip);
-  meta.window_nm = stream.size_nm();
-  meta.step_nm = stream.step_nm();
-  meta.grid = config.grid;
-  meta.cols = stream.cols();
-  meta.rows = stream.rows();
-  meta.origin_x = stream.origin_x();
-  meta.origin_y = stream.origin_y();
-  meta.batch_size = config.batch_size;
-  meta.dedup = 1;
-  meta.dedup_max_entries = config.dedup_max_entries;
-  meta.dedup_max_bytes = config.dedup_max_bytes;
-  return meta;
 }
 
 void expect_same_result(const ScanResult& actual,
@@ -604,6 +583,85 @@ TEST(ScanChaos, ResumeSkippedCounterIsPublished) {
   ASSERT_NE(skipped, nullptr);
   EXPECT_EQ(skipped->value,
             static_cast<std::uint64_t>(resumed.stats.resume_skipped));
+  remove_journal(path);
+}
+
+// The byte cap evicts by key bytes alone, so a resume, whose rebuilt
+// cache has no geometry, evicts exactly as the uninterrupted scan did: the
+// sweep kills at every site and demands the uninterrupted journal, window
+// for window and key for key, plus geometry-memo hits in every resumed run
+// (the chip ends in four windows of one tile).
+TEST(ScanChaos, KillAndResumeUnderByteCapIsBitIdentical) {
+  util::ScopedFaultInjection guard;
+  dataset::PatternParams params;
+  util::Rng rng(91);
+  const std::vector<Pattern> library = {
+      dataset::dense_lines(params, rng), dataset::contacts(params, rng),
+      dataset::jog(params, rng), dataset::tip_to_tip(params, rng)};
+  // Tile 0's window 3 is a memo hit whose LRU refresh decides what tile 2
+  // evicts next, and a kill after the first batch makes the resume serve
+  // that window by raster instead.
+  const int order[] = {0, 0, 1, 0, 2, 0, 3, 1, 0, 2, 0, 3, 3,
+                       1, 0, 2, 0, 1, 0, 3, 2, 0, 0, 0, 0};
+  constexpr std::int64_t kSide = 5;
+  Pattern chip;
+  chip.add(layout::Rect{0, 0, params.grid_nm, params.grid_nm});  // pins the grid
+  for (std::int64_t i = 0; i < kSide * kSide; ++i) {
+    Pattern tile = library[static_cast<std::size_t>(order[i])];
+    tile.translate(i % kSide * params.clip_nm, i / kSide * params.clip_nm);
+    for (const auto& rect : tile.rects()) {
+      chip.add(rect);
+    }
+  }
+  ScanConfig base = chaos_config();
+  base.dedup_max_entries = 0;
+  base.dedup_max_bytes = 80;  // two 32-byte keys at grid 16
+  const JournalMeta meta = make_meta(chip, base);
+  const std::string path = journal_path("chaos_byte_cap.journal");
+
+  // The uninterrupted scan, journaled for its per-window entries and keys.
+  remove_journal(path);
+  ScanConfig journaled = base;
+  journaled.journal_path = path;
+  const ScanResult reference =
+      ScanPipeline(journaled, density_classifier()).scan(chip);
+  JournalState reference_state;
+  ASSERT_TRUE(ScanJournal::recover(path, meta, &reference_state).ok());
+  ASSERT_GT(reference.stats.memo_hits, 0);
+  ASSERT_GT(static_cast<std::int64_t>(reference_state.entry_pixels.size()), 5)
+      << "the byte cap never made a raster re-enter";
+
+  bool sweep_exhausted = false;
+  for (int kill_at = 1; kill_at <= 128 && !sweep_exhausted; ++kill_at) {
+    remove_journal(path);
+    util::fault_arm(util::FaultPoint::kScanAbort, kill_at);
+    try {
+      ScanPipeline(journaled, density_classifier()).scan(chip);
+      sweep_exhausted = true;
+    } catch (const ScanAborted&) {
+    }
+    util::fault_clear_all();
+    if (sweep_exhausted) {
+      break;
+    }
+    ScanConfig resume_config = journaled;
+    resume_config.resume = true;
+    const ScanResult resumed =
+        ScanPipeline(resume_config, density_classifier()).scan(chip);
+    const std::string context = "kill_at " + std::to_string(kill_at);
+    expect_same_result(resumed, reference, context.c_str());
+    JournalState state;
+    ASSERT_TRUE(ScanJournal::recover(path, meta, &state).ok()) << context;
+    EXPECT_EQ(state.window_entry, reference_state.window_entry) << context;
+    EXPECT_EQ(state.entry_pixels, reference_state.entry_pixels) << context;
+    EXPECT_EQ(state.entry_verdicts, reference_state.entry_verdicts)
+        << context;
+    if (resumed.stats.windows > 0) {
+      EXPECT_GT(resumed.stats.memo_hits, 0) << context;
+    }
+  }
+  EXPECT_TRUE(sweep_exhausted)
+      << "128 kill sites was not enough to reach a completed scan";
   remove_journal(path);
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
+#include "layout/geometry.h"
 #include "obs/metrics.h"
 
 namespace hotspot::scan {
@@ -186,6 +188,134 @@ TEST(RasterDedupCache, ByteAccountingSurvivesInsertOverwriteEvictReplay) {
     ASSERT_EQ(bytes_gauge.value(), static_cast<double>(live_bytes));
   }
   EXPECT_GT(cache.evictions(), 0u);
+}
+
+// A window's local rect list for the geometry memo: `count` unit squares
+// along a row starting at `x`.
+std::vector<layout::Rect> make_geometry(std::int64_t x, int count) {
+  std::vector<layout::Rect> rects;
+  for (int i = 0; i < count; ++i) {
+    rects.push_back(layout::Rect{x + 2 * i, 0, x + 2 * i + 1, 1});
+  }
+  return rects;
+}
+
+TEST(RasterDedupCache, GeometryHitRefreshesRecencyLikeFind) {
+  RasterDedupCache cache(/*max_entries=*/2);
+  const RasterKey a = make_key({1});
+  const RasterKey b = make_key({0});
+  const RasterKey c = make_key({1, 1});
+  const std::vector<layout::Rect> ga = make_geometry(0, 3);
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 0));
+  EXPECT_TRUE(cache.attach_geometry(hash_raster(a), a, hash_geometry(ga), ga));
+  EXPECT_TRUE(cache.insert(hash_raster(b), b, 1));
+  // A geometry hit on `a` makes it most recent, so `b` is the victim.
+  EXPECT_EQ(cache.find_geometry(hash_geometry(ga), ga), 0);
+  EXPECT_TRUE(cache.insert(hash_raster(c), c, 2));
+  EXPECT_EQ(cache.find(hash_raster(b), b), -1);
+  EXPECT_EQ(cache.find(hash_raster(a), a), 0);
+  EXPECT_EQ(cache.find(hash_raster(c), c), 2);
+}
+
+TEST(RasterDedupCache, AttachingGeometryLeavesRecency) {
+  RasterDedupCache cache(/*max_entries=*/2);
+  const RasterKey a = make_key({1});
+  const RasterKey b = make_key({0});
+  const RasterKey c = make_key({1, 1});
+  const std::vector<layout::Rect> ga = make_geometry(0, 3);
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 0));
+  EXPECT_TRUE(cache.insert(hash_raster(b), b, 1));
+  // `a` is the least recent and stays so after the attach: `c` evicts it.
+  EXPECT_TRUE(cache.attach_geometry(hash_raster(a), a, hash_geometry(ga), ga));
+  EXPECT_TRUE(cache.insert(hash_raster(c), c, 2));
+  EXPECT_EQ(cache.find_geometry(hash_geometry(ga), ga), -1);
+  EXPECT_EQ(cache.find(hash_raster(a), a), -1);
+  EXPECT_EQ(cache.find(hash_raster(b), b), 1);
+}
+
+TEST(RasterDedupCache, GeometryMissesAreConfirmedByFullCompare) {
+  RasterDedupCache cache;
+  const RasterKey a = make_key({1, 0});
+  const std::vector<layout::Rect> ga = make_geometry(0, 2);
+  std::vector<layout::Rect> reordered = ga;
+  std::swap(reordered[0], reordered[1]);
+  const std::uint64_t shared_hash = 42;
+  EXPECT_EQ(cache.find_geometry(shared_hash, ga), -1);
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 4));
+  EXPECT_TRUE(cache.attach_geometry(hash_raster(a), a, shared_hash, ga));
+  EXPECT_EQ(cache.find_geometry(shared_hash, ga), 4);
+  // Same bucket, other order or length: no hit.
+  EXPECT_EQ(cache.find_geometry(shared_hash, reordered), -1);
+  EXPECT_EQ(cache.find_geometry(shared_hash, make_geometry(0, 1)), -1);
+  EXPECT_NE(hash_geometry(ga), hash_geometry(reordered));
+  // An empty window is a geometry like any other.
+  const RasterKey blank = make_key({0, 0});
+  const std::vector<layout::Rect> none;
+  EXPECT_TRUE(cache.insert(hash_raster(blank), blank, 5));
+  EXPECT_TRUE(
+      cache.attach_geometry(hash_raster(blank), blank, hash_geometry(none),
+                            none));
+  EXPECT_EQ(cache.find_geometry(hash_geometry(none), none), 5);
+  // Nothing to attach to: the raster is not cached.
+  EXPECT_FALSE(cache.attach_geometry(hash_raster(make_key({1, 1})),
+                                     make_key({1, 1}), hash_geometry(ga), ga));
+}
+
+TEST(RasterDedupCache, EvictionDropsTheGeometry) {
+  RasterDedupCache cache(/*max_entries=*/1);
+  const RasterKey a = make_key({1});
+  const RasterKey b = make_key({0});
+  const std::vector<layout::Rect> ga = make_geometry(0, 2);
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 0));
+  EXPECT_TRUE(cache.attach_geometry(hash_raster(a), a, hash_geometry(ga), ga));
+  EXPECT_TRUE(cache.insert(hash_raster(b), b, 1));  // evicts `a`
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.find_geometry(hash_geometry(ga), ga), -1);
+  // Back under a fresh id, `a` starts with no geometry.
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 2));
+  EXPECT_EQ(cache.find_geometry(hash_geometry(ga), ga), -1);
+  EXPECT_TRUE(cache.attach_geometry(hash_raster(a), a, hash_geometry(ga), ga));
+  EXPECT_EQ(cache.find_geometry(hash_geometry(ga), ga), 2);
+}
+
+TEST(RasterDedupCache, BytesCountKeyBytesOnly) {
+  // Geometry bytes count toward neither cap, so the byte cap evicts
+  // exactly as it would with no geometry attached.
+  RasterDedupCache cache(/*max_entries=*/0, /*max_bytes=*/8);
+  const obs::Gauge& bytes_gauge =
+      obs::MetricsRegistry::global().gauge("scan.dedup.bytes");
+  const RasterKey a(4, 1);
+  const RasterKey b(4, 0);
+  const std::vector<layout::Rect> ga = make_geometry(0, 64);
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 0));
+  EXPECT_TRUE(cache.attach_geometry(hash_raster(a), a, hash_geometry(ga), ga));
+  EXPECT_EQ(cache.bytes(), 4u);
+  EXPECT_EQ(bytes_gauge.value(), 4.0);
+  EXPECT_TRUE(cache.insert(hash_raster(b), b, 1));
+  EXPECT_EQ(cache.bytes(), 8u);
+  EXPECT_EQ(bytes_gauge.value(), 8.0);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.find_geometry(hash_geometry(ga), ga), 0);
+}
+
+TEST(RasterDedupCache, AnEntryHoldsOneGeometry) {
+  RasterDedupCache cache;
+  const RasterKey a = make_key({1, 1});
+  const std::vector<layout::Rect> first = make_geometry(0, 2);
+  const std::vector<layout::Rect> second = make_geometry(10, 2);
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 0));
+  EXPECT_TRUE(
+      cache.attach_geometry(hash_raster(a), a, hash_geometry(first), first));
+  // A second geometry with the same raster is refused; the first stays.
+  EXPECT_FALSE(
+      cache.attach_geometry(hash_raster(a), a, hash_geometry(second), second));
+  EXPECT_EQ(cache.find_geometry(hash_geometry(first), first), 0);
+  EXPECT_EQ(cache.find_geometry(hash_geometry(second), second), -1);
+  // Re-inserting the raster keeps its geometry with the new entry id.
+  EXPECT_TRUE(cache.insert(hash_raster(a), a, 7));
+  EXPECT_EQ(cache.find_geometry(hash_geometry(first), first), 7);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(HashRaster, LengthDisambiguatesZeroRuns) {

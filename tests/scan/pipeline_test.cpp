@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "core/brnn.h"
 #include "core/trainer.h"
 #include "dataset/dataset.h"
 #include "dataset/patterns.h"
 #include "layout/clip.h"
+#include "layout/raster.h"
 #include "obs/metrics.h"
+#include "scan/dedup_cache.h"
+#include "scan/journal.h"
+#include "support/scan_journal_meta.h"
 #include "support/test_support.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -203,6 +212,189 @@ TEST(ScanPipeline, PublishesDedupCounters) {
   EXPECT_EQ(hits->value,
             static_cast<std::uint64_t>(result.stats.dedup_hits));
   EXPECT_EQ(hits->value + misses->value, windows->value);
+  // Four windows of one tile: a miss, a raster hit that records the
+  // tile's rects, then two geometry-memo hits.
+  const obs::CounterSample* memo_hits = delta.find_counter("scan.memo.hits");
+  ASSERT_NE(memo_hits, nullptr);
+  EXPECT_EQ(memo_hits->value,
+            static_cast<std::uint64_t>(result.stats.memo_hits));
+  EXPECT_EQ(result.stats.memo_hits, 2);
+}
+
+// --- One reference for the scan's dedup, geometry memo included ---------
+
+// What a scan's dedup must produce, from the plainest route: every window
+// of the eager extract_clips grid rasterized with rasterize_bits and looked
+// up in a RasterDedupCache with the scan's caps and no geometry, entry ids
+// allocated in scan order.
+struct DedupReference {
+  std::vector<std::int64_t> window_entry;
+  std::vector<RasterKey> entry_pixels;
+  std::int64_t dedup_hits = 0;
+};
+
+DedupReference reference_dedup(const Pattern& chip, const ScanConfig& config) {
+  const auto clips = layout::extract_clips(
+      chip, config.window_nm,
+      config.step_nm > 0 ? config.step_nm : config.window_nm);
+  RasterDedupCache cache(config.dedup_max_entries, config.dedup_max_bytes);
+  layout::RasterScratch scratch;
+  DedupReference reference;
+  for (const layout::Clip& clip : clips) {
+    RasterKey key;
+    layout::rasterize_bits(clip.pattern, clip.window(), config.grid, scratch,
+                           key);
+    const std::uint64_t hash = hash_raster(key);
+    const std::int64_t cached = cache.find(hash, key);
+    if (cached >= 0) {
+      reference.window_entry.push_back(cached);
+      ++reference.dedup_hits;
+      continue;
+    }
+    const auto entry =
+        static_cast<std::int64_t>(reference.entry_pixels.size());
+    cache.insert(hash, key, entry);
+    reference.window_entry.push_back(entry);
+    reference.entry_pixels.push_back(key);
+  }
+  return reference;
+}
+
+// Scans `chip` with a journal and checks what the journal recorded, and
+// the scan's counts, against reference_dedup.
+ScanResult expect_scan_matches_dedup_reference(const Pattern& chip,
+                                               ScanConfig config,
+                                               const std::string& name) {
+  config.journal_path = test_support::test_path(name + ".journal");
+  ScanPipeline pipeline(config, density_classifier());
+  const ScanResult result = pipeline.scan(chip);
+  const DedupReference reference = reference_dedup(chip, config);
+  JournalState journaled;
+  EXPECT_TRUE(
+      ScanJournal::recover(config.journal_path, make_meta(chip, config),
+                           &journaled)
+          .ok())
+      << name;
+  EXPECT_EQ(journaled.window_entry, reference.window_entry) << name;
+  EXPECT_EQ(journaled.entry_pixels, reference.entry_pixels) << name;
+  const auto unique = static_cast<std::int64_t>(reference.entry_pixels.size());
+  EXPECT_EQ(result.stats.dedup_hits, reference.dedup_hits) << name;
+  EXPECT_EQ(result.stats.unique_windows, unique) << name;
+  EXPECT_EQ(result.stats.batches,
+            (unique + config.batch_size - 1) / config.batch_size)
+      << name;
+  EXPECT_LE(result.stats.memo_hits, result.stats.dedup_hits) << name;
+  std::remove(config.journal_path.c_str());
+  return result;
+}
+
+// A chip of 1024 nm tiles, tile i of `order` (row-major, `side` per row)
+// drawn from `library`, with a grid-sized mark at each corner of the chip
+// so the window grid stays on the tiles whatever the tiles draw.
+Pattern tiled_chip(const std::vector<Pattern>& library,
+                   const std::vector<int>& order, std::int64_t side) {
+  constexpr std::int64_t kTile = 1024;
+  Pattern chip;
+  chip.add(Rect{0, 0, 8, 8});
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    Pattern tile = library[static_cast<std::size_t>(order[i])];
+    tile.translate(static_cast<std::int64_t>(i) % side * kTile,
+                   static_cast<std::int64_t>(i) / side * kTile);
+    for (const Rect& rect : tile.rects()) {
+      chip.add(rect);
+    }
+  }
+  const std::int64_t far = side * kTile;
+  chip.add(Rect{far - 8, far - 8, far, far});
+  return chip;
+}
+
+// Disjoint rects: any order gives the same raster.
+Pattern plain_tile() {
+  return Pattern({Rect{100, 100, 300, 900}, Rect{400, 50, 460, 1000},
+                  Rect{600, 600, 1000, 700}, Rect{520, 120, 560, 180}});
+}
+
+Pattern reversed(const Pattern& pattern) {
+  std::vector<Rect> rects = pattern.rects();
+  std::reverse(rects.begin(), rects.end());
+  return Pattern(std::move(rects));
+}
+
+// Overlapping, abutting and sub-pixel rects (a pixel is 64 nm at grid 16):
+// their coverage adds into shared pixels.
+Pattern overlapping_tile() {
+  return Pattern({Rect{0, 0, 512, 512}, Rect{256, 256, 768, 768},
+                  Rect{512, 0, 1024, 100}, Rect{700, 800, 733, 1024},
+                  Rect{100, 600, 130, 630}, Rect{130, 600, 170, 630},
+                  Rect{96, 610, 140, 650}});
+}
+
+std::vector<Pattern> mixed_library() {
+  dataset::PatternParams params;
+  util::Rng rng(31);
+  return {plain_tile(), overlapping_tile(), dataset::dense_lines(params, rng),
+          dataset::contacts(params, rng), reversed(overlapping_tile())};
+}
+
+TEST(ScanPipeline, RepeatedTilesMatchDedupReference) {
+  const Pattern chip = build_chip(4, /*repeat_one_tile=*/true);
+  const ScanResult result =
+      expect_scan_matches_dedup_reference(chip, small_config(), "repeated");
+  EXPECT_GT(result.stats.memo_hits, 0);
+}
+
+TEST(ScanPipeline, ReorderedRectsMissTheMemoAndHitTheRaster) {
+  // The same tile drawn in two rect orders: equal rasters, unequal
+  // geometry, so one order is served by the raster cache alone.
+  const std::vector<Pattern> library = {plain_tile(), reversed(plain_tile())};
+  const Pattern chip =
+      tiled_chip(library, {0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0}, 4);
+  const ScanResult result =
+      expect_scan_matches_dedup_reference(chip, small_config(), "reordered");
+  EXPECT_GT(result.stats.memo_hits, 0);
+  EXPECT_LT(result.stats.memo_hits, result.stats.dedup_hits);
+}
+
+TEST(ScanPipeline, OverlappingAndAbuttingRectsMatchDedupReference) {
+  const std::vector<Pattern> library = {overlapping_tile(),
+                                        reversed(overlapping_tile())};
+  const Pattern chip =
+      tiled_chip(library, {0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1}, 4);
+  ScanConfig config = small_config();
+  expect_scan_matches_dedup_reference(chip, config, "overlapping");
+  config.step_nm = 384;  // windows straddle the tiles too
+  expect_scan_matches_dedup_reference(chip, config, "overlapping_stride");
+}
+
+// Runs of repeats between distinct tiles, enough to overflow three slots.
+// Tile 0 turns into a memo hit by its third window; its memo hit at
+// window 5 must refresh it as a raster hit would, so that tile 3 evicts
+// tile 1, not tile 0.
+const std::vector<int> kCapOrder = {0, 0, 0, 1, 2, 0, 3, 0, 4, 1, 1, 2, 3,
+                                    3, 0, 4, 4, 2, 2, 0, 1, 3, 0, 0, 4};
+
+TEST(ScanPipeline, EntryCapMatchesDedupReference) {
+  // An evicted entry takes its geometry with it; the raster re-enters
+  // under a fresh id, as in the reference.
+  const Pattern chip = tiled_chip(mixed_library(), kCapOrder, 5);
+  ScanConfig config = small_config();
+  config.dedup_max_entries = 3;
+  const ScanResult result =
+      expect_scan_matches_dedup_reference(chip, config, "entry_cap");
+  EXPECT_GT(result.stats.memo_hits, 0);
+  const DedupReference reference = reference_dedup(chip, config);
+  EXPECT_GT(static_cast<std::int64_t>(reference.entry_pixels.size()), 7)
+      << "the cap never evicted a raster that came back";
+}
+
+TEST(ScanPipeline, ByteCapMatchesDedupReference) {
+  const Pattern chip = tiled_chip(mixed_library(), kCapOrder, 5);
+  ScanConfig config = small_config();
+  config.dedup_max_bytes = 100;  // three 32-byte keys at grid 16
+  const ScanResult result =
+      expect_scan_matches_dedup_reference(chip, config, "byte_cap");
+  EXPECT_GT(result.stats.memo_hits, 0);
 }
 
 TEST(MergeFlaggedWindows, SingleWindowRegion) {

@@ -75,7 +75,7 @@ TEST(ClipWindowStream, BufferedMaterializeMatchesClippedTo) {
   const Pattern chip(rects);
 
   Pattern out;
-  std::vector<std::int64_t> candidates;
+  std::vector<std::uint32_t> candidates;
   // Full, half and quarter steps, and steps that do not divide the cell.
   for (const std::int64_t step : {1000, 500, 250, 300, 700}) {
     ClipWindowStream stream(chip, 1000, step);
