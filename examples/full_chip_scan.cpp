@@ -58,15 +58,23 @@ namespace {
 
 using namespace hotspot;
 
-// A chip made of pattern-family tiles laid out on a grid.
+// A chip made of pattern-family tiles laid out on a grid, placed
+// round-robin from `tiles_per_side` distinct patterns: repeated tiles are
+// what the scan's dedup cache and geometry memo serve, as on a real chip.
 layout::Pattern build_chip(const dataset::PatternParams& params,
                            util::Rng& rng, int tiles_per_side) {
+  std::vector<layout::Pattern> library;
+  for (int i = 0; i < tiles_per_side; ++i) {
+    const auto family = static_cast<dataset::Family>(
+        rng.uniform_int(0, dataset::kFamilyCount - 1));
+    library.push_back(dataset::generate_pattern(family, params, rng));
+  }
   layout::Pattern chip;
   for (int ty = 0; ty < tiles_per_side; ++ty) {
     for (int tx = 0; tx < tiles_per_side; ++tx) {
-      const auto family = static_cast<dataset::Family>(
-          rng.uniform_int(0, dataset::kFamilyCount - 1));
-      layout::Pattern tile = dataset::generate_pattern(family, params, rng);
+      layout::Pattern tile =
+          library[static_cast<std::size_t>((ty * tiles_per_side + tx) %
+                                           tiles_per_side)];
       tile.translate(tx * params.clip_nm, ty * params.clip_nm);
       for (const auto& rect : tile.rects()) {
         chip.add(rect);

@@ -13,9 +13,6 @@
 namespace hotspot::core {
 namespace {
 
-// Exponential learning-rate decay on a validation plateau (Sec. 3.4.2).
-constexpr float kPlateauFactor = 0.5f;
-constexpr int kPlateauPatience = 5;
 // Share of the dataset held out for the plateau scheduler.
 constexpr double kValidationFraction = 0.1;
 // Global L2 gradient-norm ceiling applied before every update.
@@ -174,7 +171,7 @@ std::vector<EpochStats> Trainer::train(const dataset::HotspotDataset& data) {
     }
   }
 
-  optim::PlateauDecay scheduler(optimizer_, kPlateauFactor, kPlateauPatience);
+  optim::PlateauDecay scheduler(optimizer_);
   std::vector<EpochStats> history;
 
   auto run_phase = [&](int phase_start, int epochs, float bias,

@@ -4,11 +4,6 @@
 
 namespace hotspot::features {
 
-tensor::Tensor dct_feature_tensor(const tensor::Tensor& image,
-                                  const DctTensorSpec& spec) {
-  return tensor::block_dct_features(image, spec.block, spec.coefficients);
-}
-
 tensor::Tensor dct_feature_batch(const dataset::HotspotDataset& data,
                                  const std::vector<std::size_t>& indices,
                                  const DctTensorSpec& spec) {
@@ -19,8 +14,8 @@ tensor::Tensor dct_feature_batch(const dataset::HotspotDataset& data,
   tensor::Tensor batch({static_cast<std::int64_t>(indices.size()),
                         spec.coefficients, tiles, tiles});
   for (std::size_t b = 0; b < indices.size(); ++b) {
-    const tensor::Tensor features =
-        dct_feature_tensor(data.sample(indices[b]).to_image(), spec);
+    const tensor::Tensor features = tensor::block_dct_features(
+        data.sample(indices[b]).to_image(), spec.block, spec.coefficients);
     float* dst = batch.data() +
                  static_cast<std::int64_t>(b) * features.numel();
     for (std::int64_t i = 0; i < features.numel(); ++i) {

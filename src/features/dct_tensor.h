@@ -13,10 +13,6 @@ struct DctTensorSpec {
   std::int64_t coefficients = 8;   // zig-zag-first coefficients kept
 };
 
-// [H,W] image -> [coefficients, H/block, W/block].
-tensor::Tensor dct_feature_tensor(const tensor::Tensor& image,
-                                  const DctTensorSpec& spec);
-
 // Whole dataset -> [n, coefficients, H/block, W/block] NCHW batch.
 tensor::Tensor dct_feature_batch(const dataset::HotspotDataset& data,
                                  const std::vector<std::size_t>& indices,

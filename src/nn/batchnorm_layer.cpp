@@ -15,16 +15,14 @@ namespace {
 // raw 1/sqrt(var + eps) then yields NaN (or Inf once var + eps underflows to
 // zero) and poisons every downstream activation. Clamping to zero keeps the
 // factor finite for any var, and is a no-op on healthy statistics.
-inline float inv_std_term(float var, float epsilon) {
-  return 1.0f / std::sqrt(std::max(var, 0.0f) + epsilon);
+inline float inv_std_term(float var) {
+  return 1.0f / std::sqrt(std::max(var, 0.0f) + BatchNorm2d::kEpsilon);
 }
 
 }  // namespace
 
-BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float epsilon)
+BatchNorm2d::BatchNorm2d(std::int64_t channels)
     : channels_(channels),
-      momentum_(momentum),
-      epsilon_(epsilon),
       gamma_("gamma", Tensor::ones({channels})),
       beta_("beta", Tensor({channels})),
       running_mean_({channels}),
@@ -47,9 +45,9 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
     // Exponential moving averages track statistics for inference.
     for (std::int64_t c = 0; c < channels_; ++c) {
       running_mean_[c] =
-          (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
+          (1.0f - kMomentum) * running_mean_[c] + kMomentum * mean[c];
       running_var_[c] =
-          (1.0f - momentum_) * running_var_[c] + momentum_ * var[c];
+          (1.0f - kMomentum) * running_var_[c] + kMomentum * var[c];
     }
   } else {
     mean = running_mean_;
@@ -58,7 +56,7 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
 
   cached_inv_std_ = Tensor({channels_});
   for (std::int64_t c = 0; c < channels_; ++c) {
-    cached_inv_std_[c] = inv_std_term(var[c], epsilon_);
+    cached_inv_std_[c] = inv_std_term(var[c]);
   }
 
   Tensor output(input.shape());
@@ -85,7 +83,7 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
 Tensor BatchNorm2d::inference_inv_std() const {
   Tensor inv_std({channels_});
   for (std::int64_t c = 0; c < channels_; ++c) {
-    inv_std[c] = inv_std_term(running_var_[c], epsilon_);
+    inv_std[c] = inv_std_term(running_var_[c]);
   }
   return inv_std;
 }

@@ -11,8 +11,12 @@ namespace hotspot::nn {
 
 class BatchNorm2d : public Module {
  public:
-  explicit BatchNorm2d(std::int64_t channels, float momentum = 0.1f,
-                       float epsilon = 1e-5f);
+  // Running-statistics EMA weight and the variance floor, the usual
+  // PyTorch defaults.
+  static constexpr float kMomentum = 0.1f;
+  static constexpr float kEpsilon = 1e-5f;
+
+  explicit BatchNorm2d(std::int64_t channels);
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -25,12 +29,11 @@ class BatchNorm2d : public Module {
   Parameter& beta() { return beta_; }
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }
-  // Direct access for serialization.
+  // Serialization reaches the running statistics through collect_state;
+  // these let tests plant edge statistics directly.
   Tensor& mutable_running_mean() { return running_mean_; }
   Tensor& mutable_running_var() { return running_var_; }
   std::int64_t channels() const { return channels_; }
-  float momentum() const { return momentum_; }
-  float epsilon() const { return epsilon_; }
 
   // Per-channel 1/sqrt(var + eps) exactly as the inference forward computes
   // it, including the negative-variance clamp. The inference plan copies
@@ -40,8 +43,6 @@ class BatchNorm2d : public Module {
 
  private:
   std::int64_t channels_;
-  float momentum_;
-  float epsilon_;
   Parameter gamma_;
   Parameter beta_;
   Tensor running_mean_;

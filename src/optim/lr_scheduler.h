@@ -5,30 +5,28 @@
 // PlateauDecay implements exactly that.
 #pragma once
 
-#include "optim/optimizer.h"
+#include "optim/nadam.h"
 
 namespace hotspot::optim {
 
-// Multiplies the LR by `factor` whenever the monitored metric has not
-// improved by at least `min_delta` for `patience` consecutive epochs.
+// Multiplies the LR by kPlateauFactor whenever the monitored metric has not
+// improved by at least kPlateauMinDelta for more than kPlateauPatience
+// consecutive epochs, never going below kPlateauMinLr.
+inline constexpr float kPlateauFactor = 0.5f;
+inline constexpr int kPlateauPatience = 5;
+inline constexpr double kPlateauMinDelta = 1e-4;
+inline constexpr float kPlateauMinLr = 1e-6f;
+
 class PlateauDecay {
  public:
-  PlateauDecay(Optimizer& optimizer, float factor, int patience,
-               double min_delta = 1e-4, float min_lr = 1e-6f);
+  explicit PlateauDecay(NAdam& optimizer);
 
   // Reports one epoch's validation metric (lower is better). Returns true
   // when a decay was applied this call.
   bool observe(double validation_metric);
 
-  int epochs_since_improvement() const { return stall_count_; }
-  double best_metric() const { return best_metric_; }
-
  private:
-  Optimizer& optimizer_;
-  float factor_;
-  int patience_;
-  double min_delta_;
-  float min_lr_;
+  NAdam& optimizer_;
   double best_metric_;
   int stall_count_ = 0;
 };

@@ -6,16 +6,10 @@
 
 namespace hotspot::optim {
 
-NAdam::NAdam(std::vector<nn::Parameter*> params, float learning_rate,
-             float beta1, float beta2, float epsilon, float weight_decay)
-    : Optimizer(std::move(params), learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  HOTSPOT_CHECK(beta1 >= 0.0f && beta1 < 1.0f) << "beta1=" << beta1;
-  HOTSPOT_CHECK(beta2 >= 0.0f && beta2 < 1.0f) << "beta2=" << beta2;
-  HOTSPOT_CHECK_GT(epsilon, 0.0f);
+NAdam::NAdam(std::vector<nn::Parameter*> params, float learning_rate)
+    : params_(std::move(params)), learning_rate_(learning_rate) {
+  HOTSPOT_CHECK(!params_.empty()) << "optimizer needs parameters";
+  HOTSPOT_CHECK_GT(learning_rate, 0.0f);
   first_moment_.reserve(params_.size());
   second_moment_.reserve(params_.size());
   for (const nn::Parameter* param : params_) {
@@ -26,8 +20,8 @@ NAdam::NAdam(std::vector<nn::Parameter*> params, float learning_rate,
 
 void NAdam::step() {
   const auto t = static_cast<double>(step_count_ + 1);
-  const double b1 = static_cast<double>(beta1_);
-  const double b2 = static_cast<double>(beta2_);
+  const double b1 = static_cast<double>(kBeta1);
+  const double b2 = static_cast<double>(kBeta2);
   const double bias1 = 1.0 - std::pow(b1, t);
   const double bias1_next = 1.0 - std::pow(b1, t + 1.0);
   const double bias2 = 1.0 - std::pow(b2, t);
@@ -36,9 +30,7 @@ void NAdam::step() {
     tensor::Tensor& m = first_moment_[p];
     tensor::Tensor& v = second_moment_[p];
     for (std::int64_t i = 0; i < param.value.numel(); ++i) {
-      const double grad =
-          static_cast<double>(param.grad[i]) +
-          static_cast<double>(weight_decay_) * static_cast<double>(param.value[i]);
+      const auto grad = static_cast<double>(param.grad[i]);
       m[i] = static_cast<float>(b1 * static_cast<double>(m[i]) + (1.0 - b1) * grad);
       v[i] = static_cast<float>(b2 * static_cast<double>(v[i]) +
                                 (1.0 - b2) * grad * grad);
@@ -50,10 +42,32 @@ void NAdam::step() {
       const double v_hat = static_cast<double>(v[i]) / bias2;
       param.value[i] -= static_cast<float>(
           static_cast<double>(learning_rate_) * m_bar /
-          (std::sqrt(v_hat) + static_cast<double>(epsilon_)));
+          (std::sqrt(v_hat) + static_cast<double>(kEpsilon)));
     }
   }
-  finish_step();
+  for (nn::Parameter* param : params_) {
+    param->bump_version();
+  }
+  ++step_count_;
+}
+
+double NAdam::grad_norm() const {
+  double total = 0.0;
+  for (const nn::Parameter* param : params_) {
+    for (std::int64_t i = 0; i < param->grad.numel(); ++i) {
+      const auto g = static_cast<double>(param->grad[i]);
+      total += g * g;
+    }
+  }
+  return std::sqrt(total);
+}
+
+void NAdam::scale_gradients(float scale) {
+  for (nn::Parameter* param : params_) {
+    for (std::int64_t i = 0; i < param->grad.numel(); ++i) {
+      param->grad[i] *= scale;
+    }
+  }
 }
 
 }  // namespace hotspot::optim

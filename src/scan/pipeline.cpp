@@ -192,6 +192,7 @@ class BatchProducer {
     stats_.windows += windows_in_batch;
     windows_seen_ += windows_in_batch;
     stats_.dedup_hits += hits_in_batch;
+    stats_.unique_windows += count;
     stats_.memo_hits += memo_hits_in_batch;
     static obs::Histogram& raster_histogram =
         obs::MetricsRegistry::global().histogram(
@@ -503,7 +504,6 @@ ScanResult ScanPipeline::scan(const layout::Pattern& chip) {
     quarantined_counter.increment(
         static_cast<std::uint64_t>(result.stats.quarantined));
   }
-  result.stats.unique_windows = result.stats.windows - result.stats.dedup_hits;
   result.regions = merge_flagged_windows(
       result.labels, result.cols, result.rows, result.origin_x,
       result.origin_y, result.window_nm, result.step_nm);

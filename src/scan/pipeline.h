@@ -71,7 +71,7 @@ struct ScanConfig {
 
 struct ScanStats {
   std::int64_t windows = 0;         // window positions scanned this run
-  std::int64_t unique_windows = 0;  // rasters that paid inference
+  std::int64_t unique_windows = 0;  // rasters this run sent to inference
   std::int64_t dedup_hits = 0;      // windows served from the cache
   std::int64_t memo_hits = 0;       // of those, served by geometry alone
   std::int64_t batches = 0;         // inference batches issued

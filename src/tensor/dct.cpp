@@ -9,7 +9,7 @@ namespace hotspot::tensor {
 namespace {
 
 // Orthonormal DCT-II basis matrix B with B[k][i] = s(k) cos(pi (i+0.5) k / n),
-// so dct(x) = B x and idct(y) = B^T y.
+// so dct(x) = B x.
 Tensor dct_basis(std::int64_t n) {
   Tensor basis({n, n});
   const double scale0 = std::sqrt(1.0 / static_cast<double>(n));
@@ -27,27 +27,6 @@ Tensor dct_basis(std::int64_t n) {
 }
 
 }  // namespace
-
-Tensor dct2_rows(const Tensor& input) {
-  HOTSPOT_CHECK_EQ(input.rank(), 2);
-  const Tensor basis = dct_basis(input.dim(1));
-  return matmul(input, transpose2d(basis));
-}
-
-Tensor dct2(const Tensor& input) {
-  HOTSPOT_CHECK_EQ(input.rank(), 2);
-  const Tensor row_basis = dct_basis(input.dim(1));
-  const Tensor col_basis = dct_basis(input.dim(0));
-  // B_rows applied along rows, B_cols along columns: C = B_c X B_r^T.
-  return matmul(col_basis, matmul(input, transpose2d(row_basis)));
-}
-
-Tensor idct2(const Tensor& input) {
-  HOTSPOT_CHECK_EQ(input.rank(), 2);
-  const Tensor row_basis = dct_basis(input.dim(1));
-  const Tensor col_basis = dct_basis(input.dim(0));
-  return matmul(transpose2d(col_basis), matmul(input, row_basis));
-}
 
 std::vector<std::pair<std::int64_t, std::int64_t>> zigzag_order(
     std::int64_t block) {
@@ -83,6 +62,8 @@ Tensor block_dct_features(const Tensor& image, std::int64_t block,
   const std::int64_t tiles_y = image.dim(0) / block;
   const std::int64_t tiles_x = image.dim(1) / block;
   const auto order = zigzag_order(block);
+  const Tensor basis = dct_basis(block);
+  const Tensor basis_t = transpose2d(basis);
 
   Tensor features({coefficients, tiles_y, tiles_x});
   Tensor tile({block, block});
@@ -93,7 +74,7 @@ Tensor block_dct_features(const Tensor& image, std::int64_t block,
           tile.at2(y, x) = image.at2(ty * block + y, tx * block + x);
         }
       }
-      const Tensor spectrum = dct2(tile);
+      const Tensor spectrum = matmul(basis, matmul(tile, basis_t));
       for (std::int64_t k = 0; k < coefficients; ++k) {
         const auto [r, c] = order[static_cast<std::size_t>(k)];
         features.at({k, ty, tx}) = spectrum.at2(r, c);

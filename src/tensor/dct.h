@@ -9,19 +9,11 @@
 
 namespace hotspot::tensor {
 
-// Orthonormal 1-D DCT-II of each row of a rank-2 tensor.
-Tensor dct2_rows(const Tensor& input);
-
-// Orthonormal 2-D DCT-II of a rank-2 tensor (rows then columns).
-Tensor dct2(const Tensor& input);
-
-// Inverse of dct2 (orthonormal DCT-III applied both ways).
-Tensor idct2(const Tensor& input);
-
-// Splits `image` [H,W] into non-overlapping `block`-sized tiles, DCTs each,
-// and keeps the zig-zag-first `coefficients` per tile. Output is
-// [coefficients, H/block, W/block] — channel-major like the DAC'17 feature
-// tensor. H and W must be divisible by `block`.
+// Splits `image` [H,W] into non-overlapping `block`-sized tiles, applies the
+// orthonormal 2-D DCT-II to each (one cosine basis B per call; a tile X
+// becomes B X B^T), and keeps the zig-zag-first `coefficients` per tile.
+// Output is [coefficients, H/block, W/block] — channel-major like the DAC'17
+// feature tensor. H and W must be divisible by `block`.
 Tensor block_dct_features(const Tensor& image, std::int64_t block,
                           std::int64_t coefficients);
 

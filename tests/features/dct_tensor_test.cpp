@@ -9,10 +9,23 @@ namespace {
 
 using tensor::Tensor;
 
+// Features of single binary images, through the dataset path the DAC'17
+// baseline trains and predicts on.
+Tensor batch_of(const std::vector<Tensor>& images, const DctTensorSpec& spec) {
+  dataset::HotspotDataset data;
+  std::vector<std::size_t> indices;
+  for (const Tensor& image : images) {
+    indices.push_back(data.size());
+    data.add(dataset::ClipSample::from_image(image, 0,
+                                             dataset::Family::kComb));
+  }
+  return dct_feature_batch(data, indices, spec);
+}
+
 TEST(DctTensor, ShapeFollowsSpec) {
   const DctTensorSpec spec{4, 8};
-  const Tensor features = dct_feature_tensor(Tensor({32, 32}), spec);
-  EXPECT_EQ(features.shape(), (tensor::Shape{8, 8, 8}));
+  const Tensor features = batch_of({Tensor({32, 32})}, spec);
+  EXPECT_EQ(features.shape(), (tensor::Shape{1, 8, 8, 8}));
 }
 
 TEST(DctTensor, DcChannelEncodesTileDensity) {
@@ -23,10 +36,10 @@ TEST(DctTensor, DcChannelEncodesTileDensity) {
       image.at2(y, x) = 1.0f;  // only the top-left tile is full
     }
   }
-  const Tensor features = dct_feature_tensor(image, spec);
-  EXPECT_GT(features.at({0, 0, 0}), 1.0f);
-  EXPECT_NEAR(features.at({0, 0, 1}), 0.0f, 1e-5);
-  EXPECT_NEAR(features.at({0, 1, 0}), 0.0f, 1e-5);
+  const Tensor features = batch_of({image}, spec);
+  EXPECT_GT(features.at4(0, 0, 0, 0), 1.0f);
+  EXPECT_NEAR(features.at4(0, 0, 0, 1), 0.0f, 1e-5);
+  EXPECT_NEAR(features.at4(0, 0, 1, 0), 0.0f, 1e-5);
 }
 
 TEST(DctTensor, BatchStacksSamples) {
@@ -51,8 +64,8 @@ TEST(DctTensor, TranslationChangesFeatures) {
   Tensor right({8, 8});
   left.at2(0, 0) = 1.0f;
   right.at2(0, 7) = 1.0f;
-  const Tensor fl = dct_feature_tensor(left, spec);
-  const Tensor fr = dct_feature_tensor(right, spec);
+  const Tensor fl = batch_of({left}, spec);
+  const Tensor fr = batch_of({right}, spec);
   EXPECT_GT(tensor::max_abs_diff(fl, fr), 0.01);
 }
 

@@ -57,9 +57,17 @@ TEST(BatchNormLayer, NormalizesTrainingBatch) {
 
 TEST(BatchNormLayer, EvalUsesRunningStatistics) {
   util::Rng rng(5);
-  BatchNorm2d bn(2, /*momentum=*/0.5f);
-  // Feed several training batches so the running stats adapt.
-  for (int step = 0; step < 20; ++step) {
+  BatchNorm2d bn(2);
+  // The first training batch moves the running mean from 0 by kMomentum of
+  // the batch mean.
+  const Tensor first = Tensor::normal({8, 2, 4, 4}, rng, 10.0f, 1.0f);
+  bn.forward(first);
+  const Tensor first_mean = tensor::channel_mean(first);
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(bn.running_mean()[c], BatchNorm2d::kMomentum * first_mean[c]);
+  }
+  // Enough further batches for the running stats to converge (0.9^100).
+  for (int step = 0; step < 100; ++step) {
     bn.forward(Tensor::normal({8, 2, 4, 4}, rng, 10.0f, 1.0f));
   }
   bn.set_training(false);
@@ -104,7 +112,7 @@ TEST(BatchNormLayer, NegativeRunningVarianceClampsToEpsilonFloor) {
   EXPECT_TRUE(std::isfinite(out[0]));
   EXPECT_TRUE(std::isfinite(out[1]));
   // Clamped to var = 0: inv_std = 1/sqrt(eps), the zero-variance factor.
-  const float expected = 1.0f / std::sqrt(bn.epsilon());
+  const float expected = 1.0f / std::sqrt(BatchNorm2d::kEpsilon);
   EXPECT_EQ(out[0], expected);
   EXPECT_EQ(bn.inference_inv_std()[0], expected);
 }
@@ -133,8 +141,8 @@ TEST(BatchNormLayer, InferenceInvStdMatchesForwardFactors) {
   const Tensor inv_std = bn.inference_inv_std();
   ASSERT_EQ(inv_std.shape(), (tensor::Shape{3}));
   for (int c = 0; c < 3; ++c) {
-    const float expected =
-        1.0f / std::sqrt(std::max(bn.running_var()[c], 0.0f) + bn.epsilon());
+    const float expected = 1.0f / std::sqrt(std::max(bn.running_var()[c], 0.0f) +
+                                            BatchNorm2d::kEpsilon);
     EXPECT_EQ(inv_std[c], expected);
   }
 }

@@ -14,44 +14,66 @@ nn::Parameter make_param() {
 TEST(PlateauDecay, DecaysAfterPatienceExceeded) {
   auto param = make_param();
   NAdam optimizer({&param}, 1.0f);
-  PlateauDecay scheduler(optimizer, 0.5f, /*patience=*/2);
-  EXPECT_FALSE(scheduler.observe(1.0));   // new best
-  EXPECT_FALSE(scheduler.observe(1.0));   // stall 1
-  EXPECT_FALSE(scheduler.observe(1.0));   // stall 2 == patience
-  EXPECT_TRUE(scheduler.observe(1.0));    // stall 3 > patience -> decay
-  EXPECT_FLOAT_EQ(optimizer.learning_rate(), 0.5f);
+  PlateauDecay scheduler(optimizer);
+  EXPECT_FALSE(scheduler.observe(1.0));  // new best
+  for (int stall = 1; stall <= kPlateauPatience; ++stall) {
+    EXPECT_FALSE(scheduler.observe(1.0)) << "stall " << stall;
+  }
+  EXPECT_TRUE(scheduler.observe(1.0));  // one stall past patience -> decay
+  EXPECT_EQ(optimizer.learning_rate(), kPlateauFactor);
 }
 
 TEST(PlateauDecay, ImprovementResetsStall) {
   auto param = make_param();
   NAdam optimizer({&param}, 1.0f);
-  PlateauDecay scheduler(optimizer, 0.5f, 1);
+  PlateauDecay scheduler(optimizer);
   scheduler.observe(1.0);
-  scheduler.observe(1.0);  // stall 1
-  scheduler.observe(0.5);  // improvement resets
-  EXPECT_EQ(scheduler.epochs_since_improvement(), 0);
-  scheduler.observe(0.5);  // stall 1 again
-  EXPECT_FLOAT_EQ(optimizer.learning_rate(), 1.0f);  // no decay yet
+  for (int stall = 1; stall <= kPlateauPatience; ++stall) {
+    scheduler.observe(1.0);
+  }
+  // One stall short of a decay, an improvement restarts the count: a full
+  // patience of stalls after it still does not decay.
+  EXPECT_FALSE(scheduler.observe(0.5));
+  for (int stall = 1; stall <= kPlateauPatience; ++stall) {
+    EXPECT_FALSE(scheduler.observe(0.5)) << "stall " << stall;
+  }
+  EXPECT_EQ(optimizer.learning_rate(), 1.0f);
+  EXPECT_TRUE(scheduler.observe(0.5));
 }
 
 TEST(PlateauDecay, RespectsMinimumLr) {
   auto param = make_param();
-  NAdam optimizer({&param}, 1.0f);
-  PlateauDecay scheduler(optimizer, 0.1f, 0, 1e-4, /*min_lr=*/0.05f);
+  // Four decays take 1e-5 to 6.25e-7, below the floor.
+  NAdam optimizer({&param}, 1e-5f);
+  PlateauDecay scheduler(optimizer);
   scheduler.observe(1.0);
-  for (int i = 0; i < 10; ++i) {
-    scheduler.observe(1.0);
+  int decays = 0;
+  for (int epoch = 0; epoch < 10 * (kPlateauPatience + 1); ++epoch) {
+    decays += scheduler.observe(1.0) ? 1 : 0;
   }
-  EXPECT_GE(optimizer.learning_rate(), 0.05f);
+  EXPECT_EQ(decays, 10);
+  EXPECT_EQ(optimizer.learning_rate(), kPlateauMinLr);
 }
 
 TEST(PlateauDecay, MinDeltaFiltersNoise) {
   auto param = make_param();
   NAdam optimizer({&param}, 1.0f);
-  PlateauDecay scheduler(optimizer, 0.5f, 0, /*min_delta=*/0.1);
+  PlateauDecay scheduler(optimizer);
   scheduler.observe(1.0);
-  // 0.95 improves by less than min_delta: counts as a stall -> decay.
-  EXPECT_TRUE(scheduler.observe(0.95));
+  // Within kPlateauMinDelta of the best, a lower metric is still a stall,
+  // so the patience runs out as on a flat metric.
+  const double noisy = 1.0 - kPlateauMinDelta / 2.0;
+  for (int stall = 1; stall <= kPlateauPatience; ++stall) {
+    EXPECT_FALSE(scheduler.observe(noisy)) << "stall " << stall;
+  }
+  EXPECT_TRUE(scheduler.observe(noisy));
+  // Improvements of twice kPlateauMinDelta count: no decay however long.
+  double metric = noisy;
+  for (int epoch = 0; epoch < 3 * (kPlateauPatience + 1); ++epoch) {
+    metric -= 2.0 * kPlateauMinDelta;
+    EXPECT_FALSE(scheduler.observe(metric)) << "epoch " << epoch;
+  }
+  EXPECT_EQ(optimizer.learning_rate(), kPlateauFactor);
 }
 
 }  // namespace

@@ -219,6 +219,10 @@ TEST(ScanChaos, KillAndResumeSweepIsBitIdentical) {
     EXPECT_EQ(resumed.stats.windows + resumed.stats.resume_skipped,
               static_cast<std::int64_t>(reference.labels.size()))
         << context;
+    // The resumed run counts only the entries it introduced.
+    EXPECT_EQ(resumed.stats.unique_windows + recovered.entry_count(),
+              reference.stats.unique_windows)
+        << context;
   }
   EXPECT_TRUE(sweep_exhausted)
       << "64 kill sites was not enough to reach a completed scan";

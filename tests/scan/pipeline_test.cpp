@@ -18,6 +18,7 @@
 #include "scan/journal.h"
 #include "support/scan_journal_meta.h"
 #include "support/test_support.h"
+#include "util/fault_injection.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -104,6 +105,24 @@ TEST(ScanPipeline, MatchesEagerExtractAndPredict) {
             static_cast<std::int64_t>(result.labels.size()));
   EXPECT_EQ(result.stats.unique_windows + result.stats.dedup_hits,
             result.stats.windows);
+}
+
+// unique_windows counts the rasters sent to inference, one per new dedup
+// entry; a quarantined window has no entry and pays no inference.
+TEST(ScanPipeline, QuarantinedWindowsAreNotUnique) {
+  util::ScopedFaultInjection guard;
+  const Pattern chip = build_chip(3, /*repeat_one_tile=*/false);
+  ScanConfig config = small_config();
+  config.retry_backoff_ms = 0;
+  // Every raster probe from the 4th onward fails: windows 1-3 scan clean,
+  // the other six exhaust their retries.
+  util::fault_arm_sticky(util::FaultPoint::kScanRasterCompute, 4);
+  const ScanResult result =
+      ScanPipeline(config, density_classifier()).scan(chip);
+  EXPECT_EQ(result.stats.windows, 9);
+  EXPECT_EQ(result.stats.quarantined, 6);
+  EXPECT_EQ(result.stats.dedup_hits, 0);
+  EXPECT_EQ(result.stats.unique_windows, 3);
 }
 
 TEST(ScanPipeline, OverlappingStrideMatchesEager) {
